@@ -2,18 +2,19 @@
 
 **Calibration.**  The host's speed drifts by tens of percent over
 minutes.  The recorder runs a fixed pure-Python integer loop
-(:func:`kernel`, 6-9 ms here, GC off, no op in flight) before every
-set-up repetition and every chunk of timed ops, and scales every timing
-of the run by ``(KERNEL_REFERENCE_NS / median kernel time) ** exponent``.
+(:func:`kernel`: 6-9 ms on the reference machine, a 2-vCPU Xeon VM; GC
+off, no op in flight) before every set-up repetition and every chunk of
+timed ops, and scales every timing of the run by
+``(KERNEL_REFERENCE_NS / median kernel time) ** exponent``.
 Reported timings are therefore in "reference-machine" units; the raw
 wall-clock values and the kernel series are printed beside them as
 diagnostics.
 
 One factor per run, not one per chunk: a single kernel is itself noisy
-here (a 30% IQR between chunks of one process), and scaling each chunk
-by its own kernel widened the chunk-to-chunk spread of a fixed piece of
-program work from 13.6% to 16.5%, while the median of a run's kernels
-follows the drift between runs.
+on that machine (a 30% IQR between chunks of one process), and scaling
+each chunk by its own kernel widened the chunk-to-chunk spread of a
+fixed piece of program work from 13.6% to 16.5%, while the median of a
+run's kernels follows the drift between runs.
 
 The exponent is the share of a workload's time that moves with the
 kernel: socket and file calls and memory stalls do not slow down with
@@ -36,9 +37,9 @@ import sys
 from time import perf_counter_ns
 
 #: WAL flush policy of both store workloads.  The store directory must
-#: live inside the benchmark's checkout, which here is an ext4 virtio disk:
-#: with ``"always"`` an in-process PUT's p99 was 0.7-2 ms, set by the
-#: device, not the program.  ``"never"`` keeps every write and rename of
+#: live inside the benchmark's checkout, on the reference machine an ext4
+#: virtio disk, where with ``"always"`` an in-process PUT's p99 was
+#: 0.7-2 ms, set by the device, not the program.  ``"never"`` keeps every write and rename of
 #: the WAL and snapshots but leaves flushing to the OS, so only the
 #: snapshot files' own fsyncs (which no policy skips) reach the device.
 SYNC_POLICY = "never"
@@ -181,11 +182,11 @@ def load_cpu() -> int | None:
     """The one CPU every process of a run is pinned to.
 
     The wire workload's client and server share it too.  With one request
-    in flight they never run at the same time, and here a cross-CPU
-    wakeup per request cost more than it saved: over four runs of 6000
-    GETs each, a client and server on different CPUs had a GET p50 of
-    257-304 us and a mean of 358-619 us; on one CPU, 167-235 us and
-    174-246 us.
+    in flight they never run at the same time, and on the reference
+    machine a cross-CPU wakeup per request cost more than it saved: over
+    four runs of 6000 GETs each, a client and server on different CPUs had
+    a GET p50 of 257-304 us and a mean of 358-619 us; on one CPU, 167-235
+    us and 174-246 us.
     """
     if not hasattr(os, "sched_getaffinity"):
         return None

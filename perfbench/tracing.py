@@ -20,7 +20,7 @@ import threading
 from array import array
 from time import perf_counter_ns
 
-#: Span name prefix -> layer, as in the ISSUE's layer table.
+#: Span name prefix -> layer (the layer names of perfbench/README.md).
 LAYER_OF_PREFIX = {
     "op": "harness",
     "client": "wire",
