@@ -3,26 +3,31 @@
 **Calibration.**  The host's speed drifts by tens of percent over
 minutes.  The recorder runs a fixed pure-Python integer loop
 (:func:`kernel`: 6-9 ms on the reference machine, a 2-vCPU Xeon VM; GC
-off, no op in flight) before every set-up repetition and every chunk of
-timed ops, and scales every timing of the run by
-``(KERNEL_REFERENCE_NS / median kernel time) ** exponent``.
-Reported timings are therefore in "reference-machine" units; the raw
-wall-clock values and the kernel series are printed beside them as
-diagnostics.
+off, no op in flight) before every chunk of timed ops, and scales every
+timing of the timed phase by
+``(KERNEL_REFERENCE_NS / median kernel time) ** exponent``.  A set-up
+repetition or a reopen is scaled the same way by the median of the
+``AROUND_KERNELS`` kernels run just before and just after it: the host's
+speed during set-up is not its speed during the timed phase.  Scaled by
+the timed phase's factor, the set-up times of ten runs spread wider than
+unscaled (IQR 29% against 15% on the wire workload, 41% against 17% on
+the layered one); scaled by their own kernels, 5-13% on every workload
+over two sets of ten runs.  Reported timings are therefore in
+"reference-machine" units; the raw wall-clock values and the kernel
+series are printed beside them as diagnostics.
 
-One factor per run, not one per chunk: a single kernel is itself noisy
-on that machine (a 30% IQR between chunks of one process), and scaling
-each chunk by its own kernel widened the chunk-to-chunk spread of a
-fixed piece of program work from 13.6% to 16.5%, while the median of a
-run's kernels follows the drift between runs.
+One factor for the whole timed phase, not one per chunk: a single kernel
+is itself noisy on that machine (a 30% IQR between chunks of one
+process), and scaling each chunk by its own kernel widened the
+chunk-to-chunk spread of a fixed piece of program work from 13.6% to
+16.5%, while the median of a run's kernels follows the drift between
+runs.
 
 The exponent is the share of a workload's time that moves with the
 kernel: socket and file calls and memory stalls do not slow down with
-the interpreter loop as much.  ``run.py --report`` prints the slope of
-log raw throughput on log kernel time across its runs; over two batches
-of ten runs per workload it ranged from 0.50 to 1.05 with no workload
-consistently apart, and the single value 0.7 gave the smallest worst
-throughput IQR over both batches (10.8%, against 14.7% at 1.0).
+the interpreter loop as much.  Each workload fixes its own
+(``workloads.KERNEL_EXPONENT``); ``run.py --report`` prints the slope of
+log raw throughput on log kernel time across its runs.
 """
 
 from __future__ import annotations
@@ -47,12 +52,13 @@ SYNC_POLICY = "never"
 #: Iterations of the calibration loop.
 KERNEL_ITERS = 50_000
 
+#: Kernels run just before and just after a set-up or a reopen; their
+#: median calibrates that one timing.
+AROUND_KERNELS = 10
+
 #: The loop's time on the reference machine (median of many runs, ns).
 #: Fixed once: changing it rescales every timing the benchmark reports.
 KERNEL_REFERENCE_NS = 7_800_000
-
-#: Share of the program's time that scales with the kernel (see above).
-KERNEL_EXPONENT = 0.7
 
 
 def kernel() -> int:
@@ -102,12 +108,22 @@ def quartile_spread(values) -> dict:
 
 
 class Recorder:
-    """Raw per-class latencies of the timed phase, and the run's kernel series."""
+    """Raw per-class latencies of the timed phase, the timed phase's kernel
+    series, and the set-up times with the kernels around each.
 
-    def __init__(self) -> None:
+    ``exponent`` is the share of the workload's time that scales with the
+    kernel (see the module docstring).
+    """
+
+    def __init__(self, exponent: float) -> None:
+        self.exponent = exponent
         self.raw: dict[str, list[int]] = {}
         self.kernels: list[int] = []
         self.raw_ns = 0
+        self.setup_raw_ns: list[int] = []
+        self.setup_ns: list[float] = []
+        self.setup_factor = 1.0
+        self.around_kernels: list[list[int]] = []
 
     def sample_kernel(self) -> None:
         self.kernels.append(kernel())
@@ -116,10 +132,14 @@ class Recorder:
         self.raw.setdefault(kind, []).append(ns)
         self.raw_ns += ns
 
+    def factor_of(self, kernels) -> float:
+        """(reference ÷ median of ``kernels``) ** exponent."""
+        return (KERNEL_REFERENCE_NS / statistics.median(kernels)) ** self.exponent
+
     @property
     def factor(self) -> float:
-        """Calibration factor of this run: (reference ÷ median kernel) ** exponent."""
-        return (KERNEL_REFERENCE_NS / statistics.median(self.kernels)) ** KERNEL_EXPONENT
+        """Calibration factor of the timed phase, from its kernel series."""
+        return self.factor_of(self.kernels)
 
     @property
     def ops(self) -> int:
@@ -141,27 +161,43 @@ class Recorder:
             "kernel_median_ns": spread["median"],
             "kernel_iqr_share": spread["iqr_share"],
             "kernel_samples": len(self.kernels),
+            "exponent": self.exponent,
             "factor": self.factor,
         }
 
-    def timed_setup(self, build, repeats: int, discard=None) -> tuple[list[int], object]:
-        """Time ``build()`` ``repeats`` times, each after a kernel sample.
+    def timed_once(self, fn) -> tuple[object, int, float]:
+        """Time ``fn()`` between ``AROUND_KERNELS`` kernels before and after.
+
+        Returns the result, the raw time (ns) and the calibration factor
+        of those kernels alone, for a timing taken outside the timed phase
+        (set-up, reopen).
+        """
+        before = [kernel() for _ in range(AROUND_KERNELS)]
+        started = perf_counter_ns()
+        result = fn()
+        elapsed = perf_counter_ns() - started
+        around = before + [kernel() for _ in range(AROUND_KERNELS)]
+        self.around_kernels.append(around)
+        return result, elapsed, self.factor_of(around)
+
+    def timed_setup(self, build, repeats: int, discard=None):
+        """Time ``build()`` ``repeats`` times; returns the last copy.
 
         Every copy but the last is handed to ``discard`` (untimed) and
-        freed before the next one is built; returns the raw times (ns) and
-        the last copy, which the timed phase then uses.
+        freed before the next one is built; the last one is what the timed
+        phase uses.  Each time is calibrated by its own kernels
+        (:meth:`timed_once`) into :attr:`setup_ns`.
         """
-        raws, result = [], None
+        result = None
         for repeat in range(repeats):
             if result is not None and discard is not None:
                 discard(result)
             result = None
             gc.collect()
-            self.sample_kernel()
-            started = perf_counter_ns()
-            result = build()
-            raws.append(perf_counter_ns() - started)
-        return raws, result
+            result, raw, self.setup_factor = self.timed_once(build)
+            self.setup_raw_ns.append(raw)
+            self.setup_ns.append(raw * self.setup_factor)
+        return result
 
 
 def peak_rss_mib() -> float:

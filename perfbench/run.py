@@ -2,7 +2,7 @@
 
 Run one workload (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload embedded_churn --seed 1 --seconds 10 --trace 0
+    python3 perfbench/run.py --workload embedded_churn --seed 1 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics named in ``BENCHMARK.json``;
 ``--trace 1`` wraps the program's public calls in spans and prints the
@@ -13,10 +13,14 @@ the run context (machine fingerprint), raw wall-clock values, the
 calibration kernel series and, for traced runs, the self time of every
 layer per op class.  Any wrong answer makes the command exit 1.
 
-Steadiness report: run each workload several times, alternating
-workloads, plus traced runs to measure the tracing overhead::
+``--seconds`` defaults to ``run_seconds`` in ``BENCHMARK.json``, the
+run length the bounds there were measured at.
 
-    python3 perfbench/run.py --report --runs 5 --seconds 10
+Steadiness report: run every workload of ``BENCHMARK.json`` several
+times, alternating workloads, plus one traced run each to measure the
+tracing overhead::
+
+    python3 perfbench/run.py --report --runs 10 --seed 101
 
 For each end-to-end metric it prints the median, the quartiles, and the
 IQR and min/max spreads as shares of the median.
@@ -39,17 +43,12 @@ WORKDIR = ROOT / ".perfbench-work"
 sys.path.insert(0, str(HERE))
 
 
-def declared_metrics() -> tuple[dict[str, str], dict[str, str]]:
-    """``{name: unit}`` of the end-to-end and per-layer metrics in BENCHMARK.json."""
+def load_spec() -> dict:
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as handle:
-        spec = json.load(handle)
-    return (
-        {entry["name"]: entry["unit"] for entry in spec["end_to_end"]},
-        {entry["name"]: entry["unit"] for entry in spec["per_layer"]},
-    )
+        return json.load(handle)
 
 
-def run_once(workload: str, seed: int, seconds: int, trace: bool) -> int:
+def run_once(spec: dict, workload: str, seed: int, seconds: int, trace: bool) -> int:
     if not (ROOT / "src" / "repro").is_dir():
         print(f"no program source under {ROOT / 'src'}; run from a repository checkout",
               file=sys.stderr)
@@ -60,7 +59,8 @@ def run_once(workload: str, seed: int, seconds: int, trace: bool) -> int:
     if workload not in workloads.WORKLOADS:
         print(f"unknown workload {workload!r}", file=sys.stderr)
         return 2
-    end_to_end, per_layer = declared_metrics()
+    end_to_end = {entry["name"]: entry["unit"] for entry in spec["end_to_end"]}
+    per_layer = {entry["name"]: entry["unit"] for entry in spec["per_layer"]}
     workdir = WORKDIR / f"{workload}-{seed}-{'traced' if trace else 'plain'}"
     shutil.rmtree(workdir, ignore_errors=True)
     workdir.mkdir(parents=True)
@@ -112,25 +112,31 @@ def _result(workload: str, seed: int, seconds: int, trace: bool) -> dict:
     return result
 
 
-def report(workload_names: list[str], runs: int, seconds: int, traced: int, first_seed: int) -> int:
-    """Steadiness report: alternating runs, then spread per metric."""
+def report(spec: dict, runs: int, seconds: int, first_seed: int) -> int:
+    """Steadiness report: alternating runs, then spread per metric.
+
+    Every workload runs ``runs`` times with seeds ``first_seed``,
+    ``first_seed + 1``, ...; the first seed also gets a traced run, whose
+    throughput against the untraced run's is the tracing overhead.
+    """
     import common
 
+    workload_names = [entry["name"] for entry in spec["workloads"]]
     results: dict[str, list[dict]] = {name: [] for name in workload_names}
-    traced_results: dict[str, list[dict]] = {name: [] for name in workload_names}
+    traced_results: dict[str, dict] = {}
     for index in range(runs):
         for name in workload_names:
             seed = first_seed + index
             results[name].append(_result(name, seed, seconds, False))
-            if index < traced:
-                traced_results[name].append(_result(name, seed, seconds, True))
+            if index == 0:
+                traced_results[name] = _result(name, seed, seconds, True)
             print(f"# {name} seed {seed} done", file=sys.stderr, flush=True)
     summary: dict = {}
     for name in workload_names:
         rows = {}
         for metric in results[name][0]["metrics"]:
             values = [result["metrics"][metric]["value"] for result in results[name]]
-            rows[metric] = common.quartile_spread(values)
+            rows[metric] = {**common.quartile_spread(values), "values": values}
         kernels = [r["diagnostics"]["kernel"]["kernel_median_ns"] for r in results[name]]
         raw = [r["diagnostics"]["raw"]["throughput_ops_s"] for r in results[name]]
         rows["raw.throughput_ops_s"] = common.quartile_spread(raw)
@@ -140,14 +146,14 @@ def report(workload_names: list[str], runs: int, seconds: int, traced: int, firs
         fit = statistics.linear_regression(
             [math.log(value) for value in kernels], [math.log(value) for value in raw]
         )
-        entry = {"metrics": rows, "fitted_exponent": -fit.slope}
-        if traced_results[name]:
-            plain = [r["metrics"]["throughput_ops_s"]["value"] for r in results[name][:traced]]
-            with_trace = [r["diagnostics"]["traced_throughput_ops_s"] for r in traced_results[name]]
-            entry["tracing_overhead"] = [1.0 - t / p for t, p in zip(with_trace, plain)]
-            entry["trace_check_within_10pct"] = [
-                r["diagnostics"]["trace_check_within_10pct"] for r in traced_results[name]
-            ]
+        traced = traced_results[name]["diagnostics"]
+        entry = {
+            "metrics": rows,
+            "fitted_exponent": -fit.slope,
+            "tracing_overhead": 1.0 - traced["traced_throughput_ops_s"]
+            / results[name][0]["metrics"]["throughput_ops_s"]["value"],
+            "trace_check_within_10pct": traced["trace_check_within_10pct"],
+        }
         summary[name] = entry
         print(f"\n{name}: {runs} runs (seed, kernel ms, raw ops/s, calibrated ops/s, raw setup s)")
         for index, result in enumerate(results[name]):
@@ -165,32 +171,27 @@ def report(workload_names: list[str], runs: int, seconds: int, traced: int, firs
                 f" {100 * row['iqr_share']:7.2f} {100 * row['range_share']:7.2f}"
             )
         print(f"  fitted calibration exponent: {entry['fitted_exponent']:.3f}")
-        if "tracing_overhead" in entry:
-            print(f"  tracing overhead (share of untraced throughput): {entry['tracing_overhead']}")
-            print(f"  traced self times within 10%: {entry['trace_check_within_10pct']}")
+        print(f"  tracing overhead (share of untraced throughput): {entry['tracing_overhead']:.3f}")
+        print(f"  traced self times within 10%: {entry['trace_check_within_10pct']}")
     print(json.dumps(summary))
     return 0
 
 
 def main() -> int:
+    spec = load_spec()
     parser = argparse.ArgumentParser(description="Run one benchmark workload.")
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=spec["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--report", action="store_true", help="steadiness report mode")
     parser.add_argument("--runs", type=int, default=5, help="report: runs per workload")
-    parser.add_argument("--traced-runs", type=int, default=1, help="report: traced runs per workload")
-    parser.add_argument("--workloads", default=None, help="report: comma-separated subset")
     args = parser.parse_args()
     if args.report:
-        names = args.workloads.split(",") if args.workloads else [
-            "wire_read_mostly", "embedded_churn", "layered_adaptive"
-        ]
-        return report(names, args.runs, args.seconds, args.traced_runs, args.seed)
+        return report(spec, args.runs, args.seconds, args.seed)
     if args.workload is None:
         parser.error("--workload is required")
-    return run_once(args.workload, args.seed, args.seconds, bool(args.trace))
+    return run_once(spec, args.workload, args.seed, args.seconds, bool(args.trace))
 
 
 if __name__ == "__main__":

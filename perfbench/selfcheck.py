@@ -3,7 +3,8 @@
     python3 -m pytest perfbench/selfcheck.py -q
 
 (The file name keeps it out of the repository's default test collection:
-these checks run the benchmark end to end and take about two minutes.)
+these checks run the benchmark end to end and take about two and a half
+minutes.)
 """
 
 from __future__ import annotations
@@ -14,15 +15,24 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(HERE))
 
 import streams  # noqa: E402
 
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [entry["name"] for entry in SPEC["workloads"]]
+
 #: End-to-end metrics that are counts, not timings: they must repeat bit
 #: for bit between two runs with the same seed.
 EXACT = ("moves_per_op", "space_amp")
+
+#: Diagnostics that are counts or digests, and so must repeat too (a
+#: workload that does not print one reads ``None`` on both runs).
+EXACT_DIAGNOSTICS = ("digest", "moves_tail_mean", "moves_quantiles", "write_amp", "frames_replayed")
 
 
 def _run(workload: str, seed: int, trace: int = 0, cwd: Path = ROOT):
@@ -33,6 +43,15 @@ def _run(workload: str, seed: int, trace: int = 0, cwd: Path = ROOT):
     )
     lines = finished.stdout.strip().splitlines()
     return finished, lines
+
+
+def _checked_run(workload: str, seed: int, trace: int = 0) -> tuple[dict, dict]:
+    """Diagnostics and result of a run that must succeed with every answer right."""
+    finished, lines = _run(workload, seed, trace)
+    assert finished.returncode == 0, finished.stderr[-2000:]
+    result = json.loads(lines[-1])
+    assert result["correct"] and result["failed"] == 0, lines[-2][:2000]
+    return json.loads(lines[-2])["diagnostics"], result
 
 
 def _stream_digest(workload: str, seed: int, ops: int = 3000) -> str:
@@ -48,7 +67,7 @@ def _stream_digest(workload: str, seed: int, ops: int = 3000) -> str:
 
 
 def test_one_seed_gives_one_op_stream():
-    for workload in ("wire_read_mostly", "embedded_churn", "layered_adaptive"):
+    for workload in WORKLOADS:
         first = _stream_digest(workload, 11)
         assert first == _stream_digest(workload, 11)
         assert first != _stream_digest(workload, 12)
@@ -74,30 +93,32 @@ def test_stream_answers_match_a_fresh_model():
             assert expected == sum(1 for key in live if op[1] <= key <= op[2])
 
 
-def test_exact_counts_repeat_for_one_seed():
-    for workload in ("embedded_churn", "layered_adaptive"):
-        results = []
-        for _ in range(2):
-            finished, lines = _run(workload, 7)
-            assert finished.returncode == 0, finished.stderr[-2000:]
-            result = json.loads(lines[-1])
-            assert result["correct"] and result["failed"] == 0
-            results.append((json.loads(lines[-2])["diagnostics"], result["metrics"]))
-        (diagnostics_a, metrics_a), (diagnostics_b, metrics_b) = results
-        for key in ("digest", "moves_tail_mean", "moves_quantiles"):
-            assert diagnostics_a[key] == diagnostics_b[key], (workload, key)
-        for name in EXACT:
-            assert metrics_a[name]["value"] == metrics_b[name]["value"], (workload, name)
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_exact_counts_repeat_for_one_seed(workload):
+    (diagnostics_a, result_a), (diagnostics_b, result_b) = (
+        _checked_run(workload, 7) for _ in range(2)
+    )
+    for key in EXACT_DIAGNOSTICS:
+        assert diagnostics_a.get(key) == diagnostics_b.get(key), key
+    for name in EXACT:
+        assert result_a["metrics"][name]["value"] == result_b["metrics"][name]["value"], name
 
 
-def test_traced_run_prints_every_layer_metric_and_adds_up():
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    finished, lines = _run("embedded_churn", 3, trace=1)
-    assert finished.returncode == 0, finished.stderr[-2000:]
-    result = json.loads(lines[-1])
-    assert set(result["metrics"]) == {entry["name"] for entry in spec["per_layer"]}
-    diagnostics = json.loads(lines[-2])["diagnostics"]
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_prints_every_layer_metric_and_adds_up(workload):
+    diagnostics, result = _checked_run(workload, 7, trace=1)
+    assert set(result["metrics"]) == {entry["name"] for entry in SPEC["per_layer"]}
     assert diagnostics["trace_check_within_10pct"], diagnostics["trace_breakdown_us"]
+
+
+def test_traced_and_untraced_runs_count_the_same_bytes():
+    """The traced WAL-append and snapshot spans and the untraced compaction
+    counter measure the same writes of the same seed."""
+    untraced, _ = _checked_run("embedded_churn", 7)
+    _, traced = _checked_run("embedded_churn", 7, trace=1)
+    write_amp = traced["metrics"]["store.write_amp"]["value"]
+    assert write_amp == pytest.approx(untraced["write_amp"], rel=1e-12)
+    assert traced["metrics"]["recovery.frames_replayed"]["value"] == untraced["frames_replayed"]
 
 
 def test_refuses_to_run_without_the_program():

@@ -241,7 +241,6 @@ class LayeredAdaptive(Stream):
         self.preload = preload_items(self.rng, self.target)
         self._note(self.preload)
         self.model.load(self.preload)
-        self.structure_seed = self.rng.randrange(1 << 31)
 
     def _insert_key(self, phase: int, state: dict) -> int:
         rng, model = self.rng, self.model

@@ -209,7 +209,7 @@ def install_store_stack(tracer: Tracer) -> None:
         setattr(DurableStore, method, tracer.wrap(f"store.{method}", getattr(DurableStore, method)))
     setattr(WriteAheadLog, "open", tracer.wrap("wal.open", WriteAheadLog.open))
     setattr(WriteAheadLog, "append", _counting_append(tracer, WriteAheadLog.append))
-    setattr(snapshot_io, "write_snapshot", tracer.wrap("snapshot.write", snapshot_io.write_snapshot, _snapshot_bytes))
+    setattr(snapshot_io, "write_snapshot", tracer.wrap("snapshot.write", snapshot_io.write_snapshot, snapshot_bytes))
     setattr(snapshot_io, "load_newest_valid", tracer.wrap("snapshot.load", snapshot_io.load_newest_valid))
     install_map(tracer)
     for method in ("insert", "delete"):
@@ -238,7 +238,8 @@ def _counting_append(tracer: Tracer, append):
     return traced
 
 
-def _snapshot_bytes(info) -> int:
+def snapshot_bytes(info) -> int:
+    """Bytes of the files of one snapshot checkpoint."""
     return sum(entry.stat().st_size for entry in info.path.iterdir())
 
 
