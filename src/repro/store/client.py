@@ -12,8 +12,11 @@ the wire unchanged.
 
 One client is one connection and is **not** thread-safe; concurrent
 benchmark workers each open their own (that is the point of the
-multi-client benchmark — the server interleaves them on its striped
-locks, not the client).
+multi-client benchmark — the server interleaves their requests on its
+event loop, not the client).  A call that fails after its request went
+out (a timeout, a reset, a half-read answer) closes the connection, so
+a late answer is never read as the next call's; later calls on that
+client raise ``OSError``.
 """
 
 from __future__ import annotations
@@ -50,10 +53,18 @@ class StoreClient:
     # ------------------------------------------------------------------
     def _call(self, cmd: str, **fields) -> dict:
         request = {"cmd": cmd, **fields}
-        send_message(self._sock, request)
-        response = recv_message(self._sock)
-        if response is None:
-            raise ProtocolError("server closed the connection mid-request")
+        try:
+            send_message(self._sock, request)
+            response = recv_message(self._sock)
+            if response is None:
+                raise ProtocolError("server closed the connection mid-request")
+        except (TypeError, ValueError):
+            raise  # an unencodable request: nothing was sent
+        except BaseException:
+            # Bytes of this exchange may still be in flight; the next call
+            # would read them as its own answer.
+            self.close()
+            raise
         if not response.get("ok"):
             code = response.get("code", "server_error")
             message = response.get("error", "request failed")

@@ -2,11 +2,13 @@
 
 :class:`StoreServer` listens on a TCP socket and speaks the
 length-prefixed JSON protocol of :mod:`repro.store.protocol`.  Every
-request dispatches the matching ``StoreService`` call on a worker thread
-(``asyncio.to_thread``), so the event loop never blocks on the service's
-locks and concurrent connections genuinely overlap on the striped
-read-write locking the service already provides — the server adds
-networking, not a new concurrency model.
+request calls the matching ``StoreService`` method directly on the
+event-loop thread.  A worker-thread hop per request would add latency,
+not concurrency: every call takes the service's structure lock and runs
+under the GIL, so requests wait for a lock holder either way.  While
+another thread (the compactor, an in-process writer) holds the lock, the
+loop waits too, and so do the requests and replication streams that need
+no lock.  The server adds networking, not a new concurrency model.
 
 **Replication.**  A ``REPLICATE`` request flips the connection into a
 push stream.  The server decides how the replica starts:
@@ -81,7 +83,6 @@ class StoreServer:
         self._port = port
         self.read_only = read_only
         self._server: asyncio.AbstractServer | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
         #: Per-replica-connection state: {id: {"event", "acked"}}.
         self._replicas: dict[int, dict] = {}
         self._next_replica_id = 0
@@ -101,14 +102,13 @@ class StoreServer:
         """The metrics registry this server records into."""
         return self._registry
 
-    def _count_error(self, family: str):
+    def _count_error(self, family: str) -> None:
         """Bump (and cache) the counter for one error family."""
         counter = self._obs_errors.get(family)
         if counter is None:
             counter = self._registry.counter(f"server.errors.{family}")
             self._obs_errors[family] = counter
         counter.inc()
-        return counter
 
     def error_counts(self) -> dict[str, int]:
         """Per-family error counts observed so far (all zero when obs is off)."""
@@ -131,7 +131,8 @@ class StoreServer:
 
     def replication_floor(self) -> int | None:
         """Smallest LSN acknowledged by every connected replica."""
-        acks = [entry["acked"] for entry in self._replicas.values()]
+        # A copy: the compactor thread calls this while the loop edits it.
+        acks = [entry["acked"] for entry in list(self._replicas.values())]
         return min(acks) if acks else None
 
     # ------------------------------------------------------------------
@@ -140,11 +141,10 @@ class StoreServer:
     async def start(self) -> None:
         if self._server is not None:
             raise RuntimeError("server already started")
-        self._loop = asyncio.get_running_loop()
+        loop = asyncio.get_running_loop()
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
-        loop = self._loop
 
         def on_commit(lsn: int) -> None:
             # Runs on whatever thread appended the frame; hop into the
@@ -192,8 +192,11 @@ class StoreServer:
                 if cmd == "REPLICATE":
                     await self._serve_replication(request, reader, writer)
                     break
-                response = await self._dispatch(cmd, request)
-                await write_message(writer, response)
+                try:
+                    await write_message(writer, self._dispatch(cmd, request))
+                except OversizedFrameError as error:  # nothing was sent yet
+                    self._count_error("oversized_frame")
+                    await write_message(writer, _error("oversized_frame", str(error)))
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
@@ -206,12 +209,12 @@ class StoreServer:
                 # asyncio's stream callbacks from logging the cancellation.
                 pass
 
-    async def _dispatch(self, cmd, request: dict) -> dict:
+    def _dispatch(self, cmd, request: dict) -> dict:
         self._obs_requests.inc()
         server_handler = _SERVER_HANDLERS.get(cmd)
         if server_handler is not None:
             try:
-                return await asyncio.to_thread(server_handler, self, request)
+                return server_handler(self, request)
             except Exception as error:
                 self._count_error("server_error")
                 return _error("server_error", f"{type(error).__name__}: {error}")
@@ -225,7 +228,7 @@ class StoreServer:
                 "read_only", "this server is a replica; writes go to the primary"
             )
         try:
-            return await asyncio.to_thread(handler, self._service, request)
+            return handler(self._service, request)
         except KeyError as error:
             self._count_error("not_found")
             return _error("not_found", f"key not found: {error.args[0]!r}")
@@ -260,17 +263,13 @@ class StoreServer:
         # retains frames past the replica's cursor.
         self._replicas[replica_id] = entry
         try:
-            horizon = await asyncio.to_thread(
-                lambda: self._service.durable_horizon
-            )
+            horizon = self._service.durable_horizon
             bootstrap = None
             if after < horizon or after < 0:
                 # The log alone cannot (or, for a brand-new replica with
                 # no config, should not) carry the replica to the present:
                 # bootstrap from the newest checkpoint.
-                lsn, files = await asyncio.to_thread(
-                    self._service.snapshot_archive
-                )
+                lsn, files = self._service.snapshot_archive()
                 bootstrap = {"kind": "snapshot", "lsn": lsn, "files": files}
                 start = max(after, lsn)
             else:
@@ -334,8 +333,8 @@ class StoreServer:
         offset = 0
         epoch: int | None = None
         while self._server is not None:
-            frames, offset, epoch = await asyncio.to_thread(
-                service.ship_frames, cursor, offset=offset, epoch=epoch
+            frames, offset, epoch = service.ship_frames(
+                cursor, offset=offset, epoch=epoch
             )
             if frames and frames[0][0] != cursor + 1:
                 # Compaction won a race and dropped the replica's tail
@@ -373,7 +372,7 @@ class StoreServer:
 
 
 # ---------------------------------------------------------------------------
-# Request handlers (run on worker threads via asyncio.to_thread)
+# Request handlers (run on the event-loop thread)
 # ---------------------------------------------------------------------------
 def _error(code: str, message: str) -> dict:
     return {"ok": False, "code": code, "error": message}

@@ -290,16 +290,24 @@ class WriteAheadLog:
         ``offset`` on the next call to resume without rescanning), and
         ``epoch`` is the :attr:`truncate_epoch` the offset belongs to.
         A stale ``epoch`` resets the scan to the start of the (rewritten)
-        file.  Every line goes through :meth:`_parse_frame` — only frames
-        a recovery would accept are ever shipped; the scan stops at the
-        first invalid line.
+        file.  Only the bytes past the offset are read, so a feeder that
+        resumes from its cached offset pays for the new tail, not the
+        whole log.  Every line goes through :meth:`_parse_frame` — only
+        frames a recovery would accept are ever shipped; the scan stops at
+        the first invalid line.
         """
         if epoch is not None and epoch != self._truncate_epoch:
             offset = 0
-        raw = self.path.read_bytes() if self.path.exists() else b""
+        try:
+            with open(self.path, "rb") as handle:
+                start = min(offset, os.fstat(handle.fileno()).st_size)
+                handle.seek(start)
+                raw = handle.read()
+        except FileNotFoundError:
+            start, raw = 0, b""
         frames: list[tuple[int, str]] = []
         expected_lsn: int | None = None
-        position = min(offset, len(raw))
+        position = 0
         probe = WALOpenReport()
         while position < len(raw):
             newline = raw.find(b"\n", position)
@@ -313,7 +321,7 @@ class WriteAheadLog:
                 frames.append((frame["lsn"], line.decode("utf-8")))
             position = newline + 1
             expected_lsn = frame["lsn"] + 1
-        return frames, position, self._truncate_epoch
+        return frames, start + position, self._truncate_epoch
 
     def tell(self) -> int:
         """Current end-of-log byte offset (a frame boundary)."""

@@ -444,6 +444,23 @@ class TestWireExposure:
             assert stats["error_counts"][family] >= 1
             assert counters[f"server.errors.{family}"] >= 1
 
+    def test_oversized_response_gets_an_error_reply(
+        self, live_server, monkeypatch
+    ):
+        from repro.store import protocol
+        from repro.store.client import StoreClientError
+
+        server, registry = live_server
+        with self._client(server) as client:
+            client.put_many([(key, "v" * 16) for key in range(200)])
+            monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 4096)
+            with pytest.raises(StoreClientError) as raised:
+                client.range_scan()
+            assert raised.value.code == "oversized_frame"
+            assert client.range_scan(limit=8)[0] == (0, "v" * 16)
+        counters = registry.snapshot()["counters"]
+        assert counters["server.errors.oversized_frame"] == 1
+
     def test_read_only_rejection_is_counted(self, live_server):
         from repro.store.client import ReadOnlyError
 

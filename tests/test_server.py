@@ -132,6 +132,26 @@ class TestProtocol:
 # ---------------------------------------------------------------------------
 # Serving: commands, typed errors, concurrent clients
 # ---------------------------------------------------------------------------
+def _send_mixed_requests(client: StoreClient, count: int) -> None:
+    """``count`` requests cycling through every data command; every tenth
+    one is a STATS.  Leaves one key per ten requests behind."""
+    requests = [
+        lambda i: client.put(i, i),
+        lambda i: client.put_many([(i, i), (10**6 + i, i)]),
+        lambda i: client.get(i - 2),
+        lambda i: client.contains(i - 2),
+        lambda i: client.range_scan(limit=8),
+        lambda i: client.count_range(0, 10**5),
+        lambda i: client.delete(i - 6),
+        lambda i: client.delete_many([i - 6]),
+        lambda i: client.size(),
+        lambda i: client.stats(),
+    ]
+    for i in range(count):
+        requests[i % len(requests)](i)
+    assert client.size() == count // len(requests)
+
+
 class TestStoreServer:
     def test_every_command_round_trips(self, primary):
         service, server = primary
@@ -223,6 +243,107 @@ class TestStoreServer:
             report = client.verify()
         per_client = keys_each - keys_each // 10 + (keys_each // 10) * 4
         assert report["keys"] == clients * per_client
+
+    def test_failed_call_closes_the_connection(self, primary, monkeypatch):
+        """A timed-out call must not leave its late answer to the next call."""
+        service, server = primary
+        service.put("slow", "slow-value")
+        service.put("fast", "fast-value")
+        real_get = service.get
+
+        def slow_get(key, default=None):
+            if key == "slow":
+                time.sleep(0.5)
+            return real_get(key, default)
+
+        monkeypatch.setattr(service, "get", slow_get)
+        client = StoreClient(*server.address, timeout=0.2)
+        try:
+            with pytest.raises(TimeoutError):
+                client.get("slow")
+            time.sleep(0.6)  # the late answer has arrived by now
+            with pytest.raises(OSError):
+                client.get("fast")
+        finally:
+            client.close()
+        with StoreClient(*server.address) as fresh:
+            assert fresh.get("fast") == "fast-value"
+
+    def test_unencodable_request_keeps_the_connection(self, primary):
+        _, server = primary
+        with StoreClient(*server.address) as client:
+            with pytest.raises(TypeError):
+                client.put("k", object())
+            client.put("k", "v")
+            assert client.get("k") == "v"
+
+    def test_service_calls_run_on_the_server_thread(self, primary, monkeypatch):
+        """Requests and the replication feed call the service on the loop's
+        own thread."""
+        service, server = primary
+        callers: set[threading.Thread] = set()
+        for name in (
+            "get", "contains", "put", "delete", "put_many", "delete_many",
+            "range_scan", "count_range", "size", "latency_statistics",
+            "shard_statistics", "snapshot_archive", "ship_frames",
+        ):
+            method = getattr(service, name)
+
+            def recorded(*args, _method=method, **kwargs):
+                callers.add(threading.current_thread())
+                return _method(*args, **kwargs)
+
+            monkeypatch.setattr(service, name, recorded)
+        with StoreClient(*server.address) as client:
+            _send_mixed_requests(client, 100)
+            with socket.create_connection(server.address, timeout=5) as sock:
+                send_message(sock, {"cmd": "REPLICATE", "after": -1})
+                assert recv_message(sock)["mode"] == "snapshot"
+                assert recv_message(sock)["kind"] == "snapshot"
+                client.put(10**7, "after-snapshot")
+                while recv_message(sock)["kind"] != "frames":
+                    pass
+        wait_for(lambda: server.replica_count == 0, message="stream closed")
+        assert callers == {server._thread}
+
+    def test_serving_requests_starts_no_thread(self, primary, monkeypatch):
+        _, server = primary
+        started: list[threading.Thread] = []
+        real_start = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread)
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        with StoreClient(*server.address) as client:
+            _send_mixed_requests(client, 100)
+        assert started == []
+
+    def test_read_waits_out_an_exclusive_lock_holder(self, primary):
+        """A GET sent while another thread holds the structure lock
+        exclusively blocks the loop until the release, then answers."""
+        service, server = primary
+        service.put("k", "v")
+        answers: list = []
+
+        def read() -> None:
+            with StoreClient(*server.address) as client:
+                answers.append(client.get("k"))
+
+        reader = threading.Thread(target=read)
+        service._structure.acquire_write()
+        try:
+            reader.start()
+            time.sleep(0.2)
+            assert answers == []
+        finally:
+            service._structure.release_write()
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert answers == ["v"]
+        with StoreClient(*server.address) as client:
+            assert client.get("k") == "v"
 
     def test_read_only_server_rejects_mutations(self, tmp_path):
         store = DurableStore(tmp_path / "ro", sync_policy="never")
@@ -356,6 +477,50 @@ class TestReplication:
         final.wait_ready()
         _converged(service, final)
         final.stop()
+
+    def test_replica_attached_during_client_writes_converges(
+        self, primary, tmp_path
+    ):
+        """Clients keep writing over the wire while a replica bootstraps
+        and streams; it still converges to the primary's exact state."""
+        service, server = primary
+        stop = threading.Event()
+        errors: list[BaseException] = []
+
+        def write(slot: int) -> None:
+            try:
+                with StoreClient(*server.address) as client:
+                    i = 0
+                    while not stop.is_set() and i < 5000:
+                        if i % 5 == 4:  # drop the key written just before
+                            client.delete(slot * 10**6 + (i - 1) % 60)
+                        else:
+                            client.put(slot * 10**6 + i % 60, f"{slot}-{i}")
+                        i += 1
+            except BaseException as error:  # noqa: BLE001 - surfaced below
+                errors.append(error)
+
+        writers = [
+            threading.Thread(target=write, args=(slot,)) for slot in range(3)
+        ]
+        for thread in writers:
+            thread.start()
+        try:
+            wait_for(lambda: service.store.last_lsn >= 50, message="writes")
+            replica = Replica(
+                tmp_path / "replica", server.address, sync_policy="never"
+            ).start()
+            replica.wait_ready()
+            target = service.store.last_lsn + 100
+            wait_for(lambda: service.store.last_lsn >= target, message="writes")
+        finally:
+            stop.set()
+            for thread in writers:
+                thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in writers)
+        assert not errors, errors[0]
+        _converged(service, replica)
+        replica.stop()
 
     def test_live_streaming_keeps_lag_bounded(self, primary, tmp_path):
         service, server = primary

@@ -376,6 +376,62 @@ class TestWriteAheadLog:
         with pytest.raises(WALError):
             WriteAheadLog(path, sync_policy="never").open()
 
+    def test_read_frames_from_a_cached_offset_reads_only_the_tail(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.store import wal as wal_module
+
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync_policy="never")
+        wal.open()
+        for i in range(40):
+            wal.append("put", {"key": i, "value": i})
+        frames, offset, epoch = wal.read_frames(0)
+        assert [lsn for lsn, _ in frames] == list(range(1, 41))
+        assert offset == path.stat().st_size
+        for i in range(40, 43):
+            wal.append("put", {"key": i, "value": i})
+
+        read_sizes: list[int] = []
+
+        def counting_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            read = handle.read
+
+            def counted(*read_args):
+                data = read(*read_args)
+                read_sizes.append(len(data))
+                return data
+
+            handle.read = counted
+            return handle
+
+        monkeypatch.setattr(wal_module, "open", counting_open, raising=False)
+        tail, end, tail_epoch = wal.read_frames(40, offset=offset, epoch=epoch)
+        monkeypatch.undo()
+        assert sum(read_sizes) == path.stat().st_size - offset
+        assert [lsn for lsn, _ in tail] == [41, 42, 43]
+        assert tail == wal.read_frames(40)[0]
+        assert (end, tail_epoch) == (path.stat().st_size, epoch)
+        wal.close()
+
+    def test_read_frames_with_a_stale_epoch_rescans_the_rewrite(self, tmp_path):
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync_policy="never")
+        wal.open()
+        for i in range(10):
+            wal.append("put", {"key": i, "value": i})
+        _, offset, epoch = wal.read_frames(0)
+        wal.truncate_through(6)
+        for i in range(10, 12):
+            wal.append("put", {"key": i, "value": i})
+        frames, end, new_epoch = wal.read_frames(6, offset=offset, epoch=epoch)
+        assert new_epoch != epoch
+        assert [lsn for lsn, _ in frames] == list(range(7, 13))
+        assert frames == wal.read_frames(6)[0]
+        assert end == path.stat().st_size
+        wal.close()
+
     def test_batch_frame_is_atomic_under_tearing(self, tmp_path):
         """A torn batch frame recovers to *zero* of its operations."""
         directory = tmp_path / "atomic"
