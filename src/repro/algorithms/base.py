@@ -5,7 +5,9 @@ Fenwick tree for ``O(log m)`` rank/select queries, and a per-operation move
 recorder.  Concrete algorithms (the naive labeler, the PMA family) only
 implement placement and rebalancing policy on top of the primitive
 :meth:`_move`, :meth:`_place` and :meth:`_remove` operations, which keep the
-occupancy index consistent and the move log accurate.
+occupancy index consistent and the move log accurate.  Because the slot
+list is sorted, a key search (:meth:`DenseArrayLabeler.count_below`)
+bisects the slots directly instead of selecting rank by rank.
 
 Batch execution: the class overrides the :meth:`_insert_batch` hook of the
 interface with a *merged rebalance* — the batch is sorted, merged with the
@@ -104,6 +106,35 @@ class DenseArrayLabeler(ListLabeler):
     def count_range(self, lo: int, hi: int) -> int:
         """Stored elements in the slot window ``[lo, hi)`` (Fenwick count)."""
         return self._occupancy.count(max(0, lo), min(self.num_slots, hi))
+
+    def count_below(self, key, *, strict: bool = True) -> int:
+        """Stored elements ``< key`` (``<= key`` when not strict).
+
+        A binary search over the slot list itself: a probe that lands on a
+        gap steps right to the next element inside the search window, and
+        the boundary slot found is turned into a count with one occupancy
+        prefix.  ``O(log m)`` probes plus the gaps stepped over, against
+        ``O(log n)`` occupancy selects for the rank search of the base
+        class.
+        """
+        slots = self._slots
+        lo, hi = 0, self._num_slots
+        # Invariant: every element left of ``lo`` is below the key, and
+        # the first element at or after ``hi`` (if any) is not.
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probe = mid
+            while probe < hi and slots[probe] is None:
+                probe += 1
+            if probe == hi:
+                hi = mid
+                continue
+            element = slots[probe]
+            if element < key if strict else element <= key:
+                lo = probe + 1
+            else:
+                hi = mid
+        return self._occupancy.prefix(lo)
 
     def free_slot_left(self, index: int) -> int | None:
         """Nearest free slot at or to the left of ``index`` (or ``None``)."""

@@ -10,14 +10,24 @@ latency, good expected throughput, and adaptivity to skewed key patterns all
 at once.
 
 The labeler *is* the sorted key index: the map keeps no shadow key list
-beside it.  Rank searches binary-search the labeler's ``select`` (``O(log n
-· log m)``), :meth:`PackedMemoryMap.range` streams through a labeler cursor
+beside it.  Every rank search — the insertion rank of a new key, the start
+of a range, both ends of a count, a predecessor or successor — is one call
+to the labeler's key search
+(:meth:`~repro.core.interface.ListLabeler.count_below`).  Over the sharding
+engine that is a fence-key descent: bisect the shards' first keys, add one
+directory prefix, then search the one shard the key falls in — a classical
+shard bisects its own slot array, ``O(log K + log m)`` in all.  The bounded
+Corollary 11 map and embedding shards keep the interface's default, a
+binary search over ``select`` (``O(log n · log m)``).
+:meth:`PackedMemoryMap.range` streams through a labeler cursor
 (:meth:`~repro.core.interface.ListLabeler.iter_from` — one seek, then a
 lazy slot walk, never a whole-map materialization), and
 :meth:`PackedMemoryMap.count_range` counts a key interval without touching
 the elements in between.  ``range`` supports pagination (``limit`` +
 ``after``), which is what lets the durable store's service scan in pages
-without pinning writers out for a whole-store pass.
+without pinning writers out for a whole-store pass.  Keys must be totally
+ordered by ``<``: a key that is not equal to itself (a float NaN) is
+refused with :class:`ValueError` before anything changes.
 
 With ``capacity=None`` the map is **unbounded**: the layout is managed by a
 :class:`repro.core.sharded.ShardedLabeler` over fixed-capacity shards, so
@@ -42,6 +52,20 @@ from repro.core.cost import CostTracker
 from repro.core.interface import ListLabeler
 from repro.core.layered import make_corollary11_labeler
 from repro.core.sharded import ShardedLabeler
+
+
+def _check_ordered(key) -> None:
+    """Reject a key the labeler's total order cannot place.
+
+    A key that is not equal to itself (a float NaN) compares false against
+    everything, so a rank search would file it at an arbitrary rank and
+    break the physical key order for good.
+    """
+    if key != key:
+        raise ValueError(
+            f"key {key!r} is not equal to itself, so it has no place in the "
+            f"key order"
+        )
 
 
 class PackedMemoryMap:
@@ -81,35 +105,6 @@ class PackedMemoryMap:
         self.costs = CostTracker()
 
     # ------------------------------------------------------------------
-    # Rank search: binary search over the labeler's select
-    # ------------------------------------------------------------------
-    def _count_below(self, key, *, strict: bool, floor: int = 0) -> int:
-        """Number of stored keys ``< key`` (strict) or ``<= key``.
-
-        A binary search over ranks probing ``labeler.select`` — ``O(log n)``
-        probes of ``O(log m)`` each.  This replaces the bisect over the
-        shadow key list the map used to carry beside the labeler.
-        ``floor`` is a known lower bound on the answer (sorted batch loops
-        warm-start each search at the previous key's count).
-        """
-        labeler = self._labeler
-        lo, hi = floor, len(self._values)
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            probe = labeler.select(mid)
-            if probe < key if strict else probe <= key:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
-
-    def _count_less(self, key, floor: int = 0) -> int:
-        return self._count_below(key, strict=True, floor=floor)
-
-    def _count_le(self, key) -> int:
-        return self._count_below(key, strict=False)
-
-    # ------------------------------------------------------------------
     # Mapping interface
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -125,10 +120,11 @@ class PackedMemoryMap:
         return self._values.get(key, default)
 
     def __setitem__(self, key, value) -> None:
+        _check_ordered(key)
         if key in self._values:
             self._values[key] = value
             return
-        rank = self._count_less(key) + 1
+        rank = self._labeler.count_below(key) + 1
         result = self._labeler.insert(rank, key)
         self.costs.record(result.cost)
         self._values[key] = value
@@ -141,24 +137,21 @@ class PackedMemoryMap:
         computed against the current key sequence, so a sorted ingest run
         costs one merged rebalance per shard instead of one cascade per
         key.  The batch keeps ``insert_batch``'s all-or-nothing contract:
-        a rejected batch (e.g. over a bounded map's capacity) leaves the
-        map untouched, overwrites included.  Returns the number of newly
-        inserted keys.
+        a rejected batch (e.g. over a bounded map's capacity, or a NaN key)
+        leaves the map untouched, overwrites included.  Returns the number
+        of newly inserted keys.
         """
         overwrites: dict = {}
         fresh: dict = {}
         for key, value in items:
+            _check_ordered(key)
             if key in self._values:
                 overwrites[key] = value
             else:
                 fresh[key] = value
         if fresh:
-            new_keys = sorted(fresh)
-            batch = []
-            below = 0
-            for key in new_keys:  # ascending keys: counts are monotone
-                below = self._count_less(key, below)
-                batch.append((below + 1, key))
+            count_below = self._labeler.count_below
+            batch = [(count_below(key) + 1, key) for key in sorted(fresh)]
             result = self._labeler.insert_batch(batch)
             self.costs.record_batch(result.cost, result.count)
             self._values.update(fresh)
@@ -218,12 +211,12 @@ class PackedMemoryMap:
 
     def predecessor(self, key):
         """The largest stored key strictly smaller than ``key`` (or ``None``)."""
-        below = self._count_less(key)
+        below = self._labeler.count_below(key)
         return self._labeler.select(below) if below > 0 else None
 
     def successor(self, key):
         """The smallest stored key strictly larger than ``key`` (or ``None``)."""
-        at_or_below = self._count_le(key)
+        at_or_below = self._labeler.count_below(key, strict=False)
         if at_or_below < len(self._values):
             return self._labeler.select(at_or_below + 1)
         return None
@@ -240,9 +233,9 @@ class PackedMemoryMap:
         key of the previous page to resume).
         """
         if after is not None and (low is None or after >= low):
-            start_rank = self._count_le(after) + 1
+            start_rank = self._labeler.count_below(after, strict=False) + 1
         elif low is not None:
-            start_rank = self._count_less(low) + 1
+            start_rank = self._labeler.count_below(low) + 1
         else:
             start_rank = 1
         emitted = 0
@@ -262,7 +255,10 @@ class PackedMemoryMap:
         Two rank searches — the interval's width never matters, unlike the
         pre-cursor implementation that scanned the shadow key list.
         """
-        return max(0, self._count_le(high) - self._count_less(low))
+        labeler = self._labeler
+        return max(
+            0, labeler.count_below(high, strict=False) - labeler.count_below(low)
+        )
 
     # ------------------------------------------------------------------
     # Layout inspection

@@ -34,6 +34,9 @@ cheap, so every labeler also serves rank-addressed queries:
 * :meth:`ListLabeler.count_range` — stored elements in a physical slot
   window (a Fenwick prefix count), with :meth:`~ListLabeler.count_rank_range`
   translating a rank interval into that window;
+* :meth:`ListLabeler.count_below` — the number of stored elements below a
+  key: the key-order search an ordered map runs before every insertion
+  and range read;
 * :meth:`ListLabeler.cursor` — a :class:`Cursor` wrapping ``iter_from`` with
   rank bookkeeping.
 
@@ -509,6 +512,26 @@ class ListLabeler(abc.ABC):
         """Physical slot (label) of the element with the given rank."""
         self._check_read_rank(rank, SELECT)
         return self.slot_of(self.select(rank))
+
+    def count_below(self, key, *, strict: bool = True) -> int:
+        """Number of stored elements ``< key`` (``<= key`` when not strict).
+
+        The key-order search behind every ordered-map lookup; the stored
+        elements must be totally ordered by ``<``.  The default
+        binary-searches ranks through :meth:`select`: ``O(log n)`` probes
+        of one select each.  The sharding engine and the dense array
+        algorithms override it with a fence-key descent and a slot-array
+        search respectively.
+        """
+        lo, hi = 0, self._size
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            probe = self.select(mid)
+            if probe < key if strict else probe <= key:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
 
     def count_rank_range(self, lo_rank: int, hi_rank: int) -> int:
         """Number of stored elements with ranks in ``[lo_rank, hi_rank]``.

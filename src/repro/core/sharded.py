@@ -20,6 +20,10 @@ instances ("shards") behind a rank directory:
   combined with an adjacent neighbour (re-split evenly when the union would
   itself exceed the ceiling), so sparse regions do not accumulate
   near-empty shards.
+* **Fence keys** — the first element of every shard, kept in shard order
+  and updated wherever the element→shard index is.  A key search
+  (:meth:`ShardedLabeler.count_below`) bisects them to pick one shard, the
+  B-tree descent, instead of binary-searching global ranks.
 
 **Labels.**  Globally, an element's label is composed as
 ``(shard_index << shift) | local_label`` where ``shift`` covers the widest
@@ -146,6 +150,12 @@ class ShardedLabeler(ListLabeler):
         #: the directory on every structural change (``O(K)``, already paid
         #: there).
         self._elem_shard: dict[Hashable, ListLabeler] = {}
+        #: Fence keys: the first element of each shard, in shard order
+        #: (``None`` for an empty shard; between operations only the empty
+        #: engine has one).
+        #: :meth:`count_below` bisects them to find the one shard a key
+        #: falls in; they change only where the reverse index does.
+        self._fences: list = [None]
         self._rebuild_directory()
         self._pool, self._owns_pool = resolve_pool(parallel, max_workers)
 
@@ -300,6 +310,11 @@ class ShardedLabeler(ListLabeler):
         index = self._directory.select(rank)
         return index, rank - self._directory.prefix(index)
 
+    @staticmethod
+    def _first_of(shard: ListLabeler) -> Hashable | None:
+        """A shard's fence key: its first element (``None`` when empty)."""
+        return shard.select(1) if len(shard) else None
+
     def _locate_insert(self, rank: int) -> tuple[int, int]:
         """Shard index and local insertion rank for global rank ``rank``."""
         if self._size == 0 or rank > self._size:
@@ -331,16 +346,20 @@ class ShardedLabeler(ListLabeler):
             for element in shard.elements():
                 old_positions[element] = offset + shard.slot_of(element)
         replacements: list[ListLabeler] = []
+        fences: list = []
         for chunk in chunks:
             shard = self._shard_factory(self._shard_capacity)
             shard.bulk_load(chunk)
             replacements.append(shard)
+            fences.append(chunk[0])
         if not replacements and hi - lo >= len(self._shards):
             # Rewriting the whole structure away: the canonical empty
             # state is one fresh shard (the constructor's), never zero
             # shards — every rank-routing path assumes at least one.
             replacements = [self._shard_factory(self._shard_capacity)]
+            fences = [None]
         self._shards[lo:hi] = replacements
+        self._fences[lo:hi] = fences
         self._rebuild_directory()
         moves: list[Move] = []
         elem_shard = self._elem_shard
@@ -488,6 +507,8 @@ class ShardedLabeler(ListLabeler):
             shard = self._shards[index]
         inner = shard.insert(local, element)
         self._elem_shard[element] = shard
+        if local == 1:
+            self._fences[index] = element
         self._directory.add(index, 1)
         result.extend(self._lift_moves(inner.moves, self._slot_offset(index)))
         return result
@@ -498,6 +519,8 @@ class ShardedLabeler(ListLabeler):
         shard = self._shards[index]
         del self._elem_shard[shard.select(local)]
         inner = shard.delete(local)
+        if local == 1:
+            self._fences[index] = self._first_of(shard)
         self._directory.add(index, -1)
         result.extend(self._lift_moves(inner.moves, self._slot_offset(index)))
         if len(self._shards) > 1 and len(shard) < self._merge_floor:
@@ -565,9 +588,15 @@ class ShardedLabeler(ListLabeler):
             for _, element in sub:
                 self._elem_shard[element] = shard
             # The restructures above may have shifted this shard's index;
-            # the directory update targets its *current* position, while
-            # moves lift with the pre-batch offset the serial path saw.
-            self._directory.add(self._shard_pos[id(shard)], len(sub))
+            # the directory and fence updates target its *current*
+            # position, while moves lift with the pre-batch offset the
+            # serial path saw.
+            position = self._shard_pos[id(shard)]
+            self._directory.add(position, len(sub))
+            if sub[0][0] == 1:
+                # Items sharing local rank 1 land in the order given, so
+                # the first of them is the shard's new first element.
+                self._fences[position] = sub[0][1]
             offset = offsets[index]
             for item in inner_at[index].results:
                 lifted = OperationResult(item.operation)
@@ -633,6 +662,8 @@ class ShardedLabeler(ListLabeler):
             for element in victims:
                 del self._elem_shard[element]
             self._directory.add(index, -len(groups[index]))
+            if groups[index][-1] == 1:  # locals descend: the last is smallest
+                self._fences[index] = self._first_of(self._shards[index])
             offset = self._slot_offset(index)
             for item in inner.results:
                 lifted = OperationResult(item.operation)
@@ -666,6 +697,7 @@ class ShardedLabeler(ListLabeler):
                 self._elem_shard[element] = shard
             replacements.append(shard)
         self._shards = replacements
+        self._fences = [self._first_of(shard) for shard in replacements]
         self._rebuild_directory()
         self._size = len(elements)
         return total
@@ -728,6 +760,7 @@ class ShardedLabeler(ListLabeler):
             # canonical empty state is one fresh shard (the constructor's).
             shards = [self._shard_factory(self._shard_capacity)]
         self._shards = shards
+        self._fences = [self._first_of(shard) for shard in shards]
         self._rebuild_directory()
         self._size = sum(len(shard) for shard in shards)
         if self._size != state["size"]:
@@ -833,6 +866,26 @@ class ShardedLabeler(ListLabeler):
         self._check_read_rank(rank, "select")
         index, local = self._locate(rank)
         return self._shards[index].select(local)
+
+    def count_below(self, key, *, strict: bool = True) -> int:
+        """Stored elements ``< key`` (``<= key`` when not strict).
+
+        A fence-key descent (Graefe, *Modern B-Tree Techniques*, 2011):
+        bisecting the shards' first elements finds the last shard that
+        starts at or below the key.  Every earlier shard lies wholly below
+        the key and every later one wholly above it, so one directory
+        prefix counts the earlier shards and that one shard counts its own
+        part, strict or not — ``O(log K)`` plus one shard search, where a
+        rank search over :meth:`select` pays ``O(log n)`` selects.
+        """
+        if not self._size:
+            return 0
+        index = bisect.bisect_right(self._fences, key) - 1
+        if index < 0:
+            return 0
+        return self._directory.prefix(index) + self._shards[index].count_below(
+            key, strict=strict
+        )
 
     def _iter_from(self, rank: int) -> Iterator[Hashable]:
         """Stream across shard boundaries without concatenating shards.
@@ -995,10 +1048,11 @@ class ShardedLabeler(ListLabeler):
     def check_consistency(self, key=None) -> None:
         """Check every structural invariant of the sharding engine.
 
-        Verifies the directory against the true shard sizes, the aggregate
-        geometry, the density policy (no shard above the split ceiling,
-        none below the merge floor unless it is the only shard), and
-        recursively the shards' own consistency where they expose it.
+        Verifies the directory against the true shard sizes, the fence
+        keys against the shards' first elements, the aggregate geometry,
+        the density policy (no shard above the split ceiling, none below
+        the merge floor unless it is the only shard), and recursively the
+        shards' own consistency where they expose it.
         """
         from repro.core.exceptions import InvariantViolation
 
@@ -1032,10 +1086,19 @@ class ShardedLabeler(ListLabeler):
                 f"routing index holds {len(self._elem_shard)} entries for "
                 f"{self._size} stored element(s)"
             )
+        if len(self._fences) != len(self._shards):
+            raise InvariantViolation(
+                f"{len(self._fences)} fence key(s) for {len(self._shards)} shard(s)"
+            )
         for index, shard in enumerate(self._shards):
             if self._shard_pos.get(id(shard)) != index:
                 raise InvariantViolation(
                     f"shard position index out of date for shard {index}"
+                )
+            if self._fences[index] != self._first_of(shard):
+                raise InvariantViolation(
+                    f"fence key {self._fences[index]!r} of shard {index} is not "
+                    f"its first element {self._first_of(shard)!r}"
                 )
             for element in shard.elements():
                 if self._elem_shard.get(element) is not shard:

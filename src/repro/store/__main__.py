@@ -254,6 +254,12 @@ def _cmd_replica_smoke(args: argparse.Namespace) -> int:
             )
             restarted.stop()
             resumed_lsn = restarted.last_applied_lsn
+            # The primary keeps retaining frames for a replica until its
+            # loop has seen the disconnect; a compaction before that stops
+            # at the replica's last ack.
+            deadline = time.monotonic() + 60.0
+            while server.replica_count and time.monotonic() < deadline:
+                time.sleep(0.005)
 
             # Round B: compaction moves the horizon past the stopped
             # replica, so its next connection must snapshot-bootstrap.

@@ -269,6 +269,20 @@ class TestStoreServer:
         with StoreClient(*server.address) as fresh:
             assert fresh.get("fast") == "fast-value"
 
+    def test_nan_key_put_is_a_bad_request(self, primary):
+        service, server = primary
+        with StoreClient(*server.address) as client:
+            client.put_many([(1.0, "v"), (2.0, "v"), (3.0, "v")])
+            last_lsn = client.ping()
+            with pytest.raises(StoreClientError) as refused:
+                client.put(float("nan"), "x")
+            assert refused.value.code == "bad_request"
+            assert client.ping() == last_lsn  # no frame left behind
+            assert list(client.range_scan(2.0, 3.0)) == [(2.0, "v"), (3.0, "v")]
+            client.put(4.0, "v")  # the connection stays usable
+        service.store.verify()
+        assert service.store.keys() == [1.0, 2.0, 3.0, 4.0]
+
     def test_unencodable_request_keeps_the_connection(self, primary):
         _, server = primary
         with StoreClient(*server.address) as client:

@@ -13,6 +13,7 @@ exercised across split/merge boundaries specifically.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from fractions import Fraction
 
@@ -33,6 +34,19 @@ from repro.core.validation import check_labeler
 
 #: Small shards so a handful of rules crosses split/merge boundaries.
 SHARD_CAPACITY = 16
+
+
+#: ``count_below`` strictness → the ``bisect`` answer over the model.
+_SEARCH_MODELS = ((True, bisect.bisect_left), (False, bisect.bisect_right))
+
+
+def _search_key(data, reference: list[Fraction]) -> Fraction:
+    """A stored key, a key between two neighbours, or one past either end."""
+    gap = data.draw(st.integers(0, len(reference)), label="search gap")
+    key = _midpoint(reference, gap + 1)
+    if reference and data.draw(st.booleans(), label="stored key"):
+        key = reference[min(gap, len(reference) - 1)]
+    return key
 
 
 def _midpoint(reference: list[Fraction], rank: int) -> Fraction:
@@ -174,6 +188,13 @@ class ShardedMachine(RuleBasedStateMachine):
         assert self.labeler.rank_of(key) == rank
         assert self.labeler.contains(key)
 
+    @rule(data=st.data())
+    def count_below(self, data):
+        key = _search_key(data, self.reference)
+        for strict, model in _SEARCH_MODELS:
+            expected = model(self.reference, key)
+            assert self.labeler.count_below(key, strict=strict) == expected
+
     # -- invariant: full consistency after every rule ------------------
     @invariant()
     def consistent(self):
@@ -185,13 +206,22 @@ class ShardedMachine(RuleBasedStateMachine):
 
 
 class PackedMemoryMapMachine(RuleBasedStateMachine):
-    """Mapping rules against the unbounded ``PackedMemoryMap(capacity=None)``."""
+    """Mapping rules against the unbounded ``PackedMemoryMap(capacity=None)``
+    over its default Corollary 11 shards (a rank search through ``select``
+    inside the shard the fences pick)."""
 
     keys = st.integers(0, 200)
 
+    #: Shard factory of the map; ``None`` is the map's default.
+    shard_factory = None
+
     def __init__(self) -> None:
         super().__init__()
-        self.map = PackedMemoryMap(capacity=None, shard_capacity=SHARD_CAPACITY)
+        self.map = PackedMemoryMap(
+            capacity=None,
+            labeler_factory=self.shard_factory,
+            shard_capacity=SHARD_CAPACITY,
+        )
         self.model: dict[int, int] = {}
         self._values = itertools.count()
 
@@ -269,6 +299,13 @@ class PackedMemoryMapMachine(RuleBasedStateMachine):
         labeler.check_consistency()
         assert self.map.keys() == sorted(self.model)
         assert len(self.map) == len(self.model)
+
+
+class ClassicalPackedMemoryMapMachine(PackedMemoryMapMachine):
+    """The same rules over classical shards, the store's default (a slot
+    search inside the shard the fences pick)."""
+
+    shard_factory = staticmethod(lambda capacity: ClassicalPMA(capacity))
 
 
 class ParallelTwinMachine(RuleBasedStateMachine):
@@ -367,6 +404,14 @@ class ParallelTwinMachine(RuleBasedStateMachine):
         assert self.pooled.count_ranges(windows) == [
             self.serial.count_range(*window) for window in windows
         ]
+
+    @rule(data=st.data())
+    def count_below(self, data):
+        key = _search_key(data, self.reference)
+        for strict, model in _SEARCH_MODELS:
+            expected = model(self.reference, key)
+            assert self.serial.count_below(key, strict=strict) == expected
+            assert self.pooled.count_below(key, strict=strict) == expected
 
     @invariant()
     def twins_identical(self):
@@ -515,6 +560,9 @@ TestShardedMachine.settings = _settings
 
 TestPackedMemoryMapMachine = PackedMemoryMapMachine.TestCase
 TestPackedMemoryMapMachine.settings = _settings
+
+TestClassicalPackedMemoryMapMachine = ClassicalPackedMemoryMapMachine.TestCase
+TestClassicalPackedMemoryMapMachine.settings = _settings
 
 TestParallelTwinMachine = ParallelTwinMachine.TestCase
 TestParallelTwinMachine.settings = _settings

@@ -508,6 +508,27 @@ class TestStoreEdges:
         assert list(reopened.items()) == expected
         reopened.close()
 
+    def test_nan_key_is_refused_and_retracted(self, tmp_path):
+        """A NaN key compares false against everything: it used to land at
+        rank 1 and break the key order for good, across reopens too."""
+        store = DurableStore(tmp_path / "s", sync_policy="never")
+        for key in (1.0, 2.0, 3.0):
+            store.put(key, "v")
+        wal_bytes = (tmp_path / "s" / WAL_FILENAME).stat().st_size
+        with pytest.raises(ValueError, match="not equal to itself"):
+            store.put(float("nan"), "x")
+        with pytest.raises(ValueError, match="not equal to itself"):
+            store.put_many([(4.0, "v"), (float("nan"), "x")])
+        assert store.last_lsn == 3           # both frames were retracted
+        assert (tmp_path / "s" / WAL_FILENAME).stat().st_size == wal_bytes
+        store.verify()
+        assert list(store.range(2.0, 3.0)) == [(2.0, "v"), (3.0, "v")]
+        store.close()
+        reopened = DurableStore(tmp_path / "s", sync_policy="never")
+        assert reopened.keys() == [1.0, 2.0, 3.0]
+        reopened.verify()
+        reopened.close()
+
     def test_fallback_below_compaction_horizon_refuses(self, tmp_path):
         """A corrupt newest snapshot + a compacted WAL must fail loudly,
         not silently recover acknowledged writes away."""
