@@ -3,7 +3,7 @@
 Two claims about the observability subsystem (:mod:`repro.obs`):
 
 * **Zero structural interference** — running the point-lookup-heavy and
-  the pooled batched-ingest workloads under a live
+  the batched-ingest workloads under a live
   :class:`~repro.obs.MetricsRegistry` produces a move log whose digest is
   *identical* to the bare run's (hard assert, size-independent): counters
   and histograms observe decisions, they never make them.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from benchmarks.conftest import emit, expect, scaled
 from repro.perf.scenarios import (
-    run_obs_parallel_ingest_overhead,
+    run_obs_batch_ingest_overhead,
     run_obs_point_lookup_overhead,
 )
 
@@ -64,18 +64,18 @@ def test_obs_point_lookup_overhead_under_bound(run_once):
     )
 
 
-def test_obs_parallel_ingest_overhead_under_bound(run_once):
+def test_obs_batch_ingest_overhead_under_bound(run_once):
     n = scaled(8192)
 
     def experiment():
-        return run_obs_parallel_ingest_overhead(n, SEED)
+        return run_obs_batch_ingest_overhead(n, SEED)
 
     metrics = run_once(experiment)
     assert metrics["obs_matches_bare"] is True
     assert metrics["metric_families"] > 0
-    _emit_overhead("E-OBS pooled batched ingest", n, metrics)
+    _emit_overhead("E-OBS batched ingest", n, metrics)
     expect(
         metrics["overhead_fraction"] < OVERHEAD_BOUND,
         f"registry overhead {metrics['overhead_fraction'] * 100:.2f}% "
-        f">= {OVERHEAD_BOUND * 100:.0f}% on pooled ingest",
+        f">= {OVERHEAD_BOUND * 100:.0f}% on batched ingest",
     )

@@ -100,7 +100,7 @@ def test_failover_promotion_serves_exact_state(run_once, tmp_path):
             shard_capacity=64,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=8)
+        service = StoreService(store)
         with ServerThread(service) as server:
             for op in make_ops(frames, seed=SEED):
                 apply_to_store(service, op)

@@ -12,10 +12,12 @@ mode groups the stream into same-kind batches (via
 :meth:`repro.workloads.base.Workload.iter_batches`), converts each batch's
 sequential ranks into the pre-batch ranks :meth:`ListLabeler.insert_batch` /
 :meth:`~ListLabeler.delete_batch` expect, and records one cost event per
-batch through :meth:`CostTracker.record_batch`.  Both modes maintain the
-reference model as a :class:`repro.analysis.reference.ChunkedList` — a
-blocked sorted list with ``O(√n)`` point updates — instead of a flat Python
-list whose ``O(n)`` ``insert`` dominated wall-clock at scale.
+batch through :meth:`CostTracker.record_batch`.  Both modes run on the
+calling thread (a sharded structure executes its per-shard sub-batches
+inline) and maintain the reference model as a
+:class:`repro.analysis.reference.ChunkedList` — a blocked sorted list with
+``O(√n)`` point updates — instead of a flat Python list whose ``O(n)``
+``insert`` dominated wall-clock at scale.
 
 **Latency capture.**  Both modes stamp every write event with its
 wall-clock duration (the structure call, plus the WAL append in durable
@@ -170,8 +172,6 @@ def run_workload(
     durable_dir=None,
     durable_sync: str = "batch",
     clock: Callable[[], float] | None = None,
-    parallel=None,
-    max_workers: int | None = None,
 ) -> RunResult:
     """Run ``workload`` against ``labeler`` and record the move costs.
 
@@ -186,21 +186,9 @@ def run_workload(
     sets the log's fsync policy (``"always"``/``"batch"``/``"never"``).
     ``clock`` overrides the per-operation latency clock (deterministic
     fakes in tests); the default is :func:`time.perf_counter`.
-    ``parallel`` / ``max_workers`` attach a
-    :class:`~repro.core.parallel.ShardPool` to the labeler for the
-    duration of the run (detached — and closed, when owned — afterwards),
-    so batched execution against a sharded structure fans its per-shard
-    sub-batches out across workers; labelers without a ``set_parallel``
-    hook run serially as before.
     """
-    from repro.core.parallel import resolve_pool
-
     if clock is None:
         clock = time.perf_counter
-    pool, owns_pool = resolve_pool(parallel, max_workers)
-    attach = getattr(labeler, "set_parallel", None)
-    if pool is not None and attach is not None:
-        attach(pool)
     tracker = CostTracker()
     reference = ChunkedList(
         block_size=max(8, math.isqrt(max(1, workload.operations)))
@@ -235,11 +223,6 @@ def run_workload(
     finally:
         if journal is not None:
             journal.close()
-        if pool is not None:
-            if attach is not None:
-                attach(None)
-            if owns_pool:
-                pool.close()
 
     elapsed = time.perf_counter() - started
     if restructure_log is not None:

@@ -44,7 +44,6 @@ from repro.core.layered import (
     make_corollary12_labeler,
 )
 from repro.core.interleaved import InterleavedComposition
-from repro.core.parallel import ShardPool
 from repro.core.sharded import ShardedLabeler
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "PhysicalArray",
     "RankError",
     "ReferencePhysicalArray",
-    "ShardPool",
     "ShardedLabeler",
     "WindowStatistics",
     "make_corollary11_labeler",

@@ -43,15 +43,11 @@ own merged rebalance; a sub-batch that would overflow its shard is instead
 interleaved with the shard's contents and rewritten into evenly-loaded
 fresh shards in one pass.
 
-**Parallel execution.**  The non-overflowing per-shard sub-batches touch
-disjoint shard objects, so with a :class:`repro.core.parallel.ShardPool`
-attached (the ``parallel=`` / ``max_workers=`` knobs) they fan out across
-worker threads; every piece of shared state — the Fenwick directory, the
-element→shard reverse index, and split/merge/rewrite restructures — stays
-on the calling thread, and the lifted results merge back in descending
-pre-batch shard order, bit-identical to the serial path.  Wide reads
-(:meth:`ShardedLabeler.range_ranks`, :meth:`ShardedLabeler.count_ranges`)
-fan their fully-covered shards out the same way.
+**One thread.**  The engine holds no lock and starts no thread; a caller
+that shares it across threads serializes its calls (the store service
+does, under one FIFO lock).  Batches run their per-shard sub-batches
+inline: every overflowing sub-batch's rewrite first, descending, then the
+plain sub-batches — the order the move logs and layouts are pinned to.
 
 The cost model stays the paper's: every physical element move — including
 the rewrites performed by splits and merges — is reported through the
@@ -67,14 +63,11 @@ import bisect
 import math
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from itertools import islice
-
 from repro import obs
 from repro.core.exceptions import BatchError, LabelerError
 from repro.core.fenwick import FenwickTree
 from repro.core.interface import ListLabeler
-from repro.core.operations import BatchResult, Move, Operation, OperationResult
-from repro.core.parallel import ShardPool, resolve_pool
+from repro.core.operations import Move, Operation, OperationResult
 
 #: Factory signature of the shard building blocks: ``factory(capacity)``.
 ShardFactory = Callable[[int], ListLabeler]
@@ -98,13 +91,6 @@ class ShardedLabeler(ListLabeler):
         is merged with a neighbour.  Must leave ``merge`` strictly below
         half the split threshold so a merge never immediately re-splits
         back below the floor.
-    parallel:
-        An injected (shared) :class:`~repro.core.parallel.ShardPool` for
-        per-shard fan-out; the caller owns its lifetime.  Mutually
-        exclusive with ``max_workers``.
-    max_workers:
-        Build an owned pool with this many workers (``<= 1`` means the
-        pure serial path; :meth:`close_parallel` tears it down).
     """
 
     def __init__(
@@ -114,8 +100,6 @@ class ShardedLabeler(ListLabeler):
         shard_capacity: int = 64,
         split_density: float = 0.75,
         merge_density: float = 0.15,
-        parallel: ShardPool | None = None,
-        max_workers: int | None = None,
         registry=None,
     ) -> None:
         if shard_capacity < 8:
@@ -157,7 +141,6 @@ class ShardedLabeler(ListLabeler):
         #: falls in; they change only where the reverse index does.
         self._fences: list = [None]
         self._rebuild_directory()
-        self._pool, self._owns_pool = resolve_pool(parallel, max_workers)
 
         #: Structural-change counters and per-event move log
         #: (``(kind, moved)`` pairs, ``kind`` in {"split", "merge",
@@ -191,25 +174,6 @@ class ShardedLabeler(ListLabeler):
     @property
     def shard_count(self) -> int:
         return len(self._shards)
-
-    @property
-    def pool(self) -> ShardPool | None:
-        """The attached shard pool, if any (``None`` = pure serial path)."""
-        return self._pool
-
-    def set_parallel(self, pool: ShardPool | None) -> None:
-        """Attach (or detach) a shared pool; an owned pool is closed first."""
-        if self._owns_pool and self._pool is not None and pool is not self._pool:
-            self._pool.close()
-        self._pool = pool
-        self._owns_pool = False
-
-    def close_parallel(self) -> None:
-        """Detach the pool, shutting it down when this engine owns it."""
-        if self._owns_pool and self._pool is not None:
-            self._pool.close()
-        self._pool = None
-        self._owns_pool = False
 
     @property
     def shards(self) -> Sequence[ListLabeler]:
@@ -553,44 +517,34 @@ class ShardedLabeler(ListLabeler):
             groups.setdefault(index, []).append((local, element))
         # Descending shard order: a rewrite replaces one shard by several,
         # which would shift the indices of every group after it.  The
-        # serial schedule runs group i before any restructure at a lower
-        # index, and a restructure at a higher index never moves shard i
-        # or its slot offset — so running every overflow restructure first
-        # (still descending) and then the independent non-overflowing
-        # groups sees exactly the serial path's state: pre-batch shard
-        # objects and pre-batch offsets.  That reordering is what lets the
-        # plain groups fan out across the pool.
+        # one-group-at-a-time schedule runs group i before any restructure
+        # at a lower index, and a restructure at a higher index never moves
+        # shard i or its slot offset — so running every overflow
+        # restructure first (still descending) and then the non-overflowing
+        # groups sees exactly that schedule's state: pre-batch shard
+        # objects and pre-batch offsets.  Move logs and layouts are pinned
+        # to this order.
         order = sorted(groups, reverse=True)
         shard_at = {index: self._shards[index] for index in order}
         offsets = self._slot_offsets  # replaced, never mutated, on rebuild
-        restructured: dict[int, OperationResult] = {}
-        plain: list[int] = []
-        for index in order:
-            if len(shard_at[index]) + len(groups[index]) > self._split_threshold:
-                restructured[index] = self._absorb_overflowing_batch(
-                    index, groups[index]
-                )
-            else:
-                plain.append(index)
-        tasks = [
-            (lambda shard=shard_at[i], sub=groups[i]: shard.insert_batch(sub))
-            for i in plain
-        ]
-        inners = self._pool.run(tasks) if self._pool else [task() for task in tasks]
+        restructured = {
+            index: self._absorb_overflowing_batch(index, groups[index])
+            for index in order
+            if len(shard_at[index]) + len(groups[index]) > self._split_threshold
+        }
         results: list[OperationResult] = []
-        inner_at = dict(zip(plain, inners))
         for index in order:
             if index in restructured:
                 results.append(restructured[index])
                 continue
             sub = groups[index]
             shard = shard_at[index]
+            inner = shard.insert_batch(sub)
             for _, element in sub:
                 self._elem_shard[element] = shard
             # The restructures above may have shifted this shard's index;
             # the directory and fence updates target its *current*
-            # position, while moves lift with the pre-batch offset the
-            # serial path saw.
+            # position, while moves lift with the pre-batch offset.
             position = self._shard_pos[id(shard)]
             self._directory.add(position, len(sub))
             if sub[0][0] == 1:
@@ -598,7 +552,7 @@ class ShardedLabeler(ListLabeler):
                 # the first of them is the shard's new first element.
                 self._fences[position] = sub[0][1]
             offset = offsets[index]
-            for item in inner_at[index].results:
+            for item in inner.results:
                 lifted = OperationResult(item.operation)
                 lifted.extend(self._lift_moves(item.moves, offset))
                 results.append(lifted)
@@ -639,31 +593,19 @@ class ShardedLabeler(ListLabeler):
         for rank in prepared:  # descending, so per-shard locals stay sorted
             index, local = self._locate(rank)
             groups.setdefault(index, []).append(local)
-        # Per-shard drains touch disjoint shard objects and no delete
-        # restructures mid-batch (underflows rebalance once at the end),
-        # so every group fans out; each task reads its victims before
-        # mutating, and the shared bookkeeping (reverse index, directory)
-        # replays on this thread in descending shard order.
-        order = sorted(groups, reverse=True)
-
-        def drain(
-            shard: ListLabeler, locals_: Sequence[int]
-        ) -> tuple[list[Hashable], BatchResult]:
-            victims = [shard.select(local) for local in locals_]
-            return victims, shard.delete_batch(locals_)
-
-        tasks = [
-            (lambda shard=self._shards[i], sub=groups[i]: drain(shard, sub))
-            for i in order
-        ]
-        drained = self._pool.run(tasks) if self._pool else [task() for task in tasks]
+        # No delete restructures mid-batch (underflows rebalance once at
+        # the end), so every shard drains in place, in descending order.
         results: list[OperationResult] = []
-        for index, (victims, inner) in zip(order, drained):
+        for index in sorted(groups, reverse=True):
+            locals_ = groups[index]
+            shard = self._shards[index]
+            victims = [shard.select(local) for local in locals_]
+            inner = shard.delete_batch(locals_)
             for element in victims:
                 del self._elem_shard[element]
-            self._directory.add(index, -len(groups[index]))
-            if groups[index][-1] == 1:  # locals descend: the last is smallest
-                self._fences[index] = self._first_of(self._shards[index])
+            self._directory.add(index, -len(locals_))
+            if locals_[-1] == 1:  # locals descend: the last is smallest
+                self._fences[index] = self._first_of(shard)
             offset = self._slot_offset(index)
             for item in inner.results:
                 lifted = OperationResult(item.operation)
@@ -928,90 +870,6 @@ class ShardedLabeler(ListLabeler):
         total += self._directory.prefix(last) - self._directory.prefix(first + 1)
         total += self._shards[last].count_range(0, hi - offsets[last])
         return total
-
-    def range_ranks(self, lo: int, hi: int) -> list[Hashable]:
-        """Materialize the elements with ranks ``lo..hi`` (1-based, inclusive).
-
-        The cursor path (:meth:`iter_from`) streams shard by shard on one
-        thread; this is the batch-read analogue for wide scans: the two
-        boundary shards answer their partial segments inline, and every
-        fully covered shard in between materializes its contents as an
-        independent task — fanned across the shard pool when one is
-        attached — before assembly in shard order, so the result is
-        identical to draining the cursor.
-        """
-        lo = max(1, lo)
-        hi = min(self._size, hi)
-        if hi < lo:
-            return []
-        first, first_local = self._locate(lo)
-        last, last_local = self._locate(hi)
-        shards = self._shards
-        if first == last:
-            return list(islice(shards[first].iter_from(first_local), hi - lo + 1))
-        interior = shards[first + 1 : last]
-        tasks = [
-            (lambda segment=segment: [
-                element for shard in segment for element in shard.elements()
-            ])
-            for segment in self._worker_segments(interior)
-        ]
-        parts = self._pool.run(tasks) if self._pool else [task() for task in tasks]
-        out: list[Hashable] = list(shards[first].iter_from(first_local))
-        for part in parts:
-            out.extend(part)
-        out.extend(islice(shards[last].iter_from(1), last_local))
-        return out
-
-    def _worker_segments(
-        self, shards: Sequence[ListLabeler]
-    ) -> list[Sequence[ListLabeler]]:
-        """Split ``shards`` into one contiguous slice per pool worker.
-
-        One task per shard would drown in dispatch overhead (a scan can
-        cover hundreds of shards); one slice per worker keeps the fan-out
-        wide enough to fill the pool and the per-task work coarse.
-        """
-        if not shards:
-            return []
-        workers = self._pool.max_workers if self._pool else 1
-        count = min(len(shards), max(1, workers))
-        base, extra = divmod(len(shards), count)
-        segments: list[Sequence[ListLabeler]] = []
-        start = 0
-        for j in range(count):
-            size = base + (1 if j < extra else 0)
-            segments.append(shards[start : start + size])
-            start += size
-        return segments
-
-    def count_ranges(self, windows: Sequence[tuple[int, int]]) -> list[int]:
-        """Answer many :meth:`count_range` slot windows in one call.
-
-        Each window is an independent read of the directory and at most
-        two boundary shards, so the batch fans out across the shard pool
-        (when attached) — one contiguous slice of windows per worker —
-        and returns counts in window order.
-        """
-        if not self._pool or self._pool.is_serial or len(windows) < 2:
-            return [self.count_range(lo, hi) for lo, hi in windows]
-        workers = self._pool.max_workers
-        count = min(len(windows), workers)
-        base, extra = divmod(len(windows), count)
-        slices: list[Sequence[tuple[int, int]]] = []
-        start = 0
-        for j in range(count):
-            size = base + (1 if j < extra else 0)
-            slices.append(windows[start : start + size])
-            start += size
-        tasks = [
-            (lambda batch=batch: [self.count_range(lo, hi) for lo, hi in batch])
-            for batch in slices
-        ]
-        out: list[int] = []
-        for part in self._pool.run(tasks):
-            out.extend(part)
-        return out
 
     def slot_of_rank(self, rank: int) -> int:
         """Global slot of the ``rank``-th element (directory + shard index)."""

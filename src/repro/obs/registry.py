@@ -4,9 +4,9 @@ The registry is the process-wide measurement surface for the store stack.
 Design constraints, in order:
 
 * **Cheap on hot paths.**  Instruments are created once (get-or-create by
-  dotted name) and cached by their owners; recording is one striped-lock
-  acquisition plus integer arithmetic.  Locks are striped by instrument
-  name so unrelated hot instruments do not contend.
+  dotted name) and cached by their owners; recording is one lock
+  acquisition plus integer arithmetic.  Each instrument has its own lock,
+  so unrelated hot instruments do not contend.
 * **Bit-identical when off.**  The default registry is the shared
   :data:`NULL_REGISTRY` whose instruments are inert singletons — seed
   code paths execute the same operations in the same order whether or
@@ -52,9 +52,9 @@ class Counter:
 
     __slots__ = ("name", "_lock", "_value")
 
-    def __init__(self, name: str, lock: threading.Lock) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = lock
+        self._lock = threading.Lock()
         self._value = 0
 
     def inc(self, amount: int = 1) -> None:
@@ -72,9 +72,9 @@ class Gauge:
 
     __slots__ = ("name", "_lock", "_value")
 
-    def __init__(self, name: str, lock: threading.Lock) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._lock = lock
+        self._lock = threading.Lock()
         self._value = 0.0
 
     def set(self, value: float) -> None:
@@ -111,7 +111,6 @@ class Histogram:
     def __init__(
         self,
         name: str,
-        lock: threading.Lock,
         *,
         start: float,
         factor: float,
@@ -124,7 +123,7 @@ class Histogram:
         if count < 1:
             raise ValueError("histogram needs at least one bucket")
         self.name = name
-        self._lock = lock
+        self._lock = threading.Lock()
         self.bounds: tuple[float, ...] = tuple(
             start * factor**i for i in range(count)
         )
@@ -192,38 +191,28 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Get-or-create instrument registry with name-striped locking."""
+    """Get-or-create instrument registry; every instrument has its own lock."""
 
     enabled = True
 
-    def __init__(self, *, stripes: int = 16) -> None:
-        if stripes < 1:
-            raise ValueError("registry needs at least one lock stripe")
+    def __init__(self) -> None:
         self._meta = threading.Lock()
-        self._stripes = tuple(threading.Lock() for _ in range(stripes))
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-
-    def _lock_for(self, name: str) -> threading.Lock:
-        return self._stripes[hash(name) % len(self._stripes)]
 
     def counter(self, name: str) -> Counter:
         instrument = self._counters.get(name)
         if instrument is None:
             with self._meta:
-                instrument = self._counters.setdefault(
-                    name, Counter(name, self._lock_for(name))
-                )
+                instrument = self._counters.setdefault(name, Counter(name))
         return instrument
 
     def gauge(self, name: str) -> Gauge:
         instrument = self._gauges.get(name)
         if instrument is None:
             with self._meta:
-                instrument = self._gauges.setdefault(
-                    name, Gauge(name, self._lock_for(name))
-                )
+                instrument = self._gauges.setdefault(name, Gauge(name))
         return instrument
 
     def histogram(
@@ -240,13 +229,7 @@ class MetricsRegistry:
             with self._meta:
                 instrument = self._histograms.setdefault(
                     name,
-                    Histogram(
-                        name,
-                        self._lock_for(name),
-                        start=start,
-                        factor=factor,
-                        count=count,
-                    ),
+                    Histogram(name, start=start, factor=factor, count=count),
                 )
         return instrument
 
@@ -254,7 +237,7 @@ class MetricsRegistry:
         """Plain-dict snapshot of every instrument.
 
         Instrument *sets* are copied under the meta lock; each value is
-        then read under its own stripe lock, so every individual reading
+        then read under its own lock, so every individual reading
         is internally consistent (a histogram's bucket counts always sum
         to its ``count``) even while writers are hammering.
         """

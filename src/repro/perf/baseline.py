@@ -59,7 +59,6 @@ from repro.perf.scenarios import (
     CORE_SCENARIOS,
     LATENCY_SCENARIOS,
     OBS_SCENARIOS,
-    PARALLEL_SCENARIOS,
     QUERY_SCENARIOS,
     SERVER_SCENARIOS,
     SHARDED_SCENARIOS,
@@ -90,7 +89,6 @@ SUITES: dict[str, dict[str, ScenarioSpec]] = {
     "query": QUERY_SCENARIOS,
     "latency": LATENCY_SCENARIOS,
     "server": SERVER_SCENARIOS,
-    "parallel": PARALLEL_SCENARIOS,
     "obs": OBS_SCENARIOS,
 }
 
@@ -118,9 +116,6 @@ WALL_CLOCK_METRICS = frozenset(
         "ops_per_second",
         "reference_ops_per_second",
         "vector_ops_per_second",
-        "singleton_ops_per_second",
-        "serial_ops_per_second",
-        "parallel_ops_per_second",
         "bare_elapsed_seconds",
         "instrumented_elapsed_seconds",
         "overhead_fraction",
@@ -156,10 +151,6 @@ _CORRECTNESS_FLAGS = {
     "replicas_match": (
         "replica state digest diverged from the primary (WAL shipping no "
         "longer reproduces byte-identical state)"
-    ),
-    "parallel_matches_serial": (
-        "pooled shard execution diverged from the serial path (state "
-        "digest or move log mismatch across worker counts)"
     ),
     "obs_matches_bare": (
         "a live metrics registry changed a structural decision (move log "

@@ -794,7 +794,7 @@ def run_server_mixed(n: int, seed: int) -> dict:
             shard_capacity=128,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=8, track_latency=True)
+        service = StoreService(store, track_latency=True)
         failures: list[BaseException] = []
 
         def drive(script: list[tuple], host: str, port: int) -> None:
@@ -881,7 +881,7 @@ def run_replica_catchup(n: int, seed: int) -> dict:
             shard_capacity=128,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=8)
+        service = StoreService(store)
         with ServerThread(service) as server:
             started = time.perf_counter()
             for op in backlog:
@@ -932,136 +932,6 @@ def run_replica_catchup(n: int, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Parallel suite: thread-pool shard dispatch vs the serial paths
-# ---------------------------------------------------------------------------
-def run_parallel_batch_ingest(n: int, seed: int) -> dict:
-    """Pooled per-shard batch dispatch vs the per-op singleton loop.
-
-    Three runs of the same zipfian ingest (a hotspot plus a long tail, so
-    every batch splits into several per-shard groups) on sharded
-    classical PMAs: the singleton loop (one ``insert`` per op — the
-    serial foil), the batched path on one worker (the determinism
-    reference), and the batched path fanned across an 8-worker shard
-    pool.  ``speedup`` is pooled-batch over singleton — merged per-shard
-    rebalances are most of the win on one core, the pool adds core-count
-    scaling on real hardware; ``parallel_matches_serial`` hard-fails
-    unless the 1-worker and 8-worker batched runs produced bit-identical
-    states *and* move logs.
-    """
-    from repro.analysis.runner import run_workload
-    from repro.store.harness import record_move_log
-    from repro.workloads.zipfian import ZipfianWorkload
-
-    batch = 128
-
-    def one_run(batch_size: int, max_workers: int):
-        labeler = _sharded_labeler()
-        log = record_move_log(labeler)
-        workload = ZipfianWorkload(n, seed=seed)
-        result = run_workload(
-            labeler, workload, batch_size=batch_size, max_workers=max_workers
-        )
-        return labeler, log, result
-
-    singleton, _, singleton_result = one_run(1, 1)
-    serial, serial_log, serial_result = one_run(batch, 1)
-    pooled, pooled_log, pooled_result = one_run(batch, 8)
-
-    matches = (
-        serial_log == pooled_log
-        and serial.labels() == pooled.labels()
-        and [tuple(s.slots()) for s in serial.shards]
-        == [tuple(s.slots()) for s in pooled.shards]
-        and singleton.elements() == pooled.elements()
-    )
-    pooled_ops = pooled_result.ops_per_second
-    singleton_ops = singleton_result.ops_per_second
-    metrics = _run_result_metrics(pooled_result, pooled)
-    metrics.update(
-        {
-            "batch_size": batch,
-            "parallel_matches_serial": matches,
-            "singleton_ops_per_second": singleton_ops,
-            "serial_ops_per_second": serial_result.ops_per_second,
-            "parallel_ops_per_second": pooled_ops,
-            "speedup": pooled_ops / singleton_ops if singleton_ops else 0.0,
-        }
-    )
-    return metrics
-
-
-def run_parallel_scan_fanout(n: int, seed: int) -> dict:
-    """Pooled wide-scan reads vs the single-threaded cursor drain.
-
-    Builds one sharded structure of ``n`` keys, then answers a fixed set
-    of wide rank windows twice: draining the cross-shard cursor
-    (``iter_from``) on one thread, and through ``range_ranks`` /
-    ``count_ranges`` with an 8-worker pool attached.  The two answers
-    must be identical (``parallel_matches_serial``, ``reads_match``);
-    throughput is scanned elements per second on each path.
-    """
-    from itertools import islice
-
-    from repro.core.parallel import ShardPool
-
-    labeler = _sharded_labeler()
-    labeler.bulk_load(list(range(1, n + 1)))
-    rng = random.Random(seed)
-    width = max(2, n // 4)
-    windows = []
-    for _ in range(24):
-        lo = rng.randrange(1, max(2, n - width))
-        windows.append((lo, lo + width - 1))
-    slot_windows = [
-        (labeler.slot_of_rank(lo), labeler.slot_of_rank(hi) + 1)
-        for lo, hi in windows
-    ]
-
-    # Wall-clock on a read-only path is noisy (GC, scheduler): time each
-    # path best-of-3 — the answers are identical across passes, so only
-    # the steadiest timing is kept.
-    serial_elapsed = None
-    for _ in range(3):
-        started = time.perf_counter()
-        cursor_answers = [
-            list(islice(labeler.iter_from(lo), hi - lo + 1))
-            for lo, hi in windows
-        ]
-        serial_counts = [labeler.count_range(lo, hi) for lo, hi in slot_windows]
-        elapsed = time.perf_counter() - started
-        if serial_elapsed is None or elapsed < serial_elapsed:
-            serial_elapsed = elapsed
-
-    pooled_elapsed = None
-    with ShardPool(8) as pool:
-        labeler.set_parallel(pool)
-        for _ in range(3):
-            started = time.perf_counter()
-            pooled_answers = [labeler.range_ranks(lo, hi) for lo, hi in windows]
-            pooled_counts = labeler.count_ranges(slot_windows)
-            elapsed = time.perf_counter() - started
-            if pooled_elapsed is None or elapsed < pooled_elapsed:
-                pooled_elapsed = elapsed
-        labeler.set_parallel(None)
-
-    scanned = sum(len(answer) for answer in cursor_answers)
-    matches = pooled_answers == cursor_answers and pooled_counts == serial_counts
-    return {
-        "operations": len(windows),
-        "keys": n,
-        "shards": labeler.shard_count,
-        "scanned_elements": scanned,
-        "count_total": sum(serial_counts),
-        "parallel_matches_serial": matches,
-        "reads_match": matches,
-        "elapsed_seconds": pooled_elapsed,
-        "serial_ops_per_second": scanned / serial_elapsed if serial_elapsed else 0.0,
-        "parallel_ops_per_second": scanned / pooled_elapsed if pooled_elapsed else 0.0,
-        "speedup": serial_elapsed / pooled_elapsed if pooled_elapsed else 0.0,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Obs suite: instrumentation overhead (bare vs live-registry runs)
 # ---------------------------------------------------------------------------
 #: Best-of repeats per variant; the min damps scheduler/GC noise enough
@@ -1092,9 +962,8 @@ def _obs_lookup_run(n: int, seed: int, registry):
 
 
 def _obs_ingest_run(n: int, seed: int, registry):
-    """One pooled batched zipfian ingest; instrumented when given a registry."""
+    """One batched zipfian ingest; instrumented when given a registry."""
     from repro.analysis.runner import run_workload
-    from repro.core.parallel import ShardPool
     from repro.store.harness import move_log_digest, record_move_log
     from repro.workloads.zipfian import ZipfianWorkload
 
@@ -1103,11 +972,7 @@ def _obs_ingest_run(n: int, seed: int, registry):
         labeler.set_registry(registry)
     log = record_move_log(labeler)
     workload = ZipfianWorkload(n, seed=seed)
-    if registry is None:
-        result = run_workload(labeler, workload, batch_size=128, max_workers=8)
-    else:
-        with ShardPool(8, registry=registry) as pool:
-            result = run_workload(labeler, workload, batch_size=128, parallel=pool)
+    result = run_workload(labeler, workload, batch_size=128)
     return move_log_digest(log), result, labeler
 
 
@@ -1171,13 +1036,14 @@ def run_obs_point_lookup_overhead(n: int, seed: int) -> dict:
     return _obs_overhead_metrics(n, seed, _obs_lookup_run)
 
 
-def run_obs_parallel_ingest_overhead(n: int, seed: int) -> dict:
-    """The parallel_batch_ingest shape, bare vs fully instrumented.
+def run_obs_batch_ingest_overhead(n: int, seed: int) -> dict:
+    """A zipfian batch-128 ingest, bare vs fully instrumented.
 
-    The instrumented run carries a live registry on both the sharded
-    labeler (restructure counters, density sweeps) and the 8-worker pool
-    (queue depth, wait/run timers) — the worst case for per-task
-    instrument traffic — and must still produce the identical move log.
+    The zipfian hotspot and long tail split every batch into several
+    per-shard groups and force a steady stream of splits and rewrites, so
+    the instrumented run's live registry (restructure counters, the shard
+    gauge, density sweeps) sees the most instrument traffic any sharded
+    workload makes — and must still produce the identical move log.
     """
     return _obs_overhead_metrics(n, seed, _obs_ingest_run)
 
@@ -1288,24 +1154,6 @@ SERVER_SCENARIOS: dict[str, ScenarioSpec] = {
     )
 }
 
-PARALLEL_SCENARIOS: dict[str, ScenarioSpec] = {
-    spec.name: spec
-    for spec in (
-        ScenarioSpec(
-            "parallel_batch_ingest",
-            quick_n=1024,
-            full_n=16384,
-            run=run_parallel_batch_ingest,
-        ),
-        ScenarioSpec(
-            "parallel_scan_fanout",
-            quick_n=2048,
-            full_n=65536,
-            run=run_parallel_scan_fanout,
-        ),
-    )
-}
-
 OBS_SCENARIOS: dict[str, ScenarioSpec] = {
     spec.name: spec
     for spec in (
@@ -1316,10 +1164,10 @@ OBS_SCENARIOS: dict[str, ScenarioSpec] = {
             run=run_obs_point_lookup_overhead,
         ),
         ScenarioSpec(
-            "obs_parallel_ingest_overhead",
+            "obs_batch_ingest_overhead",
             quick_n=1024,
             full_n=8192,
-            run=run_obs_parallel_ingest_overhead,
+            run=run_obs_batch_ingest_overhead,
         ),
     )
 }

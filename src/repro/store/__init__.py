@@ -20,13 +20,14 @@ into an actual store.  Four layers, bottom up:
   tail-WAL replay, and **compaction** that snapshots and truncates the
   log;
 * :mod:`repro.store.service` — :class:`~repro.store.service.StoreService`:
-  a concurrent front-end with striped per-shard read-write locks,
-  snapshot-consistent range scans, and an optional background compactor;
+  a thread-safe front-end under one FIFO lock (every call takes it once,
+  and a release hands it to the longest waiter), snapshot-consistent
+  range scans, and an optional background compactor;
 * :mod:`repro.store.protocol` / :mod:`repro.store.server` /
   :mod:`repro.store.client` — the **networked front-end**: a
   length-prefixed JSON wire protocol over the store codec, an asyncio
-  :class:`~repro.store.server.StoreServer` dispatching every command onto
-  the service's striped locks, and a blocking
+  :class:`~repro.store.server.StoreServer` calling the service on its
+  event-loop thread, and a blocking
   :class:`~repro.store.client.StoreClient` mirroring the service API;
 * :mod:`repro.store.replica` — **WAL-shipping replication**:
   :class:`~repro.store.replica.Replica` bootstraps from the primary's
@@ -61,7 +62,7 @@ from repro.store.factories import DEFAULT_ALGORITHM, SHARD_FACTORIES
 from repro.store.protocol import ProtocolError
 from repro.store.replica import Replica
 from repro.store.server import ServerThread, StoreServer
-from repro.store.service import RWLock, StoreService
+from repro.store.service import FifoLock, StoreService
 from repro.store.snapshot import SnapshotInfo, list_snapshots
 from repro.store.store import DurableStore, RecoveryReport, StoreError
 from repro.store.wal import WALError, WALTruncateReport, WriteAheadLog
@@ -69,8 +70,8 @@ from repro.store.wal import WALError, WALTruncateReport, WriteAheadLog
 __all__ = [
     "DEFAULT_ALGORITHM",
     "DurableStore",
+    "FifoLock",
     "ProtocolError",
-    "RWLock",
     "ReadOnlyError",
     "RecoveryReport",
     "Replica",

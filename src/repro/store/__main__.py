@@ -195,7 +195,7 @@ def _cmd_replica_smoke(args: argparse.Namespace) -> int:
             shard_capacity=64,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=8)
+        service = StoreService(store)
         with ServerThread(service) as server:
             print(f"primary: serving at "
                   f"{server.address[0]}:{server.address[1]}")
@@ -213,10 +213,9 @@ def _cmd_replica_smoke(args: argparse.Namespace) -> int:
             for index, op in enumerate(backlog):
                 apply_to_store(service, op)
                 if index % 8 == 0:
-                    # Pace the writer: an unbroken put loop would hold the
-                    # service's write locks continuously and starve the
-                    # replication feeder (and the bootstrap snapshot) of
-                    # the structure lock.
+                    # Pace the writer so the loop thread's replication
+                    # feeder ships frames while most of the backlog is
+                    # still to come.
                     time.sleep(0.001)
                 if killed_at is None and replica.last_applied_lsn >= 1:
                     replica.stop()
@@ -391,7 +390,7 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
             sync_policy="never",
             registry=registry,
         )
-        service = StoreService(store, stripes=8, track_latency=True)
+        service = StoreService(store, track_latency=True)
         service.start_compactor(poll_seconds=0.05, wal_frame_threshold=10**9)
         with ServerThread(service) as server:
             host, port = server.address

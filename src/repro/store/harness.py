@@ -168,8 +168,8 @@ def record_move_log(labeler) -> list[tuple]:
     Wraps the four mutating entry points on the *instance* (the map layer
     resolves them through attribute lookup) and appends one
     ``(operation_kind, move_triples)`` entry per applied operation to the
-    returned list — the bit-level execution trace the parallel-vs-serial
-    determinism suite compares across worker counts.
+    returned list — the bit-level execution trace the perf suites digest
+    to prove that a change left every structural decision alone.
     """
     from repro.core.operations import move_triples
 
@@ -194,39 +194,6 @@ def move_log_digest(log: list[tuple]) -> str:
     from repro.store import codec
 
     return hashlib.sha256(codec.dumps(log).encode("utf-8")).hexdigest()
-
-
-def parallel_replay(
-    ops: list[tuple],
-    *,
-    algorithm: str = "classical",
-    shard_capacity: int = 64,
-    max_workers: int = 1,
-) -> tuple[str, str]:
-    """Replay an op script on a pool-attached map; digest state and moves.
-
-    Drives :func:`make_ops`-style operations through a fresh
-    :class:`ReferenceStore` whose sharded labeler executes per-shard
-    sub-batches on a ``max_workers``-wide shard pool (``1`` = the serial
-    reference path), and returns ``(state_digest, move_log_digest)`` —
-    equal digests across worker counts is the parallel determinism
-    contract.
-    """
-    from repro.core.parallel import ShardPool
-
-    reference = ReferenceStore(algorithm, shard_capacity)
-    log = record_move_log(reference.map.labeler)
-    pool = ShardPool(max_workers) if max_workers > 1 else None
-    if pool is not None:
-        reference.map.labeler.set_parallel(pool)
-    try:
-        for op in ops:
-            reference.apply(op)
-    finally:
-        if pool is not None:
-            reference.map.labeler.set_parallel(None)
-            pool.close()
-    return state_digest(reference.map), move_log_digest(log)
 
 
 def crash_copy(

@@ -4,11 +4,13 @@
 length-prefixed JSON protocol of :mod:`repro.store.protocol`.  Every
 request calls the matching ``StoreService`` method directly on the
 event-loop thread.  A worker-thread hop per request would add latency,
-not concurrency: every call takes the service's structure lock and runs
+not concurrency: every call takes the service's one lock and runs
 under the GIL, so requests wait for a lock holder either way.  While
 another thread (the compactor, an in-process writer) holds the lock, the
 loop waits too, and so do the requests and replication streams that need
-no lock.  The server adds networking, not a new concurrency model.
+no lock.  The lock is FIFO, so the loop waits out the calls queued ahead
+of it, not a writer thread's whole run.  The server adds networking, not
+a new concurrency model.
 
 **Replication.**  A ``REPLICATE`` request flips the connection into a
 push stream.  The server decides how the replica starts:
@@ -444,7 +446,7 @@ def _handle_count_range(service: StoreService, request: dict) -> dict:
 def _handle_scan_pages(service: StoreService, request: dict) -> dict:
     """One page per request; the returned cursor resumes the scan.
 
-    The page materializes under the service's structure lock exactly like
+    The page materializes under the service's lock exactly like
     :meth:`StoreService.scan_pages` holds it — per page — so a slow
     client paging a huge interval never pins writers out between its
     requests.

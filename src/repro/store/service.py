@@ -1,38 +1,34 @@
-"""Concurrent front-end for the durable store.
+"""Thread-safe front-end for the durable store.
 
-:class:`StoreService` serves a :class:`~repro.store.store.DurableStore` to
-many threads with a two-level locking protocol:
+:class:`StoreService` serves a :class:`~repro.store.store.DurableStore`
+under **one FIFO lock** (:class:`FifoLock`).  Every service call takes it
+exactly once, reads and writes alike: the labeler, the sorted key
+sequence and the WAL are only ever touched by the lock's holder, so no
+call observes a half-applied mutation (a split or merge rewrites the
+labeler's directory and shard layout in place).
 
-* a **structure** read-write lock guarding the labeler, the sorted key
-  sequence and the WAL — mutations hold it exclusively (they may split or
-  merge shards, which moves global state), range scans and full
-  iterations hold it shared, so any number of scans overlap each other
-  and never observe a half-applied mutation;
-* **striped per-shard read-write locks** for point reads — a ``get``
-  takes the structure lock shared (a point read walks the labeler's
-  directory and shard layout, which a concurrent split/merge rewrites in
-  place) *plus* its key's stripe in shared mode, so point reads on
-  different stripes never contend with each other, and a writer (which
-  takes its key's stripe exclusively *in addition to* the structure lock)
-  only blocks the readers of the stripe it is mutating.  The stripe count
-  defaults to the labeler's shard count at construction; hashing keys to
-  stripes approximates per-shard ownership without pinning stripes to
-  shard boundaries that splits would move.
+**Why one fair lock.**  The networked server calls the service on its one
+event-loop thread, and under the GIL two readers cannot overlap anyway, so
+a shared read mode buys nothing on the traffic the store serves.  What
+matters is fairness: a release hands the lock to the longest waiter, so a
+thread that writes back to back queues behind a waiting GET instead of
+re-taking the lock ahead of it — the wait of any call is bounded by the
+calls queued in front of it, not by a writer's whole run.
 
 **Snapshot-consistent scans, paginated.**  :meth:`StoreService.range_scan`
 and :meth:`StoreService.snapshot_items` materialize their result while
-holding the structure lock shared: the returned list is an immutable
-point-in-time view — concurrent writers are serialized either entirely
-before or entirely after it, never interleaved into it.  Both also support
-**pagination** (``range_scan(..., limit=, after=)``,
-:meth:`StoreService.scan_pages`, ``snapshot_items(page_size=...)``): the
-lock is then held per page and released between pages, so a long scan no
-longer pins writers out for the whole store — each page is individually
-consistent and the cursor key defines the resumption point.
+holding the lock: the returned list is an immutable point-in-time view —
+concurrent writers are serialized either entirely before or entirely
+after it, never interleaved into it.  Both also support **pagination**
+(``range_scan(..., limit=, after=)``, :meth:`StoreService.scan_pages`,
+``snapshot_items(page_size=...)``): the lock is then held per page and
+released between pages, so a long scan does not pin writers out for the
+whole store — each page is individually consistent and the cursor key
+defines the resumption point.
 
 **Mutation latency tracking.**  Constructed with ``track_latency=True``,
-the service stamps every mutation (under its locks, so queueing on a
-contended stripe is part of the measured time) into a
+the service stamps every mutation (the stamp is taken before the lock, so
+queueing is part of the measured time) into a
 :class:`~repro.core.cost.CostTracker` — per-operation move-cost and
 wall-clock percentiles via :meth:`StoreService.latency_statistics`, with
 batches weight-expanded exactly like the workload runner's.  The clock is
@@ -40,8 +36,13 @@ injectable for deterministic tests.
 
 **Background compaction.**  :meth:`StoreService.start_compactor` runs
 ``compact()`` on a daemon thread whenever the WAL grows past a threshold;
-the compaction itself takes the structure lock exclusively, so it is just
-another (heavyweight) writer as far as correctness is concerned.
+the compaction itself takes the lock, so it is just another (heavyweight)
+writer as far as correctness is concerned.
+
+**Not reentrant.**  No service method calls another while holding the
+lock: the commit listeners run under it and must not call back into the
+service (the server's hops to its loop with ``call_soon_threadsafe``), and
+the compaction retainer reads a copy of the replica table.
 
 The multi-threaded driver in ``tests/test_store.py`` hammers one service
 with interleaved readers, writers and a compactor and asserts that every
@@ -54,106 +55,77 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, Hashable, Iterable, Sequence
+from collections import deque
+from typing import Callable, Hashable, Iterable
 
 from repro import obs
 from repro.core.cost import CostTracker
-from repro.core.parallel import ShardPool, resolve_pool
 from repro.store.store import DurableStore
 
 
-class RWLock:
-    """A writer-preferring read-write lock (no reader starvation of writers)."""
+class FifoLock:
+    """A non-reentrant mutual-exclusion lock granted in arrival order.
+
+    Each blocked thread waits on its own gate (a held
+    :class:`threading.Lock`) queued in arrival order.  A release with
+    waiters opens the oldest gate and hands the lock over without ever
+    marking it free, so a releasing thread that re-acquires at once queues
+    behind that waiter — the FIFO hand-off of queue locks (Mellor-Crummey
+    and Scott, 1991).  A plain :class:`threading.Lock` lets the releasing
+    thread win the race back and can starve a waiter for a writer's
+    whole run.
+    """
 
     def __init__(self) -> None:
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._writers_waiting = 0
+        self._mutex = threading.Lock()  # guards _held and _waiters
+        self._held = False
+        self._waiters: deque[threading.Lock] = deque()
 
-    def acquire_read(self) -> None:
-        with self._condition:
-            while self._writer or self._writers_waiting:
-                self._condition.wait()
-            self._readers += 1
+    def acquire(self) -> None:
+        with self._mutex:
+            if not self._held:
+                self._held = True
+                return
+            gate = threading.Lock()
+            gate.acquire()
+            self._waiters.append(gate)
+        try:
+            gate.acquire()  # opened by the release that hands us the lock
+        except BaseException:
+            with self._mutex:
+                if gate in self._waiters:  # still queued: just leave
+                    self._waiters.remove(gate)
+                    raise
+            self.release()  # the hand-off landed anyway: pass it on
+            raise
 
-    def release_read(self) -> None:
-        with self._condition:
-            self._readers -= 1
-            if self._readers == 0:
-                self._condition.notify_all()
+    def release(self) -> None:
+        with self._mutex:
+            if self._waiters:
+                self._waiters.popleft().release()
+            else:
+                self._held = False
 
-    def acquire_write(self) -> None:
-        with self._condition:
-            self._writers_waiting += 1
-            try:
-                while self._writer or self._readers:
-                    self._condition.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer = True
+    def __enter__(self) -> None:
+        self.acquire()
 
-    def release_write(self) -> None:
-        with self._condition:
-            self._writer = False
-            self._condition.notify_all()
-
-    class _ReadGuard:
-        def __init__(self, lock: "RWLock") -> None:
-            self._lock = lock
-
-        def __enter__(self):
-            self._lock.acquire_read()
-
-        def __exit__(self, *exc):
-            self._lock.release_read()
-
-    class _WriteGuard:
-        def __init__(self, lock: "RWLock") -> None:
-            self._lock = lock
-
-        def __enter__(self):
-            self._lock.acquire_write()
-
-        def __exit__(self, *exc):
-            self._lock.release_write()
-
-    def read(self) -> "_ReadGuard":
-        return self._ReadGuard(self)
-
-    def write(self) -> "_WriteGuard":
-        return self._WriteGuard(self)
+    def __exit__(self, *exc) -> None:
+        self.release()
 
 
 class StoreService:
-    """Thread-safe durable-store server with striped read-write locking."""
+    """Thread-safe durable-store server under one FIFO lock."""
 
     def __init__(
         self,
         store: DurableStore,
         *,
-        stripes: int | None = None,
         track_latency: bool = False,
         clock: Callable[[], float] | None = None,
-        parallel: ShardPool | None = None,
-        max_workers: int | None = None,
         registry=None,
     ) -> None:
         self._store = store
-        if stripes is None:
-            stripes = max(8, getattr(store.labeler, "shard_count", 8))
-        self._stripes = [RWLock() for _ in range(max(1, stripes))]
-        self._structure = RWLock()
-        # Per-shard fan-out for batch mutations: the pool attaches to the
-        # underlying sharded labeler, so put_many/delete_many dispatch
-        # their independent per-shard sub-batches across workers while
-        # this service's structure lock (held exclusively for the whole
-        # batch) keeps the usual one-writer-at-a-time contract.
-        self._pool, self._owns_pool = resolve_pool(parallel, max_workers)
-        if self._pool is not None:
-            attach = getattr(store.labeler, "set_parallel", None)
-            if attach is not None:
-                attach(self._pool)
+        self._lock = FifoLock()
         self._compactor: threading.Thread | None = None
         self._compactor_stop = threading.Event()
         self._compactor_error: BaseException | None = None
@@ -191,9 +163,9 @@ class StoreService:
     ) -> None:
         """Record one command's latency (and lock wait vs hold split).
 
-        ``started`` was stamped before any lock was touched, ``acquired``
-        right after every lock was held — so wait is pure queueing and
-        hold is pure work, and their sum is the client-visible latency the
+        ``started`` was stamped before the lock was touched, ``acquired``
+        right after it was held — so wait is pure queueing and hold is
+        pure work, and their sum is the client-visible latency the
         per-command histogram sees.
         """
         now = self._clock()
@@ -207,46 +179,30 @@ class StoreService:
     def store(self) -> DurableStore:
         return self._store
 
-    @property
-    def stripe_count(self) -> int:
-        return len(self._stripes)
-
-    @property
-    def pool(self) -> ShardPool | None:
-        """The shard pool batch mutations dispatch through, if any."""
-        return self._pool
-
-    def _stripe(self, key: Hashable) -> RWLock:
-        return self._stripes[hash(key) % len(self._stripes)]
-
     # ------------------------------------------------------------------
-    # Point reads: structure shared + stripe shared
+    # Point reads
     # ------------------------------------------------------------------
-    # The structure lock is NOT optional here: a point read routes
-    # through the labeler's rank directory and shard layout, and a writer
-    # holding only *another* key's stripe can be mid split/merge — the
-    # stripe alone cannot see that.  Shared-mode holds still overlap
-    # freely, so reads never serialize against each other.
+    # A point read routes through the labeler's rank directory and shard
+    # layout, which a concurrent split or merge rewrites in place, so it
+    # takes the lock like any other call.
     def get(self, key, default=None):
         started = self._clock() if self._obs_enabled else 0.0
-        with self._structure.read():
-            with self._stripe(key).read():
-                value = self._store.get(key, default)
+        with self._lock:
+            value = self._store.get(key, default)
         if self._obs_enabled:
             self._observe_command("get", started)
         return value
 
     def contains(self, key) -> bool:
         started = self._clock() if self._obs_enabled else 0.0
-        with self._structure.read():
-            with self._stripe(key).read():
-                found = key in self._store
+        with self._lock:
+            found = key in self._store
         if self._obs_enabled:
             self._observe_command("contains", started)
         return found
 
     # ------------------------------------------------------------------
-    # Mutations: structure exclusive + key stripe(s) exclusive
+    # Mutations
     # ------------------------------------------------------------------
     def _mutation_stamp(self) -> float:
         """Pre-lock timestamp; 0.0 when nothing will consume it."""
@@ -257,70 +213,60 @@ class StoreService:
     def put(self, key, value) -> None:
         started = self._mutation_stamp()
         with obs.span("service.put"):
-            with self._structure.write():
-                with self._stripe(key).write():
-                    acquired = self._clock() if self._obs_enabled else None
-                    self._mutate(lambda: self._store.put(key, value), started, 1)
-                    if self._obs_enabled:
-                        self._observe_command("put", started, acquired)
+            with self._lock:
+                acquired = self._clock() if self._obs_enabled else None
+                self._mutate(lambda: self._store.put(key, value), started, 1)
+                if self._obs_enabled:
+                    self._observe_command("put", started, acquired)
 
     def delete(self, key) -> None:
         started = self._mutation_stamp()
         with obs.span("service.delete"):
-            with self._structure.write():
-                with self._stripe(key).write():
-                    acquired = self._clock() if self._obs_enabled else None
-                    self._mutate(lambda: self._store.delete(key), started, 1)
-                    if self._obs_enabled:
-                        self._observe_command("delete", started, acquired)
+            with self._lock:
+                acquired = self._clock() if self._obs_enabled else None
+                self._mutate(lambda: self._store.delete(key), started, 1)
+                if self._obs_enabled:
+                    self._observe_command("delete", started, acquired)
 
     def put_many(self, items: Iterable[tuple[Hashable, object]]) -> int:
         materialized = list(items)
         started = self._mutation_stamp()
         with obs.span("service.put_many"):
-            with self._structure.write():
-                with self._all_stripes():
-                    acquired = self._clock() if self._obs_enabled else None
-                    try:
-                        return self._mutate(
-                            lambda: self._store.put_many(materialized),
-                            started,
-                            None,
-                        )
-                    finally:
-                        if self._obs_enabled:
-                            self._observe_command("put_many", started, acquired)
+            with self._lock:
+                acquired = self._clock() if self._obs_enabled else None
+                try:
+                    return self._mutate(
+                        lambda: self._store.put_many(materialized), started, None
+                    )
+                finally:
+                    if self._obs_enabled:
+                        self._observe_command("put_many", started, acquired)
 
     def delete_many(self, keys: Iterable[Hashable]) -> int:
         materialized = list(keys)
         started = self._mutation_stamp()
         with obs.span("service.delete_many"):
-            with self._structure.write():
-                with self._all_stripes():
-                    acquired = self._clock() if self._obs_enabled else None
-                    try:
-                        return self._mutate(
-                            lambda: self._store.delete_many(materialized),
-                            started,
-                            None,
-                        )
-                    finally:
-                        if self._obs_enabled:
-                            self._observe_command(
-                                "delete_many", started, acquired
-                            )
+            with self._lock:
+                acquired = self._clock() if self._obs_enabled else None
+                try:
+                    return self._mutate(
+                        lambda: self._store.delete_many(materialized), started, None
+                    )
+                finally:
+                    if self._obs_enabled:
+                        self._observe_command("delete_many", started, acquired)
 
     def _mutate(self, action, started: float, operations: int | None):
         """Run one mutation, recording moves + latency when tracking is on.
 
-        ``started`` was stamped *before* the locks were taken, so queueing
-        behind readers or other writers counts toward the observed latency
-        — the client-visible number, not just the structure's own work.
+        ``started`` was stamped *before* the lock was taken, so queueing
+        behind other calls counts toward the observed latency — the
+        client-visible number, not just the structure's own work.
         ``operations=None`` weights the event by the mutation's returned
         count (the batch paths).
 
         A batch that applied **zero** operations (``delete_many([])``,
-        ``put_many`` of nothing) still happened and still held the locks
+        ``put_many`` of nothing) still happened and still held the lock
         for a measurable time: it is recorded as a weight-0 event, so the
         event-level latency percentiles see the stall while the
         per-operation views stay untouched — p999 cannot hide a no-op
@@ -339,38 +285,20 @@ class StoreService:
         )
         return result
 
-    class _AllStripes:
-        def __init__(self, stripes: Sequence[RWLock]) -> None:
-            self._stripes = stripes
-
-        def __enter__(self):
-            for stripe in self._stripes:
-                stripe.acquire_write()
-
-        def __exit__(self, *exc):
-            for stripe in reversed(self._stripes):
-                stripe.release_write()
-
-    def _all_stripes(self) -> "_AllStripes":
-        # Batches touch arbitrarily many keys; taking every stripe (in a
-        # fixed order, so no deadlock with other batch writers) keeps the
-        # per-stripe reader guarantee intact.
-        return self._AllStripes(self._stripes)
-
     # ------------------------------------------------------------------
-    # Scans: structure shared lock, held per *page* when paginating
+    # Scans: the lock is held per *page* when paginating
     # ------------------------------------------------------------------
     def range_scan(self, low=None, high=None, *, limit=None, after=None) -> list[tuple]:
         """``(key, value)`` pairs with ``low <= key <= high``, one instant.
 
         Without ``limit`` this is the full snapshot-consistent scan it has
         always been.  With ``limit`` it returns one *page* (``after``
-        resumes strictly past a key), and the structure lock is held only
+        resumes strictly past a key), and the lock is held only
         while that page materializes — the unit of writer exclusion is a
         page, not the whole interval.
         """
         started = self._clock() if self._obs_enabled else 0.0
-        with self._structure.read():
+        with self._lock:
             page = list(self._store.range(low, high, limit=limit, after=after))
         if self._obs_enabled:
             self._observe_command("range_scan", started)
@@ -379,7 +307,7 @@ class StoreService:
     def count_range(self, low, high) -> int:
         """Number of keys in ``[low, high]`` (rank arithmetic, no scan)."""
         started = self._clock() if self._obs_enabled else 0.0
-        with self._structure.read():
+        with self._lock:
             count = self._store.count_range(low, high)
         if self._obs_enabled:
             self._observe_command("count_range", started)
@@ -389,7 +317,7 @@ class StoreService:
         """Yield the interval as pages, releasing the lock between pages.
 
         Each page is individually snapshot-consistent (its read of the
-        structure is serialized against writers), but writers interleave
+        store is serialized against writers), but writers interleave
         *between* pages, so a long scan no longer pins them out for the
         whole store: the cursor key makes the resumption well-defined —
         keys inserted behind the cursor are skipped, keys ahead of it are
@@ -409,14 +337,14 @@ class StoreService:
         """Every item of the store.
 
         With ``page_size=None`` (the default) the whole view materializes
-        under one shared lock hold — a consistent point-in-time snapshot.
+        under one lock hold — a consistent point-in-time snapshot.
         Passing a ``page_size`` materializes it chunk by chunk through
         :meth:`scan_pages` instead: each chunk is consistent and writers
         run between chunks, trading the single-instant guarantee for not
         blocking the write path on huge stores.
         """
         if page_size is None:
-            with self._structure.read():
+            with self._lock:
                 return list(self._store.items())
         items: list[tuple] = []
         for page in self.scan_pages(page_size=page_size):
@@ -424,7 +352,7 @@ class StoreService:
         return items
 
     def size(self) -> int:
-        with self._structure.read():
+        with self._lock:
             return len(self._store)
 
     # ------------------------------------------------------------------
@@ -463,28 +391,28 @@ class StoreService:
         return stats
 
     # ------------------------------------------------------------------
-    # Checkpoints (writers, as far as locking is concerned)
+    # Checkpoints
     # ------------------------------------------------------------------
     def snapshot(self) -> int:
-        with self._structure.write():
+        with self._lock:
             return self._store.snapshot()
 
     def compact(self) -> int:
-        with self._structure.write():
+        with self._lock:
             retain = self._retainer() if self._retainer is not None else None
             return self._store.compact(retain_after=retain)
 
     def verify(self) -> dict:
-        with self._structure.read():
+        with self._lock:
             return self._store.verify()
 
     def shard_statistics(self) -> dict[str, float]:
-        """Point-in-time labeler shard statistics (structure lock shared).
+        """Point-in-time labeler shard statistics.
 
         Empty for labelers that do not expose
         :meth:`~repro.core.sharded.ShardedLabeler.shard_statistics`.
         """
-        with self._structure.read():
+        with self._lock:
             stats = getattr(self._store.labeler, "shard_statistics", None)
             return dict(stats()) if callable(stats) else {}
 
@@ -499,7 +427,7 @@ class StoreService:
     @property
     def durable_horizon(self) -> int:
         """The LSN below which frames exist only in snapshots."""
-        with self._structure.read():
+        with self._lock:
             return self._store.durable_horizon
 
     def ship_frames(
@@ -507,26 +435,25 @@ class StoreService:
     ) -> tuple[list[tuple[int, str]], int, int]:
         """Thread-safe view of the live frame stream for replica feeders.
 
-        Holds the structure lock shared, so shipped frames are always a
-        durable prefix — never a mid-mutation torn read.
+        Holds the lock, so shipped frames are always a durable prefix —
+        never a mid-mutation torn read.
         """
-        with self._structure.read():
+        with self._lock:
             return self._store.ship_frames(after_lsn, offset=offset, epoch=epoch)
 
     def apply_frame_line(self, line: str) -> int:
-        """Apply one shipped frame (replica ingest) under full exclusion."""
-        with self._structure.write():
-            with self._all_stripes():
-                return self._store.apply_frame_line(line)
+        """Apply one shipped frame (replica ingest) under the lock."""
+        with self._lock:
+            return self._store.apply_frame_line(line)
 
     def snapshot_archive(self) -> tuple[int, dict[str, str]]:
         """The newest checkpoint's files, for replica bootstrap.
 
-        Takes the structure lock exclusively: when no checkpoint exists
-        one is written first, and the returned files are read while no
-        writer can prune them from under the reader.
+        Holds the lock: when no checkpoint exists one is written first,
+        and the returned files are read while no writer can prune them
+        from under the reader.
         """
-        with self._structure.write():
+        with self._lock:
             return self._store.snapshot_archive()
 
     def set_compaction_retainer(
@@ -623,12 +550,5 @@ class StoreService:
 
     def close(self) -> None:
         self.stop_compactor()
-        with self._structure.write():
+        with self._lock:
             self._store.close()
-        if self._pool is not None:
-            detach = getattr(self._store.labeler, "set_parallel", None)
-            if detach is not None:
-                detach(None)
-            if self._owns_pool:
-                self._pool.close()
-            self._pool = None

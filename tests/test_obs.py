@@ -135,13 +135,13 @@ class TestExposition:
     def test_render_prometheus_families(self):
         registry = MetricsRegistry()
         registry.counter("wal.frames_appended").inc(3)
-        registry.gauge("pool.queue_depth").set(2)
+        registry.gauge("sharded.shard_count").set(2)
         hist = registry.histogram("h", start=1.0, factor=2.0, count=2)
         hist.observe(1.5)
         text = render_prometheus(registry.snapshot())
         assert "# TYPE repro_wal_frames_appended_total counter" in text
         assert "repro_wal_frames_appended_total 3" in text
-        assert "# TYPE repro_pool_queue_depth gauge" in text
+        assert "# TYPE repro_sharded_shard_count gauge" in text
         assert 'repro_h_bucket{le="2.0"} 1' in text
         assert 'repro_h_bucket{le="+Inf"} 1' in text
         assert "repro_h_count 1" in text
@@ -255,7 +255,7 @@ class TestConcurrency:
             thread.join()
 
     def test_counter_hammer_loses_no_increments(self):
-        registry = MetricsRegistry(stripes=4)
+        registry = MetricsRegistry()
         counter = registry.counter("hammered")
 
         def work() -> None:
@@ -266,7 +266,7 @@ class TestConcurrency:
         assert counter.value == self.THREADS * self.PER_THREAD
 
     def test_histogram_hammer_loses_no_observations(self):
-        registry = MetricsRegistry(stripes=4)
+        registry = MetricsRegistry()
         hist = registry.histogram("hammered", start=1.0, factor=2.0, count=8)
 
         def work() -> None:
@@ -280,7 +280,7 @@ class TestConcurrency:
         assert snapshot["buckets"][-1] == ["+Inf", total]
 
     def test_snapshot_under_write_storm_is_consistent(self):
-        registry = MetricsRegistry(stripes=4)
+        registry = MetricsRegistry()
         counter = registry.counter("storm")
         hist = registry.histogram("storm.h", start=1.0, factor=2.0, count=6)
         stop = threading.Event()
@@ -371,7 +371,7 @@ def live_server(tmp_path):
         sync_policy="never",
         registry=registry,
     )
-    service = StoreService(store, stripes=4, track_latency=True)
+    service = StoreService(store, track_latency=True)
     with ServerThread(service) as server:
         yield server, registry
     service.close()
@@ -490,7 +490,7 @@ class TestStatsCli:
             sync_policy="never",
             registry=MetricsRegistry(),
         )
-        service = StoreService(store, stripes=4)
+        service = StoreService(store)
         with ServerThread(service) as server:
             host, port = server.address
             code = cli.main(

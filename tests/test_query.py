@@ -432,7 +432,7 @@ class TestServicePagination:
             pages = service.scan_pages(0, 10**9, page_size=50)
             first = next(pages)
             assert len(first) == 50
-            # The structure lock is free between pages: this put would
+            # The service lock is free between pages: this put would
             # deadlock against a scan that pinned the lock for the whole
             # interval, and its key (ahead of the cursor) must be seen.
             service.put(1000, "late")

@@ -22,7 +22,6 @@ import pytest
 from repro.algorithms import ClassicalPMA
 from repro.applications.ordered_map import PackedMemoryMap
 from repro.core.exceptions import InvariantViolation
-from repro.core.parallel import ShardPool
 from repro.core.sharded import ShardedLabeler
 from tests.conftest import ALGORITHM_FACTORIES, COMPOSITE_FACTORIES, ReferenceDriver
 
@@ -140,14 +139,6 @@ def test_fence_descent_matches_bisect(name):
     run_schedule(labeler)
     for kind in ("splits", "merges", "borrows", "rewrites"):
         assert getattr(labeler, kind) > 0, kind
-
-
-def test_pooled_batches_keep_fences():
-    with ShardPool(4) as pool:
-        labeler = ShardedLabeler(
-            classical, shard_capacity=SHARD_CAPACITY, parallel=pool
-        )
-        run_schedule(labeler, seed=11)
 
 
 def test_restore_and_bulk_load_rebuild_fences():

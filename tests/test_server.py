@@ -54,7 +54,7 @@ def primary(tmp_path):
         tmp_path / "primary", algorithm="classical", shard_capacity=32,
         sync_policy="never",
     )
-    service = StoreService(store, stripes=8)
+    service = StoreService(store)
     with ServerThread(service) as server:
         yield service, server
     service.close()
@@ -335,8 +335,8 @@ class TestStoreServer:
         assert started == []
 
     def test_read_waits_out_an_exclusive_lock_holder(self, primary):
-        """A GET sent while another thread holds the structure lock
-        exclusively blocks the loop until the release, then answers."""
+        """A GET sent while another thread holds the service lock blocks
+        the loop until the release, then answers."""
         service, server = primary
         service.put("k", "v")
         answers: list = []
@@ -346,18 +346,54 @@ class TestStoreServer:
                 answers.append(client.get("k"))
 
         reader = threading.Thread(target=read)
-        service._structure.acquire_write()
+        service._lock.acquire()
         try:
             reader.start()
             time.sleep(0.2)
             assert answers == []
         finally:
-            service._structure.release_write()
+            service._lock.release()
         reader.join(timeout=10)
         assert not reader.is_alive()
         assert answers == ["v"]
         with StoreClient(*server.address) as client:
             assert client.get("k") == "v"
+
+    def test_in_process_writer_does_not_stall_the_loop(self, primary):
+        """While an in-process thread puts back to back for 1.5 s, every
+        GET and PING round trip stays under 250 ms: each release hands the
+        lock to the waiting loop thread, so a GET waits out a put or two,
+        not the writer's whole run."""
+        service, server = primary
+        service.put(-1, "v")
+        started_writing = threading.Event()
+        done = threading.Event()
+
+        def writer() -> None:
+            deadline = time.monotonic() + 1.5
+            key = 0
+            started_writing.set()
+            while time.monotonic() < deadline:
+                service.put(key, key)
+                key += 1
+            done.set()
+
+        thread = threading.Thread(target=writer)
+        worst = 0.0
+        rounds = 0
+        with StoreClient(*server.address) as client:
+            thread.start()
+            assert started_writing.wait(timeout=10)
+            while not done.is_set():
+                for call in (lambda: client.get(-1), client.ping):
+                    started = time.perf_counter()
+                    call()
+                    worst = max(worst, time.perf_counter() - started)
+                rounds += 1
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert worst < 0.25, f"a round trip took {worst * 1000:.0f} ms"
+        assert rounds >= 10
 
     def test_read_only_server_rejects_mutations(self, tmp_path):
         store = DurableStore(tmp_path / "ro", sync_policy="never")

@@ -62,7 +62,11 @@ def _midpoint(reference: list[Fraction], rank: int) -> Fraction:
 
 
 class ShardedMachine(RuleBasedStateMachine):
-    """Insert/delete/batch/burst rules against a ``ShardedLabeler``."""
+    """Insert/delete/batch/burst rules against a ``ShardedLabeler``.
+
+    Batches are drawn wide (up to 24 ranks), so they regularly span several
+    shards and mix overflowing with plain per-shard sub-batches.
+    """
 
     def __init__(self) -> None:
         super().__init__()
@@ -93,7 +97,7 @@ class ShardedMachine(RuleBasedStateMachine):
     def insert_batch(self, data):
         size = len(self.reference)
         ranks = data.draw(
-            st.lists(st.integers(1, size + 1), min_size=1, max_size=12),
+            st.lists(st.integers(1, size + 1), min_size=1, max_size=24),
             label="batch ranks (pre-batch)",
         )
         ranks.sort()
@@ -112,7 +116,7 @@ class ShardedMachine(RuleBasedStateMachine):
         size = len(self.reference)
         ranks = data.draw(
             st.lists(
-                st.integers(1, size), min_size=1, max_size=min(12, size), unique=True
+                st.integers(1, size), min_size=1, max_size=min(24, size), unique=True
             ),
             label="delete ranks (pre-batch)",
         )
@@ -308,126 +312,6 @@ class ClassicalPackedMemoryMapMachine(PackedMemoryMapMachine):
     shard_factory = staticmethod(lambda capacity: ClassicalPMA(capacity))
 
 
-class ParallelTwinMachine(RuleBasedStateMachine):
-    """Serial and pooled labelers driven in lockstep must stay bit-identical.
-
-    Every rule applies the same drawn batch to a serial ``ShardedLabeler``
-    and to a twin executing per-shard sub-batches on an 8-worker
-    :class:`~repro.core.parallel.ShardPool`, then compares the move
-    triples of the results just produced; the invariant compares labels,
-    per-shard physical layout, and the restructure log after every step.
-    Batches are drawn wide (up to 24 ranks) so they regularly span
-    several shards and actually fan out.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        from repro.core.parallel import ShardPool
-
-        self.pool = ShardPool(8)
-        self.serial = ShardedLabeler(
-            lambda capacity: ClassicalPMA(capacity),
-            shard_capacity=SHARD_CAPACITY,
-        )
-        self.pooled = ShardedLabeler(
-            lambda capacity: ClassicalPMA(capacity),
-            shard_capacity=SHARD_CAPACITY,
-            parallel=self.pool,
-        )
-        self.reference: list[Fraction] = []
-
-    def _compare(self, serial_result, pooled_result):
-        from repro.core.operations import move_triples
-
-        serial_items = getattr(serial_result, "results", [serial_result])
-        pooled_items = getattr(pooled_result, "results", [pooled_result])
-        assert len(serial_items) == len(pooled_items)
-        for left, right in zip(serial_items, pooled_items):
-            assert left.operation.kind == right.operation.kind
-            assert move_triples(left.moves) == move_triples(right.moves)
-
-    @rule(data=st.data())
-    def insert_batch(self, data):
-        size = len(self.reference)
-        ranks = data.draw(
-            st.lists(st.integers(1, size + 1), min_size=1, max_size=24),
-            label="batch ranks (pre-batch)",
-        )
-        ranks.sort()
-        items = []
-        merged = list(self.reference)
-        for offset, rank in enumerate(ranks):
-            key = _midpoint(merged, rank + offset)
-            items.append((rank, key))
-            merged.insert(rank + offset - 1, key)
-        self._compare(
-            self.serial.insert_batch(items), self.pooled.insert_batch(items)
-        )
-        self.reference = merged
-
-    @precondition(lambda self: self.reference)
-    @rule(data=st.data())
-    def delete_batch(self, data):
-        size = len(self.reference)
-        ranks = data.draw(
-            st.lists(
-                st.integers(1, size), min_size=1, max_size=min(24, size), unique=True
-            ),
-            label="delete ranks (pre-batch)",
-        )
-        self._compare(
-            self.serial.delete_batch(ranks), self.pooled.delete_batch(ranks)
-        )
-        for rank in sorted(ranks, reverse=True):
-            self.reference.pop(rank - 1)
-
-    @rule(data=st.data())
-    def insert_one(self, data):
-        rank = data.draw(
-            st.integers(1, len(self.reference) + 1), label="insert rank"
-        )
-        key = _midpoint(self.reference, rank)
-        self._compare(self.serial.insert(rank, key), self.pooled.insert(rank, key))
-        self.reference.insert(rank - 1, key)
-
-    @precondition(lambda self: self.reference)
-    @rule(data=st.data())
-    def pooled_reads_match(self, data):
-        size = len(self.reference)
-        rank = data.draw(st.integers(1, size), label="read rank")
-        span = data.draw(st.integers(1, 40), label="read span")
-        hi = min(size, rank + span - 1)
-        assert (
-            self.pooled.range_ranks(rank, hi) == self.reference[rank - 1 : hi]
-        )
-        windows = [(0, self.pooled.num_slots), (0, 1)]
-        assert self.pooled.count_ranges(windows) == [
-            self.serial.count_range(*window) for window in windows
-        ]
-
-    @rule(data=st.data())
-    def count_below(self, data):
-        key = _search_key(data, self.reference)
-        for strict, model in _SEARCH_MODELS:
-            expected = model(self.reference, key)
-            assert self.serial.count_below(key, strict=strict) == expected
-            assert self.pooled.count_below(key, strict=strict) == expected
-
-    @invariant()
-    def twins_identical(self):
-        self.serial.check_consistency()
-        self.pooled.check_consistency()
-        assert self.pooled.elements() == self.reference
-        assert self.pooled.labels() == self.serial.labels()
-        assert [tuple(shard.slots()) for shard in self.pooled.shards] == [
-            tuple(shard.slots()) for shard in self.serial.shards
-        ]
-        assert self.pooled.restructure_log == self.serial.restructure_log
-
-    def teardown(self):
-        self.pool.close()
-
-
 class VectorTwinMachine(RuleBasedStateMachine):
     """Slab- and vector-backed labelers driven in lockstep stay bit-identical.
 
@@ -563,9 +447,6 @@ TestPackedMemoryMapMachine.settings = _settings
 
 TestClassicalPackedMemoryMapMachine = ClassicalPackedMemoryMapMachine.TestCase
 TestClassicalPackedMemoryMapMachine.settings = _settings
-
-TestParallelTwinMachine = ParallelTwinMachine.TestCase
-TestParallelTwinMachine.settings = _settings
 
 if vector_available():
     TestVectorTwinMachine = VectorTwinMachine.TestCase

@@ -31,8 +31,12 @@ from __future__ import annotations
 import os
 import random
 import shutil
+import signal
+import statistics
+import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -52,7 +56,7 @@ from repro.store.harness import (
     make_ops,
 )
 from repro.store.factories import EXACT_SNAPSHOT_ALGORITHMS
-from repro.store.service import StoreService
+from repro.store.service import FifoLock, StoreService
 from repro.store.snapshot import list_snapshots
 from repro.store.store import WAL_FILENAME, DurableStore, StoreError
 from repro.store.wal import WALError, WriteAheadLog
@@ -716,7 +720,7 @@ class TestStoreService:
             tmp_path / "svc", algorithm="classical", shard_capacity=64,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=8)
+        service = StoreService(store)
         service.start_compactor(wal_frame_threshold=150, poll_seconds=0.002)
         errors: list[BaseException] = []
         stop_readers = threading.Event()
@@ -800,20 +804,19 @@ class TestStoreService:
         reopened.close()
 
     def test_point_reads_race_restructures(self, tmp_path):
-        """Regression: ``get``/``contains`` must hold the structure lock.
+        """Regression: ``get``/``contains`` must hold the service lock.
 
-        A stripe-only point read can overlap a singleton writer that holds
-        the structure lock plus a *different* key's stripe — and that
-        writer can be mid shard split/merge, leaving the rank directory
-        and shard list transiently inconsistent.  Pre-fix, readers here
-        observed missing keys and wrong values; post-fix every read of a
-        stable key must return its exact value.
+        A point read that skipped the lock could overlap a singleton
+        writer mid shard split/merge, with the rank directory and shard
+        list transiently inconsistent; readers then observed missing keys
+        and wrong values.  Every read of a stable key must return its
+        exact value.
         """
         store = DurableStore(
             tmp_path / "race", algorithm="classical", shard_capacity=16,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=4)
+        service = StoreService(store)
         stable = list(range(0, 3000, 2))  # even keys: never touched again
         service.put_many([(key, key * 3) for key in stable])
         barrier = threading.Barrier(4, timeout=30)
@@ -821,9 +824,8 @@ class TestStoreService:
         stop = threading.Event()
 
         def writer() -> None:
-            # Singleton puts/deletes hold one stripe each, so they overlap
-            # stripe-only readers; churning the odd keys forces a steady
-            # stream of splits and merges through the even keys' shards.
+            # Churning the odd keys forces a steady stream of splits and
+            # merges through the even keys' shards.
             try:
                 barrier.wait()
                 rng = random.Random(99)
@@ -866,22 +868,21 @@ class TestStoreService:
         service.close()
 
     def test_point_reads_serialize_against_structure_writers(self, tmp_path):
-        """Regression: a point read must park behind the structure lock.
+        """Regression: a point read must park behind the lock's holder.
 
-        Pre-fix, ``get``/``contains`` took only their key's stripe, so
-        they completed while a restructuring writer held the structure
-        lock exclusively — reading mid-split state.  Post-fix they queue
-        behind the writer and complete only after it releases.
+        A ``get``/``contains`` that completed while a restructuring writer
+        held the lock would read mid-split state; they must queue behind
+        the writer and complete only after it releases.
         """
         store = DurableStore(tmp_path / "order", sync_policy="never")
-        service = StoreService(store, stripes=4)
+        service = StoreService(store)
         service.put(1, "one")
         writer_in = threading.Event()
         release_writer = threading.Event()
         order: list[str] = []
 
         def structure_writer() -> None:
-            with service._structure.write():
+            with service._lock:
                 writer_in.set()
                 release_writer.wait(timeout=30)
                 order.append("writer released")
@@ -898,9 +899,9 @@ class TestStoreService:
         reader.start()
         reader.join(timeout=0.5)
         try:
-            # The writer still holds the structure lock: the read must
-            # not have completed (stripe-only reads slipped through here).
-            assert reader.is_alive(), "point read bypassed the structure lock"
+            # The writer still holds the lock: the read must not have
+            # completed.
+            assert reader.is_alive(), "point read bypassed the lock"
         finally:
             release_writer.set()
             writer.join(timeout=30)
@@ -908,15 +909,13 @@ class TestStoreService:
         assert order == ["writer released", "reader returned"]
         service.close()
 
-    def test_parallel_batch_writers_with_paged_readers(self, tmp_path):
-        """Batch writers on the pooled path vs concurrent ``scan_pages``."""
+    def test_batch_writers_with_paged_readers(self, tmp_path):
+        """Batch writers spanning many shards vs concurrent ``scan_pages``."""
         store = DurableStore(
             tmp_path / "par", algorithm="classical", shard_capacity=16,
             sync_policy="never",
         )
-        service = StoreService(store, stripes=8, max_workers=8)
-        assert service.pool is not None
-        assert store.labeler.pool is service.pool
+        service = StoreService(store)
         errors: list[BaseException] = []
         stop = threading.Event()
         expected: dict = {}
@@ -976,12 +975,42 @@ class TestStoreService:
         assert dict(service.snapshot_items()) == expected
         service.verify()
         service.close()
-        assert store.labeler.pool is None  # close() detached the pool
 
         reopened = DurableStore(tmp_path / "par", sync_policy="never")
         assert dict(reopened.items()) == expected
         reopened.verify()
         reopened.close()
+
+    def test_batch_calls_do_not_scale_with_the_shard_count(self, tmp_path):
+        """Regression: a one-item ``put_many`` costs about one ``put``.
+
+        The service once built a lock stripe per shard of the store it
+        wrapped and took every stripe for each batch, so over a reopened
+        store of 1,000+ shards a one-item ``put_many`` cost 25-35 puts.
+        """
+        path = tmp_path / "wide"
+        store = DurableStore(
+            path, algorithm="classical", shard_capacity=16, sync_policy="never"
+        )
+        store.put_many([(key, key) for key in range(0, 32_000, 4)])
+        store.close()
+        service = StoreService(DurableStore(path, sync_policy="never"))
+        assert service.store.labeler.shard_count >= 1000
+        put_seconds: list[float] = []
+        batch_seconds: list[float] = []
+        for step in range(100):
+            key = 320 * step
+            started = time.perf_counter()
+            service.put(key + 1, "put")
+            put_seconds.append(time.perf_counter() - started)
+            started = time.perf_counter()
+            service.put_many([(key + 2, "batch")])
+            batch_seconds.append(time.perf_counter() - started)
+            assert service.get(key + 1) == "put"
+        ratio = statistics.median(batch_seconds) / statistics.median(put_seconds)
+        assert ratio < 5, f"one-item put_many costs {ratio:.1f} puts"
+        service.verify()
+        service.close()
 
     def test_latency_tracking_off_by_default(self, tmp_path):
         store = DurableStore(tmp_path / "svc", sync_policy="never")
@@ -1239,8 +1268,8 @@ class TestCompactorResilience:
         )
         # Each poisoned iteration still compacts (resetting the frame
         # counter), so keep the WAL growing until an iteration's hook
-        # finally succeeds.  Yield between puts — a hot write loop can
-        # starve the compactor of the structure lock indefinitely.
+        # finally succeeds.  Yield between puts so the compactor thread
+        # gets to run.
         import time as _time
 
         start = _time.monotonic()
@@ -1359,71 +1388,143 @@ class TestZeroAppliedBatchLatency:
 
 
 # ---------------------------------------------------------------------------
-# RWLock fences: writer preference, no lost wakeups (satellite 4)
+# FifoLock fences: arrival order, hand-off, no lost wakeups, exclusivity
 # ---------------------------------------------------------------------------
-class TestRWLockDirect:
-    def test_waiting_writer_blocks_new_readers(self):
-        from repro.store.service import RWLock
+def _wait_for_waiters(lock: FifoLock, count: int) -> None:
+    deadline = 200
+    while len(lock._waiters) < count and deadline > 0:
+        threading.Event().wait(0.005)
+        deadline -= 1
+    assert len(lock._waiters) == count
 
-        lock = RWLock()
-        lock.acquire_read()                   # an in-flight reader
 
-        writer_has_lock = threading.Event()
-        writer_released = threading.Event()
+class TestFifoLockDirect:
+    """Helper threads are daemons: a lock that strands a waiter fails its
+    test instead of wedging the whole run."""
 
-        def writer() -> None:
-            lock.acquire_write()
-            writer_has_lock.set()
-            writer_released.wait(timeout=30)
-            lock.release_write()
+    def test_lock_is_granted_in_arrival_order(self):
+        lock = FifoLock()
+        lock.acquire()                        # an in-flight holder
 
-        writer_thread = threading.Thread(target=writer)
-        writer_thread.start()
-        # Give the writer time to register as waiting.
-        deadline = 200
-        while lock._writers_waiting == 0 and deadline > 0:
-            threading.Event().wait(0.005)
-            deadline -= 1
-        assert lock._writers_waiting == 1
+        queued_has_lock = threading.Event()
+        queued_released = threading.Event()
 
-        late_reader_acquired = threading.Event()
+        def queued() -> None:
+            lock.acquire()
+            queued_has_lock.set()
+            queued_released.wait(timeout=30)
+            lock.release()
 
-        def late_reader() -> None:
-            lock.acquire_read()
-            late_reader_acquired.set()
-            lock.release_read()
+        queued_thread = threading.Thread(target=queued, daemon=True)
+        queued_thread.start()
+        _wait_for_waiters(lock, 1)
 
-        reader_thread = threading.Thread(target=late_reader)
-        reader_thread.start()
-        # Writer preference: the late reader must NOT get in while a
-        # writer is waiting, even though a reader currently holds the lock.
-        assert not late_reader_acquired.wait(timeout=0.2)
+        late_acquired = threading.Event()
 
-        lock.release_read()                   # writer's turn now
-        assert writer_has_lock.wait(timeout=30)
-        assert not late_reader_acquired.is_set()
-        writer_released.set()                 # then the late reader
-        assert late_reader_acquired.wait(timeout=30)
-        writer_thread.join(timeout=30)
-        reader_thread.join(timeout=30)
+        def late_arrival() -> None:
+            lock.acquire()
+            late_acquired.set()
+            lock.release()
 
-    def test_no_lost_wakeups_under_reader_churn(self):
-        """Writers keep making progress while readers churn: every writer
-        acquisition completes — no writer is ever stranded waiting on a
-        wakeup that never comes."""
-        from repro.store.service import RWLock
+        late_thread = threading.Thread(target=late_arrival, daemon=True)
+        late_thread.start()
+        _wait_for_waiters(lock, 2)
+        assert not late_acquired.wait(timeout=0.2)
 
-        lock = RWLock()
+        lock.release()                        # the queued thread's turn
+        assert queued_has_lock.wait(timeout=30)
+        # Arrival order: the later arrival must NOT get in ahead of the
+        # thread that queued before it.
+        assert not late_acquired.is_set()
+        queued_released.set()                 # then the later arrival
+        assert late_acquired.wait(timeout=30)
+        queued_thread.join(timeout=30)
+        late_thread.join(timeout=30)
+        assert not queued_thread.is_alive() and not late_thread.is_alive()
+
+    def test_release_hands_the_lock_to_the_longest_waiter(self):
+        """A holder that releases and re-acquires back to back queues
+        behind the thread already waiting instead of winning it back."""
+        lock = FifoLock()
+        lock.acquire()
+        order: list[str] = []
+
+        def waiter() -> None:
+            lock.acquire()
+            order.append("waiter")
+            lock.release()
+
+        thread = threading.Thread(target=waiter, daemon=True)
+        thread.start()
+        _wait_for_waiters(lock, 1)
+        lock.release()
+        lock.acquire()
+        order.append("holder")
+        lock.release()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert order == ["waiter", "holder"]
+
+    def test_an_interrupted_waiter_leaves_the_queue(self):
+        """A signal that interrupts a blocked ``acquire`` takes the waiter
+        out of the queue, so the next release frees the lock instead of
+        handing it to a thread that is gone."""
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        lock = FifoLock()
+        holder_in = threading.Event()
+        release_holder = threading.Event()
+
+        def holder() -> None:
+            with lock:
+                holder_in.set()
+                release_holder.wait(timeout=30)
+
+        thread = threading.Thread(target=holder, daemon=True)
+        thread.start()
+        assert holder_in.wait(timeout=30)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.1)
+            with pytest.raises(Interrupted):
+                lock.acquire()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert not lock._waiters
+        release_holder.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert not lock._held
+        with lock:
+            pass
+
+    def test_no_lost_wakeups_under_churn(self):
+        """Writers keep making progress while readers churn: every
+        acquisition completes — no thread is ever stranded waiting on a
+        hand-off that never comes — and no two threads hold the lock.
+        A short switch interval makes a lost update likely if they did."""
+        lock = FifoLock()
         stop = threading.Event()
         errors: list[BaseException] = []
         writer_rounds = 60
         writers_done = []
+        holders = [0]
 
         def reader() -> None:
             try:
                 while not stop.is_set():
-                    lock.acquire_read()
-                    lock.release_read()
+                    with lock:
+                        holders[0] += 1
+                        time.sleep(0)         # let any other holder in
+                        inside = holders[0]
+                        holders[0] -= 1
+                    assert inside == 1        # exclusive
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
@@ -1432,26 +1533,38 @@ class TestRWLockDirect:
         def writer() -> None:
             try:
                 for _ in range(writer_rounds):
-                    lock.acquire_write()
+                    lock.acquire()
                     value = shared[0]
+                    time.sleep(0)
                     shared[0] = value + 1     # exclusive: no torn updates
-                    lock.release_write()
+                    lock.release()
                 writers_done.append(True)
             except BaseException as error:  # noqa: BLE001 - surfaced below
                 errors.append(error)
 
-        reader_threads = [threading.Thread(target=reader) for _ in range(6)]
-        writer_threads = [threading.Thread(target=writer) for _ in range(3)]
-        for thread in reader_threads + writer_threads:
-            thread.start()
-        for thread in writer_threads:
-            thread.join(timeout=60)
-        stop.set()
-        for thread in reader_threads:
-            thread.join(timeout=60)
+        reader_threads = [
+            threading.Thread(target=reader, daemon=True) for _ in range(6)
+        ]
+        writer_threads = [
+            threading.Thread(target=writer, daemon=True) for _ in range(3)
+        ]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in reader_threads + writer_threads:
+                thread.start()
+            for thread in writer_threads:
+                thread.join(timeout=60)
+            stop.set()
+            for thread in reader_threads:
+                thread.join(timeout=60)
+        finally:
+            stop.set()
+            sys.setswitchinterval(previous)
         assert not errors, errors[0]
         assert len(writers_done) == 3         # nobody stranded
         assert shared[0] == 3 * writer_rounds  # exclusivity held
+        assert not lock._held and not lock._waiters
 
 
 # ---------------------------------------------------------------------------
