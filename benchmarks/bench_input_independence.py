@@ -7,6 +7,7 @@ from repro.algorithms import NaiveLabeler, RandomizedPMA
 from repro.analysis import run_workload
 from repro.core import Embedding
 from repro.workloads import RandomWorkload
+from tests.conftest import record_shell_input
 
 
 def test_shell_input_identical_across_reliable_seeds(run_once):
@@ -25,8 +26,9 @@ def test_shell_input_identical_across_reliable_seeds(run_once):
                 reliable_factory=lambda cap, slots: RandomizedPMA(cap, slots, seed=seed),
                 reliable_expected_cost=12,
             )
+            trace = record_shell_input(embedding)
             run = run_workload(embedding, RandomWorkload(n, n, delete_fraction=0.2, seed=77))
-            traces[seed] = tuple(embedding.shell_input_trace)
+            traces[seed] = tuple(trace)
             costs[seed] = run.amortized_cost
         return traces, costs
 

@@ -1,33 +1,29 @@
-"""Wire-speed experiment: every physical-array backend vs the seed reference.
+"""Wire-speed experiment: the slab physical array vs the seed reference.
 
 Replays identical recorded physical traces (insert-heavy embedding traffic
 and sparse chain moves — see :mod:`repro.perf.scenarios`) on the
-slab-backed :class:`repro.core.physical.PhysicalArray`, the seed's
-:class:`repro.core.physical_reference.ReferencePhysicalArray`, and — when
-numpy is importable — the bitboard
-:class:`repro.core.physical_vector.VectorPhysicalArray`, then checks the
-claims the committed ``BENCH_core.json`` baseline records:
+slab-backed :class:`repro.core.physical.PhysicalArray` and the seed's
+:class:`repro.core.physical_reference.ReferencePhysicalArray`, then checks
+the claims the committed ``BENCH_core.json`` baseline records:
 
-* move logs are bit-identical across every backend (a hard assertion at
-  every size), and
-* the rewrites win on wall-clock — slab ≥ 1.5× over the reference on the
-  insert-heavy scenario at real size, vector ≥ 2× over slab on the same
-  trace, and the select-walk by a wide margin on sparse chain moves
-  (shape claims, demoted to notes in quick mode where constant factors
-  dominate).
+* move logs are bit-identical across the two (a hard assertion at every
+  size), and
+* the slab rewrite wins on wall-clock — ≥ 1.5× over the reference on the
+  insert-heavy scenario at real size, and the select-walk ≥ 2× on sparse
+  chain moves (shape claims, demoted to notes in quick mode where constant
+  factors dominate).
 """
 
 from __future__ import annotations
 
 from benchmarks.conftest import emit, expect, scaled
 
-from repro.core.physical_backends import vector_available
 from repro.perf.scenarios import run_chain_sparse, run_insert_heavy
 
 
 def backend_rows(scenario, n, metrics):
     """One table row per backend present in a scenario's metrics."""
-    rows = [
+    return [
         {
             "scenario": scenario,
             "backend": "reference",
@@ -43,17 +39,6 @@ def backend_rows(scenario, n, metrics):
             "speedup_vs_ref": metrics["speedup"],
         },
     ]
-    if "vector_elapsed_seconds" in metrics:
-        rows.append(
-            {
-                "scenario": scenario,
-                "backend": "vector",
-                "n": n,
-                "elapsed_s": metrics["vector_elapsed_seconds"],
-                "speedup_vs_ref": metrics["vector_speedup"],
-            }
-        )
-    return rows
 
 
 def test_wire_speed_insert_heavy(run_once):
@@ -71,16 +56,6 @@ def test_wire_speed_insert_heavy(run_once):
         f"slab speedup {metrics['speedup']:.2f}x < 1.5x on insert-heavy "
         f"(n={n})",
     )
-    if vector_available():
-        assert metrics["vector_matches_slab"], (
-            "vector and slab move logs diverged"
-        )
-        assert metrics["vector_moves"] == metrics["moves"]
-        expect(
-            metrics["vector_vs_slab_speedup"] >= 2.0,
-            f"vector speedup {metrics['vector_vs_slab_speedup']:.2f}x < 2x "
-            f"over slab on insert-heavy (n={n})",
-        )
 
 
 def test_wire_speed_chain_sparse(run_once):
@@ -92,10 +67,6 @@ def test_wire_speed_chain_sparse(run_once):
         backend_rows("chain_sparse", n, metrics),
     )
     assert metrics["moves_match"], "slab and reference move logs diverged"
-    if vector_available():
-        assert metrics["vector_matches_slab"], (
-            "vector and slab move logs diverged"
-        )
     expect(
         metrics["speedup"] >= 2.0,
         f"select-walk speedup {metrics['speedup']:.2f}x < 2x on the sparse "

@@ -42,7 +42,6 @@ def make_sharded_labeler(
     shard_factory: ShardFactory | None = None,
     *,
     shard_capacity: int = 64,
-    physical_backend: str | None = None,
     **kwargs,
 ) -> ShardedLabeler:
     """An unbounded labeler over shards of any registered algorithm.
@@ -50,37 +49,9 @@ def make_sharded_labeler(
     Defaults to :class:`ClassicalPMA` shards — the production profile: each
     shard pays the classical ``O(log² n)`` amortized cost at ``n`` capped by
     ``shard_capacity``, and the directory keeps every operation local.
-
-    ``physical_backend`` selects the physical-array implementation for
-    shard factories that build embeddings (they must accept a
-    ``physical_backend`` keyword, e.g. a :func:`make_corollary11_labeler`
-    wrapper); passing it with a backend-less shard algorithm is a loud
-    error rather than a silently ignored knob.
     """
     if shard_factory is None:
         shard_factory = ClassicalPMA
-    if physical_backend is not None:
-        import inspect
-
-        try:
-            parameters = inspect.signature(shard_factory).parameters
-        except (TypeError, ValueError):
-            parameters = {}
-        accepts = "physical_backend" in parameters or any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in parameters.values()
-        )
-        if not accepts:
-            raise ValueError(
-                f"shard factory {shard_factory!r} does not take a "
-                "physical_backend keyword (only embedding-based shards "
-                "have a physical-array layer)"
-            )
-        inner = shard_factory
-
-        def shard_factory(capacity):
-            return inner(capacity, physical_backend=physical_backend)
-
     return ShardedLabeler(shard_factory, shard_capacity=shard_capacity, **kwargs)
 
 

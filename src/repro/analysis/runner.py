@@ -106,11 +106,6 @@ class RunResult:
         data["elapsed_seconds"] = self.elapsed_seconds
         data["ops_per_second"] = self.ops_per_second
         data["batch_size"] = float(self.batch_size)
-        backend = getattr(self.labeler, "physical_backend", None)
-        if backend is not None:
-            # The one non-numeric entry: which physical-array backend the
-            # structure ran on (embedding-based labelers only).
-            data["physical_backend"] = backend
         shard_statistics = getattr(self.labeler, "shard_statistics", None)
         if callable(shard_statistics):
             # Event counters (splits/merges/moves) must be run-scoped: the

@@ -39,7 +39,9 @@ LabelerFactory = Callable[[int, int], ListLabeler]
 
 #: Type of the factory building the shared physical array from its slot
 #: count.  The default is :class:`repro.core.physical.PhysicalArray`; the
-#: perf/differential harnesses inject tracing or reference implementations.
+#: tracer and the tests inject :class:`~repro.perf.trace.TracingPhysicalArray`
+#: or the :class:`~repro.core.physical_reference.ReferencePhysicalArray`
+#: oracle.
 PhysicalFactory = Callable[[int], PhysicalArray]
 
 
@@ -62,21 +64,10 @@ class Embedding(ListLabeler):
         num_slots: int | None = None,
         reliable_expected_cost: int | None = None,
         rebuild_work_factor: float = 1.0,
-        physical_factory: PhysicalFactory | None = None,
-        physical_backend: str | None = None,
+        physical_factory: PhysicalFactory = PhysicalArray,
     ) -> None:
         if epsilon <= 0:
             raise ValueError("epsilon must be positive")
-        if physical_factory is None:
-            # Deferred import: physical_backends imports the optional vector
-            # module, which this core module must not force at import time.
-            from repro.core.physical_backends import resolve_physical_factory
-
-            physical_factory = resolve_physical_factory(physical_backend)
-        elif physical_backend is not None:
-            raise ValueError(
-                "pass physical_factory or physical_backend, not both"
-            )
         if num_slots is None:
             f_slots = max(capacity + 1, int(math.ceil((1.0 + epsilon) * capacity)))
             buffer_slots = max(2, int(math.ceil(epsilon * capacity)))
@@ -133,9 +124,6 @@ class Embedding(ListLabeler):
         self.fast_operations = 0
         self.slow_operations = 0
         self.max_buffered_elements = 0
-        #: The operation sequence handed to the R-shell, recorded as
-        #: ``(kind, token_rank)`` pairs — used by the Lemma 4 experiments.
-        self.shell_input_trace: list[tuple[str, int]] = []
 
     # ------------------------------------------------------------------
     # Component access (read-only; useful for experiments and figures)
@@ -143,13 +131,6 @@ class Embedding(ListLabeler):
     @property
     def physical(self) -> PhysicalArray:
         return self._physical
-
-    @property
-    def physical_backend(self) -> str:
-        """Registry name of the physical-array backend in use."""
-        from repro.core.physical_backends import backend_name_of
-
-        return backend_name_of(self._physical)
 
     @property
     def emulator(self) -> FEmulator:
@@ -259,6 +240,9 @@ class Embedding(ListLabeler):
             self._emulator.note_operation()
         finally:
             self._physical.move_sink = None
+        # Deadweight counts are kept for live elements only, so the map stays
+        # sized by the key count under steady churn.
+        self._physical.deadweight_by_element.pop(element, None)
         return result
 
     # ------------------------------------------------------------------
@@ -283,15 +267,12 @@ class Embedding(ListLabeler):
 
         dummy_position = physical.nearest_dummy_buffer(anchor_position)
         assert dummy_position is not None
-        dummy_rank = physical.token_rank(dummy_position)
-        self.shell_input_trace.append(("delete", dummy_rank))
-        self._shell.delete_token(dummy_rank)
+        self._shell.delete_token(physical.token_rank(dummy_position))
 
         if predecessor is not None:
             insert_rank = physical.token_rank(physical.position_of(predecessor)) + 1
         else:
             insert_rank = 1
-        self.shell_input_trace.append(("insert", insert_rank))
         new_position = self._shell.insert_token(insert_rank)
         physical.put_element(new_position, element)
 

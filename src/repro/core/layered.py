@@ -26,7 +26,8 @@ from repro.algorithms.deamortized import DeamortizedPMA
 from repro.algorithms.learned import LearnedLabeler
 from repro.algorithms.predictions import RankPredictor
 from repro.algorithms.randomized import RandomizedPMA
-from repro.core.embedding import Embedding, LabelerFactory
+from repro.core.embedding import Embedding, LabelerFactory, PhysicalFactory
+from repro.core.physical import PhysicalArray
 
 
 def embedding_factory(
@@ -35,16 +36,15 @@ def embedding_factory(
     *,
     reliable_expected_cost: int | None = None,
     rebuild_work_factor: float = 1.0,
-    physical_backend: str | None = None,
+    physical_factory: PhysicalFactory = PhysicalArray,
 ) -> LabelerFactory:
     """A factory producing ``F ⊳ R`` instances sized by the caller.
 
     The returned callable has the ``(capacity, num_slots)`` signature every
     component factory uses, so the embedding it builds can in turn serve as
     the reliable algorithm of an outer embedding (the double application of
-    Theorem 2 that proves Theorem 3).  ``physical_backend`` selects the
-    physical-array implementation of every embedding built (see
-    :mod:`repro.core.physical_backends`).
+    Theorem 2 that proves Theorem 3).  ``physical_factory`` builds the
+    physical array of every embedding built.
     """
 
     def build(capacity: int, num_slots: int) -> Embedding:
@@ -55,7 +55,7 @@ def embedding_factory(
             num_slots=num_slots,
             reliable_expected_cost=reliable_expected_cost,
             rebuild_work_factor=rebuild_work_factor,
-            physical_backend=physical_backend,
+            physical_factory=physical_factory,
         )
 
     return build
@@ -67,7 +67,8 @@ class LayeredLabeler(Embedding):
     ``X`` should carry an input-adaptive amortized guarantee, ``Y`` an
     expected-cost guarantee on any input, and ``Z`` a worst-case guarantee;
     the layered structure then enjoys all three (Theorem 3), which experiment
-    E-TRIPLE verifies empirically.
+    E-TRIPLE verifies empirically.  ``physical_factory`` builds both the
+    outer and the inner embedding's physical arrays.
     """
 
     def __init__(
@@ -81,7 +82,7 @@ class LayeredLabeler(Embedding):
         expected_cost_bound: int | None = None,
         worst_case_cost_bound: int | None = None,
         rebuild_work_factor: float = 1.0,
-        physical_backend: str | None = None,
+        physical_factory: PhysicalFactory = PhysicalArray,
     ) -> None:
         if expected_cost_bound is None:
             # Y's guarantee: the O(log^{3/2} n) bound of [8].
@@ -96,7 +97,7 @@ class LayeredLabeler(Embedding):
             worst_case_factory,
             reliable_expected_cost=worst_case_cost_bound,
             rebuild_work_factor=rebuild_work_factor,
-            physical_backend=physical_backend,
+            physical_factory=physical_factory,
         )
         super().__init__(
             capacity,
@@ -105,7 +106,7 @@ class LayeredLabeler(Embedding):
             epsilon=epsilon,
             reliable_expected_cost=expected_cost_bound,
             rebuild_work_factor=rebuild_work_factor,
-            physical_backend=physical_backend,
+            physical_factory=physical_factory,
         )
 
     @property
@@ -144,7 +145,7 @@ def make_corollary11_labeler(
     seed: int | None = None,
     epsilon: float = 0.4,
     rebuild_work_factor: float = 1.0,
-    physical_backend: str | None = None,
+    physical_factory: PhysicalFactory = PhysicalArray,
 ) -> LayeredLabeler:
     """The Corollary 11 structure: adaptive ⊳ (randomized ⊳ deamortized).
 
@@ -162,7 +163,7 @@ def make_corollary11_labeler(
         worst_case_factory=lambda cap, slots: DeamortizedPMA(cap, slots),
         epsilon=epsilon,
         rebuild_work_factor=rebuild_work_factor,
-        physical_backend=physical_backend,
+        physical_factory=physical_factory,
     )
 
 
@@ -173,7 +174,6 @@ def make_corollary12_labeler(
     seed: int | None = None,
     epsilon: float = 0.4,
     rebuild_work_factor: float = 1.0,
-    physical_backend: str | None = None,
 ) -> LayeredLabeler:
     """The Corollary 12 structure: learned ⊳ (randomized ⊳ deamortized).
 
@@ -191,5 +191,4 @@ def make_corollary12_labeler(
         worst_case_factory=lambda cap, slots: DeamortizedPMA(cap, slots),
         epsilon=epsilon,
         rebuild_work_factor=rebuild_work_factor,
-        physical_backend=physical_backend,
     )

@@ -119,9 +119,6 @@ class PhysicalArray:
             self._obs_chain_moves = reg.counter("physical.chain_moves")
             self._obs_shell_moves = reg.counter("physical.shell_moves")
             self._obs_relabel_flips = reg.counter("physical.relabel_flips")
-            # Index into PHYSICAL_BACKENDS: 0=reference, 1=slab, 2=vector
-            # (the reference backend stays seed-pure and never reports).
-            reg.gauge("physical.backend").set(1.0)
 
     # ------------------------------------------------------------------
     # Interning
@@ -193,10 +190,6 @@ class PhysicalArray:
     def position_of_rank(self, rank: int) -> int:
         """Physical position of the ``rank``-th (1-based) stored element."""
         return self._fen.select(_LANE_REAL, rank)
-
-    def elements_at_ranks(self, ranks: Iterable[int]) -> list[Hashable]:
-        """Batched :meth:`element_at_rank` — one answer per requested rank."""
-        return [self.element_at_rank(rank) for rank in ranks]
 
     def iter_elements_from(self, rank: int) -> Iterator[Hashable]:
         """Lazily yield the stored elements of ranks ``rank, rank+1, …``.

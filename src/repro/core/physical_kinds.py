@@ -1,20 +1,19 @@
-"""Slot-kind constants and the packed-state encoding, shared by every
-physical-array backend.
+"""Slot-kind constants and the packed-state encoding, shared by both
+physical-array implementations.
 
-Three implementations of the embedding's shared array ``A`` coexist —
-:class:`repro.core.physical_reference.ReferencePhysicalArray` (the seed
-oracle), :class:`repro.core.physical.PhysicalArray` (the slab rewrite) and
-:class:`repro.core.physical_vector.VectorPhysicalArray` (the numpy backend).
-They are verified move-for-move against each other by the differential
-suite, which only works if all three agree on the *encoding* of slot state:
-the kind values of Figure 1 and the four index lanes (F-slot / non-empty /
-element-present / dummy-buffer) that every backend maintains, whether as
-Fenwick trees, packed Fenwick lanes or numpy bitmask slabs.
+Two implementations of the embedding's shared array ``A`` coexist —
+:class:`repro.core.physical.PhysicalArray` (the slab array every embedding
+builds) and :class:`repro.core.physical_reference.ReferencePhysicalArray`
+(the seed oracle).  The differential suite verifies them move-for-move
+against each other, which only works if both agree on the *encoding* of slot
+state: the kind values of Figure 1 and the four index lanes (F-slot /
+non-empty / element-present / dummy-buffer) that each maintains, as packed
+Fenwick lanes or as independent Fenwick trees.
 
-This module is dependency-free on purpose: the reference backend must not
-import the fast modules (they re-export it, and a two-way import would be
-order-dependent), and the fast modules must not re-derive the encoding
-independently and drift.
+This module is dependency-free on purpose: the reference array must not
+import the slab module (it re-exports the reference, and a two-way import
+would be order-dependent), and the slab array must not re-derive the
+encoding independently and drift.
 """
 
 from __future__ import annotations

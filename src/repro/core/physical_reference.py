@@ -11,7 +11,7 @@ copy survives so that
 * the differential suite can replay recorded workload traces on both
   implementations and assert *move-log equality* (element, source,
   destination — not just final state), and
-* the ``repro.perf`` benchmarks can quantify the slab backend's speedup
+* the ``repro.perf`` benchmarks can quantify the slab array's speedup
   against the seed behaviour on identical operation sequences.
 
 The algorithms in this module are intentionally kept byte-for-byte equivalent
@@ -94,10 +94,6 @@ class ReferencePhysicalArray:
     def position_of_rank(self, rank: int) -> int:
         """Physical position of the ``rank``-th (1-based) stored element."""
         return self._fen_real.select(rank)
-
-    def elements_at_ranks(self, ranks: Iterable[int]) -> list[Hashable]:
-        """Batched :meth:`element_at_rank` — one answer per requested rank."""
-        return [self.element_at_rank(rank) for rank in ranks]
 
     def iter_elements_from(self, rank: int):
         """Lazily yield the stored elements of ranks ``rank, rank+1, …``.
@@ -353,7 +349,7 @@ class ReferencePhysicalArray:
         """Non-``R_EMPTY`` positions in ``[lo, hi]`` in increasing order.
 
         This is the seed's ``O(hi - lo)`` linear scan — the behaviour the
-        slab backend's Fenwick select-walk is differentially tested and
+        slab array's Fenwick select-walk is differentially tested and
         benchmarked against.
         """
         return [

@@ -183,20 +183,10 @@ class ShardedLabeler(ListLabeler):
     def shard_sizes(self) -> list[int]:
         return [len(shard) for shard in self._shards]
 
-    @property
-    def physical_backend(self) -> str | None:
-        """Backend name of the shards' physical arrays (``None`` when the
-        shard algorithm has no physical-array layer, e.g. a plain PMA)."""
-        for shard in self._shards:
-            backend = getattr(shard, "physical_backend", None)
-            if backend is not None:
-                return backend
-        return None
-
     def shard_statistics(self) -> dict[str, float]:
         """Aggregate per-shard statistics for reports and the runner."""
         sizes = self.shard_sizes()
-        stats = {
+        return {
             "shards": float(len(sizes)),
             "splits": float(self.splits),
             "merges": float(self.merges),
@@ -206,12 +196,6 @@ class ShardedLabeler(ListLabeler):
             "max_shard_size": float(max(sizes, default=0)),
             "min_shard_size": float(min(sizes, default=0)),
         }
-        backend = self.physical_backend
-        if backend is not None:
-            # The one non-numeric entry: which physical-array backend the
-            # shards run on (reports, STATS over the wire).
-            stats["physical_backend"] = backend
-        return stats
 
     def set_registry(self, registry) -> None:
         """Bind observability instruments to ``registry``.

@@ -98,7 +98,7 @@ TRAJECTORY_LIMIT = 200
 #: Metrics measured in element moves — the paper's cost model, and the only
 #: numbers the comparator treats as hard regressions.
 MOVE_METRICS = frozenset(
-    {"moves", "reference_moves", "vector_moves", "total_moves", "restructure_moves"}
+    {"moves", "reference_moves", "total_moves", "restructure_moves"}
 )
 
 #: Machine-dependent metrics: never compared strictly, stripped by the
@@ -107,15 +107,11 @@ WALL_CLOCK_METRICS = frozenset(
     {
         "elapsed_seconds",
         "reference_elapsed_seconds",
-        "vector_elapsed_seconds",
         "recovery_elapsed_seconds",
         "full_recovery_elapsed_seconds",
         "speedup",
-        "vector_speedup",
-        "vector_vs_slab_speedup",
         "ops_per_second",
         "reference_ops_per_second",
-        "vector_ops_per_second",
         "bare_elapsed_seconds",
         "instrumented_elapsed_seconds",
         "overhead_fraction",
@@ -126,11 +122,8 @@ WALL_CLOCK_METRICS = frozenset(
 _HIGHER_IS_BETTER = frozenset(
     {
         "speedup",
-        "vector_speedup",
-        "vector_vs_slab_speedup",
         "ops_per_second",
         "reference_ops_per_second",
-        "vector_ops_per_second",
     }
 )
 
@@ -138,10 +131,6 @@ _HIGHER_IS_BETTER = frozenset(
 #: hard failure, never a drift warning.
 _CORRECTNESS_FLAGS = {
     "moves_match": "slab and reference move logs diverged",
-    "vector_matches_slab": (
-        "vector backend diverged from the slab oracle (move logs or lookup "
-        "answers no longer bit-identical)"
-    ),
     "recovered_match": "recovered store diverged from the pre-crash state",
     "reads_match": "a verified read diverged from the reference model",
     "tail_inversion": (

@@ -12,11 +12,12 @@ metric dict.  Two invariants every scenario keeps:
   fields allowed to differ between runs, and the comparator only warns on
   them.
 
-The core scenarios replay one recorded physical trace on every available
-physical backend (seed reference, slab, and — when numpy is importable —
-the vector backend), so their ``speedup`` columns are apples-to-apples
-measurements of the physical layer on identical work, and
-``vector_matches_slab`` asserts bit-identical move logs across backends.
+The core scenarios replay one recorded physical trace on the slab
+:class:`~repro.core.physical.PhysicalArray` and on the seed
+:class:`~repro.core.physical_reference.ReferencePhysicalArray` oracle, so
+their ``speedup`` columns are apples-to-apples measurements of the physical
+layer on identical work, and ``moves_match`` / ``reads_match`` assert
+bit-identical move logs (and lookup answers) across the two.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from typing import Callable
 
 from repro.core.operations import MoveRecorder, move_triples
 from repro.core.physical import BUFFER, F_SLOT, PhysicalArray, ReferencePhysicalArray
-from repro.core.physical_backends import vector_available
 from repro.perf.trace import (
     PhysicalTrace,
     TracingPhysicalArray,
@@ -59,14 +59,9 @@ class ScenarioSpec:
 # Core suite: physical-layer replays (slab vs reference)
 # ---------------------------------------------------------------------------
 def _timed_replays(trace: PhysicalTrace, num_slots: int) -> dict:
-    """Replay ``trace`` on every physical backend; time and cross-check.
-
-    The reference and slab backends always run; the vector backend rides
-    along whenever numpy is importable, adding its own ``vector_*``
-    wall-clock columns plus the hard-fail ``vector_matches_slab`` move-log
-    equality flag (all three backends must produce identical
-    ``(element, source, destination)`` logs).
-    """
+    """Replay ``trace`` on the reference and slab arrays; time and
+    cross-check (both must produce identical ``(element, source,
+    destination)`` logs)."""
     reference_elapsed = None
     for _ in range(_TIMING_REPEATS):
         array = ReferencePhysicalArray(num_slots)
@@ -93,7 +88,7 @@ def _timed_replays(trace: PhysicalTrace, num_slots: int) -> dict:
 
     reference_cost = sum(move.cost for move in sink)
     ops = len(trace)
-    metrics = {
+    return {
         "trace_ops": ops,
         "num_slots": num_slots,
         "moves": recorder.total_cost,
@@ -108,46 +103,12 @@ def _timed_replays(trace: PhysicalTrace, num_slots: int) -> dict:
         ),
     }
 
-    if vector_available():
-        from repro.core.physical_vector import VectorPhysicalArray
-
-        vector_elapsed = None
-        for _ in range(_TIMING_REPEATS):
-            array = VectorPhysicalArray(num_slots)
-            vector_recorder = MoveRecorder()
-            array.move_sink = vector_recorder
-            started = time.perf_counter()
-            replay_trace(trace, array)
-            elapsed = time.perf_counter() - started
-            array.move_sink = None
-            if vector_elapsed is None or elapsed < vector_elapsed:
-                vector_elapsed = elapsed
-        metrics.update(
-            {
-                "vector_moves": vector_recorder.total_cost,
-                "vector_matches_slab": (
-                    vector_recorder.triples() == recorder.triples()
-                ),
-                "vector_elapsed_seconds": vector_elapsed,
-                "vector_ops_per_second": (
-                    ops / vector_elapsed if vector_elapsed else 0.0
-                ),
-                "vector_speedup": (
-                    reference_elapsed / vector_elapsed if vector_elapsed else 0.0
-                ),
-                "vector_vs_slab_speedup": (
-                    slab_elapsed / vector_elapsed if vector_elapsed else 0.0
-                ),
-            }
-        )
-    return metrics
-
 
 def run_insert_heavy(n: int, seed: int) -> dict:
     """Singleton insert-heavy embedding traffic at uniformly random ranks.
 
     The trace of an ``Embedding(adaptive ⊳ classical)`` run — the paper's
-    flagship composition — replayed on both physical backends.
+    flagship composition — replayed on both physical arrays.
     """
     trace, num_slots = record_insert_heavy_trace(n, seed)
     metrics = {"operations": n}
@@ -170,7 +131,7 @@ def _record_chain_sparse_trace(n: int, seed: int) -> tuple[PhysicalTrace, int, i
     pivot element ping-ponging between far-apart F-labels (plus a few
     buffered elements that ride along as deadweight).  The seed's
     ``chain_positions`` scans the full ``O(m)`` span on every chain move;
-    the slab backend walks only the tokens it finds.
+    the slab array walks only the tokens it finds.
     """
     num_slots = 32 * n
     cluster = 32
@@ -206,46 +167,36 @@ def run_chain_sparse(n: int, seed: int) -> dict:
     return metrics
 
 
-#: Rank lookups per build operation and ranks per batch for the core
-#: point-lookup scenario below.
+#: Rank lookups per build operation for the core point-lookup scenario below.
 _LOOKUPS_PER_OP = 8
-_LOOKUP_BATCH = 256
 
 
 def run_point_lookup_core(n: int, seed: int) -> dict:
-    """Batched rank lookups on the physical layer, per backend.
+    """Rank lookups on the physical layer, per array.
 
     The physical-layer twin of the query suite's ``point_lookup_heavy``
-    (whose ClassicalPMA shards never touch a physical array): each backend
-    replays the same recorded insert-heavy embedding trace to an identical
-    populated state, then answers the same seeded stream of ``8·n``
-    rank→element lookups in batches of 256 through ``elements_at_ranks``.
-    The reference and slab backends pay one interpreted Fenwick select per
-    rank; the vector backend answers a whole batch with one masked
-    ``flatnonzero`` and one fancy-indexed gather.  Every backend's answer
-    stream — and the move log of the state-building replay — must be
-    identical: ``reads_match`` (slab vs reference) and
-    ``vector_matches_slab`` (vector vs slab) are hard-fail flags covering
-    both.
+    (whose ClassicalPMA shards never touch a physical array): the reference
+    and slab arrays replay the same recorded insert-heavy embedding trace to
+    an identical populated state, then answer the same seeded stream of
+    ``8·n`` rank→element lookups through ``element_at_rank`` (one Fenwick
+    select per rank).  Both answer streams — and the move logs of the
+    state-building replays — must be identical: ``reads_match`` is a
+    hard-fail flag covering both.
     """
     trace, num_slots = record_insert_heavy_trace(n, seed)
-    backends: list[tuple[str, Callable[[int], object]]] = [
+    arrays: list[tuple[str, Callable[[int], object]]] = [
         ("reference", ReferencePhysicalArray),
         ("slab", PhysicalArray),
     ]
-    if vector_available():
-        from repro.core.physical_vector import VectorPhysicalArray
-
-        backends.append(("vector", VectorPhysicalArray))
 
     lookups = _LOOKUPS_PER_OP * n
-    batches: list[list[int]] | None = None
+    ranks: list[int] | None = None
     element_count = None
     answers: dict[str, list] = {}
     timings: dict[str, float] = {}
     move_logs: dict[str, tuple] = {}
     move_counts: dict[str, int] = {}
-    for label, factory in backends:
+    for label, factory in arrays:
         array = factory(num_slots)
         recorder = MoveRecorder()
         array.move_sink = recorder
@@ -253,20 +204,14 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
         array.move_sink = None
         move_logs[label] = tuple(recorder.triples())
         move_counts[label] = len(move_logs[label])
-        if batches is None:
+        if ranks is None:
             element_count = array.element_count
             rng = random.Random(seed * 7919 + 11)
-            batches = [
-                [
-                    rng.randrange(1, element_count + 1)
-                    for _ in range(min(_LOOKUP_BATCH, lookups - start))
-                ]
-                for start in range(0, lookups, _LOOKUP_BATCH)
-            ]
+            ranks = [rng.randrange(1, element_count + 1) for _ in range(lookups)]
         best = None
         for _ in range(_TIMING_REPEATS):
             started = time.perf_counter()
-            result = [array.elements_at_ranks(ranks) for ranks in batches]
+            result = [array.element_at_rank(rank) for rank in ranks]
             elapsed = time.perf_counter() - started
             if best is None or elapsed < best:
                 best = elapsed
@@ -275,7 +220,7 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
 
     slab_elapsed = timings["slab"]
     reference_elapsed = timings["reference"]
-    metrics = {
+    return {
         "operations": lookups,
         "trace_ops": len(trace),
         "num_slots": num_slots,
@@ -294,28 +239,6 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
             lookups / reference_elapsed if reference_elapsed else 0.0
         ),
     }
-    if "vector" in answers:
-        vector_elapsed = timings["vector"]
-        metrics.update(
-            {
-                "vector_moves": move_counts["vector"],
-                "vector_matches_slab": (
-                    answers["vector"] == answers["slab"]
-                    and move_logs["vector"] == move_logs["slab"]
-                ),
-                "vector_elapsed_seconds": vector_elapsed,
-                "vector_ops_per_second": (
-                    lookups / vector_elapsed if vector_elapsed else 0.0
-                ),
-                "vector_speedup": (
-                    reference_elapsed / vector_elapsed if vector_elapsed else 0.0
-                ),
-                "vector_vs_slab_speedup": (
-                    slab_elapsed / vector_elapsed if vector_elapsed else 0.0
-                ),
-            }
-        )
-    return metrics
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,6 @@ import shutil
 import sys
 import tempfile
 
-from repro.core.physical_backends import PHYSICAL_BACKENDS
 from repro.store.factories import SHARD_FACTORIES
 from repro.store.store import DurableStore
 
@@ -73,7 +72,6 @@ def _open(args: argparse.Namespace) -> DurableStore:
         algorithm=args.algorithm,
         shard_capacity=args.shard_capacity,
         sync_policy=args.sync,
-        physical_backend=getattr(args, "physical_backend", None),
     )
 
 
@@ -568,14 +566,6 @@ def main(argv: list[str] | None = None) -> int:
             help="shard algorithm (first open only; validated on reopen)",
         )
         command.add_argument("--shard-capacity", type=int, default=None)
-        command.add_argument(
-            "--physical-backend",
-            choices=list(PHYSICAL_BACKENDS),
-            default=None,
-            help="physical-array backend for embedding-based algorithms "
-            "(per-open speed knob; defaults to $REPRO_PHYSICAL_BACKEND, "
-            "then 'slab')",
-        )
         command.add_argument(
             "--sync", choices=["always", "batch", "never"], default="always"
         )

@@ -41,12 +41,6 @@ def _learned(capacity: int) -> LearnedLabeler:
     )
 
 
-def _corollary11(capacity: int, physical_backend: str | None = None) -> ListLabeler:
-    return make_corollary11_labeler(
-        capacity, seed=7, physical_backend=physical_backend
-    )
-
-
 #: name -> deterministic ``factory(capacity)`` usable as a store shard.
 SHARD_FACTORIES: dict[str, Callable[[int], ListLabeler]] = {
     "naive": lambda capacity: NaiveLabeler(capacity),
@@ -56,12 +50,8 @@ SHARD_FACTORIES: dict[str, Callable[[int], ListLabeler]] = {
     "randomized": lambda capacity: RandomizedPMA(capacity, seed=1234),
     "adaptive": lambda capacity: AdaptivePMA(capacity),
     "learned": _learned,
-    "corollary11": _corollary11,
+    "corollary11": lambda capacity: make_corollary11_labeler(capacity, seed=7),
 }
-
-#: Algorithms with a physical-array layer, i.e. the ones a
-#: ``physical_backend=`` selection applies to.
-PHYSICAL_BACKEND_ALGORITHMS = frozenset({"corollary11"})
 
 #: The production default: classical PMA shards (O(log² n) amortized,
 #: cheap snapshots, exact restore).
@@ -80,22 +70,11 @@ EXACT_SNAPSHOT_ALGORITHMS = tuple(
 )
 
 
-def resolve_factory(
-    name: str, *, physical_backend: str | None = None
-) -> Callable[[int], ListLabeler]:
+def resolve_factory(name: str) -> Callable[[int], ListLabeler]:
     try:
-        factory = SHARD_FACTORIES[name]
+        return SHARD_FACTORIES[name]
     except KeyError:
         raise ValueError(
             f"unknown shard algorithm {name!r} (registered: "
             f"{', '.join(sorted(SHARD_FACTORIES))})"
         ) from None
-    if physical_backend is None:
-        return factory
-    if name not in PHYSICAL_BACKEND_ALGORITHMS:
-        raise ValueError(
-            f"shard algorithm {name!r} has no physical-array layer; "
-            "physical_backend applies to: "
-            f"{', '.join(sorted(PHYSICAL_BACKEND_ALGORITHMS))}"
-        )
-    return lambda capacity: factory(capacity, physical_backend=physical_backend)

@@ -498,7 +498,6 @@ def _handle_stats(server: "StoreServer", request: dict) -> dict:
         "replica_acks": acks,
         "replication_floor": server.replication_floor(),
         "shard_statistics": service.shard_statistics(),
-        "physical_backend": service.physical_backend,
         "error_counts": server.error_counts(),
     }
 

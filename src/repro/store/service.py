@@ -416,11 +416,6 @@ class StoreService:
             stats = getattr(self._store.labeler, "shard_statistics", None)
             return dict(stats()) if callable(stats) else {}
 
-    @property
-    def physical_backend(self) -> str | None:
-        """Backend name of the labeler's physical arrays, if it has any."""
-        return getattr(self._store.labeler, "physical_backend", None)
-
     # ------------------------------------------------------------------
     # Replication hooks (the networked server builds on these)
     # ------------------------------------------------------------------

@@ -93,11 +93,6 @@ class DurableStore:
         frames accumulate past the latest checkpoint (``None`` = manual).
     snapshot_keep:
         Checkpoints retained by pruning (the newest is always kept).
-    physical_backend:
-        Physical-array backend for embedding-based shard algorithms (see
-        :mod:`repro.core.physical_backends`).  A per-open speed knob: all
-        backends produce bit-identical structures, so it is never recorded
-        on disk and may differ between opens of the same store.
     """
 
     def __init__(
@@ -111,7 +106,6 @@ class DurableStore:
         compact_every: int | None = None,
         snapshot_keep: int = 2,
         registry=None,
-        physical_backend: str | None = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
@@ -124,17 +118,8 @@ class DurableStore:
                 # Registry names resolve; a store created with a custom
                 # factory must be reopened with that same callable (the
                 # config records the name so the omission is a loud error,
-                # not a silent mis-recovery).  ``physical_backend`` is a
-                # speed knob, not a structural one — every backend yields
-                # bit-identical layouts, so it is per-open, never on disk.
-                shard_factory = resolve_factory(
-                    self.algorithm, physical_backend=physical_backend
-                )
-            elif physical_backend is not None:
-                raise ValueError(
-                    "pass shard_factory or physical_backend, not both "
-                    "(bake the backend into the custom factory instead)"
-                )
+                # not a silent mis-recovery).
+                shard_factory = resolve_factory(self.algorithm)
             self._shard_factory = shard_factory
             self.compact_every = compact_every
             self.snapshot_keep = max(1, snapshot_keep)

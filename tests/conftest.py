@@ -105,3 +105,24 @@ class ReferenceDriver:
 @pytest.fixture
 def reference_driver_factory():
     return ReferenceDriver
+
+
+def record_shell_input(embedding: Embedding) -> list[tuple[str, int]]:
+    """Record the operations ``embedding`` hands its R-shell from now on.
+
+    Wraps the shell's ``delete_token`` / ``insert_token`` (the slow path's
+    only calls into the shell) so that each call appends a ``(kind,
+    token_rank)`` pair to the returned list — the input sequence Lemma 4 is
+    about.
+    """
+    trace: list[tuple[str, int]] = []
+    shell = embedding.shell
+    for kind in ("delete", "insert"):
+        method = getattr(shell, f"{kind}_token")
+
+        def recorded(token_rank: int, kind=kind, method=method):
+            trace.append((kind, token_rank))
+            return method(token_rank)
+
+        setattr(shell, f"{kind}_token", recorded)
+    return trace

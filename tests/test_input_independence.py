@@ -1,10 +1,10 @@
 """Lemma 4: the R-shell's input is independent of the R-shell's random bits.
 
-The embedding records the exact operation sequence it hands to the R-shell
-(``shell_input_trace``).  Running the same original input against embeddings
-whose reliable algorithm uses *different random seeds* must produce the very
-same shell input sequence — the randomness of R cannot leak back into what R
-is asked to do.  Changing the *fast* algorithm's behaviour, by contrast, is
+The tests record the exact operation sequence the embedding hands to the
+R-shell (:func:`tests.conftest.record_shell_input`).  Running the same
+original input against embeddings whose reliable algorithm uses *different
+random seeds* must produce the very same shell input sequence — the
+randomness of R cannot leak back into what R is asked to do.  Changing the *fast* algorithm's behaviour, by contrast, is
 allowed to change the trace.
 """
 
@@ -15,7 +15,7 @@ from fractions import Fraction
 from repro.algorithms import AdaptivePMA, NaiveLabeler, RandomizedPMA
 from repro.core import Embedding
 
-from tests.conftest import ReferenceDriver
+from tests.conftest import ReferenceDriver, record_shell_input
 
 
 def build(seed: int, capacity: int = 192, expected_cost: int = 10) -> Embedding:
@@ -28,10 +28,11 @@ def build(seed: int, capacity: int = 192, expected_cost: int = 10) -> Embedding:
 
 
 def drive(embedding: Embedding, operations: int = 192) -> list[tuple[str, int]]:
+    trace = record_shell_input(embedding)
     driver = ReferenceDriver(embedding, seed=123)
     for _ in range(operations):
         driver.random_operation(delete_probability=0.2)
-    return list(embedding.shell_input_trace)
+    return trace
 
 
 class TestLemma4:

@@ -89,6 +89,23 @@ class TestCorollary11:
         assert ratios[-1] < 0.05
 
 
+    def test_deadweight_counts_only_live_elements_under_churn(self):
+        """Bounded memory: at a steady key count, each layer's per-element
+        deadweight map holds live elements only, so it cannot grow with
+        the number of operations."""
+        labeler = make_corollary11_labeler(128, seed=7)
+        driver = ReferenceDriver(labeler, seed=3)
+        for _ in range(96):
+            driver.insert(driver.rng.randint(1, len(driver.reference) + 1))
+        for _ in range(1000):
+            driver.insert(driver.rng.randint(1, len(driver.reference) + 1))
+            driver.delete(driver.rng.randint(1, len(driver.reference)))
+        for layer in (labeler, labeler.inner_embedding):
+            assert layer.deadweight_moves > 0
+            live = set(layer.physical.elements())
+            assert set(layer.physical.deadweight_by_element) <= live
+
+
 class TestCorollary12:
     def test_prediction_quality_drives_cost(self):
         n = 384

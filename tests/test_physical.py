@@ -1,11 +1,9 @@
 """Unit tests for the embedding's physical array (slot kinds, chain moves).
 
-Every test runs against **all** implementations — the slab-backed
-:class:`PhysicalArray`, the seed's list-backed
-:class:`ReferencePhysicalArray`, and (when numpy is importable) the
-bitboard-backed :class:`VectorPhysicalArray` — via the ``impl`` fixture,
-so the differential oracle and the vector backend are held to the same
-contract as the production slab.
+Every test runs against both implementations — the slab-backed
+:class:`PhysicalArray` and the seed's list-backed
+:class:`ReferencePhysicalArray` — via the ``impl`` fixture, so the
+differential oracle is held to the same contract as the production slab.
 """
 
 from __future__ import annotations
@@ -21,16 +19,11 @@ from repro.core.physical import (
     PhysicalArray,
     ReferencePhysicalArray,
 )
-from repro.core.physical_backends import vector_available
 
 IMPLEMENTATIONS = {
     "slab": PhysicalArray,
     "reference": ReferencePhysicalArray,
 }
-if vector_available():
-    from repro.core.physical_vector import VectorPhysicalArray
-
-    IMPLEMENTATIONS["vector"] = VectorPhysicalArray
 
 
 @pytest.fixture(params=sorted(IMPLEMENTATIONS))

@@ -28,7 +28,7 @@ from hypothesis.stateful import (
 from repro.algorithms import ClassicalPMA
 from repro.applications.ordered_map import PackedMemoryMap
 from repro.core.layered import make_corollary11_labeler
-from repro.core.physical_backends import vector_available
+from repro.core.physical import PhysicalArray, ReferencePhysicalArray
 from repro.core.sharded import ShardedLabeler
 from repro.core.validation import check_labeler
 
@@ -312,41 +312,44 @@ class ClassicalPackedMemoryMapMachine(PackedMemoryMapMachine):
     shard_factory = staticmethod(lambda capacity: ClassicalPMA(capacity))
 
 
-class VectorTwinMachine(RuleBasedStateMachine):
-    """Slab- and vector-backed labelers driven in lockstep stay bit-identical.
+class ReferenceTwinMachine(RuleBasedStateMachine):
+    """Slab- and reference-backed labelers driven in lockstep stay
+    bit-identical.
 
     Both twins are sharded Corollary 11 labelers (embedding shards with a
     physical array underneath) built with the same seed; only the
-    ``physical_backend`` differs.  Every rule applies the same drawn
+    ``physical_factory`` differs: the slab :class:`PhysicalArray` default
+    against the seed :class:`ReferencePhysicalArray` oracle, in both the
+    outer and the inner embedding.  Every rule applies the same drawn
     operation to both and compares the move triples just produced; the
     invariant compares labels, elements, per-shard physical slots and slot
-    kinds after every step, and runs the vector twin's full consistency
-    check — so the bitboard backend is fuzzed through split/merge
-    boundaries, not just replayed traces.
+    kinds after every step, and runs the reference twin's full consistency
+    check — so the oracle wall reaches through split/merge boundaries, not
+    just replayed traces.
     """
 
     def __init__(self) -> None:
         super().__init__()
 
-        def shards(backend):
+        def shards(physical_factory):
             return ShardedLabeler(
                 lambda capacity: make_corollary11_labeler(
-                    capacity, seed=11, physical_backend=backend
+                    capacity, seed=11, physical_factory=physical_factory
                 ),
                 shard_capacity=SHARD_CAPACITY,
             )
 
-        self.slab = shards("slab")
-        self.vector = shards("vector")
+        self.slab = shards(PhysicalArray)
+        self.oracle = shards(ReferencePhysicalArray)
         self.reference: list[Fraction] = []
 
-    def _compare(self, slab_result, vector_result):
+    def _compare(self, slab_result, oracle_result):
         from repro.core.operations import move_triples
 
         slab_items = getattr(slab_result, "results", [slab_result])
-        vector_items = getattr(vector_result, "results", [vector_result])
-        assert len(slab_items) == len(vector_items)
-        for left, right in zip(slab_items, vector_items):
+        oracle_items = getattr(oracle_result, "results", [oracle_result])
+        assert len(slab_items) == len(oracle_items)
+        for left, right in zip(slab_items, oracle_items):
             assert left.operation.kind == right.operation.kind
             assert move_triples(left.moves) == move_triples(right.moves)
 
@@ -356,14 +359,14 @@ class VectorTwinMachine(RuleBasedStateMachine):
             st.integers(1, len(self.reference) + 1), label="insert rank"
         )
         key = _midpoint(self.reference, rank)
-        self._compare(self.slab.insert(rank, key), self.vector.insert(rank, key))
+        self._compare(self.slab.insert(rank, key), self.oracle.insert(rank, key))
         self.reference.insert(rank - 1, key)
 
     @precondition(lambda self: self.reference)
     @rule(data=st.data())
     def delete_one(self, data):
         rank = data.draw(st.integers(1, len(self.reference)), label="delete rank")
-        self._compare(self.slab.delete(rank), self.vector.delete(rank))
+        self._compare(self.slab.delete(rank), self.oracle.delete(rank))
         self.reference.pop(rank - 1)
 
     @rule(data=st.data())
@@ -381,7 +384,7 @@ class VectorTwinMachine(RuleBasedStateMachine):
             items.append((rank, key))
             merged.insert(rank + offset - 1, key)
         self._compare(
-            self.slab.insert_batch(items), self.vector.insert_batch(items)
+            self.slab.insert_batch(items), self.oracle.insert_batch(items)
         )
         self.reference = merged
 
@@ -395,7 +398,7 @@ class VectorTwinMachine(RuleBasedStateMachine):
         for _ in range(SHARD_CAPACITY):
             key = _midpoint(self.reference, rank)
             self._compare(
-                self.slab.insert(rank, key), self.vector.insert(rank, key)
+                self.slab.insert(rank, key), self.oracle.insert(rank, key)
             )
             self.reference.insert(rank - 1, key)
             if self.slab.splits > splits_before:
@@ -403,36 +406,44 @@ class VectorTwinMachine(RuleBasedStateMachine):
 
     @precondition(lambda self: self.reference)
     @rule(data=st.data())
-    def vector_reads_match(self, data):
+    def oracle_reads_match(self, data):
         size = len(self.reference)
         rank = data.draw(st.integers(1, size), label="read rank")
-        assert self.vector.select(rank) == self.reference[rank - 1]
+        assert self.oracle.select(rank) == self.reference[rank - 1]
         span = data.draw(st.integers(1, 20), label="read span")
         hi = min(size, rank + span - 1)
         assert (
-            self.vector.cursor(rank).take(hi - rank + 1)
+            self.oracle.cursor(rank).take(hi - rank + 1)
             == self.reference[rank - 1 : hi]
         )
 
     @invariant()
     def twins_identical(self):
-        self.vector.check_consistency()
-        assert self.vector.elements() == self.reference
-        assert self.vector.labels() == self.slab.labels()
-        assert self.vector.physical_backend == "vector"
-        assert self.slab.physical_backend == "slab"
-        def layout(labeler):
+        self.oracle.check_consistency()
+        assert self.oracle.elements() == self.reference
+        assert self.oracle.labels() == self.slab.labels()
+
+        def arrays(labeler):
             return [
-                (
-                    list(shard.physical.slots()),
-                    list(shard.physical.kinds()),
-                    list(shard.inner_embedding.physical.slots()),
-                    list(shard.inner_embedding.physical.kinds()),
-                )
+                array
                 for shard in labeler.shards
+                for array in (shard.physical, shard.inner_embedding.physical)
             ]
 
-        assert layout(self.vector) == layout(self.slab)
+        # The twins must really run different arrays, or this compares
+        # slab with slab.
+        oracle_arrays = arrays(self.oracle)
+        assert oracle_arrays
+        assert all(type(array) is ReferencePhysicalArray for array in oracle_arrays)
+        assert all(type(array) is PhysicalArray for array in arrays(self.slab))
+
+        def layout(labeler):
+            return [
+                (list(array.slots()), list(array.kinds()))
+                for array in arrays(labeler)
+            ]
+
+        assert layout(self.oracle) == layout(self.slab)
 
 
 _settings = settings(
@@ -448,6 +459,5 @@ TestPackedMemoryMapMachine.settings = _settings
 TestClassicalPackedMemoryMapMachine = ClassicalPackedMemoryMapMachine.TestCase
 TestClassicalPackedMemoryMapMachine.settings = _settings
 
-if vector_available():
-    TestVectorTwinMachine = VectorTwinMachine.TestCase
-    TestVectorTwinMachine.settings = _settings
+TestReferenceTwinMachine = ReferenceTwinMachine.TestCase
+TestReferenceTwinMachine.settings = _settings
