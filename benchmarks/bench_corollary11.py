@@ -4,13 +4,17 @@ The layered structure ``adaptive ⊳ (randomized ⊳ deamortized)`` must
 simultaneously (a) match the adaptive PMA on hammer-insert workloads,
 (b) stay within the expected-cost bound on uniform random inputs, and
 (c) never show the Θ(n) worst-case spikes of the unprotected algorithms.
+A second table times the structure's construction: the outer R-shell's
+Θ(n) tokens are bulk-loaded into the inner embedding, one placement each.
 """
 
 from __future__ import annotations
 
+import time
+
 from benchmarks.conftest import emit, expect, measure, scaled
 from repro.algorithms import AdaptivePMA, ClassicalPMA, NaiveLabeler
-from repro.core import make_corollary11_labeler
+from repro.core import Embedding, make_corollary11_labeler
 from repro.core.layered import corollary11_worst_case_bound
 from repro.workloads import HammerWorkload, RandomWorkload
 
@@ -72,3 +76,47 @@ def test_corollary11_three_guarantees(run_once):
         layered_random["worst_case"] < bound,
         "random worst case must respect the envelope",
     )
+
+
+def test_corollary11_construction_is_linear(run_once, monkeypatch):
+    n = scaled(1024)
+    inserts = []
+    insert = Embedding._insert
+
+    def counting(self, rank, element):
+        inserts.append(rank)
+        return insert(self, rank, element)
+
+    monkeypatch.setattr(Embedding, "_insert", counting)
+
+    def experiment():
+        rows = []
+        for capacity in (n // 4, n // 2, n):
+            started = time.perf_counter()
+            labeler = make_corollary11_labeler(capacity, seed=5)
+            elapsed = time.perf_counter() - started
+            physical = labeler.physical
+            rows.append(
+                {
+                    "capacity": capacity,
+                    "tokens": physical.f_slot_count + physical.buffer_count,
+                    "initialization_cost": labeler.shell.initialization_cost,
+                    "inner_inserts": len(inserts),
+                    "build_ms": round(elapsed * 1e3, 2),
+                }
+            )
+            inserts.clear()
+        return rows
+
+    rows = run_once(experiment)
+    emit(
+        "Corollary 11 construction: the inner embedding bulk-loads the outer tokens",
+        rows,
+        note="Expected shape: initialization_cost equals tokens (one placement "
+        "per token) and no inner insert runs, at every size; build_ms is "
+        "printed only.",
+    )
+    for row in rows:
+        # Size-independent, so these stay fatal in quick mode.
+        assert row["initialization_cost"] == row["tokens"], row
+        assert row["inner_inserts"] == 0, row

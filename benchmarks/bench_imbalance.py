@@ -28,7 +28,6 @@ def test_rebuild_spans_and_buffer_occupancy(run_once):
         for _ in range(n):
             embedding.insert(1, key)
             key -= 1
-        spans = embedding.emulator.rebuild_spans or [0]
         buffer_slots = embedding.physical.buffer_count
         return [
             {
@@ -43,7 +42,7 @@ def test_rebuild_spans_and_buffer_occupancy(run_once):
             },
             {
                 "metric": "max rebuild span (operations)",
-                "value": max(spans),
+                "value": embedding.emulator.max_rebuild_span,
                 "bound": f"o(n) — Lemma 6 (n = {n})",
             },
             {

@@ -17,7 +17,8 @@ to the labeler's key search
 engine that is a fence-key descent: bisect the shards' first keys, add one
 directory prefix, then search the one shard the key falls in — a classical
 shard bisects its own slot array, ``O(log K + log m)`` in all.  The bounded
-Corollary 11 map and embedding shards keep the interface's default, a
+Corollary 11 map and embedding shards bisect the embedding's physical slots
+the same way; only an embedding below a quarter load keeps the interface's
 binary search over ``select`` (``O(log n · log m)``).
 :meth:`PackedMemoryMap.range` streams through a labeler cursor
 (:meth:`~repro.core.interface.ListLabeler.iter_from` — one seek, then a

@@ -7,7 +7,11 @@ the way the paper does:
 
 * ``F`` runs on ``(1 + ε)n`` slots and capacity ``n`` (the simulated copy);
 * ``R`` runs on the whole ``(1 + 3ε)n``-slot array and holds
-  ``(1 + 2ε)n`` tokens (every F-slot and every buffer slot).
+  ``(1 + 2ε)n`` tokens (every F-slot and every buffer slot).  The tokens
+  are bulk-loaded into ``R`` at one placement each, whatever ``R`` is —
+  a nested embedding included, through :meth:`Embedding.bulk_load`, which
+  lays its elements out with F's bulk layout on the F-slots.  That is what
+  lets Theorem 3's double application build in linear time.
 
 Each operation takes the **fast path** (emulate ``F`` directly) when there is
 no pending rebuild and the simulated copy's cost for the operation is at most
@@ -17,8 +21,9 @@ following steps (a)/(b) of Section 3 verbatim.
 
 The class exposes the statistics the paper's lemmas talk about
 (:attr:`fast_operations`, :attr:`slow_operations`, buffer occupancy,
-deadweight counts, rebuild spans) so the experiments can check Lemmas 5–7
-empirically.
+deadweight counts, the longest rebuild span) so the experiments can check
+Lemmas 5–7 empirically.  Its key search (:meth:`Embedding.count_below`)
+bisects the physical slots directly.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ import math
 from typing import Callable, Hashable, Sequence
 
 from repro.core.emulator import FEmulator
-from repro.core.exceptions import InvariantViolation
+from repro.core.exceptions import CapacityError, InvariantViolation, LabelerError
 from repro.core.interface import ListLabeler
 from repro.core.operations import MoveRecorder, Operation, OperationResult
 from repro.core.physical import BUFFER, F_SLOT, PhysicalArray, R_EMPTY
@@ -189,6 +194,62 @@ class Embedding(ListLabeler):
     def slot_of_rank(self, rank: int) -> int:
         self._check_read_rank(rank, "select")
         return self._physical.position_of_rank(rank)
+
+    def count_below(self, key, *, strict: bool = True) -> int:
+        """Stored elements ``< key`` (``<= key`` when not strict).
+
+        A binary search over the physical slots, as
+        :meth:`repro.algorithms.base.DenseArrayLabeler.count_below` runs
+        over its slot list: a probe on an element-free slot steps right to
+        the next element inside the window, and one element-lane prefix
+        turns the boundary slot into a count.  Below a quarter load the
+        gaps outweigh the probes, so a sparse embedding keeps the
+        interface's binary search over :meth:`select`.
+        """
+        if 4 * self._size < self._num_slots:
+            return super().count_below(key, strict=strict)
+        element_at = self._physical.element
+        lo, hi = 0, self._num_slots
+        # Invariant: every element left of ``lo`` is below the key, and
+        # the first element at or after ``hi`` (if any) is not.
+        while lo < hi:
+            mid = (lo + hi) // 2
+            probe = mid
+            element = element_at(probe)
+            while element is None and probe + 1 < hi:
+                probe += 1
+                element = element_at(probe)
+            if element is None:
+                hi = mid
+            elif element < key if strict else element <= key:
+                lo = probe + 1
+            else:
+                hi = mid
+        return self._physical.real_between(0, lo)
+
+    def bulk_load(self, elements: Sequence[Hashable]) -> int:
+        """Load ``elements`` (already in rank order) into an empty embedding.
+
+        The simulated copy of F takes them with F's own bulk layout and each
+        element goes straight into the physical F-slot of its F-index
+        (:meth:`FEmulator.bulk_load`): one placement per element, and the
+        embedding starts in the state a finished rebuild leaves — nothing
+        buffered, no ghost, no pending rebuild.  No fast or slow operation,
+        rebuild or deadweight move is counted.  Everything is validated before
+        anything is placed: :class:`LabelerError` on a non-empty structure,
+        :class:`CapacityError` past the capacity.  Returns the number of
+        elements placed.  An outer embedding's R-shell loads its tokens into
+        an inner embedding this way, so the layered structures build in
+        linear time.
+        """
+        elements = list(elements)
+        if self._size:
+            raise LabelerError("bulk_load requires an empty structure")
+        if len(elements) > self._capacity:
+            raise CapacityError(self._capacity)
+        self._emulator.bulk_load(elements)
+        self._size = len(elements)
+        return len(elements)
 
     def _insert(self, rank: int, element: Hashable) -> OperationResult:
         # The recorder-backed sink keeps the hot path allocation-free; the

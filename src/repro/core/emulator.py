@@ -44,7 +44,8 @@ class FEmulator:
         # --- statistics for the Lemma 5/6 experiments -------------------
         self.rebuilds_started = 0
         self.rebuilds_completed = 0
-        self.rebuild_spans: list[int] = []
+        #: Most operations any completed rebuild spanned (Lemma 6).
+        self.max_rebuild_span = 0
         self._ops_in_current_rebuild = 0
         self.rebuild_cost = 0
 
@@ -108,6 +109,27 @@ class FEmulator:
                 self._shadow_set(dst, move.element)
 
     # ------------------------------------------------------------------
+    # Bulk loading
+    # ------------------------------------------------------------------
+    def bulk_load(self, elements: Sequence[Hashable]) -> None:
+        """Load ``elements`` (in rank order) into the simulated copy and ``Ẽ_F``.
+
+        The simulated copy takes them with F's own bulk layout, and each
+        element is placed straight into the physical F-slot of its F-index,
+        so ``Ẽ_F`` equals the simulated state: the state a finished rebuild
+        leaves, reached at one placement per element.  Needs an emulator
+        with nothing in ``Ẽ_F`` and no pending rebuild.
+        """
+        if self._plan is not None or self._shadow_index:
+            raise InvariantViolation("bulk_load needs an empty, settled emulator")
+        self._simulated.bulk_load(elements)
+        physical = self._physical
+        for f_index, element in enumerate(self._simulated.slots()):
+            if element is not None:
+                physical.put_element(physical.f_position(f_index), element)
+                self._shadow_set(f_index, element)
+
+    # ------------------------------------------------------------------
     # Slow-path bookkeeping
     # ------------------------------------------------------------------
     def mark_deleted(self, element: Hashable) -> None:
@@ -144,7 +166,9 @@ class FEmulator:
 
     def _finish_rebuild(self) -> None:
         self.rebuilds_completed += 1
-        self.rebuild_spans.append(self._ops_in_current_rebuild)
+        self.max_rebuild_span = max(
+            self.max_rebuild_span, self._ops_in_current_rebuild
+        )
         self._ops_in_current_rebuild = 0
         self._plan = None
 

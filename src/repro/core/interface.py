@@ -324,9 +324,13 @@ class ListLabeler(abc.ABC):
         """Load ``elements`` (already in rank order) into an empty structure.
 
         Returns the total move cost.  The default implementation simply
-        appends one element at a time; array-based subclasses override it
-        with an even layout at linear cost, which is what the embedding's
-        R-shell uses to simulate its Θ(n) initialization insertions.
+        appends one element at a time.  Every structure in this library
+        overrides it at one placement per element: the dense array
+        algorithms with an even layout, the sharding engine with evenly
+        filled fresh shards, and :class:`repro.core.embedding.Embedding`
+        with F's layout placed straight on its F-slots.  The embedding's
+        R-shell uses it for its Θ(n) initialization tokens, so even an
+        embedding nested as R is built in linear time.
         """
         if self._size:
             raise LabelerError("bulk_load requires an empty structure")
@@ -519,9 +523,10 @@ class ListLabeler(abc.ABC):
         The key-order search behind every ordered-map lookup; the stored
         elements must be totally ordered by ``<``.  The default
         binary-searches ranks through :meth:`select`: ``O(log n)`` probes
-        of one select each.  The sharding engine and the dense array
-        algorithms override it with a fence-key descent and a slot-array
-        search respectively.
+        of one select each.  The sharding engine overrides it with a
+        fence-key descent, and the dense array algorithms and
+        :class:`repro.core.embedding.Embedding` with a bisection of their
+        slots (an embedding below a quarter load falls back to this one).
         """
         lo, hi = 0, self._size
         while lo < hi:

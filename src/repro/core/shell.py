@@ -8,6 +8,11 @@ learns what a token carries — the embedding replays R's token moves onto the
 physical array (slots travel with their contents) and only pays for the
 tokens that actually carry elements.
 
+The shell starts by bulk-loading R with its ``(1 + 2ε)n`` tokens at one
+placement each.  Every R supports this, so when R is itself an embedding
+(Theorem 3 applies Theorem 2 twice), the inner embedding starts evenly
+laid out instead of replaying one insertion per token.
+
 Per the slow path of Section 3, each buffered insertion costs the shell one
 token deletion (an arbitrary dummy buffer slot) plus one token insertion (a
 fresh buffer slot at the new element's rank).  The shell records its own
@@ -61,11 +66,15 @@ class RShell:
         return self._reliable
 
     def _initialize(self, f_slots: int, buffer_slots: int) -> None:
-        """Insert the Θ(n) initial tokens into R and imprint the slot kinds.
+        """Bulk-load the Θ(n) initial tokens into R and imprint the slot kinds.
 
-        The first ``f_slots`` tokens become F-emulator slots and the rest
-        become (dummy) buffer slots; their physical placement is whatever
-        layout R chose, read back from R's slot array.
+        Every R takes them at one placement per token — a dense array with
+        its even layout, a nested embedding through
+        :meth:`repro.core.embedding.Embedding.bulk_load` — so
+        :attr:`initialization_cost` equals the token count.  The first
+        ``f_slots`` tokens become F-emulator slots and the rest become
+        (dummy) buffer slots; their physical placement is whatever layout R
+        chose, read back from R's slot array.
         """
         tokens = [next(self._token_ids) for _ in range(f_slots + buffer_slots)]
         kinds = [

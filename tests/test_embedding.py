@@ -16,8 +16,10 @@ from repro.algorithms import (
     NaiveLabeler,
     RandomizedPMA,
 )
-from repro.core import Embedding
-from repro.core.exceptions import CapacityError
+from repro.algorithms.predictions import ExactPredictor
+from repro.core import Embedding, make_corollary12_labeler
+from repro.core.exceptions import CapacityError, LabelerError
+from repro.core.layered import LayeredLabeler
 from repro.core.physical import BUFFER, F_SLOT, R_EMPTY
 
 from tests.conftest import COMPOSITE_FACTORIES, ReferenceDriver
@@ -166,9 +168,9 @@ class TestInvariants:
         driver = ReferenceDriver(embedding, seed=6)
         for _ in range(capacity):
             driver.insert(1)
-        spans = embedding.emulator.rebuild_spans
-        assert spans, "the workload must have triggered rebuilds"
-        assert max(spans) < capacity / 2
+        emulator = embedding.emulator
+        assert emulator.rebuilds_completed > 0, "the workload must have triggered rebuilds"
+        assert emulator.max_rebuild_span < capacity / 2
 
     def test_lemma7_buffer_never_exhausted(self):
         """Lemma 7: buffered elements stay o(n) and never exhaust the buffer."""
@@ -199,6 +201,93 @@ class TestInvariants:
         assert len(views["embedding"]) == embedding.num_slots
         assert len(views["f_emulator"]) == embedding.emulator.simulated.num_slots
         assert len(views["r_shell"]) == embedding.num_slots
+
+
+#: name -> factory(capacity) for every embedding the bulk-load tests cover:
+#: the suite's composite embeddings, Corollary 12 and a layered structure
+#: over classical layers.
+BULK_LOAD_FACTORIES = {
+    **{
+        name: factory
+        for name, factory in COMPOSITE_FACTORIES.items()
+        if not name.startswith("sharded")
+    },
+    "corollary12": lambda capacity: make_corollary12_labeler(
+        capacity, ExactPredictor(range(capacity)), seed=3
+    ),
+    "layered(classical)": lambda capacity: LayeredLabeler(
+        capacity,
+        adaptive_factory=lambda cap, slots: ClassicalPMA(cap, slots),
+        expected_factory=lambda cap, slots: ClassicalPMA(cap, slots),
+        worst_case_factory=lambda cap, slots: ClassicalPMA(cap, slots),
+    ),
+}
+
+
+def embedding_layers(embedding: Embedding) -> list[Embedding]:
+    """The embedding and every embedding nested as its R-shell."""
+    layers = [embedding]
+    while isinstance(layers[-1].shell.reliable, Embedding):
+        layers.append(layers[-1].shell.reliable)
+    return layers
+
+
+class TestBulkLoad:
+    CAPACITY = 64
+
+    @pytest.mark.parametrize("count", [0, 1, CAPACITY // 2, CAPACITY])
+    @pytest.mark.parametrize("name", sorted(BULK_LOAD_FACTORIES))
+    def test_loads_settled_and_stays_consistent(self, name, count):
+        embedding = BULK_LOAD_FACTORIES[name](self.CAPACITY)
+        keys = [Fraction(index) for index in range(count)]
+        assert embedding.bulk_load(keys) == count
+        assert embedding.elements() == keys
+        embedding.check_consistency()
+        for layer in embedding_layers(embedding):
+            assert not layer.emulator.has_pending_rebuild
+            assert layer.buffered_elements == 0
+            assert layer.fast_operations == layer.slow_operations == 0
+            assert layer.emulator.rebuilds_started == 0
+            assert layer.deadweight_moves == 0
+        driver = ReferenceDriver(embedding, seed=count)
+        driver.reference = list(keys)
+        for _ in range(150):
+            driver.random_operation(delete_probability=0.4)
+        driver.check()
+        embedding.check_consistency()
+
+    @pytest.mark.parametrize("name", sorted(BULK_LOAD_FACTORIES))
+    def test_raises_before_placing_anything(self, name):
+        embedding = BULK_LOAD_FACTORIES[name](self.CAPACITY)
+        with pytest.raises(CapacityError):
+            embedding.bulk_load([Fraction(index) for index in range(self.CAPACITY + 1)])
+        assert len(embedding) == 0
+        assert embedding.physical.element_count == 0
+        assert len(embedding.emulator.simulated) == 0
+        embedding.insert(1, Fraction(1))
+        before = list(embedding.physical.slots())
+        with pytest.raises(LabelerError):
+            embedding.bulk_load([Fraction(2)])
+        assert list(embedding.physical.slots()) == before
+        assert len(embedding.emulator.simulated) == 1
+        embedding.check_consistency()
+
+    def test_emptied_embedding_loads_again(self):
+        """The last deletion leaves no ghost and no pending rebuild (its
+        rebuild work moves no element), so an emptied embedding loads."""
+        embedding = naive_classical(64, reliable_expected_cost=4)
+        driver = ReferenceDriver(embedding, seed=2)
+        for _ in range(40):
+            driver.insert(1)
+        while driver.reference:
+            driver.delete(driver.rng.randint(1, len(driver.reference)))
+        assert embedding.slow_operations > 0
+        keys = [Fraction(index) for index in range(30)]
+        assert embedding.bulk_load(keys) == 30
+        assert embedding.elements() == keys
+        assert not embedding.emulator.has_pending_rebuild
+        assert not embedding.emulator.ghosts
+        embedding.check_consistency()
 
 
 @settings(max_examples=15, deadline=None)

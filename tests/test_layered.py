@@ -10,6 +10,7 @@ from repro.core.layered import (
     corollary11_worst_case_bound,
     embedding_factory,
 )
+from repro.core.physical import PhysicalArray, ReferencePhysicalArray
 from repro.workloads import HammerWorkload, PredictedWorkload, RandomWorkload
 
 from tests.conftest import ReferenceDriver
@@ -88,22 +89,119 @@ class TestCorollary11:
         assert ratios == sorted(ratios, reverse=True)
         assert ratios[-1] < 0.05
 
-
     def test_deadweight_counts_only_live_elements_under_churn(self):
         """Bounded memory: at a steady key count, each layer's per-element
         deadweight map holds live elements only, so it cannot grow with
-        the number of operations."""
+        the number of operations.  Appends paired with uniform deletes
+        keep the outer layer on its slow path, so the inner layer (which
+        starts evenly laid out) takes slow-path work and deadweight too."""
         labeler = make_corollary11_labeler(128, seed=7)
         driver = ReferenceDriver(labeler, seed=3)
         for _ in range(96):
             driver.insert(driver.rng.randint(1, len(driver.reference) + 1))
-        for _ in range(1000):
-            driver.insert(driver.rng.randint(1, len(driver.reference) + 1))
+        for _ in range(2000):
+            driver.insert(len(driver.reference) + 1)
             driver.delete(driver.rng.randint(1, len(driver.reference)))
         for layer in (labeler, labeler.inner_embedding):
             assert layer.deadweight_moves > 0
             live = set(layer.physical.elements())
             assert set(layer.physical.deadweight_by_element) <= live
+
+    def test_emulator_containers_stay_bounded_under_churn(self):
+        """Bounded memory: once each layer has completed more rebuilds than
+        it has slots, no container of its emulator holds more entries
+        than there are slots."""
+        labeler = make_corollary11_labeler(48, seed=7)
+        layers = (labeler, labeler.inner_embedding)
+        driver = ReferenceDriver(labeler, seed=3)
+        for _ in range(36):
+            driver.insert(driver.rng.randint(1, len(driver.reference) + 1))
+        for _ in range(10_000):
+            if all(
+                layer.emulator.rebuilds_completed > layer.num_slots
+                for layer in layers
+            ):
+                break
+            driver.insert(len(driver.reference) + 1)
+            driver.delete(driver.rng.randint(1, len(driver.reference)))
+        for layer in layers:
+            assert layer.emulator.rebuilds_completed > layer.num_slots
+            for name, value in vars(layer.emulator).items():
+                if isinstance(value, (list, tuple, dict, set, frozenset)):
+                    assert len(value) <= layer.num_slots, name
+
+
+def _counting_inserts(monkeypatch) -> list:
+    """Count every ``Embedding._insert`` call from now on."""
+    calls = []
+    insert = Embedding._insert
+
+    def counting(self, rank, element):
+        calls.append(rank)
+        return insert(self, rank, element)
+
+    monkeypatch.setattr(Embedding, "_insert", counting)
+    return calls
+
+
+def _layer_states(labeler: LayeredLabeler) -> list:
+    return [
+        (list(layer.physical.slots()), list(layer.physical.kinds()))
+        for layer in (labeler, labeler.inner_embedding)
+    ]
+
+
+class TestLinearConstruction:
+    """The inner embedding is bulk-loaded with the outer R-shell's tokens."""
+
+    def test_build_makes_no_insert_and_one_placement_per_token(self, monkeypatch):
+        calls = _counting_inserts(monkeypatch)
+        labeler = make_corollary11_labeler(256, seed=7)
+        assert calls == []
+        tokens = labeler.physical.f_slot_count + labeler.physical.buffer_count
+        assert len(labeler.inner_embedding) == tokens
+        assert labeler.shell.initialization_cost == tokens
+        inner = labeler.inner_embedding
+        assert not inner.emulator.has_pending_rebuild
+        assert inner.buffered_elements == 0
+        assert inner.emulator.rebuilds_started == 0
+        labeler.check_consistency()
+        inner.check_consistency()
+
+    def test_slab_and_reference_agree_after_construction(self):
+        for capacity in (48, 256):
+            slab = make_corollary11_labeler(capacity, seed=5)
+            oracle = make_corollary11_labeler(
+                capacity, seed=5, physical_factory=ReferencePhysicalArray
+            )
+            assert isinstance(slab.inner_embedding.physical, PhysicalArray)
+            assert isinstance(oracle.inner_embedding.physical, ReferencePhysicalArray)
+            assert _layer_states(slab) == _layer_states(oracle)
+
+    def test_slab_and_reference_agree_after_elements_restore(self):
+        source = make_corollary11_labeler(96, seed=5)
+        driver = ReferenceDriver(source, seed=4)
+        for _ in range(150):
+            driver.random_operation(delete_probability=0.3)
+        state = source.snapshot()
+        assert state["format"] == "elements"
+        slab = make_corollary11_labeler(96, seed=5)
+        oracle = make_corollary11_labeler(
+            96, seed=5, physical_factory=ReferencePhysicalArray
+        )
+        slab.restore(state)
+        oracle.restore(state)
+        assert slab.elements() == oracle.elements() == driver.reference
+        assert _layer_states(slab) == _layer_states(oracle)
+        oracle.check_consistency()
+        # The restored twins keep moving in lockstep.
+        for rank in (1, len(driver.reference) + 1, 40):
+            key = driver.key_for(rank)
+            driver.reference.insert(rank - 1, key)
+            assert list(slab.insert(rank, key).moves) == list(
+                oracle.insert(rank, key).moves
+            )
+        assert _layer_states(slab) == _layer_states(oracle)
 
 
 class TestCorollary12:

@@ -2,13 +2,15 @@
 
 Every labeler answers ``count_below(key, strict=s)`` — the number of stored
 elements below ``key`` — and the ordered map turns every rank search into
-one such call.  Three implementations sit behind it: the interface's
-binary search over ``select`` (embeddings, Corollary 11), the dense array
-algorithms' bisection of their own slot list, and the sharding engine's
-fence-key descent.  Each is checked here against ``bisect`` over the
-``ReferenceDriver``'s sorted list, at every stored key, between every pair
-of neighbours and beyond both ends, while singleton and batch inserts and
-deletes drive the structures through splits, merges, borrows and rewrites.
+one such call.  Four implementations sit behind it: the dense array
+algorithms' bisection of their own slot list, the embeddings' bisection of
+their physical slots (Corollary 11 included), the sharding engine's
+fence-key descent, and the interface's binary search over ``select``,
+which an embedding keeps only below a quarter load.  Each is checked here
+against ``bisect`` over the ``ReferenceDriver``'s sorted list, at every
+stored key, between every pair of neighbours and beyond both ends, while
+singleton and batch inserts and deletes drive the structures through
+splits, merges, borrows and rewrites.
 """
 
 from __future__ import annotations
@@ -21,11 +23,15 @@ import pytest
 
 from repro.algorithms import ClassicalPMA
 from repro.applications.ordered_map import PackedMemoryMap
+from repro.core import Embedding
 from repro.core.exceptions import InvariantViolation
+from repro.core.layered import make_corollary11_labeler
 from repro.core.sharded import ShardedLabeler
 from tests.conftest import ALGORITHM_FACTORIES, COMPOSITE_FACTORIES, ReferenceDriver
 
 ALL_FACTORIES = {**ALGORITHM_FACTORIES, **COMPOSITE_FACTORIES}
+
+EMBEDDINGS = sorted(name for name in COMPOSITE_FACTORIES if name != "sharded(classical)")
 
 #: Standalone structures hold every phase of the schedule below.
 CAPACITY = 256
@@ -205,6 +211,47 @@ class TestSearchPath:
         index, calls = counted
         assert index.count_range(101, 30_001) == 14_950
         assert calls == []
+
+
+class TestEmbeddingSearchPath:
+    """A loaded embedding bisects its physical slots instead of selecting."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        index = PackedMemoryMap(
+            1024, lambda capacity: make_corollary11_labeler(capacity, seed=1)
+        )
+        index.update_many((key, key) for key in range(0, 1536, 2))
+        assert len(index) == 768
+        calls = []
+        select = Embedding.select
+
+        def counting_select(self, rank):
+            calls.append(rank)
+            return select(self, rank)
+
+        monkeypatch.setattr(Embedding, "select", counting_select)
+        return index, calls
+
+    def test_new_key_put_makes_no_select(self, counted):
+        index, calls = counted
+        index[777] = "new"
+        assert index.rank_of(777) == 390
+        assert calls == []
+
+    @pytest.mark.parametrize("name", EMBEDDINGS)
+    def test_dense_search_matches_bisect(self, name):
+        labeler = ALL_FACTORIES[name](CAPACITY)
+        keys = [Fraction(index) for index in range(3 * CAPACITY // 4)]
+        labeler.bulk_load(keys)
+        assert 4 * len(labeler) >= labeler.num_slots
+        driver = ReferenceDriver(labeler, seed=5)
+        driver.reference = list(keys)
+        assert_searches(labeler, driver.reference)
+        for _ in range(120):
+            driver.random_operation(delete_probability=0.5)
+        driver.check()
+        assert_searches(labeler, driver.reference)
 
 
 class TestUnorderedKeys:
