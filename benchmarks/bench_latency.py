@@ -12,7 +12,10 @@ inversion committed as the ``tail_inversion`` correctness flag of
 Also regression-checked here: batched and singleton runs report their
 percentiles on the same per-operation scale (the batch-blind percentile
 bugfix — before it, a batched run's p99 was a whole-batch number and the
-ratio below exploded), and the latency percentiles are mutually ordered.
+ratio below exploded).  Every number here is a move count; per-operation
+wall-clock latency is measured by the repository benchmark
+(``perfbench/``) and, on a live server, by the ``service.latency.*``
+histograms.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ def _row(name: str, result) -> dict[str, object]:
         "p99": tracker.percentile(0.99),
         "p999": tracker.percentile(0.999),
         "worst_case": tracker.worst_case,
-        "latency_p999_us": tracker.latency_percentile(0.999) * 1e6,
     }
 
 
@@ -79,10 +81,7 @@ def test_cliff_chaser_tail_inversion(run_once):
         deamortized["p999"] < classical["p999"],
         "deamortized should win the p999 tail on the cliff-chaser",
     )
-    # Size-independent: every run carries latencies, and the percentile
-    # ladder is ordered by construction.
-    for row in rows:
-        assert row["latency_p999_us"] > 0.0
+    # Size-independent: the percentile ladder is ordered by construction.
     for result_row in rows:
         assert result_row["p50"] <= result_row["p99"] <= result_row["p999"]
 
@@ -120,25 +119,4 @@ def test_batched_percentiles_per_operation_scale(run_once):
     # scale.  With event-based percentiles it was a whole-batch cost and
     # exceeded the singleton number by roughly the batch factor.
     assert batched["p99"] <= max(1.0, float(singleton["worst_case"]))
-    assert (
-        batched["latency_p999_us"] < singleton["latency_p999_us"] * 64
-    ), "batched per-op latency should never exceed singleton by the batch factor"
 
-
-def test_latency_percentiles_ordered(run_once):
-    """The latency ladder p50 <= p99 <= p999 <= max holds on a real run."""
-
-    def experiment():
-        result = run_workload(
-            ClassicalPMA(N), RebalanceCliffWorkload(N, seed=SEED)
-        )
-        return result.tracker
-
-    tracker = run_once(experiment)
-    p50 = tracker.latency_percentile(0.50)
-    p99 = tracker.latency_percentile(0.99)
-    p999 = tracker.latency_percentile(0.999)
-    assert 0.0 < p50 <= p99 <= p999 <= tracker.max_latency
-    summary = tracker.summary()
-    for key in ("latency_p50", "latency_p99", "latency_p999", "latency_max"):
-        assert key in summary

@@ -10,8 +10,7 @@ Three claims about the networked layer, measured over real sockets:
   the primary's snapshot, catches up through a backlog, then streams the
   live half of the workload; at the end its state *digest* (keys, items,
   composed labels, per-shard layout) must equal the primary's, with zero
-  final lag.  The catch-up and drain timings are reported, not asserted
-  — they are wall-clock.
+  final lag.
 * **Failover loses nothing** — a promoted replica serves the primary's
   exact final state and accepts writes.
 
@@ -43,10 +42,6 @@ def test_concurrent_clients_merge_exactly(run_once):
                 "final keys": metrics["keys"],
                 "wal frames": metrics["wal_frames"],
                 "merged == model": metrics["reads_match"],
-                "ops/s": round(metrics["ops_per_second"]),
-                "event p999 (s)": round(
-                    metrics.get("latency_event_p999", 0.0), 6
-                ),
             }
         ],
     )
@@ -68,10 +63,6 @@ def test_replica_converges_byte_identically(run_once):
                 "bootstraps": metrics["bootstraps"],
                 "final lag": metrics["replica_lag_final"],
                 "digest equal": metrics["replicas_match"],
-                "catch-up (s)": round(metrics["latency_catchup_seconds"], 4),
-                "live drain (s)": round(
-                    metrics["latency_live_drain_seconds"], 4
-                ),
             }
         ],
     )

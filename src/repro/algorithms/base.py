@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator, Sequence
 
+from repro.core.exceptions import CapacityError, LabelerError
 from repro.core.fenwick import FenwickTree
 from repro.core.interface import ListLabeler
 from repro.core.operations import MoveRecorder, Operation, OperationResult
@@ -418,12 +419,14 @@ class DenseArrayLabeler(ListLabeler):
         Costs one placement per element (the minimum possible) and leaves the
         structure in the evenly-spread state a freshly rebalanced array would
         have — the natural starting point for the embedding's R-shell.
+        Raises :class:`LabelerError` on a non-empty structure and
+        :class:`CapacityError` past the capacity, before placing anything.
         """
         elements = list(elements)
         if self.size:
-            raise RuntimeError("bulk_load requires an empty structure")
+            raise LabelerError("bulk_load requires an empty structure")
         if len(elements) > self.capacity:
-            raise ValueError("bulk_load exceeds the structure's capacity")
+            raise CapacityError(self.capacity)
         targets = self._bulk_targets(len(elements))
         for element, target in zip(elements, targets):
             self._slots[target] = element

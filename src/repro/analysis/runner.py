@@ -19,12 +19,12 @@ inline) and maintain the reference model as a
 ``O(√n)`` point updates — instead of a flat Python list whose ``O(n)``
 ``insert`` dominated wall-clock at scale.
 
-**Latency capture.**  Both modes stamp every write event with its
-wall-clock duration (the structure call, plus the WAL append in durable
-mode) through :meth:`CostTracker.record`'s ``latency`` argument, so
-``RunResult.summary()`` reports ``latency_p50/p99/p999`` next to the
-move-cost percentiles.  The clock is injectable (``clock=``) — tests pass
-a deterministic fake; the default is :func:`time.perf_counter`.
+**Moves, not time.**  The tracker records each write event's element
+moves and nothing else; the percentiles ``RunResult.summary()`` reports
+are move-cost percentiles.  One :func:`time.perf_counter` pair per run
+gives :attr:`RunResult.elapsed_seconds`.  Per-operation latency is
+measured by the repository benchmark (``perfbench/``) and, on a live
+server, by the ``service.latency.*`` histograms of :mod:`repro.obs`.
 
 **Durable mode.**  Passing ``durable_dir`` write-ahead logs every applied
 operation — with its synthesized key, and batches as single atomic frames —
@@ -42,7 +42,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Hashable, Sequence
+from typing import Hashable, Sequence
 
 from repro.analysis.reference import ChunkedList
 from repro.core.cost import CostTracker
@@ -109,10 +109,10 @@ class RunResult:
         shard_statistics = getattr(self.labeler, "shard_statistics", None)
         if callable(shard_statistics):
             # Event counters (splits/merges/moves) must be run-scoped: the
-            # tracker owns them (fed from the restructure-log slice of this
-            # run), while the labeler's counters are lifetime totals that
-            # would misattribute prior runs' work on a reused structure.
-            # Only the state-shaped keys come from the labeler.
+            # tracker owns them (fed the labeler's counter differences over
+            # this run), while the labeler's counters are lifetime totals
+            # that would misattribute prior runs' work on a reused
+            # structure.  Only the state-shaped keys come from the labeler.
             stats = shard_statistics()
             for key in (
                 "splits", "merges", "borrows", "rewrites", "restructure_moves"
@@ -166,7 +166,6 @@ def run_workload(
     batch_size: int = 1,
     durable_dir=None,
     durable_sync: str = "batch",
-    clock: Callable[[], float] | None = None,
 ) -> RunResult:
     """Run ``workload`` against ``labeler`` and record the move costs.
 
@@ -179,11 +178,7 @@ def run_workload(
     ``insert_batch`` / ``delete_batch``.  ``durable_dir`` write-ahead logs
     every applied operation (see the module docstring); ``durable_sync``
     sets the log's fsync policy (``"always"``/``"batch"``/``"never"``).
-    ``clock`` overrides the per-operation latency clock (deterministic
-    fakes in tests); the default is :func:`time.perf_counter`.
     """
-    if clock is None:
-        clock = time.perf_counter
     tracker = CostTracker()
     reference = ChunkedList(
         block_size=max(8, math.isqrt(max(1, workload.operations)))
@@ -191,10 +186,10 @@ def run_workload(
     journal = (
         _RunJournal(durable_dir, durable_sync) if durable_dir is not None else None
     )
-    # Sharded structures log their splits/merges; only events appended
-    # during this run are attributed to it.
-    restructure_log = getattr(labeler, "restructure_log", None)
-    restructures_before = len(restructure_log) if restructure_log is not None else 0
+    # Sharded structures count their splits/merges; only the difference
+    # over this run is attributed to it.
+    restructure_counts = getattr(labeler, "restructure_counts", None)
+    counts_before = restructure_counts() if restructure_counts else {}
     started = time.perf_counter()
 
     try:
@@ -205,7 +200,6 @@ def run_workload(
                 validate_every=validate_every,
                 stop_after=stop_after,
                 journal=journal,
-                clock=clock,
             )
         else:
             _run_singleton(
@@ -213,16 +207,19 @@ def run_workload(
                 validate_every=validate_every,
                 stop_after=stop_after,
                 journal=journal,
-                clock=clock,
             )
     finally:
         if journal is not None:
             journal.close()
 
     elapsed = time.perf_counter() - started
-    if restructure_log is not None:
-        for kind, moves in restructure_log[restructures_before:]:
-            tracker.record_restructure(kind, moves)
+    if restructure_counts:
+        for kind, (events, moves) in restructure_counts().items():
+            events_before, moves_before = counts_before[kind]
+            if events > events_before:
+                tracker.record_restructures(
+                    kind, events - events_before, moves - moves_before
+                )
     return RunResult(
         labeler=labeler,
         workload_name=workload.name,
@@ -369,7 +366,6 @@ def _run_singleton(
     validate_every: int,
     stop_after: int | None,
     journal: _RunJournal | None = None,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> None:
     executed = 0
     for operation in workload:
@@ -385,20 +381,16 @@ def _run_singleton(
             key = operation.key
             if key is None:
                 key = synthesize_key(reference, operation.rank)
-            started = clock()
             if journal is not None:
                 journal.log("ins", {"rank": operation.rank, "key": key})
             result = labeler.insert(operation.rank, key)
-            latency = clock() - started
             reference.insert(operation.rank - 1, key)
         else:
-            started = clock()
             if journal is not None:
                 journal.log("del", {"rank": operation.rank})
             result = labeler.delete(operation.rank)
-            latency = clock() - started
             reference.pop(operation.rank - 1)
-        tracker.record(result.cost, latency=max(0.0, latency))
+        tracker.record(result.cost)
         executed += 1
         if validate_every and executed % validate_every == 0:
             _validate(labeler, reference)
@@ -414,7 +406,6 @@ def _run_batched(
     validate_every: int,
     stop_after: int | None,
     journal: _RunJournal | None = None,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> None:
     executed = 0
     next_check = validate_every if validate_every else None
@@ -432,19 +423,11 @@ def _run_batched(
             for operation in batch:
                 _execute_read(labeler, reference, operation, tracker)
         elif batch[0].is_insert:
-            started = clock()
             result = _execute_insert_batch(labeler, reference, batch, journal)
-            latency = clock() - started
-            tracker.record_batch(
-                result.cost, result.count, latency=max(0.0, latency)
-            )
+            tracker.record_batch(result.cost, result.count)
         else:
-            started = clock()
             result = _execute_delete_batch(labeler, reference, batch, journal)
-            latency = clock() - started
-            tracker.record_batch(
-                result.cost, result.count, latency=max(0.0, latency)
-            )
+            tracker.record_batch(result.cost, result.count)
         executed += len(batch)
         if next_check is not None and executed >= next_check:
             _validate(labeler, reference)

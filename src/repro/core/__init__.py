@@ -32,11 +32,7 @@ from repro.core.operations import (
 )
 from repro.core.interface import Cursor, ListLabeler
 from repro.core.physical import PhysicalArray, ReferencePhysicalArray
-from repro.core.cost import (
-    LATENCY_KEY_ALIASES,
-    CostTracker,
-    WindowStatistics,
-)
+from repro.core.cost import CostTracker, WindowStatistics
 from repro.core.embedding import Embedding
 from repro.core.layered import (
     LayeredLabeler,
@@ -52,7 +48,6 @@ __all__ = [
     "COUNT_RANGE",
     "CapacityError",
     "CostTracker",
-    "LATENCY_KEY_ALIASES",
     "Cursor",
     "DELETE",
     "Embedding",

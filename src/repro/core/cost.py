@@ -26,10 +26,10 @@ Two distributional views coexist:
   treats each recorded event — a whole batch — as one sample, which is the
   right view for "how expensive can one call get".
 
-Events may also carry a **wall-clock latency** (``latency=`` on the record
-methods; the workload runner injects a clock), exposed through the same
-weight-aware percentile machinery (:meth:`CostTracker.latency_percentile`)
-so tail *time*, not just tail *moves*, is measurable.
+The tracker counts element moves and exact quantities only; it keeps no
+clock.  Wall-clock time is measured by the repository benchmark
+(``perfbench/``) and, on a live server, by the ``service.latency.*``
+histograms of :mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -37,14 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
-
-#: Historical latency-key spellings, kept as aliases of the canonical
-#: names (``latency_p*`` = per-operation view, ``latency_event_*`` =
-#: whole-event view).  :meth:`CostTracker.latency_summary` emits both, so
-#: committed BENCH documents written under either scheme still validate.
-LATENCY_KEY_ALIASES: dict[str, str] = {
-    "latency_max": "latency_event_max",
-}
 
 
 @dataclass(frozen=True)
@@ -79,7 +71,6 @@ class CostTracker:
     def __init__(self) -> None:
         self._costs: list[int] = []
         self._weights: list[int] = []
-        self._latencies: list[float | None] = []
         self._operations = 0
         self._total = 0
         self._max = 0
@@ -91,42 +82,32 @@ class CostTracker:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(self, cost: int, *, latency: float | None = None) -> None:
-        """Record the cost of one operation (optionally its wall-clock latency)."""
-        self._record_event(cost, 1, latency)
+    def record(self, cost: int) -> None:
+        """Record the cost of one operation."""
+        self._record_event(cost, 1)
 
-    def record_batch(
-        self, total_cost: int, operations: int, *, latency: float | None = None
-    ) -> None:
+    def record_batch(self, total_cost: int, operations: int) -> None:
         """Record a batch of ``operations`` logical ops with one total cost.
 
         The batch appears as a single event in the event-level statistics
         and as ``operations`` operations in the element-level ones.
-        ``latency`` is the wall-clock duration of the whole batch.
 
         A **zero-applied batch** (``operations == 0`` — e.g. a
         ``delete_many`` whose key set was empty) is recorded as a
         weight-0 event: it contributes nothing to the per-operation views
-        (there is no operation to attribute its cost to), but it *is* a
-        call that happened and took wall-clock time, so it stays visible
-        to the event-level statistics — :meth:`event_percentile`,
-        :meth:`event_latency_percentile`, :attr:`events` — where a no-op
-        stall must not be able to hide from the tail percentiles.
+        (there is no operation to attribute its cost to), but it is a call
+        that happened, so it stays visible to the event-level statistics
+        (:meth:`event_percentile`, :attr:`events`).
         """
         if operations < 0:
             raise ValueError("batch size cannot be negative")
-        self._record_event(total_cost, operations, latency)
+        self._record_event(total_cost, operations)
 
-    def _record_event(
-        self, cost: int, weight: int, latency: float | None = None
-    ) -> None:
+    def _record_event(self, cost: int, weight: int) -> None:
         if cost < 0:
             raise ValueError("operation cost cannot be negative")
-        if latency is not None and latency < 0:
-            raise ValueError("latency cannot be negative")
         self._costs.append(cost)
         self._weights.append(weight)
-        self._latencies.append(latency)
         self._operations += weight
         self._total += cost
         if cost > self._max:
@@ -135,20 +116,6 @@ class CostTracker:
     def record_many(self, costs: Iterable[int]) -> None:
         for cost in costs:
             self.record(cost)
-
-    def record_recorder(
-        self, recorder, operations: int = 1, *, latency: float | None = None
-    ) -> None:
-        """Consume a :class:`repro.core.operations.MoveRecorder` directly.
-
-        The zero-alloc counterpart of summing ``Move.cost`` over a move
-        list: the recorder keeps its total pre-aggregated, so charging a
-        whole recorded run (or batch) to the tracker reads one integer and
-        never materializes a ``Move``.  ``operations`` is the number of
-        logical operations the recorded work served (a batch weight, as in
-        :meth:`record_batch`).
-        """
-        self.record_batch(recorder.total_cost, operations, latency=latency)
 
     def record_query(self, kind: str, items: int = 1) -> None:
         """Record one read operation of the given kind.
@@ -166,17 +133,18 @@ class CostTracker:
         self._query_counts[kind] = self._query_counts.get(kind, 0) + 1
         self._query_items[kind] = self._query_items.get(kind, 0) + items
 
-    def record_restructure(self, kind: str, moves: int) -> None:
-        """Record one structural event (a shard split/merge, a rebuild, …).
+    def record_restructures(self, kind: str, events: int, moves: int) -> None:
+        """Record ``events`` structural events of one kind (shard splits,
+        merges, …) that moved ``moves`` elements in all.
 
         Restructuring moves are already part of the operation costs that
         triggered them — this records a *breakdown* by event kind, not
         additional cost, so reports can separate steady-state traffic from
         structural maintenance (the sharding engine's splits and merges).
         """
-        if moves < 0:
-            raise ValueError("restructure moves cannot be negative")
-        self._restructures[kind] = self._restructures.get(kind, 0) + 1
+        if events < 0 or moves < 0:
+            raise ValueError("restructure counts cannot be negative")
+        self._restructures[kind] = self._restructures.get(kind, 0) + events
         self._restructure_moves[kind] = (
             self._restructure_moves.get(kind, 0) + moves
         )
@@ -422,107 +390,8 @@ class CostTracker:
         return heavy / len(self._costs)
 
     # ------------------------------------------------------------------
-    # Latency statistics
+    # Summarizing
     # ------------------------------------------------------------------
-    @property
-    def latency_events(self) -> int:
-        """Number of recorded events that carried a wall-clock latency."""
-        return sum(1 for latency in self._latencies if latency is not None)
-
-    @property
-    def max_latency(self) -> float:
-        """Largest single-event latency recorded (0.0 when none)."""
-        observed = [
-            latency for latency in self._latencies if latency is not None
-        ]
-        return max(observed) if observed else 0.0
-
-    def latency_percentile(self, fraction: float) -> float:
-        """Per-operation latency percentile (weight-aware nearest-rank).
-
-        A batch event of weight ``w`` that took ``t`` seconds contributes
-        ``w`` operations of latency ``t / w`` — the throughput-equivalent
-        per-operation view, on the same scale for batched and singleton
-        runs.  Events recorded without a latency are excluded.  See
-        :meth:`event_latency_percentile` for whole-event latencies.
-        """
-        pairs = [
-            (latency / weight, weight)
-            for latency, weight in zip(self._latencies, self._weights)
-            if latency is not None and weight
-        ]
-        return self._weighted_nearest_rank(pairs, fraction)
-
-    def event_latency_percentile(self, fraction: float) -> float:
-        """Latency percentile over whole events (a batch = one sample)."""
-        pairs = [
-            (latency, 1)
-            for latency in self._latencies
-            if latency is not None
-        ]
-        return self._weighted_nearest_rank(pairs, fraction)
-
-    def latency_summary(self) -> dict[str, float]:
-        """Latency percentile dict (empty when no latency was recorded).
-
-        This is the **one** place latency keys are named, for every
-        producer (the runner's scenario metrics, the service's
-        ``latency_statistics()``, report tables): the canonical scheme is
-        ``latency_p*`` for the weight-expanded per-operation view and
-        ``latency_event_*`` for the whole-event view (a batch = one
-        sample).  :data:`LATENCY_KEY_ALIASES` keeps the historical
-        spellings (``latency_max`` for ``latency_event_max``) emitted
-        alongside, so committed BENCH documents and older dashboards keep
-        validating unchanged.
-
-        All values are seconds and wall-clock derived — the benchmark
-        comparator treats every ``latency_*`` metric as machine-dependent
-        (warn-only), like ``elapsed_seconds``.
-        """
-        if not self.latency_events:
-            return {}
-        summary = {
-            "latency_p50": self.latency_percentile(0.50),
-            "latency_p99": self.latency_percentile(0.99),
-            "latency_p999": self.latency_percentile(0.999),
-            "latency_event_p50": self.event_latency_percentile(0.50),
-            "latency_event_p99": self.event_latency_percentile(0.99),
-            "latency_event_p999": self.event_latency_percentile(0.999),
-            "latency_event_max": self.max_latency,
-        }
-        for alias, canonical in LATENCY_KEY_ALIASES.items():
-            summary[alias] = summary[canonical]
-        return summary
-
-    # ------------------------------------------------------------------
-    # Merging and summarizing
-    # ------------------------------------------------------------------
-    def merge(self, other: "CostTracker") -> "CostTracker":
-        """Concatenate two runs into a new tracker (batch weights survive)."""
-        merged = CostTracker()
-        for tracker in (self, other):
-            for cost, weight, latency in zip(
-                tracker._costs, tracker._weights, tracker._latencies
-            ):
-                merged._record_event(cost, weight, latency)
-            for kind, count in tracker._restructures.items():
-                merged._restructures[kind] = (
-                    merged._restructures.get(kind, 0) + count
-                )
-            for kind, moves in tracker._restructure_moves.items():
-                merged._restructure_moves[kind] = (
-                    merged._restructure_moves.get(kind, 0) + moves
-                )
-            for kind, count in tracker._query_counts.items():
-                merged._query_counts[kind] = (
-                    merged._query_counts.get(kind, 0) + count
-                )
-            for kind, items in tracker._query_items.items():
-                merged._query_items[kind] = (
-                    merged._query_items.get(kind, 0) + items
-                )
-        return merged
-
     def summary(self) -> dict[str, float]:
         """Dictionary summary used by the benchmark report tables."""
         data = {
@@ -537,7 +406,6 @@ class CostTracker:
         data.update(self.batch_statistics())
         data.update(self.structure_statistics())
         data.update(self.query_statistics())
-        data.update(self.latency_summary())
         return data
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

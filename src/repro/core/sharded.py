@@ -52,9 +52,11 @@ plain sub-batches — the order the move logs and layouts are pinned to.
 The cost model stays the paper's: every physical element move — including
 the rewrites performed by splits and merges — is reported through the
 returned :class:`~repro.core.operations.OperationResult` moves, and the
-restructuring traffic is additionally itemized in :attr:`restructure_log`
-(drained by :func:`repro.analysis.runner.run_workload` into the
-:class:`~repro.core.cost.CostTracker`).
+restructuring traffic is additionally counted per kind
+(:meth:`ShardedLabeler.restructure_counts`: events and moves, integers
+only, so nothing grows per operation);
+:func:`repro.analysis.runner.run_workload` attributes the difference over
+a run to its :class:`~repro.core.cost.CostTracker`.
 """
 
 from __future__ import annotations
@@ -142,18 +144,19 @@ class ShardedLabeler(ListLabeler):
         self._fences: list = [None]
         self._rebuild_directory()
 
-        #: Structural-change counters and per-event move log
-        #: (``(kind, moved)`` pairs, ``kind`` in {"split", "merge",
-        #: "borrow", "rewrite"}): a *split* halves one overfull shard, a
-        #: *merge* combines an underfull pair, a *borrow* re-splits a pair
-        #: whose union would overflow (nothing is merged), and a *rewrite*
-        #: absorbs an overflowing sub-batch into evenly-loaded fresh shards.
+        #: Structural-change counters: a *split* halves one overfull
+        #: shard, a *merge* combines an underfull pair, a *borrow*
+        #: re-splits a pair whose union would overflow (nothing is
+        #: merged), and a *rewrite* absorbs an overflowing sub-batch into
+        #: evenly-loaded fresh shards.
         self.splits = 0
         self.merges = 0
         self.borrows = 0
         self.rewrites = 0
         self.restructure_moves = 0
-        self.restructure_log: list[tuple[str, int]] = []
+        #: Element moves per restructure kind, counted since construction
+        #: or the last :meth:`restore` (snapshots carry only the total).
+        self._kind_moves = dict.fromkeys(self._RESTRUCTURE_COUNTERS, 0)
         self.set_registry(registry)
 
     # ------------------------------------------------------------------
@@ -334,10 +337,21 @@ class ShardedLabeler(ListLabeler):
     #: :meth:`_record_restructure`).
     _DENSITY_SWEEP_STRIDE = 32
 
+    def restructure_counts(self) -> dict[str, tuple[int, int]]:
+        """``(events, moves)`` per restructure kind.
+
+        Lifetime integers: a caller attributes a window of work by the
+        difference of two readings, as the workload runner does per run.
+        """
+        return {
+            kind: (getattr(self, counter), self._kind_moves[kind])
+            for kind, counter in self._RESTRUCTURE_COUNTERS.items()
+        }
+
     def _record_restructure(self, kind: str, moves: Sequence[Move]) -> None:
         moved = sum(1 for move in moves if move.cost > 0)
-        self.restructure_log.append((kind, moved))
         self.restructure_moves += moved
+        self._kind_moves[kind] += moved
         counter = self._RESTRUCTURE_COUNTERS[kind]
         setattr(self, counter, getattr(self, counter) + 1)
         self._obs_restructures[kind].inc()
@@ -349,7 +363,8 @@ class ShardedLabeler(ListLabeler):
             # shard; amortize it to one sweep per stride restructures so
             # a restructure-heavy ingest never pays a K-proportional
             # instrumentation tax on every split.
-            if len(self.restructure_log) % self._DENSITY_SWEEP_STRIDE == 1:
+            restructures = self.splits + self.merges + self.borrows + self.rewrites
+            if restructures % self._DENSITY_SWEEP_STRIDE == 1:
                 capacity = float(self._shard_capacity)
                 for shard in self._shards:
                     self._obs_density.observe(len(shard) / capacity)
@@ -700,7 +715,7 @@ class ShardedLabeler(ListLabeler):
         self.borrows = counters.get("borrows", 0)
         self.rewrites = counters.get("rewrites", 0)
         self.restructure_moves = counters.get("restructure_moves", 0)
-        self.restructure_log = []
+        self._kind_moves = dict.fromkeys(self._RESTRUCTURE_COUNTERS, 0)
 
     # ------------------------------------------------------------------
     # Physical views

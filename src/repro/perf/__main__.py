@@ -1,6 +1,6 @@
 """Command-line entry point: ``python -m repro.perf <generate|compare|show>``.
 
-* ``generate [--quick] [--suite core|sharded|all] [--out DIR] [--seed N]``
+* ``generate [--quick] [--suite <suite>|all] [--out DIR] [--seed N]``
   runs the scenarios and (re)writes ``BENCH_<suite>.json``.  Refreshing the
   committed baselines is a full run in the repository root::
 
@@ -9,8 +9,8 @@
 * ``compare [--quick] [--suite ...] [--baseline-dir DIR] [--tolerance F]
   [--dump-dir DIR] [--no-trajectory]`` regenerates the suites in memory
   and diffs them against the committed files.  Exits ``1`` on any failure
-  — a move-count regression beyond the tolerance (default 25%) or a
-  slab/reference move-log divergence.  ``--dump-dir`` also writes the
+  — a move-count regression beyond the tolerance (default 25%) or a false
+  correctness flag (any ``bool`` field).  ``--dump-dir`` also writes the
   fresh documents to disk (before comparing, so a failing run still
   leaves an inspectable artifact).  This is what the CI ``bench-baseline``
   job runs (with ``--quick --dump-dir bench-fresh``).

@@ -1,13 +1,13 @@
 """Schema-versioned benchmark baselines and the regression comparator.
 
-The committed artifacts are ``BENCH_core.json``, ``BENCH_sharded.json``,
-``BENCH_store.json``, ``BENCH_query.json``, ``BENCH_latency.json`` and
-``BENCH_server.json`` at the repository root:
+The committed artifacts are one ``BENCH_<suite>.json`` per suite at the
+repository root (``core``, ``sharded``, ``store``, ``query``, ``latency``,
+``server`` and ``obs``):
 
 .. code-block:: json
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "suite": "core",
       "seed": 20260730,
       "quick": false,
@@ -21,31 +21,30 @@ The committed artifacts are ``BENCH_core.json``, ``BENCH_sharded.json``,
       }
     }
 
+Every field is an exact quantity of a seeded run; none is a timing.
 Full generation records every scenario at its quick *and* full size; a
 ``--quick`` regeneration (what CI does on every push) reruns only the quick
-sizes and :func:`compare_baselines` diffs the intersection:
+sizes and :func:`compare_baselines` diffs the intersection by three rules:
 
-* move-count metrics (``moves``, ``total_moves``, ``reference_moves``,
-  ``restructure_moves``) regressing by more than the tolerance (default
-  25%) are **failures** — the comparator exits nonzero;
-* a false correctness flag — ``moves_match`` (slab/reference move-log
-  divergence) or ``recovered_match`` (a store recovery that did not
-  reproduce the pre-crash state) — is always a failure;
-* wall-clock metrics (``elapsed_seconds``, ``reference_elapsed_seconds``,
-  ``speedup``, ``ops_per_second``, and every metric carrying a
-  ``latency_`` segment — see :func:`is_wall_clock_metric`) only ever
-  **warn** — timings are machine-dependent, move counts are not.  The
-  check is direction-aware: elapsed times and latencies warn when the
-  fresh run is *slower* by the warn factor, ``speedup``/``ops_per_second``
-  warn when the fresh value *collapses* by it;
-* any other metric drift warns, since for a fixed seed every non-wall-clock
-  number is expected to be bit-identical.
+* **moves** — the fields named in :data:`MOVE_METRICS` (the paper's cost
+  model) fail when they regress by more than the tolerance (default 25%)
+  and warn on any smaller drift;
+* **correctness flags** — a ``bool`` field, known by its type
+  (``moves_match``, ``recovered_match``, ``reads_match``,
+  ``tail_inversion``, ``replicas_match``, ``obs_matches_bare``), fails
+  unless the fresh run has it ``True``;
+* **everything else is exact** — for a fixed seed every other number is
+  bit-identical, so any drift warns.
 
-**Schema versions.**  Version 2 (current) added the latency suite and the
-``p999`` / ``latency_*`` summary fields; the change is purely additive, so
-the comparator accepts any baseline whose version is in
-:data:`COMPATIBLE_SCHEMA_VERSIONS` — the committed version-1 documents
-keep validating without regeneration.
+Wall-clock time is measured elsewhere: by the repository benchmark
+(``perfbench/``, with calibration, repeats and quartiles), on a live
+server by the ``service.latency.*`` histograms of :mod:`repro.obs`, and
+the two timing bounds that gate something by the bench files that assert
+them (``benchmarks/bench_wire_speed.py``, ``benchmarks/bench_obs.py``).
+
+**Schema versions.**  Version 3 (current) dropped every timing field;
+documents of any other version fail to compare — regenerate them with
+``python -m repro.perf generate``.
 """
 
 from __future__ import annotations
@@ -66,21 +65,13 @@ from repro.perf.scenarios import (
     ScenarioSpec,
 )
 
-SCHEMA_VERSION = 2
-
-#: Baseline document versions the comparator still reads.  Version 2 only
-#: *added* fields (latency suite, ``p999``/``latency_*``), so version-1
-#: documents committed before the bump stay comparable as-is.
-COMPATIBLE_SCHEMA_VERSIONS = frozenset({1, 2})
+SCHEMA_VERSION = 3
 
 #: Seed baked into the committed baselines.
 DEFAULT_SEED = 20260730
 
 #: Default failure threshold for move-count regressions (+25%).
 DEFAULT_MOVE_TOLERANCE = 0.25
-
-#: Wall-clock warn threshold (fresh slower than baseline by this factor).
-WALL_CLOCK_WARN_FACTOR = 1.5
 
 SUITES: dict[str, dict[str, ScenarioSpec]] = {
     "core": CORE_SCENARIOS,
@@ -96,68 +87,10 @@ SUITES: dict[str, dict[str, ScenarioSpec]] = {
 TRAJECTORY_LIMIT = 200
 
 #: Metrics measured in element moves — the paper's cost model, and the only
-#: numbers the comparator treats as hard regressions.
+#: numbers the comparator judges against a tolerance.
 MOVE_METRICS = frozenset(
     {"moves", "reference_moves", "total_moves", "restructure_moves"}
 )
-
-#: Machine-dependent metrics: never compared strictly, stripped by the
-#: determinism tests, and only warned about by the comparator.
-WALL_CLOCK_METRICS = frozenset(
-    {
-        "elapsed_seconds",
-        "reference_elapsed_seconds",
-        "recovery_elapsed_seconds",
-        "full_recovery_elapsed_seconds",
-        "speedup",
-        "ops_per_second",
-        "reference_ops_per_second",
-        "bare_elapsed_seconds",
-        "instrumented_elapsed_seconds",
-        "overhead_fraction",
-    }
-)
-
-#: Wall-clock metrics where a *drop* (not a rise) signals degradation.
-_HIGHER_IS_BETTER = frozenset(
-    {
-        "speedup",
-        "ops_per_second",
-        "reference_ops_per_second",
-    }
-)
-
-#: Boolean correctness flags: anything but ``True`` in a fresh run is a
-#: hard failure, never a drift warning.
-_CORRECTNESS_FLAGS = {
-    "moves_match": "slab and reference move logs diverged",
-    "recovered_match": "recovered store diverged from the pre-crash state",
-    "reads_match": "a verified read diverged from the reference model",
-    "tail_inversion": (
-        "deamortized no longer beats classical on p999 move cost while "
-        "classical wins amortized (the latency suite's paper-story check)"
-    ),
-    "replicas_match": (
-        "replica state digest diverged from the primary (WAL shipping no "
-        "longer reproduces byte-identical state)"
-    ),
-    "obs_matches_bare": (
-        "a live metrics registry changed a structural decision (move log "
-        "digest diverged between the bare and instrumented runs)"
-    ),
-}
-
-
-def is_wall_clock_metric(name: str) -> bool:
-    """Whether ``name`` is machine-dependent (warn-only, stripped for
-    determinism checks).
-
-    Beyond the fixed :data:`WALL_CLOCK_METRICS` names, every metric whose
-    name carries a ``latency_`` segment (``latency_p999``,
-    ``classical_latency_p50``, …) is wall-clock: latencies come from a real
-    clock, so noisy CI boxes must never hard-fail the comparator on them.
-    """
-    return name in WALL_CLOCK_METRICS or "latency_" in name
 
 
 def baseline_filename(suite: str) -> str:
@@ -210,10 +143,9 @@ def trajectory_entry(
 ) -> dict:
     """One history record summarizing a run of the suite.
 
-    Captures the deterministic cost metrics (moves and operation counts)
-    of every scenario/size the run produced, plus — for ``compare`` runs —
-    the comparison outcome.  Wall-clock values are deliberately excluded:
-    the history tracks the cost model across PRs, not machine speed.
+    Captures the move and operation counts of every scenario/size the run
+    produced, plus — for ``compare`` runs — the comparison outcome: the
+    history tracks the cost model across PRs.
     """
     metrics: dict[str, float] = {}
     for name, entry in fresh.get("scenarios", {}).items():
@@ -264,32 +196,6 @@ def record_comparison_trajectory(
         document, trajectory_entry(fresh, event="compare", comparison=comparison)
     )
     write_baseline(path, document)
-
-
-def strip_wall_clock(document: dict) -> dict:
-    """A copy of a baseline document without its machine-dependent fields.
-
-    Two runs with the same seed must produce *identical* stripped documents
-    — the determinism regression test asserts exactly that across fresh
-    processes.
-    """
-    stripped = {
-        key: value for key, value in document.items() if key != "scenarios"
-    }
-    stripped["scenarios"] = {
-        name: {
-            "sizes": {
-                size: {
-                    metric: value
-                    for metric, value in metrics.items()
-                    if not is_wall_clock_metric(metric)
-                }
-                for size, metrics in entry["sizes"].items()
-            }
-        }
-        for name, entry in document["scenarios"].items()
-    }
-    return stripped
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +251,12 @@ def compare_baselines(
     """
     suite = baseline.get("suite", "?")
     comparison = BaselineComparison(suite=suite)
-    # Compatible versions (not just equal ones) diff cleanly: schema bumps
-    # are additive, so a version-1 committed baseline validates against a
-    # version-2 fresh run on their metric intersection.
     for side, document in (("baseline", baseline), ("fresh", fresh)):
-        if document.get("schema_version") not in COMPATIBLE_SCHEMA_VERSIONS:
+        if document.get("schema_version") != SCHEMA_VERSION:
             comparison.failures.append(
                 f"unsupported {side} schema version "
                 f"{document.get('schema_version')!r} (supported: "
-                f"{sorted(COMPATIBLE_SCHEMA_VERSIONS)}) — regenerate the "
-                f"baseline"
+                f"{SCHEMA_VERSION}) — regenerate the baseline"
             )
     if comparison.failures:
         return comparison
@@ -410,30 +312,12 @@ def _compare_metrics(
         if base_value is None or fresh_value is None:
             comparison.warnings.append(f"{label}: present on one side only")
             continue
-        if metric in _CORRECTNESS_FLAGS:
+        if isinstance(base_value, bool) or isinstance(fresh_value, bool):
             if fresh_value is not True:
                 comparison.failures.append(
-                    f"{label}: " + _CORRECTNESS_FLAGS[metric]
+                    f"{label}: correctness flag is {fresh_value!r}"
                 )
                 comparison._row(scenario, size, metric, base_value, fresh_value, "FAIL")
-            continue
-        if is_wall_clock_metric(metric):
-            status = "ok"
-            if isinstance(base_value, (int, float)) and base_value > 0:
-                # Direction-aware: speedup/ops_per_second are higher-is-
-                # better (warn on collapse), elapsed times and latencies
-                # are lower-is-better (warn on slowdown).
-                if metric in _HIGHER_IS_BETTER:
-                    degraded = fresh_value * WALL_CLOCK_WARN_FACTOR < base_value
-                else:
-                    degraded = fresh_value > base_value * WALL_CLOCK_WARN_FACTOR
-                if degraded:
-                    status = "WARN"
-                    comparison.warnings.append(
-                        f"{label}: wall-clock {fresh_value:.4f} vs baseline "
-                        f"{base_value:.4f} (machine-dependent; not a failure)"
-                    )
-            comparison._row(scenario, size, metric, base_value, fresh_value, status)
             continue
         if metric in MOVE_METRICS:
             if base_value > 0:

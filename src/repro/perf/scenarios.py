@@ -1,29 +1,26 @@
-"""Deterministic, seeded throughput scenarios for the benchmark baselines.
+"""Deterministic, seeded scenarios for the benchmark baselines.
 
 Each scenario is a pure function ``run(n, seed) -> dict`` returning a flat
-metric dict.  Two invariants every scenario keeps:
-
-* **move counts are bit-deterministic** — the same ``(n, seed)`` produces
-  the same ``moves`` / ``total_moves`` / split/merge counts in any process
-  (this is what the determinism regression test and the CI comparator rely
-  on);
-* **wall-clock metrics are labelled as such** — ``elapsed_seconds``,
-  ``*_elapsed_seconds``, ``speedup`` and ``ops_per_second`` are the only
-  fields allowed to differ between runs, and the comparator only warns on
-  them.
+metric dict of **exact quantities only**: move counts, operation and key
+counts, frame counts, and boolean correctness flags.  The same
+``(n, seed)`` produces the same dict in any process — the determinism
+test compares whole documents across fresh processes, and the CI
+comparator treats every field as exact.  No scenario reads a clock:
+wall-clock time is measured by the repository benchmark
+(``perfbench/``), and the two timing bounds that gate something are
+asserted by the bench files that measure them (``bench_wire_speed.py``,
+``bench_obs.py``).
 
 The core scenarios replay one recorded physical trace on the slab
 :class:`~repro.core.physical.PhysicalArray` and on the seed
-:class:`~repro.core.physical_reference.ReferencePhysicalArray` oracle, so
-their ``speedup`` columns are apples-to-apples measurements of the physical
-layer on identical work, and ``moves_match`` / ``reads_match`` assert
-bit-identical move logs (and lookup answers) across the two.
+:class:`~repro.core.physical_reference.ReferencePhysicalArray` oracle;
+``moves_match`` / ``reads_match`` assert bit-identical move logs (and
+lookup answers) across the two.
 """
 
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -35,9 +32,6 @@ from repro.perf.trace import (
     record_insert_heavy_trace,
     replay_trace,
 )
-
-#: Repeat count for the replay timings (best-of to damp scheduler noise).
-_TIMING_REPEATS = 2
 
 
 @dataclass(frozen=True)
@@ -58,49 +52,23 @@ class ScenarioSpec:
 # ---------------------------------------------------------------------------
 # Core suite: physical-layer replays (slab vs reference)
 # ---------------------------------------------------------------------------
-def _timed_replays(trace: PhysicalTrace, num_slots: int) -> dict:
-    """Replay ``trace`` on the reference and slab arrays; time and
-    cross-check (both must produce identical ``(element, source,
-    destination)`` logs)."""
-    reference_elapsed = None
-    for _ in range(_TIMING_REPEATS):
-        array = ReferencePhysicalArray(num_slots)
-        sink: list = []
-        array.move_sink = sink
-        started = time.perf_counter()
-        replay_trace(trace, array)
-        elapsed = time.perf_counter() - started
-        array.move_sink = None
-        if reference_elapsed is None or elapsed < reference_elapsed:
-            reference_elapsed = elapsed
-
-    slab_elapsed = None
-    for _ in range(_TIMING_REPEATS):
-        array = PhysicalArray(num_slots)
-        recorder = MoveRecorder()
-        array.move_sink = recorder
-        started = time.perf_counter()
-        replay_trace(trace, array)
-        elapsed = time.perf_counter() - started
-        array.move_sink = None
-        if slab_elapsed is None or elapsed < slab_elapsed:
-            slab_elapsed = elapsed
-
-    reference_cost = sum(move.cost for move in sink)
-    ops = len(trace)
+def _replays(trace: PhysicalTrace, num_slots: int) -> dict:
+    """Replay ``trace`` on the reference and slab arrays and cross-check
+    their ``(element, source, destination)`` move logs."""
+    reference = ReferencePhysicalArray(num_slots)
+    sink: list = []
+    reference.move_sink = sink
+    replay_trace(trace, reference)
+    slab = PhysicalArray(num_slots)
+    recorder = MoveRecorder()
+    slab.move_sink = recorder
+    replay_trace(trace, slab)
     return {
-        "trace_ops": ops,
+        "trace_ops": len(trace),
         "num_slots": num_slots,
         "moves": recorder.total_cost,
-        "reference_moves": reference_cost,
+        "reference_moves": sum(move.cost for move in sink),
         "moves_match": move_triples(sink) == recorder.triples(),
-        "elapsed_seconds": slab_elapsed,
-        "reference_elapsed_seconds": reference_elapsed,
-        "speedup": reference_elapsed / slab_elapsed if slab_elapsed else 0.0,
-        "ops_per_second": ops / slab_elapsed if slab_elapsed else 0.0,
-        "reference_ops_per_second": (
-            ops / reference_elapsed if reference_elapsed else 0.0
-        ),
     }
 
 
@@ -112,7 +80,7 @@ def run_insert_heavy(n: int, seed: int) -> dict:
     """
     trace, num_slots = record_insert_heavy_trace(n, seed)
     metrics = {"operations": n}
-    metrics.update(_timed_replays(trace, num_slots))
+    metrics.update(_replays(trace, num_slots))
     return metrics
 
 
@@ -120,11 +88,11 @@ def run_mixed_churn(n: int, seed: int) -> dict:
     """Insert/delete churn (30% deletes) through the same embedding."""
     trace, num_slots = record_insert_heavy_trace(n, seed, delete_fraction=0.3)
     metrics = {"operations": n}
-    metrics.update(_timed_replays(trace, num_slots))
+    metrics.update(_replays(trace, num_slots))
     return metrics
 
 
-def _record_chain_sparse_trace(n: int, seed: int) -> tuple[PhysicalTrace, int, int]:
+def record_chain_sparse_trace(n: int, seed: int) -> tuple[PhysicalTrace, int, int]:
     """A sparse array whose chain moves span almost the whole slot range.
 
     Two token clusters at the array ends, a vast R-empty middle, and one
@@ -161,9 +129,9 @@ def _record_chain_sparse_trace(n: int, seed: int) -> tuple[PhysicalTrace, int, i
 
 def run_chain_sparse(n: int, seed: int) -> dict:
     """Chain moves across a sparse array (the select-walk showcase)."""
-    trace, num_slots, rounds = _record_chain_sparse_trace(n, seed)
+    trace, num_slots, rounds = record_chain_sparse_trace(n, seed)
     metrics = {"operations": rounds}
-    metrics.update(_timed_replays(trace, num_slots))
+    metrics.update(_replays(trace, num_slots))
     return metrics
 
 
@@ -181,7 +149,7 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
     ``8·n`` rank→element lookups through ``element_at_rank`` (one Fenwick
     select per rank).  Both answer streams — and the move logs of the
     state-building replays — must be identical: ``reads_match`` is a
-    hard-fail flag covering both.
+    correctness flag covering both.
     """
     trace, num_slots = record_insert_heavy_trace(n, seed)
     arrays: list[tuple[str, Callable[[int], object]]] = [
@@ -193,7 +161,6 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
     ranks: list[int] | None = None
     element_count = None
     answers: dict[str, list] = {}
-    timings: dict[str, float] = {}
     move_logs: dict[str, tuple] = {}
     move_counts: dict[str, int] = {}
     for label, factory in arrays:
@@ -208,18 +175,8 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
             element_count = array.element_count
             rng = random.Random(seed * 7919 + 11)
             ranks = [rng.randrange(1, element_count + 1) for _ in range(lookups)]
-        best = None
-        for _ in range(_TIMING_REPEATS):
-            started = time.perf_counter()
-            result = [array.element_at_rank(rank) for rank in ranks]
-            elapsed = time.perf_counter() - started
-            if best is None or elapsed < best:
-                best = elapsed
-        answers[label] = result
-        timings[label] = best
+        answers[label] = [array.element_at_rank(rank) for rank in ranks]
 
-    slab_elapsed = timings["slab"]
-    reference_elapsed = timings["reference"]
     return {
         "operations": lookups,
         "trace_ops": len(trace),
@@ -230,13 +187,6 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
         "reads_match": (
             answers["slab"] == answers["reference"]
             and move_logs["slab"] == move_logs["reference"]
-        ),
-        "elapsed_seconds": slab_elapsed,
-        "reference_elapsed_seconds": reference_elapsed,
-        "speedup": reference_elapsed / slab_elapsed if slab_elapsed else 0.0,
-        "ops_per_second": lookups / slab_elapsed if slab_elapsed else 0.0,
-        "reference_ops_per_second": (
-            lookups / reference_elapsed if reference_elapsed else 0.0
         ),
     }
 
@@ -255,10 +205,8 @@ def _sharded_labeler(shard_capacity: int = 128):
 
 def _run_result_metrics(result, labeler) -> dict:
     tracker = result.tracker
-    operations = tracker.operations
-    elapsed = result.elapsed_seconds
-    metrics = {
-        "operations": operations,
+    return {
+        "operations": tracker.operations,
         "total_moves": tracker.total_cost,
         "amortized": round(tracker.amortized, 6),
         "worst_event": tracker.worst_case,
@@ -268,10 +216,7 @@ def _run_result_metrics(result, labeler) -> dict:
         "borrows": labeler.borrows,
         "rewrites": labeler.rewrites,
         "restructure_moves": labeler.restructure_moves,
-        "elapsed_seconds": elapsed,
-        "ops_per_second": operations / elapsed if elapsed else 0.0,
     }
-    return metrics
 
 
 def run_sharded_mixed(n: int, seed: int) -> dict:
@@ -318,8 +263,7 @@ def _query_run_metrics(result, labeler) -> dict:
     Every query the runner executes is verified inline against the
     reference model (a divergence raises, so the scenario would never
     return) — ``reads_match`` records that the whole verified run
-    completed.  All counts are seed-deterministic; only the wall-clock
-    fields vary between machines.
+    completed.  All counts are seed-deterministic.
     """
     tracker = result.tracker
     metrics = {
@@ -332,8 +276,6 @@ def _query_run_metrics(result, labeler) -> dict:
         "shards": labeler.shard_count,
         "splits": labeler.splits,
         "merges": labeler.merges,
-        "elapsed_seconds": result.elapsed_seconds,
-        "ops_per_second": result.ops_per_second,
     }
     for key, value in tracker.query_statistics().items():
         if key != "queries":
@@ -414,7 +356,7 @@ def _drive_store(store, n: int, seed: int) -> None:
 
 
 def run_durable_mixed(n: int, seed: int) -> dict:
-    """Durable mixed traffic, then both recovery paths timed and counted.
+    """Durable mixed traffic, then both recovery paths counted.
 
     ``replayed_tail`` (snapshot + WAL tail) versus ``replayed_full``
     (from-empty WAL replay) is the payoff of checkpointing: the tail must
@@ -429,7 +371,6 @@ def run_durable_mixed(n: int, seed: int) -> dict:
 
     root = Path(tempfile.mkdtemp(prefix="repro-bench-store-"))
     try:
-        started = time.perf_counter()
         store = DurableStore(
             root / "store",
             algorithm="classical",
@@ -437,7 +378,6 @@ def run_durable_mixed(n: int, seed: int) -> dict:
             sync_policy="never",
         )
         _drive_store(store, n, seed)
-        elapsed = time.perf_counter() - started
         keys = len(store)
         total_moves = store.map.costs.total_cost
         wal_frames = store.last_lsn
@@ -446,9 +386,7 @@ def run_durable_mixed(n: int, seed: int) -> dict:
         store.close()
 
         # Tail recovery: newest snapshot + WAL frames past it.
-        tail_started = time.perf_counter()
         recovered = DurableStore(root / "store", sync_policy="never")
-        tail_elapsed = time.perf_counter() - tail_started
         replayed_tail = recovered.recovery.frames_replayed
         recovered_ok = list(recovered.items()) == expected_items
         recovered.close()
@@ -457,9 +395,7 @@ def run_durable_mixed(n: int, seed: int) -> dict:
         full_dir = root / "full"
         shutil.copytree(root / "store", full_dir)
         shutil.rmtree(full_dir / SNAPSHOT_DIR_NAME, ignore_errors=True)
-        full_started = time.perf_counter()
         full = DurableStore(full_dir, sync_policy="never")
-        full_elapsed = time.perf_counter() - full_started
         replayed_full = full.recovery.frames_replayed
         recovered_ok = recovered_ok and list(full.items()) == expected_items
         full.close()
@@ -475,10 +411,6 @@ def run_durable_mixed(n: int, seed: int) -> dict:
         "replayed_tail": replayed_tail,
         "replayed_full": replayed_full,
         "recovered_match": recovered_ok,
-        "elapsed_seconds": elapsed,
-        "ops_per_second": n / elapsed if elapsed else 0.0,
-        "recovery_elapsed_seconds": tail_elapsed,
-        "full_recovery_elapsed_seconds": full_elapsed,
     }
 
 
@@ -499,7 +431,6 @@ def run_durable_bulk_ingest(n: int, seed: int) -> dict:
     try:
         rng = random.Random(seed)
         keys = rng.sample(range(10**7), n)
-        started = time.perf_counter()
         store = DurableStore(
             root / "store",
             algorithm="classical",
@@ -509,16 +440,13 @@ def run_durable_bulk_ingest(n: int, seed: int) -> dict:
         for start in range(0, n, 64):
             chunk = sorted(keys[start : start + 64])
             store.put_many([(key, start) for key in chunk])
-        elapsed = time.perf_counter() - started
         total_moves = store.map.costs.total_cost
         wal_frames = store.last_lsn
         shards = store.labeler.shard_count
         expected_items = list(store.items())
         store.close()
 
-        recovery_started = time.perf_counter()
         recovered = DurableStore(root / "store", sync_policy="never")
-        recovery_elapsed = time.perf_counter() - recovery_started
         replayed = recovered.recovery.frames_replayed
         recovered_ok = list(recovered.items()) == expected_items
         recovered.close()
@@ -533,9 +461,6 @@ def run_durable_bulk_ingest(n: int, seed: int) -> dict:
         "shards": shards,
         "replayed_full": replayed,
         "recovered_match": recovered_ok,
-        "elapsed_seconds": elapsed,
-        "ops_per_second": n / elapsed if elapsed else 0.0,
-        "recovery_elapsed_seconds": recovery_elapsed,
     }
 
 
@@ -543,18 +468,12 @@ def run_durable_bulk_ingest(n: int, seed: int) -> dict:
 # Latency suite: tail percentiles under adversarial workloads
 # ---------------------------------------------------------------------------
 def _tail_metrics(tracker) -> dict:
-    """Per-operation move-cost percentiles plus the wall-clock latency view.
-
-    The move percentiles are bit-deterministic per seed (the comparator
-    warns on drift); every ``latency_*`` key is wall-clock and warn-only.
-    """
-    metrics = {
+    """Per-operation move-cost percentiles (bit-deterministic per seed)."""
+    return {
         "p50": round(tracker.percentile(0.50), 6),
         "p99": round(tracker.percentile(0.99), 6),
         "p999": round(tracker.percentile(0.999), 6),
     }
-    metrics.update(tracker.latency_summary())
-    return metrics
 
 
 def run_cliff_chaser(n: int, seed: int) -> dict:
@@ -566,7 +485,7 @@ def run_cliff_chaser(n: int, seed: int) -> dict:
     paper's story that the deamortized structure buys its worst-case bound
     (lower p999) at a small amortized premium, so classical wins the
     average while deamortized wins the tail.  All move numbers are
-    bit-deterministic per seed; ``latency_*`` keys are wall-clock.
+    bit-deterministic per seed.
     """
     from repro.algorithms import ClassicalPMA, DeamortizedPMA
     from repro.analysis.runner import run_workload
@@ -591,8 +510,6 @@ def run_cliff_chaser(n: int, seed: int) -> dict:
         metrics[f"{label}_p99"] = round(tracker.percentile(0.99), 6)
         metrics[f"{label}_p999"] = round(tracker.percentile(0.999), 6)
         metrics[f"{label}_worst_case"] = tracker.worst_case
-        metrics[f"{label}_latency_p50"] = tracker.latency_percentile(0.50)
-        metrics[f"{label}_latency_p999"] = tracker.latency_percentile(0.999)
     metrics["total_moves"] = total_moves
     classical_wins_amortized = (
         summaries["classical"]["amortized"] < summaries["deamortized"]["amortized"]
@@ -691,8 +608,7 @@ def run_server_mixed(n: int, seed: int) -> dict:
 
     Disjoint per-client key ranges make the merged final state
     seed-deterministic regardless of scheduling, so ``keys``,
-    ``wal_frames`` and ``reads_match`` are exact while the throughput
-    numbers stay wall-clock (warn-only).
+    ``wal_frames`` and ``reads_match`` are exact.
     """
     import shutil
     import tempfile
@@ -717,7 +633,7 @@ def run_server_mixed(n: int, seed: int) -> dict:
             shard_capacity=128,
             sync_policy="never",
         )
-        service = StoreService(store, track_latency=True)
+        service = StoreService(store)
         failures: list[BaseException] = []
 
         def drive(script: list[tuple], host: str, port: int) -> None:
@@ -741,12 +657,10 @@ def run_server_mixed(n: int, seed: int) -> dict:
                 threading.Thread(target=drive, args=(script, host, port))
                 for script in scripts
             ]
-            started = time.perf_counter()
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-            elapsed = time.perf_counter() - started
         if failures:
             raise failures[0]
 
@@ -758,14 +672,7 @@ def run_server_mixed(n: int, seed: int) -> dict:
             "keys": len(expected),
             "wal_frames": store.last_lsn,
             "reads_match": reads_match,
-            "elapsed_seconds": elapsed,
-            "ops_per_second": (
-                per_client * _SERVER_CLIENTS / elapsed if elapsed else 0.0
-            ),
         }
-        for name, value in service.latency_statistics().items():
-            if "latency_" in name:
-                metrics[name] = value
         service.close()
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -776,12 +683,10 @@ def run_replica_catchup(n: int, seed: int) -> dict:
     """Replica bootstrap, backlog catch-up and live streaming lag.
 
     Half the seeded workload runs before the replica exists (bootstrap +
-    backlog catch-up), half streams live.  The deterministic numbers —
-    frames shipped, applied LSN, bootstrap count, final lag — are exact;
-    every catch-up timing carries a ``latency_`` segment, so the
-    comparator treats machine speed as warn-only.  ``replicas_match`` is
-    the byte-identical-state claim (same fingerprint digest on both
-    sides) and hard-fails the comparator when false.
+    backlog catch-up), half streams live.  Frames shipped, applied LSN,
+    bootstrap count and final lag are exact.  ``replicas_match`` is the
+    byte-identical-state claim (same fingerprint digest on both sides)
+    and hard-fails the comparator when false.
     """
     import shutil
     import tempfile
@@ -806,25 +711,19 @@ def run_replica_catchup(n: int, seed: int) -> dict:
         )
         service = StoreService(store)
         with ServerThread(service) as server:
-            started = time.perf_counter()
             for op in backlog:
                 apply_to_store(service, op)
-            backlog_elapsed = time.perf_counter() - started
 
             replica = Replica(
                 root / "replica", server.address, sync_policy="never"
             )
-            catchup_started = time.perf_counter()
             replica.start()
             replica.wait_ready(timeout=60.0)
             replica.wait_caught_up(store.last_lsn, timeout=60.0)
-            catchup_elapsed = time.perf_counter() - catchup_started
 
-            live_started = time.perf_counter()
             for op in live:
                 apply_to_store(service, op)
             replica.wait_caught_up(store.last_lsn, timeout=60.0)
-            live_elapsed = time.perf_counter() - live_started
 
             final_lag = store.last_lsn - replica.last_applied_lsn
             replicas_match = state_digest(store.map) == state_digest(
@@ -847,23 +746,18 @@ def run_replica_catchup(n: int, seed: int) -> dict:
         "bootstraps": bootstraps,
         "replica_lag_final": final_lag,
         "replicas_match": replicas_match,
-        "elapsed_seconds": backlog_elapsed,
-        "ops_per_second": len(backlog) / backlog_elapsed if backlog_elapsed else 0.0,
-        "latency_catchup_seconds": catchup_elapsed,
-        "latency_live_drain_seconds": live_elapsed,
     }
 
 
 # ---------------------------------------------------------------------------
-# Obs suite: instrumentation overhead (bare vs live-registry runs)
+# Obs suite: a live registry changes no structural decision
 # ---------------------------------------------------------------------------
-#: Best-of repeats per variant; the min damps scheduler/GC noise enough
-#: for a single-digit-percent overhead bound to be measurable.
-_OBS_TIMING_REPEATS = 3
+def obs_lookup_run(n: int, seed: int, registry):
+    """One point-lookup-heavy run; returns (move-log digest, result, labeler).
 
-
-def _obs_lookup_run(n: int, seed: int, registry):
-    """One point-lookup-heavy run; returns (move-log digest, elapsed)."""
+    Instrumented when given a registry.  ``benchmarks/bench_obs.py`` times
+    these runs bare against instrumented.
+    """
     from repro.analysis.runner import run_workload
     from repro.store.harness import move_log_digest, record_move_log
     from repro.workloads.mixed import MixedReadWriteWorkload
@@ -884,7 +778,7 @@ def _obs_lookup_run(n: int, seed: int, registry):
     return move_log_digest(log), result, labeler
 
 
-def _obs_ingest_run(n: int, seed: int, registry):
+def obs_ingest_run(n: int, seed: int, registry):
     """One batched zipfian ingest; instrumented when given a registry."""
     from repro.analysis.runner import run_workload
     from repro.store.harness import move_log_digest, record_move_log
@@ -899,54 +793,25 @@ def _obs_ingest_run(n: int, seed: int, registry):
     return move_log_digest(log), result, labeler
 
 
-def _obs_overhead_metrics(n: int, seed: int, one_run) -> dict:
-    """Bare vs live-registry timings of the same seeded workload.
+def _obs_metrics(n: int, seed: int, one_run) -> dict:
+    """The same seeded workload, bare and under a live registry.
 
-    ``obs_matches_bare`` is the hard-fail correctness claim: a live
-    registry must not change a single structural decision, proven by
-    move-log digest equality between the bare and instrumented runs.
-    ``overhead_fraction`` (instrumented/bare - 1, best-of timings) is the
-    wall-clock claim the obs benchmark gates at <5%.
+    ``obs_matches_bare`` is the correctness claim: a live registry must
+    not change a single structural decision, proven by move-log digest
+    equality between the bare and instrumented runs.
     """
     from repro.obs import MetricsRegistry
 
     registry = MetricsRegistry()
-    bare_digest = None
-    bare_elapsed = None
-    instrumented_digest = None
-    instrumented_elapsed = None
-    labeler = None
-    tracker = None
-    # Interleave the variants (bare, instrumented, bare, …): thermal and
-    # GC drift over the measurement then hits both sides equally instead
-    # of biasing whichever variant runs last.
-    for _ in range(_OBS_TIMING_REPEATS):
-        digest, result, _ = one_run(n, seed, None)
-        bare_digest = digest
-        if bare_elapsed is None or result.elapsed_seconds < bare_elapsed:
-            bare_elapsed = result.elapsed_seconds
-        digest, result, labeler = one_run(n, seed, registry)
-        instrumented_digest = digest
-        tracker = result.tracker
-        if (
-            instrumented_elapsed is None
-            or result.elapsed_seconds < instrumented_elapsed
-        ):
-            instrumented_elapsed = result.elapsed_seconds
-
+    bare_digest, _, _ = one_run(n, seed, None)
+    digest, result, labeler = one_run(n, seed, registry)
     snapshot = registry.snapshot()
     return {
         "operations": n,
-        "obs_matches_bare": instrumented_digest == bare_digest,
-        "total_moves": tracker.total_cost,
+        "obs_matches_bare": digest == bare_digest,
+        "total_moves": result.tracker.total_cost,
         "shards": labeler.shard_count,
         "metric_families": sum(len(category) for category in snapshot.values()),
-        "bare_elapsed_seconds": bare_elapsed,
-        "instrumented_elapsed_seconds": instrumented_elapsed,
-        "elapsed_seconds": instrumented_elapsed,
-        "overhead_fraction": (
-            instrumented_elapsed / bare_elapsed - 1.0 if bare_elapsed else 0.0
-        ),
     }
 
 
@@ -954,9 +819,9 @@ def run_obs_point_lookup_overhead(n: int, seed: int) -> dict:
     """The point_lookup_heavy shape, bare vs under a live registry.
 
     Reads never touch an instrument (only restructures do), so this
-    bounds the cost of carrying a live registry through the read path.
+    covers carrying a live registry through the read path.
     """
-    return _obs_overhead_metrics(n, seed, _obs_lookup_run)
+    return _obs_metrics(n, seed, obs_lookup_run)
 
 
 def run_obs_batch_ingest_overhead(n: int, seed: int) -> dict:
@@ -968,7 +833,7 @@ def run_obs_batch_ingest_overhead(n: int, seed: int) -> dict:
     gauge, density sweeps) sees the most instrument traffic any sharded
     workload makes — and must still produce the identical move log.
     """
-    return _obs_overhead_metrics(n, seed, _obs_ingest_run)
+    return _obs_metrics(n, seed, obs_ingest_run)
 
 
 # ---------------------------------------------------------------------------

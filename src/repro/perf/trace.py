@@ -10,8 +10,8 @@ makes them the common currency of
 
 * the differential suite (replay on slab and reference, assert move-log
   equality), and
-* the core benchmarks (replay on both, compare wall-clock for identical
-  work).
+* ``benchmarks/bench_wire_speed.py`` (replay on both, compare wall-clock
+  for identical work).
 
 Only top-level calls are recorded: a ``chain_move`` performs internal
 ``move_element`` calls, but re-entrant recording is suppressed so a replay

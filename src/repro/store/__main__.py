@@ -322,16 +322,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             print("shards     : " + ", ".join(
                 f"{key}={value}" for key, value in sorted(shards.items())
             ))
-        latency = stats.get("latency") or {}
-        interesting = [
-            key for key in ("operations", "latency_p50", "latency_p999",
-                            "latency_event_p999", "latency_event_max")
-            if key in latency
-        ]
-        if interesting:
-            print("latency    : " + ", ".join(
-                f"{key}={latency[key]}" for key in interesting
-            ))
         errors = stats.get("error_counts") or {}
         if errors:
             print("errors     : " + ", ".join(
@@ -352,16 +342,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_obs_smoke(args: argparse.Namespace) -> int:
     """End-to-end observability drill (the ``obs-smoke`` CI job).
 
-    Serves an instrumented store, drives mixed traffic over the wire —
+    Serves an instrumented store through a plain ``StoreService(store)``,
+    like every served path, and drives mixed traffic over the wire —
     including a deliberate unknown command, a miss delete, and a raw
-    oversized frame — then asserts the METRICS response carries every
-    expected metric family, STATS reports compactor/replication/shard
-    health, and the ``stats`` CLI renders it all with exit code 0.
+    oversized frame.  It then asserts the METRICS response carries every
+    expected metric family, each ``service.latency.<command>`` histogram
+    counted exactly the mutation requests the drill sent (the failed miss
+    delete included), STATS reports compactor/replication/shard health,
+    and the ``stats`` CLI renders it all with exit code 0.
     """
     import contextlib
     import io
     import socket as socket_module
     import struct
+    from collections import Counter
     from pathlib import Path
 
     from repro.obs import MetricsRegistry
@@ -388,18 +382,25 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
             sync_policy="never",
             registry=registry,
         )
-        service = StoreService(store, track_latency=True)
+        service = StoreService(store)
         service.start_compactor(poll_seconds=0.05, wal_frame_threshold=10**9)
+        sent: Counter = Counter()  # mutation requests, by service command
+        commands = {
+            "put": "put", "del": "delete",
+            "put_many": "put_many", "del_many": "delete_many",
+        }
         with ServerThread(service) as server:
             host, port = server.address
             print(f"primary: serving at {host}:{port} (registry live)")
             with StoreClient(host, port) as client:
                 for op in make_ops(args.frames, args.seed):
                     apply_to_store(client, op)
+                    sent[commands[op[0]]] += 1
                 page = client.range_scan(limit=64)
                 if page:
                     client.count_range(page[0][0], page[-1][0])
                 check(client.size() > 0, "mixed traffic left a populated store")
+                sent["delete"] += 1
                 try:
                     client.delete(("obs-smoke", "no-such-key"))
                     check(False, "miss delete raised KeyError")
@@ -443,11 +444,21 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
                         counters.get(name, 0) > 0,
                         f"counter {name} > 0",
                     )
+                histograms = snapshot["histograms"]
                 check(
                     any(name.startswith("service.latency.")
-                        for name in snapshot["histograms"]),
+                        for name in histograms),
                     "per-command latency histograms present",
                 )
+                for command, count in sorted(sent.items()):
+                    observed = histograms.get(
+                        f"service.latency.{command}", {}
+                    ).get("count", 0)
+                    check(
+                        observed == count,
+                        f"service.latency.{command} counted {observed} of "
+                        f"{count} request(s) sent",
+                    )
                 check(
                     snapshot["gauges"].get("sharded.shard_count", 0) >= 1,
                     "shard-count gauge present",

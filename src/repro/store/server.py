@@ -489,7 +489,6 @@ def _handle_stats(server: "StoreServer", request: dict) -> dict:
         "last_lsn": store.last_lsn,
         "durable_horizon": store.durable_horizon,
         "wal_frames_since_snapshot": store.wal_frames_since_snapshot,
-        "latency": service.latency_statistics(),
         "compactor_alive": service.compactor_alive,
         "last_compactor_error": (
             f"{type(error).__name__}: {error}" if error is not None else None

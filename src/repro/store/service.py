@@ -26,13 +26,13 @@ released between pages, so a long scan does not pin writers out for the
 whole store — each page is individually consistent and the cursor key
 defines the resumption point.
 
-**Mutation latency tracking.**  Constructed with ``track_latency=True``,
-the service stamps every mutation (the stamp is taken before the lock, so
-queueing is part of the measured time) into a
-:class:`~repro.core.cost.CostTracker` — per-operation move-cost and
-wall-clock percentiles via :meth:`StoreService.latency_statistics`, with
-batches weight-expanded exactly like the workload runner's.  The clock is
-injectable for deterministic tests.
+**One latency pipeline.**  With a live :mod:`repro.obs` registry, every
+call is timed into the ``service.latency.<command>`` histogram from a
+stamp taken before the lock, so queueing is part of the measured time,
+and the lock's wait and hold are split into their own histograms.  A
+mutation is observed whether it applies, applies nothing or raises, so
+no call can hide from the tail.  The moves a mutation makes are counted
+by the map (``store.map.costs``), not here.
 
 **Background compaction.**  :meth:`StoreService.start_compactor` runs
 ``compact()`` on a daemon thread whenever the WAL grows past a threshold;
@@ -59,7 +59,6 @@ from collections import deque
 from typing import Callable, Hashable, Iterable
 
 from repro import obs
-from repro.core.cost import CostTracker
 from repro.store.store import DurableStore
 
 
@@ -116,21 +115,12 @@ class FifoLock:
 class StoreService:
     """Thread-safe durable-store server under one FIFO lock."""
 
-    def __init__(
-        self,
-        store: DurableStore,
-        *,
-        track_latency: bool = False,
-        clock: Callable[[], float] | None = None,
-        registry=None,
-    ) -> None:
+    def __init__(self, store: DurableStore, *, registry=None) -> None:
         self._store = store
         self._lock = FifoLock()
         self._compactor: threading.Thread | None = None
         self._compactor_stop = threading.Event()
         self._compactor_error: BaseException | None = None
-        self._latency = CostTracker() if track_latency else None
-        self._clock = clock if clock is not None else time.perf_counter
         self._retainer: Callable[[], int | None] | None = None
         # The service inherits the store's registry unless given its own,
         # so one injection at the DurableStore covers the whole stack.
@@ -168,7 +158,7 @@ class StoreService:
         pure work, and their sum is the client-visible latency the
         per-command histogram sees.
         """
-        now = self._clock()
+        now = time.perf_counter()
         self._command_histogram(command).observe(max(0.0, now - started))
         if acquired is not None:
             self._obs_lock_wait.observe(max(0.0, acquired - started))
@@ -186,7 +176,7 @@ class StoreService:
     # layout, which a concurrent split or merge rewrites in place, so it
     # takes the lock like any other call.
     def get(self, key, default=None):
-        started = self._clock() if self._obs_enabled else 0.0
+        started = time.perf_counter() if self._obs_enabled else 0.0
         with self._lock:
             value = self._store.get(key, default)
         if self._obs_enabled:
@@ -194,7 +184,7 @@ class StoreService:
         return value
 
     def contains(self, key) -> bool:
-        started = self._clock() if self._obs_enabled else 0.0
+        started = time.perf_counter() if self._obs_enabled else 0.0
         with self._lock:
             found = key in self._store
         if self._obs_enabled:
@@ -204,86 +194,35 @@ class StoreService:
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def _mutation_stamp(self) -> float:
-        """Pre-lock timestamp; 0.0 when nothing will consume it."""
-        if self._latency is not None or self._obs_enabled:
-            return self._clock()
-        return 0.0
+    def _run_mutation(self, command: str, action):
+        """Run one mutation under the lock, observing it even if it raises."""
+        started = time.perf_counter() if self._obs_enabled else 0.0
+        with obs.span("service." + command):
+            with self._lock:
+                acquired = time.perf_counter() if self._obs_enabled else None
+                try:
+                    return action()
+                finally:
+                    if self._obs_enabled:
+                        self._observe_command(command, started, acquired)
 
     def put(self, key, value) -> None:
-        started = self._mutation_stamp()
-        with obs.span("service.put"):
-            with self._lock:
-                acquired = self._clock() if self._obs_enabled else None
-                self._mutate(lambda: self._store.put(key, value), started, 1)
-                if self._obs_enabled:
-                    self._observe_command("put", started, acquired)
+        self._run_mutation("put", lambda: self._store.put(key, value))
 
     def delete(self, key) -> None:
-        started = self._mutation_stamp()
-        with obs.span("service.delete"):
-            with self._lock:
-                acquired = self._clock() if self._obs_enabled else None
-                self._mutate(lambda: self._store.delete(key), started, 1)
-                if self._obs_enabled:
-                    self._observe_command("delete", started, acquired)
+        self._run_mutation("delete", lambda: self._store.delete(key))
 
     def put_many(self, items: Iterable[tuple[Hashable, object]]) -> int:
         materialized = list(items)
-        started = self._mutation_stamp()
-        with obs.span("service.put_many"):
-            with self._lock:
-                acquired = self._clock() if self._obs_enabled else None
-                try:
-                    return self._mutate(
-                        lambda: self._store.put_many(materialized), started, None
-                    )
-                finally:
-                    if self._obs_enabled:
-                        self._observe_command("put_many", started, acquired)
+        return self._run_mutation(
+            "put_many", lambda: self._store.put_many(materialized)
+        )
 
     def delete_many(self, keys: Iterable[Hashable]) -> int:
         materialized = list(keys)
-        started = self._mutation_stamp()
-        with obs.span("service.delete_many"):
-            with self._lock:
-                acquired = self._clock() if self._obs_enabled else None
-                try:
-                    return self._mutate(
-                        lambda: self._store.delete_many(materialized), started, None
-                    )
-                finally:
-                    if self._obs_enabled:
-                        self._observe_command("delete_many", started, acquired)
-
-    def _mutate(self, action, started: float, operations: int | None):
-        """Run one mutation, recording moves + latency when tracking is on.
-
-        ``started`` was stamped *before* the lock was taken, so queueing
-        behind other calls counts toward the observed latency — the
-        client-visible number, not just the structure's own work.
-        ``operations=None`` weights the event by the mutation's returned
-        count (the batch paths).
-
-        A batch that applied **zero** operations (``delete_many([])``,
-        ``put_many`` of nothing) still happened and still held the lock
-        for a measurable time: it is recorded as a weight-0 event, so the
-        event-level latency percentiles see the stall while the
-        per-operation views stay untouched — p999 cannot hide a no-op
-        stall just because nothing was applied.
-        """
-        if self._latency is None:
-            return action()
-        before = self._store.map.costs.total_cost
-        result = action()
-        elapsed = max(0.0, self._clock() - started)
-        weight = operations if operations is not None else int(result)
-        self._latency.record_batch(
-            self._store.map.costs.total_cost - before,
-            weight,
-            latency=elapsed,
+        return self._run_mutation(
+            "delete_many", lambda: self._store.delete_many(materialized)
         )
-        return result
 
     # ------------------------------------------------------------------
     # Scans: the lock is held per *page* when paginating
@@ -297,7 +236,7 @@ class StoreService:
         while that page materializes — the unit of writer exclusion is a
         page, not the whole interval.
         """
-        started = self._clock() if self._obs_enabled else 0.0
+        started = time.perf_counter() if self._obs_enabled else 0.0
         with self._lock:
             page = list(self._store.range(low, high, limit=limit, after=after))
         if self._obs_enabled:
@@ -306,7 +245,7 @@ class StoreService:
 
     def count_range(self, low, high) -> int:
         """Number of keys in ``[low, high]`` (rank arithmetic, no scan)."""
-        started = self._clock() if self._obs_enabled else 0.0
+        started = time.perf_counter() if self._obs_enabled else 0.0
         with self._lock:
             count = self._store.count_range(low, high)
         if self._obs_enabled:
@@ -354,41 +293,6 @@ class StoreService:
     def size(self) -> int:
         with self._lock:
             return len(self._store)
-
-    # ------------------------------------------------------------------
-    # Mutation latency statistics (``track_latency=True`` services)
-    # ------------------------------------------------------------------
-    @property
-    def mutation_costs(self) -> CostTracker | None:
-        """The mutation tracker, or ``None`` when tracking is off."""
-        return self._latency
-
-    def latency_statistics(self) -> dict[str, float]:
-        """Move-cost and wall-clock percentiles of the tracked mutations.
-
-        Empty when the service was built without ``track_latency=True`` or
-        no mutation has been recorded yet.  Batches are weight-expanded:
-        ``p999`` is a per-operation number on the same scale for singleton
-        and ``put_many`` traffic.  Zero-applied batches carry no
-        operations but still count as events, so the event-level keys
-        (``events``, ``latency_event_p999``, ``latency_max``) expose
-        no-op stalls the per-operation percentiles cannot see.
-        """
-        if self._latency is None or not self._latency.events:
-            return {}
-        stats = {
-            "operations": float(self._latency.operations),
-            "events": float(self._latency.events),
-            "total_moves": float(self._latency.total_cost),
-            "p50": self._latency.percentile(0.50),
-            "p99": self._latency.percentile(0.99),
-            "p999": self._latency.percentile(0.999),
-        }
-        # latency_summary() is the single naming point for latency keys:
-        # canonical per-operation (latency_p*) and per-event
-        # (latency_event_*) names plus the historical aliases.
-        stats.update(self._latency.latency_summary())
-        return stats
 
     # ------------------------------------------------------------------
     # Checkpoints

@@ -1,16 +1,13 @@
-"""Tests for the adversarial workloads and the runner's latency capture.
+"""Tests for the adversarial workloads.
 
-Covers the tail-latency layer end to end: every adversarial workload is
+Covers the tail layer end to end: every adversarial workload is
 seeded-deterministic and structurally valid, runs through ``run_workload``
 in singleton and batched mode against every registered algorithm plus the
-sharded and durable layers, the runner's injectable clock produces exact
-latency percentiles with a fake clock, and the cliff-chaser actually
-concentrates its insertions (the property that makes it adversarial).
+sharded and durable layers, and the cliff-chaser actually concentrates its
+insertions (the property that makes it adversarial).
 """
 
 from __future__ import annotations
-
-import itertools
 
 import pytest
 
@@ -27,19 +24,6 @@ from repro.workloads import (
 )
 
 from tests.conftest import ALGORITHM_FACTORIES
-
-
-class FakeClock:
-    """A deterministic clock: every call advances by a scripted tick."""
-
-    def __init__(self, ticks=None):
-        self._time = 0.0
-        self._ticks = iter(ticks) if ticks is not None else itertools.repeat(1.0)
-
-    def __call__(self) -> float:
-        now = self._time
-        self._time += next(self._ticks)
-        return now
 
 
 @pytest.mark.parametrize("name", sorted(ADVERSARIAL_WORKLOADS))
@@ -170,42 +154,3 @@ class TestCompactionStormShape:
             current = current + 1 if kind == "delete" else 0
             longest = max(longest, current)
         assert longest >= 32
-
-
-class TestRunnerLatencyCapture:
-    def test_fake_clock_singleton_latencies_exact(self):
-        # Two clock() calls per write → each op takes exactly one tick.
-        result = run_workload(
-            ClassicalPMA(32),
-            SortedRandomInterleaveWorkload(32, run_length=8, seed=1),
-            clock=FakeClock(),
-        )
-        tracker = result.tracker
-        assert tracker.latency_events == 32
-        assert tracker.latency_percentile(0.5) == pytest.approx(1.0)
-        assert tracker.latency_percentile(0.999) == pytest.approx(1.0)
-        assert tracker.max_latency == pytest.approx(1.0)
-
-    def test_fake_clock_batched_latency_is_per_operation(self):
-        result = run_workload(
-            ShardedLabeler(lambda c: ClassicalPMA(c), shard_capacity=32),
-            SortedRandomInterleaveWorkload(64, run_length=64, seed=1),
-            batch_size=16,
-            clock=FakeClock(),
-        )
-        tracker = result.tracker
-        assert tracker.batches == 4
-        # Each batch of 16 took one fake tick → 1/16 s per operation.
-        assert tracker.latency_percentile(0.5) == pytest.approx(1.0 / 16.0)
-        assert tracker.event_latency_percentile(0.5) == pytest.approx(1.0)
-
-    def test_summary_surfaces_latency_percentiles(self):
-        result = run_workload(
-            ClassicalPMA(64),
-            RebalanceCliffWorkload(64, seed=2),
-            clock=FakeClock(ticks=itertools.cycle([0.5, 1.5])),
-        )
-        summary = result.summary()
-        for key in ("latency_p50", "latency_p99", "latency_p999", "latency_max"):
-            assert key in summary
-        assert summary["p999"] >= summary["p99"] >= summary["p50"]

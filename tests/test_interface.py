@@ -7,10 +7,19 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms import NaiveLabeler
-from repro.core import Operation
-from repro.core.exceptions import CapacityError, RankError
+from repro.core import Operation, ShardedLabeler
+from repro.core.exceptions import CapacityError, LabelerError, RankError
 from repro.core.interface import ListLabeler
 from tests.conftest import ALGORITHM_FACTORIES, COMPOSITE_FACTORIES
+
+ALL_FACTORIES = {**ALGORITHM_FACTORIES, **COMPOSITE_FACTORIES}
+
+#: Every factory but the sharding engine's, which is unbounded.
+BOUNDED_FACTORIES = {
+    name: factory
+    for name, factory in ALL_FACTORIES.items()
+    if not isinstance(factory(64), ShardedLabeler)
+}
 
 
 class TestRankValidation:
@@ -145,3 +154,25 @@ class TestApply:
         labeler.insert(1, "a")
         labeler.apply(Operation.delete(1))
         assert labeler.is_empty
+
+
+class TestBulkLoadErrors:
+    """``bulk_load`` raises the interface's errors, before placing anything."""
+
+    @pytest.mark.parametrize("name", sorted(ALL_FACTORIES))
+    def test_second_load_raises_labeler_error(self, name):
+        labeler = ALL_FACTORIES[name](64)
+        labeler.bulk_load([Fraction(index) for index in range(8)])
+        before = labeler.elements()
+        with pytest.raises(LabelerError):
+            labeler.bulk_load([Fraction(100)])
+        assert labeler.elements() == before
+
+    @pytest.mark.parametrize("name", sorted(BOUNDED_FACTORIES))
+    def test_oversized_load_raises_capacity_error(self, name):
+        labeler = BOUNDED_FACTORIES[name](64)
+        with pytest.raises(CapacityError):
+            labeler.bulk_load(
+                [Fraction(index) for index in range(labeler.capacity + 1)]
+            )
+        assert labeler.elements() == []

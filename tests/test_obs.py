@@ -371,7 +371,7 @@ def live_server(tmp_path):
         sync_policy="never",
         registry=registry,
     )
-    service = StoreService(store, track_latency=True)
+    service = StoreService(store)
     with ServerThread(service) as server:
         yield server, registry
     service.close()
@@ -413,12 +413,8 @@ class TestWireExposure:
         assert stats["replica_acks"] == []
         assert stats["replication_floor"] is None
         assert stats["shard_statistics"]["shards"] >= 1
-        assert "latency_p999" in stats["latency"]
-        # Aliased spellings stay available for committed baselines.
-        assert (
-            stats["latency"]["latency_max"]
-            == stats["latency"]["latency_event_max"]
-        )
+        # Per-command latency is served by METRICS, not STATS.
+        assert "latency" not in stats
 
     def test_error_families_are_counted(self, live_server):
         import socket

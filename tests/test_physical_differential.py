@@ -25,7 +25,7 @@ from repro.core.physical import (
     PhysicalArray,
     ReferencePhysicalArray,
 )
-from repro.perf.scenarios import _record_chain_sparse_trace
+from repro.perf.scenarios import record_chain_sparse_trace
 from repro.perf.trace import record_insert_heavy_trace, replay_trace
 
 CANDIDATES = {"slab": PhysicalArray}
@@ -110,7 +110,7 @@ def test_shell_replay_trace_is_move_identical():
 
 @pytest.mark.parametrize("seed", [2, 13])
 def test_sparse_chain_trace_is_move_identical(seed):
-    trace, num_slots, _rounds = _record_chain_sparse_trace(256, seed)
+    trace, num_slots, _rounds = record_chain_sparse_trace(256, seed)
     assert sum(1 for op, _ in trace if op == "chain") >= 8
     assert_equivalent(*replay_on_all(trace, num_slots))
 

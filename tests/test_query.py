@@ -80,15 +80,6 @@ class TestQueryAccounting:
         with pytest.raises(ValueError):
             CostTracker().record_query(SELECT, -1)
 
-    def test_merge_carries_queries(self):
-        a, b = CostTracker(), CostTracker()
-        a.record_query(SELECT, 1)
-        b.record_query(SELECT, 1)
-        b.record_query(RANGE, 7)
-        merged = a.merge(b)
-        assert merged.queries == 3
-        assert merged.query_statistics()["select_queries"] == 2.0
-
     def test_empty_query_statistics(self):
         assert CostTracker().query_statistics() == {}
 

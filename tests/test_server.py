@@ -298,8 +298,8 @@ class TestStoreServer:
         callers: set[threading.Thread] = set()
         for name in (
             "get", "contains", "put", "delete", "put_many", "delete_many",
-            "range_scan", "count_range", "size", "latency_statistics",
-            "shard_statistics", "snapshot_archive", "ship_frames",
+            "range_scan", "count_range", "size", "shard_statistics",
+            "snapshot_archive", "ship_frames",
         ):
             method = getattr(service, name)
 

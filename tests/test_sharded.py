@@ -154,26 +154,57 @@ class TestMoveAccounting:
         check_moves_consistent(before, after, result.moved_elements())
         assert result.cost >= labeler.split_threshold  # whole shard rewritten
 
-    def test_restructure_log_matches_counters(self):
+    def test_restructure_counts_match_counters(self):
         labeler = make(shard_capacity=16)
         for index in range(200):
             labeler.insert(index + 1, index)
         while labeler.size > 20:
             labeler.delete(1)
-        kinds = {kind for kind, _ in labeler.restructure_log}
-        assert kinds <= {"split", "merge", "borrow", "rewrite"}
-        events = (
-            labeler.splits + labeler.merges + labeler.borrows + labeler.rewrites
-        )
-        assert len(labeler.restructure_log) == events
+        counts = labeler.restructure_counts()
+        assert set(counts) == {"split", "merge", "borrow", "rewrite"}
+        assert counts["split"][0] == labeler.splits > 0
+        assert counts["merge"][0] == labeler.merges > 0
+        assert counts["borrow"][0] == labeler.borrows
+        assert counts["rewrite"][0] == labeler.rewrites
         assert labeler.restructure_moves == sum(
-            moved for _, moved in labeler.restructure_log
+            moved for _, moved in counts.values()
         )
         stats = labeler.shard_statistics()
         assert stats["splits"] == labeler.splits
         assert stats["merges"] == labeler.merges
         assert stats["borrows"] == labeler.borrows
         assert stats["rewrites"] == labeler.rewrites
+
+
+class TestBoundedRecords:
+    def test_containers_stay_bounded_under_restructure_churn(self):
+        """Bounded memory: at a steady key count, after more restructures
+        than shards, the routing index holds one entry per key and every
+        other container at most one entry per shard."""
+        labeler = make(shard_capacity=16)
+        labeler.bulk_load([Fraction(index) for index in range(96)])
+        for step in range(1, 10_000):
+            restructures = (
+                labeler.splits + labeler.merges + labeler.borrows
+                + labeler.rewrites
+            )
+            if restructures > 4 * labeler.shard_count:
+                break
+            # Grow the first shard and drain the last: splits at the front,
+            # merges and borrows at the back.
+            labeler.insert(1, Fraction(-step))
+            labeler.delete(labeler.size)
+        assert restructures > 4 * labeler.shard_count
+        assert labeler.splits and labeler.merges + labeler.borrows
+        assert labeler.size == 96
+        for owner in (labeler, labeler._directory):
+            for name, value in vars(owner).items():
+                if isinstance(value, (list, tuple, dict, set, frozenset)):
+                    limit = (
+                        labeler.size if name == "_elem_shard"
+                        else labeler.shard_count + 1
+                    )
+                    assert len(value) <= limit, name
 
 
 class TestBatches:
@@ -274,12 +305,9 @@ class TestRestructureKinds:
         assert labeler.shard_count >= 2
         while labeler.merges + labeler.borrows == 0:
             labeler.delete(labeler.size)
-        kind = labeler.restructure_log[-1][0]
-        if kind == "borrow":
-            assert labeler.borrows >= 1
-            assert labeler.merges == 0
-        else:
-            assert kind == "merge"
+        # One delete rebalances one pair: either a merge or a borrow.
+        assert labeler.merges + labeler.borrows == 1
+        assert labeler.splits == labeler.rewrites == 0
 
     def test_borrow_recorded_when_union_exceeds_threshold(self):
         labeler = make(shard_capacity=64, merge_density=0.1)
@@ -295,10 +323,9 @@ class TestRestructureKinds:
         while big.shard_sizes()[-1] >= big.merge_floor:
             big.delete(big.size)
         assert big.borrows + big.merges >= 1
-        for kind, _ in big.restructure_log:
-            assert kind in ("merge", "borrow")
-        if big.borrows:
-            assert "borrow" in {kind for kind, _ in big.restructure_log}
+        assert big.splits == big.rewrites == 0
+        counts = big.restructure_counts()
+        assert counts["merge"][1] + counts["borrow"][1] == big.restructure_moves
 
     def test_batch_absorption_is_a_rewrite_not_a_split(self):
         labeler = make(shard_capacity=16)
@@ -307,7 +334,10 @@ class TestRestructureKinds:
         # The overflowing sub-batch was absorbed through a region rewrite.
         assert labeler.rewrites == 1
         assert labeler.splits == 0
-        assert labeler.restructure_log[0][0] == "rewrite"
+        assert labeler.restructure_counts()["rewrite"] == (
+            1, labeler.restructure_moves
+        )
+        assert labeler.restructure_moves > 0
         # Singleton overflow still records a genuine split.
         for index in range(14, 14 + labeler.split_threshold):
             labeler.insert(labeler.size + 1, Fraction(index))

@@ -45,6 +45,7 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 
 from repro.applications.ordered_map import DurableMap, PackedMemoryMap
 from repro.core.sharded import ShardedLabeler
+from repro.obs import MetricsRegistry
 from repro.store import codec
 from repro.store.harness import (
     RecordedRun,
@@ -1013,43 +1014,42 @@ class TestStoreService:
         service.close()
 
     def test_latency_tracking_off_by_default(self, tmp_path):
+        # Latency lives in the registry's histograms; a service over a
+        # store built without a live registry times nothing.
         store = DurableStore(tmp_path / "svc", sync_policy="never")
         service = StoreService(store)
         service.put(1, "one")
-        assert service.mutation_costs is None
-        assert service.latency_statistics() == {}
+        service.delete_many([1])
+        assert service.registry.enabled is False
+        assert service.registry.snapshot()["histograms"] == {}
         service.close()
 
-    def test_latency_tracking_with_fake_clock(self, tmp_path):
-        # Each mutation spans exactly two clock reads, so with a
-        # one-tick-per-call fake every recorded event took 1.0s — exact,
-        # deterministic percentiles.
-        ticks = iter(range(10**6))
-
+    def test_every_mutation_is_observed_once(self, tmp_path):
+        """One latency observation per mutation call: applied, applying
+        nothing, or raising — no call can hide from the tail."""
+        registry = MetricsRegistry()
         store = DurableStore(
             tmp_path / "svc", algorithm="classical", shard_capacity=32,
-            sync_policy="never",
+            sync_policy="never", registry=registry,
         )
-        service = StoreService(
-            store, track_latency=True, clock=lambda: float(next(ticks))
-        )
-        for key in range(40):
-            service.put(key, key)
-        service.delete(0)
-        service.put_many([(100 + offset, offset) for offset in range(20)])
-        service.delete_many([100, 101])
-
-        stats = service.latency_statistics()
-        assert stats["operations"] == 63.0  # 40 puts + 1 del + 20 + 2
-        assert stats["total_moves"] == store.map.costs.total_cost
-        assert stats["p50"] <= stats["p99"] <= stats["p999"]
-        # Singleton events took 1 tick; the 20-op batch took 1 tick for 20
-        # ops (0.05 each), so the weighted median sits at the singletons.
-        assert stats["latency_max"] == pytest.approx(1.0)
-        assert stats["latency_p50"] == pytest.approx(1.0)
-        tracker = service.mutation_costs
-        assert tracker is not None
-        assert tracker.latency_percentile(0.0) == pytest.approx(1.0 / 20.0)
+        service = StoreService(store)
+        service.put(1, "one")
+        with pytest.raises(KeyError):
+            service.delete(2)
+        with pytest.raises(ValueError):
+            service.put(float("nan"), "x")
+        assert service.delete_many([]) == 0
+        with pytest.raises(ValueError):
+            service.put_many([(3, "v"), (float("nan"), "x")])
+        histograms = registry.snapshot()["histograms"]
+        counts = {
+            name: histograms[f"service.latency.{name}"]["count"]
+            for name in ("put", "delete", "put_many", "delete_many")
+        }
+        assert counts == {"put": 2, "delete": 1, "put_many": 1, "delete_many": 1}
+        for name in ("service.lock_wait_seconds", "service.lock_hold_seconds"):
+            assert histograms[name]["count"] == 5
+        assert store.keys() == [1]
         service.close()
 
 
@@ -1327,64 +1327,52 @@ class TestCompactorResilience:
 
 
 # ---------------------------------------------------------------------------
-# Zero-applied batches stay visible to the latency tail (regression)
+# Zero-applied batches stay visible to the latency histograms (regression)
 # ---------------------------------------------------------------------------
 class TestZeroAppliedBatchLatency:
     def test_zero_weight_events_are_recorded(self, tmp_path):
-        ticks = iter(range(10**6))
+        registry = MetricsRegistry()
         store = DurableStore(
             tmp_path / "s", algorithm="classical", shard_capacity=32,
-            sync_policy="never",
+            sync_policy="never", registry=registry,
         )
-        service = StoreService(
-            store, track_latency=True, clock=lambda: float(next(ticks))
-        )
+        service = StoreService(store)
         service.put(1, "one")
         assert service.put_many([]) == 0
         assert service.delete_many([]) == 0
-
-        stats = service.latency_statistics()
-        # One applied operation, but THREE events: the no-op batches held
-        # the locks and took wall-clock time — p999 must see them.
-        assert stats["operations"] == 1.0
-        assert stats["events"] == 3.0
-        assert "latency_event_p999" in stats
-        assert stats["latency_event_p999"] >= 1.0
-        tracker = service.mutation_costs
-        assert tracker.events == 3
-        assert tracker.operations == 1
-        # Per-operation views are untouched by weight-0 events.
-        assert tracker.percentile(0.999) == tracker.costs[0]
-        assert tracker.tail_fraction(0) == 1.0
+        # One applied operation, but three calls: the no-op batches held
+        # the lock and took time, so the histograms must see them.
+        histograms = registry.snapshot()["histograms"]
+        for command in ("put", "put_many", "delete_many"):
+            assert histograms[f"service.latency.{command}"]["count"] == 1
+        assert histograms["service.lock_hold_seconds"]["count"] == 3
+        # The map counts moves per applied operation only.
+        assert store.map.costs.operations == 1
         service.close()
 
     def test_only_zero_weight_events_still_summarize(self, tmp_path):
-        """A run of nothing but no-op batches must not report empty stats."""
-        ticks = iter(range(10**6))
-        store = DurableStore(tmp_path / "s", sync_policy="never")
-        service = StoreService(
-            store, track_latency=True, clock=lambda: float(next(ticks))
-        )
+        """A run of nothing but no-op batches must not report an empty tail."""
+        registry = MetricsRegistry()
+        store = DurableStore(tmp_path / "s", sync_policy="never", registry=registry)
+        service = StoreService(store)
         service.delete_many([])
-        stats = service.latency_statistics()
-        assert stats != {}
-        assert stats["operations"] == 0.0
-        assert stats["events"] == 1.0
-        assert stats["latency_event_p999"] == pytest.approx(1.0)
+        histogram = registry.histogram("service.latency.delete_many")
+        assert histogram.snapshot()["count"] == 1
+        assert histogram.percentile(0.999) > 0.0
         service.close()
 
     def test_cost_tracker_zero_weight_unit(self):
         from repro.core.cost import CostTracker
 
         tracker = CostTracker()
-        tracker.record(4, latency=0.5)
-        tracker.record_batch(0, 0, latency=9.0)   # the no-op stall
+        tracker.record(4)
+        tracker.record_batch(0, 0)   # the no-op batch
         assert tracker.events == 2
         assert tracker.operations == 1
         assert tracker.percentile(0.999) == 4.0       # unpolluted
-        assert tracker.latency_percentile(0.999) == 0.5
-        assert tracker.event_latency_percentile(0.999) == 9.0
-        assert tracker.max_latency == 9.0
+        assert tracker.tail_fraction(4) == 1.0
+        assert tracker.event_percentile(0.5) == 0     # the event view sees it
+        assert tracker.event_percentile(0.999) == 4
 
 
 # ---------------------------------------------------------------------------
