@@ -18,13 +18,22 @@ the store's own op-framing:
   ``put_many`` frames writes an order of magnitude fewer WAL frames than
   singleton puts for the same keys, and recovery replays the batches
   through the same merged-rebalance path.
+* **A checkpoint costs the same fsyncs at any shard count** — one
+  compaction of a 50k-key store, split by its ``repro.obs`` spans into
+  capture, encode+write and WAL truncation (wall-clock, printed only).
+  Hard-asserted are the exact counts: the data file holds one section per
+  shard, and the compaction makes as many fsyncs as on a one-shard store.
 """
 
 from __future__ import annotations
 
+import os
+import random
 import shutil
 
 from benchmarks.conftest import emit, expect, scaled
+from repro import obs
+from repro.obs import SpanTracer
 from repro.store.factories import EXACT_SNAPSHOT_ALGORITHMS
 from repro.store.harness import (
     RecordedRun,
@@ -33,6 +42,7 @@ from repro.store.harness import (
     logical_operations,
     make_ops,
 )
+from repro.store.snapshot import DATA_FILENAME, list_snapshots
 from repro.store.store import DurableStore
 
 #: Shard algorithms measured by the differential rows (every registered
@@ -204,3 +214,70 @@ def test_batch_framing_compresses_the_wal(run_once, tmp_path):
         batched_row["total moves"] < singleton_row["total moves"],
         "merged batch rebalances should also move fewer elements",
     )
+
+
+def _span_ms(node: dict) -> dict[str, float]:
+    """Duration in ms of every span of one tree, by name."""
+    found = {node["name"]: node["duration_seconds"] * 1e3}
+    for child in node["children"]:
+        found.update(_span_ms(child))
+    return found
+
+
+def test_checkpoint_layers_and_fsyncs(run_once, tmp_path, monkeypatch):
+    """One compaction at 50k keys, layer by layer; fsyncs vs shard count."""
+    keys = scaled(50_000)
+
+    def compaction(name: str, count: int) -> dict:
+        store = DurableStore(
+            tmp_path / name, algorithm="classical", shard_capacity=128,
+            sync_policy="never",
+        )
+        fresh = random.Random(53).sample(range(1 << 48), count)
+        for start in range(0, count, 10_000):
+            store.put_many(
+                [(key, f"{key:012x}") for key in fresh[start : start + 10_000]]
+            )
+        fsyncs: list[int] = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            fsyncs.append(fd)
+            real_fsync(fd)
+
+        tracer = SpanTracer(slow_threshold_seconds=0.0, capacity=1)
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        previous = obs.set_tracer(tracer)
+        try:
+            store.compact()
+        finally:
+            obs.set_tracer(previous)
+            monkeypatch.undo()
+        (entry,) = tracer.slow_ops()
+        spans = _span_ms(entry["root"])
+        newest = list_snapshots(store.directory)[-1].path
+        row = {
+            "keys": len(store),
+            "shards": store.labeler.shard_count,
+            "sections": len((newest / DATA_FILENAME).read_bytes().splitlines()),
+            "fsyncs": len(fsyncs),
+            "capture ms": round(spans["store.capture"], 1),
+            "encode+write ms": round(spans["snapshot.write"], 1),
+            "wal truncate ms": round(spans["wal.truncate"], 1),
+            "compact ms": round(spans["store.compact"], 1),
+            "snapshot bytes": sum(path.stat().st_size for path in newest.iterdir()),
+        }
+        store.close()
+        return row
+
+    rows = run_once(lambda: [compaction("one-shard", 1), compaction("full", keys)])
+    emit(
+        "E-STORE: one compaction, layer by layer (classical shards of 128)",
+        rows,
+        note="times are wall-clock and machine-dependent; only the counts are asserted",
+    )
+    single, full = rows
+    for row in rows:
+        assert row["sections"] == row["shards"]
+    assert single["shards"] == 1 < full["shards"]
+    assert full["fsyncs"] == single["fsyncs"]

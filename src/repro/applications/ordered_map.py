@@ -286,13 +286,16 @@ class PackedMemoryMap:
     # ------------------------------------------------------------------
     # Serialization (the durable store's checkpoint unit)
     # ------------------------------------------------------------------
+    def entries(self, keys: Iterable[Hashable]) -> list[list]:
+        """The ``[key, value]`` pairs of ``keys`` (each must be stored)."""
+        values = self._values
+        return [[key, values[key]] for key in keys]
+
     def snapshot_state(self) -> dict:
         """Labeler snapshot plus the ``[key, value]`` entries in key order."""
         return {
             "labeler": self._labeler.snapshot(),
-            "entries": [
-                [key, self._values[key]] for key in self._labeler.elements()
-            ],
+            "entries": self.entries(self._labeler.elements()),
         }
 
     def restore_state(self, state: dict) -> None:

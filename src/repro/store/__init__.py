@@ -10,11 +10,11 @@ into an actual store.  Four layers, bottom up:
   **write-ahead log**: one CRC-stamped frame per mutation (batch ops are a
   single atomic frame), fsync barriers per the configured sync policy, and
   torn-tail detection + truncation on open;
-* :mod:`repro.store.snapshot` — crash-safe **per-shard checkpoints**: the
-  exact labeler state of every shard (via the ``snapshot()``/``restore()``
+* :mod:`repro.store.snapshot` — crash-safe **checkpoints**: the exact
+  labeler state of every shard (via the ``snapshot()``/``restore()``
   hooks on :class:`~repro.core.interface.ListLabeler`) plus its values,
-  one file per shard, atomically renamed into place and checksum-verified
-  on load;
+  one checksummed section per shard in a single data file, atomically
+  renamed into place and checksum-verified on load;
 * :mod:`repro.store.store` — :class:`~repro.store.store.DurableStore`:
   log-then-apply mutations, **recovery** = newest valid snapshot +
   tail-WAL replay, and **compaction** that snapshots and truncates the

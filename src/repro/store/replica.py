@@ -6,8 +6,9 @@ a primary by streaming the primary's WAL over the
 
 * **Bootstrap** — a fresh replica (or one whose applied LSN fell below
   the primary's durable horizon while it was away) receives the
-  primary's newest *snapshot* verbatim — manifest, shard files, checksums
-  — installs it, and opens the store through ordinary recovery.
+  primary's newest *snapshot* verbatim — the manifest with its section
+  checksums and the one data file of per-shard sections — installs it,
+  and opens the store through ordinary recovery.
 * **Streaming** — frames past its LSN arrive as the exact bytes the
   primary's WAL holds and are applied through
   :meth:`~repro.store.store.DurableStore.apply_frame_line`: re-validated

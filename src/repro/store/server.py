@@ -18,11 +18,11 @@ push stream.  The server decides how the replica starts:
 * ``after >= durable_horizon`` — the log still holds everything the
   replica is missing: stream WAL frames with ``lsn > after``, verbatim;
 * ``after < durable_horizon`` — compaction already dropped that tail:
-  send the newest **snapshot** (manifest + shard files, checksums and
-  all), then stream frames past its LSN.
+  send the newest **snapshot** (manifest + data file, section checksums
+  and all), then stream frames past its LSN.
 
 Frames are shipped as the exact bytes the primary's WAL holds (validated
-through the same ``_parse_frame`` recovery uses, so nothing a recovery
+through the same ``_check_frame`` recovery uses, so nothing a recovery
 would reject is ever shipped), which is what makes a replica's state
 byte-identical by construction.  Live tails push immediately — a WAL
 commit listener wakes every replica feeder — and idle connections get

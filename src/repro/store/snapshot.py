@@ -1,40 +1,50 @@
-"""Per-shard snapshot checkpoints for the durable store.
+"""Snapshot checkpoints for the durable store: one data file each.
 
 A snapshot is a *directory* under ``<store>/snapshots/`` named by the LSN
 it covers::
 
     snapshots/snapshot-0000000042/
-        manifest.json     {"schema_version", "lsn", "labeler", "shard_files",
-                           "checksums": {filename: crc32}}
-        shard-0000.json   one file per shard: the shard's exact labeler
-        shard-0001.json   snapshot plus the values of the keys it holds
-        ...
+        manifest.json     {"schema_version": 2, "lsn", "labeler",
+                           "section_crcs": [crc32, ...]}
+        sections.jsonl    one canonical-JSON line per shard: the shard's
+                          exact labeler snapshot plus the values of the
+                          keys it holds
 
-The sharded engine's snapshot document is split so each shard's state is
-its own file — a shard is the store's unit of recovery and (future) unit of
-distribution, and per-shard files keep any one write small.  An engine
-whose labeler is not sharded (a bounded ``DurableMap``) degenerates to a
-single ``shard-0000.json``.
+The sharded engine's snapshot document is split into a *skeleton* (the
+engine's own fields, kept in the manifest) and one *section* per shard,
+in shard order.  Each section is written as soon as it is encoded, so
+memory does not grow with the number of sections, and its CRC32 goes
+into the manifest.  An engine whose labeler is not sharded (a bounded
+map) degenerates to a single section.
 
-Writing is crash-safe: the files land in a ``*.tmp`` directory first, each
-fsynced, then the directory is atomically renamed into place and the parent
-fsynced.  Loading verifies every file against the manifest checksums and
-falls back to the next-newest snapshot when anything is missing or
-corrupt, so a crash *during* snapshotting can never poison recovery.
+Writing is crash-safe, and its fsyncs do not depend on the shard count:
+the data file and the manifest land in a ``*.tmp`` directory, each
+fsynced, then the temp directory is fsynced, atomically renamed into
+place, and the parent fsynced.  Loading checks that the data file holds
+exactly the listed sections with matching checksums, and falls back to
+the next-newest snapshot when anything is missing or corrupt, so a crash
+*during* snapshotting can never poison recovery.  Pruning also removes
+the temp directories such a crash leaves behind.
+
+Schema-1 snapshots (one ``shard-NNNN.json`` file per shard, checksums
+keyed by file name) still load.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from repro.store import codec
 from repro.store.wal import _fsync_directory
 
-SNAPSHOT_SCHEMA_VERSION = 1
+SNAPSHOT_SCHEMA_VERSION = 2
+
+MANIFEST_FILENAME = "manifest.json"
+DATA_FILENAME = "sections.jsonl"
 
 SNAPSHOT_DIR_NAME = "snapshots"
 _PREFIX = "snapshot-"
@@ -46,6 +56,8 @@ class SnapshotInfo:
 
     path: Path
     lsn: int
+    #: Bytes :func:`write_snapshot` wrote (0 for a listed snapshot).
+    bytes_written: int = 0
 
 
 def snapshot_root(store_dir: str | Path) -> Path:
@@ -78,8 +90,8 @@ def write_snapshot(store_dir: str | Path, lsn: int, labeler_state: dict,
     """Persist one checkpoint covering every WAL frame up to ``lsn``.
 
     ``labeler_state`` is the labeler's :meth:`~repro.core.interface
-    .ListLabeler.snapshot` document; when it is the sharded format its
-    per-shard entries are split into ``shard-NNNN.json`` files.
+    .ListLabeler.snapshot` document; when it is the sharded format each
+    of its shards becomes one section of the data file.
     ``values_by_shard`` carries, aligned with the shard list, the
     ``[key, value]`` pairs of each shard's keys.
     """
@@ -98,34 +110,38 @@ def write_snapshot(store_dir: str | Path, lsn: int, labeler_state: dict,
         skeleton = {"format": "single"}
         shard_states = [labeler_state]
 
-    checksums: dict[str, int] = {}
-    shard_files: list[str] = []
-    for index, shard_state in enumerate(shard_states):
-        name = f"shard-{index:04d}.json"
-        body = codec.dumps(
-            {
-                "labeler": shard_state,
-                "entries": values_by_shard[index] if index < len(values_by_shard) else [],
-            }
-        )
-        _write_file(tmp / name, body)
-        checksums[name] = codec.checksum(body)
-        shard_files.append(name)
+    crcs: list[int] = []
+    with open(tmp / DATA_FILENAME, "w", encoding="utf-8") as handle:
+        for index, shard_state in enumerate(shard_states):
+            section = codec.dumps(
+                {
+                    "labeler": shard_state,
+                    "entries": values_by_shard[index] if index < len(values_by_shard) else [],
+                }
+            )
+            handle.write(section)
+            handle.write("\n")
+            crcs.append(codec.checksum(section))
+        handle.flush()
+        os.fsync(handle.fileno())
+        written = os.fstat(handle.fileno()).st_size
 
-    manifest = {
-        "schema_version": SNAPSHOT_SCHEMA_VERSION,
-        "lsn": lsn,
-        "labeler": skeleton,
-        "shard_files": shard_files,
-        "checksums": checksums,
-    }
-    _write_file(tmp / "manifest.json", codec.dumps(manifest))
+    manifest = codec.dumps(
+        {
+            "schema_version": SNAPSHOT_SCHEMA_VERSION,
+            "lsn": lsn,
+            "labeler": skeleton,
+            "section_crcs": crcs,
+        }
+    )
+    _write_file(tmp / MANIFEST_FILENAME, manifest)
+    _fsync_directory(tmp)
 
     if final.exists():
         shutil.rmtree(final)
     os.replace(tmp, final)
     _fsync_directory(root)
-    return SnapshotInfo(path=final, lsn=lsn)
+    return SnapshotInfo(path=final, lsn=lsn, bytes_written=written + len(manifest))
 
 
 class SnapshotLoadError(RuntimeError):
@@ -138,38 +154,65 @@ def load_snapshot(info: SnapshotInfo) -> tuple[dict, list[list]]:
     ``entries`` is the concatenated ``[key, value]`` pairs in key order.
     Raises :class:`SnapshotLoadError` on any integrity problem.
     """
-    manifest_path = info.path / "manifest.json"
     try:
-        manifest = codec.loads(manifest_path.read_text())
-    except (OSError, ValueError) as error:
-        raise SnapshotLoadError(f"unreadable manifest in {info.path}: {error}")
-    if manifest.get("schema_version") != SNAPSHOT_SCHEMA_VERSION:
-        raise SnapshotLoadError(
-            f"snapshot {info.path} has schema version "
-            f"{manifest.get('schema_version')!r}; this build reads "
-            f"{SNAPSHOT_SCHEMA_VERSION}"
-        )
-    shard_states: list[dict] = []
-    entries: list[list] = []
-    for name in manifest["shard_files"]:
-        path = info.path / name
-        try:
-            body = path.read_text()
-        except OSError as error:
-            raise SnapshotLoadError(f"missing shard file {path}: {error}")
-        if codec.checksum(body) != manifest["checksums"].get(name):
-            raise SnapshotLoadError(f"checksum mismatch in {path}")
-        document = codec.loads(body)
-        shard_states.append(document["labeler"])
-        entries.extend(document["entries"])
+        manifest = codec.loads((info.path / MANIFEST_FILENAME).read_text(encoding="utf-8"))
+        version = manifest["schema_version"]
+        skeleton = manifest["labeler"]
+        sharded = skeleton.get("format") == "sharded"
+        if version == SNAPSHOT_SCHEMA_VERSION:
+            sections = _read_sections(info.path, manifest["section_crcs"])
+        elif version == 1:
+            sections = _read_shard_files(info.path, manifest["shard_files"], manifest["checksums"])
+        else:
+            raise SnapshotLoadError(
+                f"snapshot {info.path} has schema version {version!r}; this "
+                f"build reads 1 and {SNAPSHOT_SCHEMA_VERSION}"
+            )
+        shard_states: list[dict] = []
+        entries: list[list] = []
+        for document in sections:
+            shard_states.append(document["labeler"])
+            entries.extend(document["entries"])
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as error:
+        # An unreadable file, or a manifest field missing or of the wrong
+        # type (the manifest has no checksum of its own), is corruption
+        # like any other.
+        raise SnapshotLoadError(f"malformed snapshot {info.path}: {error!r}")
 
-    skeleton = manifest["labeler"]
-    if skeleton.get("format") == "sharded":
+    if sharded:
         labeler_state = dict(skeleton)
         labeler_state["shards"] = shard_states
     else:
         labeler_state = shard_states[0] if shard_states else {"format": "elements", "size": 0, "elements": []}
     return labeler_state, entries
+
+
+def _read_sections(path: Path, crcs: list[int]) -> Iterator[dict]:
+    """The data file's sections, each checked against its manifest CRC."""
+    data = path / DATA_FILENAME
+    count = 0
+    with open(data, "rb") as handle:
+        for line in handle:
+            if count == len(crcs):
+                raise SnapshotLoadError(f"{data} holds more than the {len(crcs)} listed sections")
+            if not line.endswith(b"\n"):
+                raise SnapshotLoadError(f"section {count} of {data} is unterminated")
+            section = line[:-1].decode("utf-8")
+            if codec.checksum(section) != crcs[count]:
+                raise SnapshotLoadError(f"checksum mismatch in section {count} of {data}")
+            count += 1
+            yield codec.loads(section)
+    if count != len(crcs):
+        raise SnapshotLoadError(f"{data} holds {count} of {len(crcs)} listed sections")
+
+
+def _read_shard_files(path: Path, names: list[str], checksums: dict) -> Iterator[dict]:
+    """Schema 1: one checksummed ``shard-NNNN.json`` file per shard."""
+    for name in names:
+        body = (path / name).read_text(encoding="utf-8")
+        if codec.checksum(body) != checksums.get(name):
+            raise SnapshotLoadError(f"checksum mismatch in {path / name}")
+        yield codec.loads(body)
 
 
 def load_newest_valid(store_dir: str | Path) -> tuple[SnapshotInfo | None, dict | None, list[list]]:
@@ -184,13 +227,16 @@ def load_newest_valid(store_dir: str | Path) -> tuple[SnapshotInfo | None, dict 
 
 
 def prune_snapshots(store_dir: str | Path, *, keep: int = 1) -> int:
-    """Delete all but the ``keep`` newest snapshots; returns the count removed."""
+    """Delete all but the ``keep`` newest snapshots, and every ``*.tmp``
+    directory a crashed write left behind; returns the count removed."""
     snapshots = list_snapshots(store_dir)
-    removed = 0
-    for info in snapshots[: max(0, len(snapshots) - keep)]:
-        shutil.rmtree(info.path, ignore_errors=True)
-        removed += 1
-    return removed
+    doomed = [info.path for info in snapshots[: max(0, len(snapshots) - keep)]]
+    root = snapshot_root(store_dir)
+    if root.exists():
+        doomed += [entry for entry in root.glob(f"{_PREFIX}*.tmp") if entry.is_dir()]
+    for path in doomed:
+        shutil.rmtree(path, ignore_errors=True)
+    return len(doomed)
 
 
 def _write_file(path: Path, body: str) -> None:

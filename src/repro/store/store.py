@@ -10,7 +10,8 @@ and makes its state survive crashes:
   atomic frame);
 * :meth:`DurableStore.snapshot` checkpoints the exact per-shard labeler
   state (layout, RNG state, pending rebalance tasks — see the algorithms'
-  ``_snapshot_extra`` hooks) plus the values, crash-safely;
+  ``_snapshot_extra`` hooks) plus the values, crash-safely, as one data
+  file of per-shard sections (see :mod:`repro.store.snapshot`);
 * opening the store runs **recovery**: newest valid snapshot, then replay
   of the WAL tail past it, after torn-tail truncation;
 * :meth:`DurableStore.compact` snapshots and then truncates the log, so
@@ -36,7 +37,7 @@ from repro.applications.ordered_map import PackedMemoryMap
 from repro.core.interface import ListLabeler
 from repro.store import snapshot as snapshot_io
 from repro.store.factories import DEFAULT_ALGORITHM, resolve_factory
-from repro.store.wal import WALTruncateReport, WriteAheadLog
+from repro.store.wal import WALTruncateReport, WriteAheadLog, _fsync_directory
 
 CONFIG_SCHEMA_VERSION = 1
 CONFIG_FILENAME = "store.json"
@@ -74,7 +75,9 @@ class DurableStore:
     directory:
         Home of the store (created on first open).  Layout:
         ``store.json`` (config), ``wal.jsonl`` (the log),
-        ``snapshots/snapshot-<lsn>/`` (checkpoints).
+        ``horizon.json`` (the LSN compaction truncated through),
+        ``snapshots/snapshot-<lsn>/`` (checkpoints: ``manifest.json``
+        plus ``sections.jsonl``, one line per shard).
     algorithm:
         Name of the shard algorithm in :data:`repro.store.factories
         .SHARD_FACTORIES`.  Fixed at creation; a mismatch on reopen is an
@@ -128,6 +131,7 @@ class DurableStore:
             self._obs_compactions = self.obs.counter("store.compactions")
             self._obs_recoveries = self.obs.counter("store.recoveries")
             self._obs_replayed = self.obs.counter("store.recovery.frames_replayed")
+            self._obs_snapshot_bytes = self.obs.counter("snapshot.bytes")
             self._map = PackedMemoryMap(
                 capacity=None,
                 labeler_factory=shard_factory,
@@ -247,6 +251,7 @@ class DurableStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, path)
+        _fsync_directory(self.directory)
         self._horizon = lsn
 
     @property
@@ -263,7 +268,12 @@ class DurableStore:
     # Recovery
     # ------------------------------------------------------------------
     def _recover(self) -> RecoveryReport:
-        info, labeler_state, entries = snapshot_io.load_newest_valid(self.directory)
+        with obs.span("store.recover"):
+            return self._recover_inner()
+
+    def _recover_inner(self) -> RecoveryReport:
+        with obs.span("snapshot.load"):
+            info, labeler_state, entries = snapshot_io.load_newest_valid(self.directory)
         snapshot_lsn = 0
         if info is not None:
             self._map.restore_state({"labeler": labeler_state, "entries": entries})
@@ -474,11 +484,11 @@ class DurableStore:
     def snapshot_archive(self) -> tuple[int, dict[str, str]]:
         """The newest checkpoint as ``(lsn, {filename: body})``.
 
-        The replica-bootstrap payload: the manifest plus every shard file
-        of the newest snapshot, read back verbatim (their checksums are
-        already inside the manifest, so the receiving side re-validates
-        with the ordinary snapshot loader).  Takes a fresh checkpoint
-        first when none exists yet.
+        The replica-bootstrap payload: the manifest plus the data file of
+        the newest snapshot, read back verbatim (the sections' checksums
+        are inside the manifest, so the receiving side re-validates with
+        the ordinary snapshot loader).  Takes a fresh checkpoint first
+        when none exists yet.
         """
         snapshots = snapshot_io.list_snapshots(self.directory)
         if not snapshots:
@@ -486,7 +496,7 @@ class DurableStore:
             snapshots = snapshot_io.list_snapshots(self.directory)
         info = snapshots[-1]
         files = {
-            entry.name: entry.read_text()
+            entry.name: entry.read_text(encoding="utf-8")
             for entry in sorted(info.path.iterdir())
             if entry.is_file()
         }
@@ -505,12 +515,14 @@ class DurableStore:
         with obs.span("store.snapshot"):
             self._wal.sync()
             lsn = self.last_lsn
-            snapshot_io.write_snapshot(
-                self.directory,
-                lsn,
-                self._map.labeler.snapshot(),
-                self._values_by_shard(),
-            )
+            with obs.span("store.capture"):
+                labeler_state = self._map.labeler.snapshot()
+                values_by_shard = self._values_by_shard()
+            with obs.span("snapshot.write"):
+                info = snapshot_io.write_snapshot(
+                    self.directory, lsn, labeler_state, values_by_shard
+                )
+            self._obs_snapshot_bytes.inc(info.bytes_written)
             snapshot_io.prune_snapshots(self.directory, keep=self.snapshot_keep)
             self._last_snapshot_lsn = lsn
             self._frames_since_snapshot = 0
@@ -557,14 +569,10 @@ class DurableStore:
         return lsn
 
     def _values_by_shard(self) -> list[list]:
-        labeler = self._map.labeler
-        shards = getattr(labeler, "shards", None)
+        shards = getattr(self._map.labeler, "shards", None)
         if shards is None:
-            return [[[key, self._map[key]] for key in self._map.keys()]]
-        return [
-            [[key, self._map[key]] for key in shard.elements()]
-            for shard in shards
-        ]
+            return [self._map.entries(self._map.keys())]
+        return [self._map.entries(shard.elements()) for shard in shards]
 
     # ------------------------------------------------------------------
     # Verification

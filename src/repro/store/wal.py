@@ -114,11 +114,12 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def open(self) -> WALOpenReport:
         """Scan the log, truncate any torn tail, and position for appends."""
-        report = WALOpenReport()
-        if self.path.exists():
-            report = self._scan_and_truncate()
-        self._file = open(self.path, "a", encoding="utf-8")
-        self._next_lsn = report.last_lsn + 1
+        with obs.span("wal.open"):
+            report = WALOpenReport()
+            if self.path.exists():
+                report = self._scan_and_truncate()
+            self._file = open(self.path, "a", encoding="utf-8")
+            self._next_lsn = report.last_lsn + 1
         return report
 
     def _scan_and_truncate(self) -> WALOpenReport:
@@ -156,6 +157,20 @@ class WriteAheadLog:
     def _parse_frame(
         self, line: bytes, expected_lsn: int | None, report: WALOpenReport
     ) -> dict | None:
+        """The decoded frame of a line that passes :meth:`_check_frame`."""
+        document = self._check_frame(line, expected_lsn, report)
+        return None if document is None else codec.decode(document)
+
+    def _check_frame(
+        self, line: bytes, expected_lsn: int | None, report: WALOpenReport
+    ) -> dict | None:
+        """Validate one line: JSON, CRC, schema version, LSN sequence.
+
+        Returns the frame still codec-encoded (its ``lsn`` is a plain
+        int), or ``None`` with the reason in ``report``.  Readers that
+        only need the LSN (compaction, frame shipping) skip decoding the
+        payload.
+        """
         position = f"lsn {expected_lsn}" if expected_lsn is not None else "log head"
         try:
             document = json.loads(line.decode("utf-8"))
@@ -166,8 +181,7 @@ class WriteAheadLog:
             report.truncation_reason = f"malformed frame at {position}"
             return None
         crc = document.pop("crc")
-        payload = json.dumps(document, sort_keys=True, separators=(",", ":"))
-        if crc != codec.checksum(payload):
+        if crc != codec.checksum(codec.canonical(document)):
             report.truncation_reason = f"checksum mismatch at {position}"
             return None
         if document.get("v") != WAL_SCHEMA_VERSION:
@@ -185,7 +199,7 @@ class WriteAheadLog:
                 f"sequence break: expected {position}, found lsn {lsn!r}"
             )
             return None
-        return codec.decode(document)
+        return document
 
     # ------------------------------------------------------------------
     # Appending
@@ -201,9 +215,8 @@ class WriteAheadLog:
         with obs.span("wal.append"):
             frame = {"v": WAL_SCHEMA_VERSION, "lsn": self._next_lsn, "op": op}
             frame.update(codec.encode(payload))
-            body = json.dumps(frame, sort_keys=True, separators=(",", ":"))
-            frame["crc"] = codec.checksum(body)
-            line = json.dumps(frame, sort_keys=True, separators=(",", ":")) + "\n"
+            frame["crc"] = codec.checksum(codec.canonical(frame))
+            line = codec.canonical(frame) + "\n"
             self._file.write(line)
             self._file.flush()
             if self.sync_policy == "always":
@@ -292,9 +305,10 @@ class WriteAheadLog:
         A stale ``epoch`` resets the scan to the start of the (rewritten)
         file.  Only the bytes past the offset are read, so a feeder that
         resumes from its cached offset pays for the new tail, not the
-        whole log.  Every line goes through :meth:`_parse_frame` — only
+        whole log.  Every line goes through :meth:`_check_frame` — only
         frames a recovery would accept are ever shipped; the scan stops at
-        the first invalid line.
+        the first invalid line.  Lines are validated, not decoded: they
+        are shipped as the raw bytes.
         """
         if epoch is not None and epoch != self._truncate_epoch:
             offset = 0
@@ -314,7 +328,7 @@ class WriteAheadLog:
             if newline < 0:
                 break
             line = raw[position : newline + 1]
-            frame = self._parse_frame(line, expected_lsn, probe)
+            frame = self._check_frame(line, expected_lsn, probe)
             if frame is None:
                 break
             if frame["lsn"] > after_lsn:
@@ -381,29 +395,34 @@ class WriteAheadLog:
         old or the new log, never a mix.
 
         Every line of the file is **re-validated** through
-        :meth:`_parse_frame` (CRC, schema version, LSN contiguity), not
+        :meth:`_check_frame` (CRC, schema version, LSN contiguity), not
         just re-parsed as JSON: a frame that bit-rotted *after* the log
         was opened must not be rewritten into the retained tail, where it
         would survive compaction and poison every later recovery (and
         every replica catch-up reading the shipped stream).  The retained
         tail is cut at the first bad frame; the returned
         :class:`WALTruncateReport` says what was kept and what was
-        discarded as suspect.
+        discarded as suspect.  Only the LSN of each frame is read, so the
+        payloads are validated but never decoded.
         """
+        with obs.span("wal.truncate"):
+            return self._truncate_through(lsn)
+
+    def _truncate_through(self, lsn: int) -> WALTruncateReport:
         self.close()
         report = WALTruncateReport()
         retained: list[bytes] = []
         raw = self.path.read_bytes() if self.path.exists() else b""
         expected_lsn: int | None = None
         offset = 0
-        scan = WALOpenReport()  # collects _parse_frame's failure reason
+        scan = WALOpenReport()  # collects _check_frame's failure reason
         while offset < len(raw):
             newline = raw.find(b"\n", offset)
             if newline < 0:
                 scan.truncation_reason = "unterminated final frame"
                 break
             line = raw[offset : newline + 1]
-            frame = self._parse_frame(line, expected_lsn, scan)
+            frame = self._check_frame(line, expected_lsn, scan)
             if frame is None:
                 break
             if frame["lsn"] > lsn:

@@ -232,6 +232,50 @@ class TestSpans:
         assert obs.resolve(None) is obs.get_registry()
 
 
+def _shape(node: dict) -> tuple:
+    return node["name"], [_shape(child) for child in node["children"]]
+
+
+class TestCheckpointSpans:
+    def test_compaction_and_recovery_spans_nest_under_the_benchmark_names(self, tmp_path):
+        """A checkpoint and a recovery read like a traced benchmark run:
+        ``snapshot.write`` / ``wal.truncate`` under the compaction,
+        ``snapshot.load`` / ``wal.open`` under recovery."""
+        from repro.store.store import DurableStore
+
+        tracer = SpanTracer(slow_threshold_seconds=0.0, capacity=16)
+        registry = MetricsRegistry()
+        previous = obs.set_tracer(tracer)
+        try:
+            store = DurableStore(
+                tmp_path / "s", algorithm="classical", shard_capacity=16,
+                sync_policy="never", registry=registry,
+            )
+            store.put_many([(key, key) for key in range(100)])
+            tracer.clear()
+            store.compact()
+            (compact,) = [entry["root"] for entry in tracer.slow_ops()]
+            newest = sorted((tmp_path / "s" / "snapshots").iterdir())[-1]
+            written = sum(entry.stat().st_size for entry in newest.iterdir())
+            store.close()
+            tracer.clear()
+            DurableStore(tmp_path / "s", sync_policy="never", registry=registry).close()
+            (recover,) = [entry["root"] for entry in tracer.slow_ops()]
+        finally:
+            obs.set_tracer(previous)
+        assert _shape(compact) == (
+            "store.compact",
+            [
+                ("store.snapshot", [("store.capture", []), ("snapshot.write", [])]),
+                ("wal.truncate", []),
+            ],
+        )
+        assert _shape(recover) == (
+            "store.recover", [("snapshot.load", []), ("wal.open", [])]
+        )
+        assert registry.counter("snapshot.bytes").value == written > 0
+
+
 # ---------------------------------------------------------------------------
 # Concurrency (satellite: no lost increments, consistent snapshots)
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ Four fences:
 
 from __future__ import annotations
 
+import enum
 import os
 import random
 import shutil
@@ -37,6 +38,8 @@ import sys
 import tempfile
 import threading
 import time
+from collections import OrderedDict
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -55,11 +58,18 @@ from repro.store.harness import (
     fingerprint,
     logical_operations,
     make_ops,
+    state_digest,
 )
 from repro.store.factories import EXACT_SNAPSHOT_ALGORITHMS
 from repro.store.service import FifoLock, StoreService
-from repro.store.snapshot import list_snapshots
-from repro.store.store import WAL_FILENAME, DurableStore, StoreError
+from repro.store.snapshot import (
+    DATA_FILENAME,
+    MANIFEST_FILENAME,
+    SNAPSHOT_DIR_NAME,
+    SNAPSHOT_SCHEMA_VERSION,
+    list_snapshots,
+)
+from repro.store.store import HORIZON_FILENAME, WAL_FILENAME, DurableStore, StoreError
 from repro.store.wal import WALError, WriteAheadLog
 
 #: Exhaustive mode (CI store-recovery job): kill at *every* frame boundary
@@ -70,6 +80,107 @@ EXHAUSTIVE = os.environ.get("REPRO_STORE_EXHAUSTIVE", "") not in ("", "0")
 #: ``corollary11`` restores via the elements fallback and has its own
 #: logical-contract test).
 EXACT_ALGORITHMS = list(EXACT_SNAPSHOT_ALGORITHMS)
+
+
+class _Level(enum.IntEnum):
+    LOW = 3
+
+
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+#: ``codec.dumps`` output of every tag and leaf kind, recorded from the
+#: tagging walk alone (before the plain-JSON fast path existed).
+CODEC_GOLDEN = {
+    "fraction": (Fraction(3, 7), '{"$frac":["3","7"]}'),
+    "negative_fraction": (Fraction(-5, 2), '{"$frac":["-5","2"]}'),
+    "tuple": ((1, "a", (2, 3), ()), '{"$tuple":[1,"a",{"$tuple":[2,3]},{"$tuple":[]}]}'),
+    "bytes": (b"\x00\xffab", '{"$bytes":"00ff6162"}'),
+    "empty_bytes": (b"", '{"$bytes":""}'),
+    "int_keys": ({2: "b", 1: "a"}, '{"$dict":[[2,"b"],[1,"a"]]}'),
+    "mixed_keys": (
+        {(2, 3): [4], Fraction(1, 2): None, True: False},
+        '{"$dict":[[{"$tuple":[2,3]},[4]],[{"$frac":["1","2"]},null],[true,false]]}',
+    ),
+    "dollar_keys": (
+        {"$frac": ["1", "2"], "$$x": 2, "plain": 3},
+        '{"$$$x":2,"$$frac":["1","2"],"plain":3}',
+    ),
+    "one_dollar_key": ({"$tuple": [1]}, '{"$$tuple":[1]}'),
+    "bools": ([True, False, None, {"t": True}], '[true,false,null,{"t":true}]'),
+    "int_subclass": ([_Level.LOW, _Count(7), {"n": _Count(8)}], '[3,7,{"n":8}]'),
+    "str_subclass": ([_Name("x"), {"k": _Name("v")}], '["x",{"k":"v"}]'),
+    "float_subclass": ([_Ratio(0.5)], "[0.5]"),
+    "specials": (
+        [float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e300],
+        "[NaN,Infinity,-Infinity,-0.0,0.1,1e+300]",
+    ),
+    "big_int": ([2**70, -(2**70)], "[1180591620717411303424,-1180591620717411303424]"),
+    "unicode": (
+        ["é☃", {"é": "\n\t\"\\"}],
+        '["\\u00e9\\u2603",{"\\u00e9":"\\n\\t\\"\\\\"}]',
+    ),
+    "empties": ([[], {}, (), ""], '[[],{},{"$tuple":[]},""]'),
+    "ordered_dict": (OrderedDict([("b", 1), ("a", (2,))]), '{"a":{"$tuple":[2]},"b":1}'),
+    "nested": (
+        {
+            "a": [1, {"b": (Fraction(1, 3), b"x")}],
+            "c": {"$d": [None, True, [[1, "x"], [2, Fraction(2, 3)]]]},
+            "e": [[1, 2], [3, [4, [5, (6,)]]]],
+        },
+        '{"a":[1,{"b":{"$tuple":[{"$frac":["1","3"]},{"$bytes":"78"}]}}],'
+        '"c":{"$$d":[null,true,[[1,"x"],[2,{"$frac":["2","3"]}]]]},'
+        '"e":[[1,2],[3,[4,[5,{"$tuple":[6]}]]]]}',
+    ),
+    "pairs": (
+        [[1, "v1"], [2, "v2"], [3, [Fraction(7, 3), "w"]]],
+        '[[1,"v1"],[2,"v2"],[3,[{"$frac":["7","3"]},"w"]]]',
+    ),
+    "labeler_like": (
+        {
+            "format": "dense", "size": 2, "layout": [[0, 5], [3, 9]],
+            "extra": {"rng": (3, (1, 2, 3), None), "tasks": [(1, 2)]},
+        },
+        '{"extra":{"rng":{"$tuple":[3,{"$tuple":[1,2,3]},null]},"tasks":[{"$tuple":[1,2]}]},'
+        '"format":"dense","layout":[[0,5],[3,9]],"size":2}',
+    ),
+}
+
+
+def _write_recorded_ops(store) -> None:
+    """The seven frames of :data:`RECORDED_WAL`."""
+    store.put(Fraction(1, 3), ("t", 1))
+    store.put(Fraction(5, 3), {"$frac": b"\x01\x02"})
+    store.put_many([(Fraction(k, 7), {"v": k, 1: [k]}) for k in range(1, 6)])
+    store.put(Fraction(9, 2), float("inf"))
+    store.delete(Fraction(2, 7))
+    store.delete_many([Fraction(3, 7), Fraction(4, 7)])
+    store.put(Fraction(1, 3), [Fraction(1, 2), None, True])
+
+
+#: The log :func:`_write_recorded_ops` wrote before the plain-JSON codec
+#: path, and the :func:`state_digest` of its replay (classical, 16).
+RECORDED_WAL = (
+    b'{"crc":720805718,"key":{"$frac":["1","3"]},"lsn":1,"op":"put","v":1,"value":{"$tuple":["t",1]}}\n'
+    b'{"crc":3686161454,"key":{"$frac":["5","3"]},"lsn":2,"op":"put","v":1,"value":{"$$frac":{"$bytes":"0102"}}}\n'
+    b'{"crc":1604819391,"items":[[{"$frac":["1","7"]},{"$dict":[["v",1],[1,[1]]]}],[{"$frac":["2","7"]},'
+    b'{"$dict":[["v",2],[1,[2]]]}],[{"$frac":["3","7"]},{"$dict":[["v",3],[1,[3]]]}],[{"$frac":["4","7"]},'
+    b'{"$dict":[["v",4],[1,[4]]]}],[{"$frac":["5","7"]},{"$dict":[["v",5],[1,[5]]]}]],"lsn":3,"op":"put_many","v":1}\n'
+    b'{"crc":3515678507,"key":{"$frac":["9","2"]},"lsn":4,"op":"put","v":1,"value":Infinity}\n'
+    b'{"crc":172120516,"key":{"$frac":["2","7"]},"lsn":5,"op":"del","v":1}\n'
+    b'{"crc":3596778504,"keys":[{"$frac":["3","7"]},{"$frac":["4","7"]}],"lsn":6,"op":"del_many","v":1}\n'
+    b'{"crc":3705690365,"key":{"$frac":["1","3"]},"lsn":7,"op":"put","v":1,"value":[{"$frac":["1","2"]},null,true]}\n'
+)
+RECORDED_DIGEST = "4ef47a5e787f3ebdb0cd2c25e689d675141a0f0b96abf665f00aa4aec0cbeb7c"
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +567,27 @@ class TestWriteAheadLog:
         recovered.close()
 
 
+    def test_recorded_log_replays_and_is_rewritten_byte_identically(self, tmp_path):
+        """Frames are byte-identical to the ones the tagging walk wrote, and
+        a log written then still replays to the same state."""
+        store = DurableStore(
+            tmp_path / "new", algorithm="classical", shard_capacity=16,
+            sync_policy="never",
+        )
+        _write_recorded_ops(store)
+        store.close()
+        assert (tmp_path / "new" / WAL_FILENAME).read_bytes() == RECORDED_WAL
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / WAL_FILENAME).write_bytes(RECORDED_WAL)
+        replayed = DurableStore(
+            tmp_path / "old", algorithm="classical", shard_capacity=16,
+            sync_policy="never",
+        )
+        assert replayed.recovery.frames_replayed == 7
+        assert state_digest(replayed.map) == RECORDED_DIGEST
+        replayed.close()
+
+
 class TestCodec:
     def test_round_trips(self):
         from fractions import Fraction
@@ -480,6 +612,27 @@ class TestCodec:
     def test_canonical_dumps_is_stable(self):
         value = {"b": 2, "a": [1, (2, 3)]}
         assert codec.dumps(value) == codec.dumps(dict(reversed(value.items())))
+
+    @pytest.mark.parametrize("name", sorted(CODEC_GOLDEN))
+    def test_dumps_matches_the_full_walk_byte_for_byte(self, name):
+        """Strings written by the tagging walk before the plain-JSON fast
+        path: WAL CRCs, snapshot checksums and wire messages depend on
+        every byte."""
+        value, expected = CODEC_GOLDEN[name]
+        assert codec.dumps(value) == expected
+        assert codec.dumps(codec.loads(expected)) == expected
+
+    def test_plain_json_is_passed_through_and_tagged_input_is_not_mutated(self):
+        from fractions import Fraction
+
+        plain = {"layout": [[0, 5], [3, 9]], "entries": [[5, "a"], [9, None]], "n": 1.5}
+        assert codec.encode(plain) is plain
+        assert codec.decode(plain) is plain
+        tagged = {"layout": [[0, 5]], "extra": {"level": [(1, 2)]}, "key": Fraction(1, 2)}
+        encoded = codec.encode(tagged)
+        assert encoded["layout"] is tagged["layout"]  # untouched subtree shared
+        assert tagged == {"layout": [[0, 5]], "extra": {"level": [(1, 2)]}, "key": Fraction(1, 2)}
+        assert codec.decode(encoded) == tagged
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +702,7 @@ class TestStoreEdges:
         store.compact()                     # snapshot lsn 20, WAL empty
         store.close()
         newest = list_snapshots(tmp_path / "s")[-1]
-        (newest.path / "shard-0000.json").write_text("garbage")
+        (newest.path / DATA_FILENAME).write_text("garbage")
         with pytest.raises(StoreError, match="compacted through lsn 20"):
             DurableStore(tmp_path / "s", sync_policy="never")
 
@@ -603,7 +756,7 @@ class TestStoreEdges:
         expected = fingerprint(store.map)
         store.close()
         newest = list_snapshots(directory)[-1]
-        (newest.path / "shard-0000.json").write_text("garbage")
+        (newest.path / DATA_FILENAME).write_text("garbage")
         recovered = DurableStore(directory, sync_policy="never")
         assert recovered.recovery.snapshot_lsn == 40  # fell back
         assert fingerprint(recovered.map) == expected
@@ -645,6 +798,243 @@ class TestStoreEdges:
         replayed = replay_run(tmp_path / "run", twin)
         assert replayed.wal_frames == result.wal_frames
         assert tuple(twin.slots()) == tuple(labeler.slots())
+
+
+# ---------------------------------------------------------------------------
+# Checkpoint files: one data file, its checks, its fsyncs, the old format
+# ---------------------------------------------------------------------------
+def _write_schema_one(directory: Path, lsn: int, labeler_state: dict,
+                      values_by_shard: list[list]) -> Path:
+    """A checkpoint in the schema-1 layout: a manifest plus one checksummed
+    ``shard-NNNN.json`` file per shard, written as that format's writer did."""
+    path = directory / SNAPSHOT_DIR_NAME / f"snapshot-{lsn:010d}"
+    path.mkdir(parents=True)
+    if labeler_state.get("format") == "sharded":
+        skeleton = {key: value for key, value in labeler_state.items() if key != "shards"}
+        shard_states = labeler_state["shards"]
+    else:
+        skeleton = {"format": "single"}
+        shard_states = [labeler_state]
+    checksums: dict[str, int] = {}
+    shard_files: list[str] = []
+    for index, shard_state in enumerate(shard_states):
+        name = f"shard-{index:04d}.json"
+        body = codec.dumps({"labeler": shard_state, "entries": values_by_shard[index]})
+        (path / name).write_text(body, encoding="utf-8")
+        checksums[name] = codec.checksum(body)
+        shard_files.append(name)
+    manifest = {
+        "schema_version": 1,
+        "lsn": lsn,
+        "labeler": skeleton,
+        "shard_files": shard_files,
+        "checksums": checksums,
+    }
+    (path / MANIFEST_FILENAME).write_text(codec.dumps(manifest), encoding="utf-8")
+    return path
+
+
+def _fsyncs_of_one_compaction(store: DurableStore, monkeypatch) -> int:
+    calls: list[int] = []
+    real_fsync = os.fsync
+
+    def counting_fsync(fd):
+        calls.append(fd)
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counting_fsync)
+    try:
+        store.compact()
+    finally:
+        monkeypatch.undo()
+    return len(calls)
+
+
+class TestCheckpointFiles:
+    def _store(self, directory: Path, **kwargs) -> DurableStore:
+        return DurableStore(
+            directory, algorithm="classical", shard_capacity=16,
+            sync_policy="never", **kwargs,
+        )
+
+    def test_one_data_file_holds_one_section_per_shard(self, tmp_path):
+        store = self._store(tmp_path / "s")
+        for op in make_ops(80, seed=19):
+            apply_to_store(store, op)
+        store.compact()
+        shards = store.labeler.shard_count
+        store.close()
+        newest = list_snapshots(tmp_path / "s")[-1].path
+        assert sorted(entry.name for entry in newest.iterdir()) == [
+            MANIFEST_FILENAME, DATA_FILENAME,
+        ]
+        manifest = codec.loads((newest / MANIFEST_FILENAME).read_text())
+        assert manifest["schema_version"] == SNAPSHOT_SCHEMA_VERSION == 2
+        sections = (newest / DATA_FILENAME).read_text().splitlines()
+        assert shards > 2
+        assert len(sections) == len(manifest["section_crcs"]) == shards
+        assert [codec.checksum(line) for line in sections] == manifest["section_crcs"]
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["flipped_middle_byte", "missing_last_section", "manifest_one_short",
+         "manifest_without_crcs"],
+    )
+    def test_damaged_checkpoint_falls_back_to_older(self, tmp_path, damage):
+        directory = tmp_path / "s"
+        store = self._store(directory, snapshot_keep=10**6)
+        for index, op in enumerate(make_ops(120, seed=21), start=1):
+            apply_to_store(store, op)
+            if index in (60, 120):
+                store.snapshot()
+        expected = fingerprint(store.map)
+        store.close()
+        newest = list_snapshots(directory)[-1].path
+        data = newest / DATA_FILENAME
+        lines = data.read_bytes().splitlines(keepends=True)
+        assert len(lines) >= 3
+        if damage == "flipped_middle_byte":
+            middle = bytearray(lines[len(lines) // 2])
+            middle[len(middle) // 2] ^= 0x01
+            lines[len(lines) // 2] = bytes(middle)
+            data.write_bytes(b"".join(lines))
+        elif damage == "missing_last_section":
+            data.write_bytes(b"".join(lines[:-1]))
+        else:
+            manifest = codec.loads((newest / MANIFEST_FILENAME).read_text())
+            if damage == "manifest_one_short":
+                manifest["section_crcs"].pop()
+            else:
+                del manifest["section_crcs"]
+            (newest / MANIFEST_FILENAME).write_text(codec.dumps(manifest))
+        recovered = DurableStore(directory, sync_policy="never")
+        assert recovered.recovery.snapshot_lsn == 60  # fell back
+        assert fingerprint(recovered.map) == expected
+        recovered.close()
+
+    def test_schema_one_checkpoint_of_a_sharded_store_loads_exactly(self, tmp_path):
+        directory = tmp_path / "s"
+        store = self._store(directory)
+        for op in make_ops(100, seed=23):
+            apply_to_store(store, op)
+        lsn = store.last_lsn
+        labeler_state = store.labeler.snapshot()
+        values = [store.map.entries(shard.elements()) for shard in store.labeler.shards]
+        for key in range(-5, 0):
+            store.put(key, "tail")
+        expected = fingerprint(store.map)
+        store.close()
+        _write_schema_one(directory, lsn, labeler_state, values)
+        assert len(values) > 2
+        reopened = DurableStore(directory, sync_policy="never")
+        assert reopened.recovery.snapshot_lsn == lsn
+        assert reopened.recovery.frames_replayed == 5
+        assert fingerprint(reopened.map) == expected
+        reopened.verify()
+        reopened.close()
+
+    @pytest.mark.parametrize("schema", [1, 2])
+    def test_checkpoint_of_a_bounded_map_loads_exactly(self, tmp_path, schema):
+        """A bounded map's labeler is not sharded: its checkpoint is one
+        section (schema 2) or one ``shard-0000.json`` (schema 1)."""
+        from repro.store.factories import resolve_factory
+        from repro.store.snapshot import SnapshotInfo, load_snapshot, write_snapshot
+
+        def bounded() -> PackedMemoryMap:
+            return PackedMemoryMap(capacity=64, labeler_factory=resolve_factory("classical"))
+
+        source = bounded()
+        rng = random.Random(31)
+        for key in rng.sample(range(1000), 40):
+            source[Fraction(key, 7)] = (key, f"v{key}")
+        state = source.snapshot_state()
+        if schema == 1:
+            path = _write_schema_one(tmp_path, 9, state["labeler"], [state["entries"]])
+        else:
+            path = write_snapshot(tmp_path, 9, state["labeler"], [state["entries"]]).path
+        labeler_state, entries = load_snapshot(SnapshotInfo(path=path, lsn=9))
+        target = bounded()
+        target.restore_state({"labeler": labeler_state, "entries": entries})
+        assert fingerprint(target) == fingerprint(source)
+        assert target.labeler.slots() == source.labeler.slots()
+
+    def test_stale_temp_checkpoint_is_pruned(self, tmp_path):
+        """A crash mid-write leaves a ``*.tmp`` directory that no listing
+        returns; the next compaction removes it."""
+        directory = tmp_path / "s"
+        store = self._store(directory)
+        for op in make_ops(60, seed=29):
+            apply_to_store(store, op)
+        stale = directory / SNAPSHOT_DIR_NAME / "snapshot-0000000005.tmp"
+        stale.mkdir(parents=True)
+        (stale / DATA_FILENAME).write_text("half a checkpoint")
+        store.compact()
+        assert not stale.exists()
+        expected = fingerprint(store.map)
+        store.close()
+        reopened = DurableStore(directory, sync_policy="never")
+        assert fingerprint(reopened.map) == expected
+        reopened.close()
+
+    def test_checkpoint_fsyncs_do_not_grow_with_the_shard_count(self, tmp_path, monkeypatch):
+        small = self._store(tmp_path / "small")
+        for key in range(16):
+            small.put(key, key)
+        large = self._store(tmp_path / "large")
+        large.put_many([(key, key) for key in range(3600)])
+        assert small.labeler.shard_count == 2
+        assert large.labeler.shard_count >= 500
+        assert _fsyncs_of_one_compaction(large, monkeypatch) == _fsyncs_of_one_compaction(
+            small, monkeypatch
+        )
+        small.close()
+        large.close()
+
+    def test_compaction_fsyncs_before_every_rename(self, tmp_path, monkeypatch):
+        """The checkpoint is durable before the horizon moves, and the
+        horizon before the log loses a frame."""
+        directory = tmp_path / "s"
+        store = self._store(directory)
+        for op in make_ops(40, seed=37):
+            apply_to_store(store, op)
+        events: list[tuple] = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            stat = os.fstat(fd)
+            events.append(("fsync", (stat.st_dev, stat.st_ino)))
+            real_fsync(fd)
+
+        def recording_replace(source, target):
+            events.append(("replace", Path(source).name, Path(target).name))
+            real_replace(source, target)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        try:
+            store.compact()
+        finally:
+            monkeypatch.undo()
+        store.close()
+
+        def synced(path: Path) -> tuple:
+            stat = os.stat(path)
+            return ("fsync", (stat.st_dev, stat.st_ino))
+
+        newest = list_snapshots(directory)[-1].path
+        assert events == [
+            synced(newest / DATA_FILENAME),
+            synced(newest / MANIFEST_FILENAME),
+            synced(newest),  # the temp directory, before its rename
+            ("replace", newest.name + ".tmp", newest.name),
+            synced(directory / SNAPSHOT_DIR_NAME),
+            synced(directory / HORIZON_FILENAME),
+            ("replace", "horizon.tmp", HORIZON_FILENAME),
+            synced(directory),
+            synced(directory / WAL_FILENAME),
+            ("replace", "wal.tmp", WAL_FILENAME),
+            synced(directory),
+        ]
 
 
 # ---------------------------------------------------------------------------
