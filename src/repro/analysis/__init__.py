@@ -9,7 +9,7 @@ growth exponents (is the amortized cost growing like ``log n`` or
 experiments print.
 """
 
-from repro.analysis.runner import RunResult, replay_run, run_workload
+from repro.analysis.runner import RunResult, run_workload
 from repro.analysis.curves import estimate_log_exponent, growth_ratios
 from repro.analysis.reference import ChunkedList
 from repro.analysis.report import format_scenario_table, format_table
@@ -17,7 +17,6 @@ from repro.analysis.report import format_scenario_table, format_table
 __all__ = [
     "ChunkedList",
     "RunResult",
-    "replay_run",
     "estimate_log_exponent",
     "format_scenario_table",
     "format_table",

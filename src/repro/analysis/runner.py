@@ -25,14 +25,6 @@ are move-cost percentiles.  One :func:`time.perf_counter` pair per run
 gives :attr:`RunResult.elapsed_seconds`.  Per-operation latency is
 measured by the repository benchmark (``perfbench/``) and, on a live
 server, by the ``service.latency.*`` histograms of :mod:`repro.obs`.
-
-**Durable mode.**  Passing ``durable_dir`` write-ahead logs every applied
-operation — with its synthesized key, and batches as single atomic frames —
-into ``<durable_dir>/run-wal.jsonl`` through the store's
-:class:`~repro.store.wal.WriteAheadLog` *before* it reaches the structure.
-An interrupted run's acknowledged prefix can then be reproduced exactly on
-a fresh structure with :func:`replay_run`, which is the same op-framing the
-durable store uses for crash recovery.
 """
 
 from __future__ import annotations
@@ -70,10 +62,6 @@ class RunResult:
     final_keys: list[Hashable] = field(default_factory=list)
     #: Batch size the run used (1 = singleton execution).
     batch_size: int = 1
-    #: Frames written to the durable run log (0 = durable mode off).
-    wal_frames: int = 0
-    #: Path of the durable run log, when one was written.
-    durable_path: str | None = None
 
     @property
     def amortized_cost(self) -> float:
@@ -124,39 +112,6 @@ class RunResult:
         return data
 
 
-#: File name of the durable run log inside ``durable_dir``.
-RUN_WAL_FILENAME = "run-wal.jsonl"
-
-
-class _RunJournal:
-    """Write-ahead framing of a run's applied operations (durable mode)."""
-
-    def __init__(self, durable_dir, sync_policy: str) -> None:
-        from pathlib import Path
-
-        from repro.store.wal import WriteAheadLog
-
-        directory = Path(durable_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.path = directory / RUN_WAL_FILENAME
-        self.wal = WriteAheadLog(self.path, sync_policy=sync_policy)
-        report = self.wal.open()
-        if report.frames:
-            self.wal.close()
-            raise ValueError(
-                f"durable run log {self.path} already holds "
-                f"{len(report.frames)} frame(s); replay or remove it first"
-            )
-        self.frames = 0
-
-    def log(self, op: str, payload: dict) -> None:
-        self.wal.append(op, payload)
-        self.frames += 1
-
-    def close(self) -> None:
-        self.wal.close()
-
-
 def run_workload(
     labeler: ListLabeler,
     workload: Workload,
@@ -164,8 +119,6 @@ def run_workload(
     validate_every: int = 0,
     stop_after: int | None = None,
     batch_size: int = 1,
-    durable_dir=None,
-    durable_sync: str = "batch",
 ) -> RunResult:
     """Run ``workload`` against ``labeler`` and record the move costs.
 
@@ -175,16 +128,11 @@ def run_workload(
     workload, which lets one workload definition serve several sweep sizes.
     ``batch_size`` > 1 switches to batched execution: operations are grouped
     into same-kind batches of up to that many and forwarded through
-    ``insert_batch`` / ``delete_batch``.  ``durable_dir`` write-ahead logs
-    every applied operation (see the module docstring); ``durable_sync``
-    sets the log's fsync policy (``"always"``/``"batch"``/``"never"``).
+    ``insert_batch`` / ``delete_batch``.
     """
     tracker = CostTracker()
     reference = ChunkedList(
         block_size=max(8, math.isqrt(max(1, workload.operations)))
-    )
-    journal = (
-        _RunJournal(durable_dir, durable_sync) if durable_dir is not None else None
     )
     # Sharded structures count their splits/merges; only the difference
     # over this run is attributed to it.
@@ -192,25 +140,19 @@ def run_workload(
     counts_before = restructure_counts() if restructure_counts else {}
     started = time.perf_counter()
 
-    try:
-        if batch_size > 1:
-            _run_batched(
-                labeler, workload, tracker, reference,
-                batch_size=batch_size,
-                validate_every=validate_every,
-                stop_after=stop_after,
-                journal=journal,
-            )
-        else:
-            _run_singleton(
-                labeler, workload, tracker, reference,
-                validate_every=validate_every,
-                stop_after=stop_after,
-                journal=journal,
-            )
-    finally:
-        if journal is not None:
-            journal.close()
+    if batch_size > 1:
+        _run_batched(
+            labeler, workload, tracker, reference,
+            batch_size=batch_size,
+            validate_every=validate_every,
+            stop_after=stop_after,
+        )
+    else:
+        _run_singleton(
+            labeler, workload, tracker, reference,
+            validate_every=validate_every,
+            stop_after=stop_after,
+        )
 
     elapsed = time.perf_counter() - started
     if restructure_counts:
@@ -227,58 +169,6 @@ def run_workload(
         elapsed_seconds=elapsed,
         final_keys=reference.to_list(),
         batch_size=max(1, batch_size),
-        wal_frames=journal.frames if journal is not None else 0,
-        durable_path=str(journal.path) if journal is not None else None,
-    )
-
-
-def replay_run(durable_dir, labeler: ListLabeler) -> RunResult:
-    """Reapply a durable run log to a fresh structure.
-
-    Replays the acknowledged frames of a (possibly interrupted) durable
-    run in order — singleton inserts/deletes with their recorded keys,
-    batch frames through the batch API — and returns a :class:`RunResult`
-    measuring the replay.  With the same starting structure this
-    reproduces the original run's state exactly.
-    """
-    from pathlib import Path
-
-    from repro.store.wal import WriteAheadLog
-
-    path = Path(durable_dir) / RUN_WAL_FILENAME
-    if not path.exists():
-        # Opening would create an empty log as a side effect and report a
-        # "successful" zero-op replay — a mistyped directory must fail.
-        raise FileNotFoundError(f"no durable run log at {path}")
-    wal = WriteAheadLog(path, sync_policy="never")
-    report = wal.open()
-    wal.close()
-    tracker = CostTracker()
-    started = time.perf_counter()
-    for frame in report.frames:
-        op = frame["op"]
-        if op == "ins":
-            tracker.record(labeler.insert(frame["rank"], frame["key"]).cost)
-        elif op == "del":
-            tracker.record(labeler.delete(frame["rank"]).cost)
-        elif op == "ins_batch":
-            items = [(rank, key) for rank, key in frame["items"]]
-            result = labeler.insert_batch(items)
-            tracker.record_batch(result.cost, result.count)
-        elif op == "del_batch":
-            result = labeler.delete_batch(frame["ranks"])
-            tracker.record_batch(result.cost, result.count)
-        else:
-            raise ValueError(f"unknown run-log op {op!r}")
-    elapsed = time.perf_counter() - started
-    return RunResult(
-        labeler=labeler,
-        workload_name=f"replay({path})",
-        tracker=tracker,
-        elapsed_seconds=elapsed,
-        final_keys=list(labeler.elements()),
-        wal_frames=len(report.frames),
-        durable_path=str(path),
     )
 
 
@@ -365,7 +255,6 @@ def _run_singleton(
     *,
     validate_every: int,
     stop_after: int | None,
-    journal: _RunJournal | None = None,
 ) -> None:
     executed = 0
     for operation in workload:
@@ -381,13 +270,9 @@ def _run_singleton(
             key = operation.key
             if key is None:
                 key = synthesize_key(reference, operation.rank)
-            if journal is not None:
-                journal.log("ins", {"rank": operation.rank, "key": key})
             result = labeler.insert(operation.rank, key)
             reference.insert(operation.rank - 1, key)
         else:
-            if journal is not None:
-                journal.log("del", {"rank": operation.rank})
             result = labeler.delete(operation.rank)
             reference.pop(operation.rank - 1)
         tracker.record(result.cost)
@@ -405,7 +290,6 @@ def _run_batched(
     batch_size: int,
     validate_every: int,
     stop_after: int | None,
-    journal: _RunJournal | None = None,
 ) -> None:
     executed = 0
     next_check = validate_every if validate_every else None
@@ -423,10 +307,10 @@ def _run_batched(
             for operation in batch:
                 _execute_read(labeler, reference, operation, tracker)
         elif batch[0].is_insert:
-            result = _execute_insert_batch(labeler, reference, batch, journal)
+            result = _execute_insert_batch(labeler, reference, batch)
             tracker.record_batch(result.cost, result.count)
         else:
-            result = _execute_delete_batch(labeler, reference, batch, journal)
+            result = _execute_delete_batch(labeler, reference, batch)
             tracker.record_batch(result.cost, result.count)
         executed += len(batch)
         if next_check is not None and executed >= next_check:
@@ -438,7 +322,6 @@ def _execute_insert_batch(
     labeler: ListLabeler,
     reference: ChunkedList,
     batch: Sequence[Operation],
-    journal: _RunJournal | None = None,
 ):
     """Forward a run of insertions as one ``insert_batch`` call.
 
@@ -461,8 +344,6 @@ def _execute_insert_batch(
         positions.insert(index, sequential_rank)
         keys.insert(index, key)
     items = [(positions[j] - j, keys[j]) for j in range(len(keys))]
-    if journal is not None:
-        journal.log("ins_batch", {"items": [[rank, key] for rank, key in items]})
     result = labeler.insert_batch(items)
     for j, key in enumerate(keys):
         # Ascending final positions: all j earlier entries are already in,
@@ -511,7 +392,6 @@ def _execute_delete_batch(
     labeler: ListLabeler,
     reference: ChunkedList,
     batch: Sequence[Operation],
-    journal: _RunJournal | None = None,
 ):
     """Forward a run of deletions as one ``delete_batch`` call.
 
@@ -529,8 +409,6 @@ def _execute_delete_batch(
                 break
             pre_rank = shifted
         bisect.insort(deleted, pre_rank)
-    if journal is not None:
-        journal.log("del_batch", {"ranks": list(deleted)})
     result = labeler.delete_batch(deleted)
     for rank in reversed(deleted):
         reference.pop(rank - 1)

@@ -11,14 +11,13 @@ in ranks directly:
   physical layout is any :class:`repro.core.interface.ListLabeler`;
 * :class:`~repro.applications.order_maintenance.OrderMaintenance` — the
   Dietz–Sleator order-maintenance interface (``insert_after``,
-  ``insert_before``, ``precedes``) implemented with list-labeling labels;
-* :class:`~repro.applications.ordered_map.DurableMap` — the clustered
-  index made crash-safe: a :class:`PackedMemoryMap` served through the
-  durable store (:mod:`repro.store`), with write-ahead logging, exact
-  layout checkpoints, and recovery on open.
+  ``insert_before``, ``precedes``) implemented with list-labeling labels.
+
+The clustered index made crash-safe is :class:`repro.store.DurableStore`,
+whose ``map`` is an unbounded :class:`PackedMemoryMap`.
 """
 
-from repro.applications.ordered_map import DurableMap, PackedMemoryMap
+from repro.applications.ordered_map import PackedMemoryMap
 from repro.applications.order_maintenance import OrderMaintenance
 
-__all__ = ["DurableMap", "OrderMaintenance", "PackedMemoryMap"]
+__all__ = ["OrderMaintenance", "PackedMemoryMap"]

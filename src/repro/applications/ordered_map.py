@@ -38,11 +38,12 @@ which forwards one pre-batch-rank ``insert_batch`` to the labeler — the
 batch engine's merged rebalances make sorted loads far cheaper than
 key-at-a-time insertion.
 
-:class:`DurableMap` is the same clustered index made crash-safe: it
-delegates to a :class:`repro.store.store.DurableStore`, so every update is
-write-ahead logged before it is applied, checkpoints capture the exact
-per-shard physical layout, and reopening the map recovers the state of the
-last durable operation (see :mod:`repro.store`).
+The same clustered index made crash-safe is
+:class:`repro.store.store.DurableStore`: it write-ahead logs every update
+before applying it to its map (:attr:`~repro.store.store.DurableStore.map`,
+an unbounded :class:`PackedMemoryMap`), checkpoints the exact per-shard
+physical layout, and recovers the state of the last durable operation
+when reopened (see :mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -316,110 +317,3 @@ class PackedMemoryMap:
                 "restored labeler layout does not match the snapshot's keys"
             )
 
-
-class DurableMap:
-    """A crash-safe :class:`PackedMemoryMap`: the clustered index, persisted.
-
-    Same sorted-mapping interface, but every update is write-ahead logged
-    and the physical layout is checkpointed, so reopening the same
-    directory recovers the exact map (keys, values, labels, per-shard
-    layout) of the last durable operation::
-
-        with DurableMap("/tmp/index") as index:
-            index["alice"] = 1
-            index.update_many([("bob", 2), ("carol", 3)])
-            index.checkpoint()            # snapshot + WAL truncation
-
-        reopened = DurableMap("/tmp/index")   # runs recovery
-        assert reopened.keys() == ["alice", "bob", "carol"]
-
-    Constructor keywords are forwarded to
-    :class:`repro.store.store.DurableStore` (``algorithm``,
-    ``shard_capacity``, ``sync_policy``, ``compact_every``, …).
-    """
-
-    def __init__(self, directory, **store_kwargs) -> None:
-        # Imported lazily: repro.store builds on this module's
-        # PackedMemoryMap, so a top-level import would be circular.
-        from repro.store.store import DurableStore
-
-        self._store = DurableStore(directory, **store_kwargs)
-
-    # -- mapping interface ---------------------------------------------
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def __contains__(self, key) -> bool:
-        return key in self._store
-
-    def __getitem__(self, key):
-        return self._store[key]
-
-    def get(self, key, default=None):
-        return self._store.get(key, default)
-
-    def __setitem__(self, key, value) -> None:
-        self._store.put(key, value)
-
-    def __delitem__(self, key) -> None:
-        self._store.delete(key)
-
-    def update_many(self, items: Iterable[tuple[Hashable, object]]) -> int:
-        return self._store.put_many(items)
-
-    def delete_many(self, keys: Iterable[Hashable]) -> int:
-        return self._store.delete_many(keys)
-
-    # -- ordered queries (delegated to the in-memory map) --------------
-    def keys(self) -> list:
-        return self._store.keys()
-
-    def items(self) -> Iterator[tuple]:
-        return self._store.items()
-
-    def range(self, low=None, high=None, *, limit=None, after=None) -> Iterator[tuple]:
-        return self._store.range(low, high, limit=limit, after=after)
-
-    def count_range(self, low, high) -> int:
-        return self._store.count_range(low, high)
-
-    def select(self, rank: int):
-        return self._store.map.select(rank)
-
-    def rank_of(self, key) -> int:
-        return self._store.map.rank_of(key)
-
-    def predecessor(self, key):
-        return self._store.map.predecessor(key)
-
-    def successor(self, key):
-        return self._store.map.successor(key)
-
-    def label_of(self, key) -> int:
-        return self._store.map.label_of(key)
-
-    # -- durability ----------------------------------------------------
-    @property
-    def store(self):
-        return self._store
-
-    @property
-    def recovery(self):
-        """The :class:`~repro.store.store.RecoveryReport` of this open."""
-        return self._store.recovery
-
-    def checkpoint(self) -> int:
-        """Snapshot the exact layout and truncate the WAL behind it."""
-        return self._store.compact()
-
-    def check(self) -> None:
-        self._store.verify()
-
-    def close(self) -> None:
-        self._store.close()
-
-    def __enter__(self) -> "DurableMap":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

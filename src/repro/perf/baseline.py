@@ -1,8 +1,8 @@
 """Schema-versioned benchmark baselines and the regression comparator.
 
 The committed artifacts are one ``BENCH_<suite>.json`` per suite at the
-repository root (``core``, ``sharded``, ``store``, ``query``, ``latency``,
-``server`` and ``obs``):
+repository root (``core``, ``sharded``, ``store``, ``query``, ``latency``
+and ``obs``):
 
 .. code-block:: json
 
@@ -31,8 +31,8 @@ sizes and :func:`compare_baselines` diffs the intersection by three rules:
   and warn on any smaller drift;
 * **correctness flags** — a ``bool`` field, known by its type
   (``moves_match``, ``recovered_match``, ``reads_match``,
-  ``tail_inversion``, ``replicas_match``, ``obs_matches_bare``), fails
-  unless the fresh run has it ``True``;
+  ``tail_inversion``, ``obs_matches_bare``), fails unless the fresh run
+  has it ``True``;
 * **everything else is exact** — for a fixed seed every other number is
   bit-identical, so any drift warns.
 
@@ -59,7 +59,6 @@ from repro.perf.scenarios import (
     LATENCY_SCENARIOS,
     OBS_SCENARIOS,
     QUERY_SCENARIOS,
-    SERVER_SCENARIOS,
     SHARDED_SCENARIOS,
     STORE_SCENARIOS,
     ScenarioSpec,
@@ -79,7 +78,6 @@ SUITES: dict[str, dict[str, ScenarioSpec]] = {
     "store": STORE_SCENARIOS,
     "query": QUERY_SCENARIOS,
     "latency": LATENCY_SCENARIOS,
-    "server": SERVER_SCENARIOS,
     "obs": OBS_SCENARIOS,
 }
 

@@ -555,201 +555,6 @@ def run_drifting_zipf(n: int, seed: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Server suite: networked serving and WAL-shipping replication
-# ---------------------------------------------------------------------------
-#: Concurrent clients driven against the served store (the issue's floor).
-_SERVER_CLIENTS = 4
-
-
-def _client_script(client: int, per_client: int, seed: int) -> list[tuple]:
-    """A seeded per-client op script over a disjoint key range.
-
-    Client ``i`` owns keys in ``[i * 10**7, (i + 1) * 10**7)``, so any
-    interleaving of the clients' mutations commutes: the merged final
-    state — and therefore ``keys`` and ``wal_frames`` — is
-    seed-deterministic even though the wire-level schedule is not.
-    """
-    base = client * 10**7
-    rng = random.Random(seed * 1_000_003 + client)
-    live: list[int] = []
-    script: list[tuple] = []
-    for step in range(per_client):
-        roll = rng.random()
-        if live and roll < 0.15:
-            key = live.pop(rng.randrange(len(live)))
-            script.append(("del", key))
-        elif live and roll < 0.45:
-            script.append(("get", live[rng.randrange(len(live))]))
-        elif live and roll < 0.55:
-            low = base + rng.randrange(10**6)
-            script.append(("range", low, low + 10**4))
-        else:
-            key = base + rng.randrange(10**6)
-            if key not in live:
-                live.append(key)
-            script.append(("put", key, step))
-    return script
-
-
-def _expected_after(scripts: list[list[tuple]]) -> dict:
-    """The merged final state the disjoint-range scripts must produce."""
-    model: dict = {}
-    for script in scripts:
-        for op in script:
-            if op[0] == "put":
-                model[op[1]] = op[2]
-            elif op[0] == "del":
-                model.pop(op[1], None)
-    return model
-
-
-def run_server_mixed(n: int, seed: int) -> dict:
-    """≥4 concurrent clients hammering one served store over real sockets.
-
-    Disjoint per-client key ranges make the merged final state
-    seed-deterministic regardless of scheduling, so ``keys``,
-    ``wal_frames`` and ``reads_match`` are exact.
-    """
-    import shutil
-    import tempfile
-    import threading
-    from pathlib import Path
-
-    from repro.store.client import StoreClient
-    from repro.store.server import ServerThread
-    from repro.store.service import StoreService
-    from repro.store.store import DurableStore
-
-    per_client = max(1, n // _SERVER_CLIENTS)
-    scripts = [
-        _client_script(index, per_client, seed)
-        for index in range(_SERVER_CLIENTS)
-    ]
-    root = Path(tempfile.mkdtemp(prefix="repro-bench-server-"))
-    try:
-        store = DurableStore(
-            root / "primary",
-            algorithm="classical",
-            shard_capacity=128,
-            sync_policy="never",
-        )
-        service = StoreService(store)
-        failures: list[BaseException] = []
-
-        def drive(script: list[tuple], host: str, port: int) -> None:
-            try:
-                with StoreClient(host, port) as client:
-                    for op in script:
-                        if op[0] == "put":
-                            client.put(op[1], op[2])
-                        elif op[0] == "del":
-                            client.delete(op[1])
-                        elif op[0] == "get":
-                            client.get(op[1], default=None)
-                        else:
-                            client.range_scan(op[1], op[2], limit=32)
-            except BaseException as error:  # surfaced after join
-                failures.append(error)
-
-        with ServerThread(service) as server:
-            host, port = server.address
-            threads = [
-                threading.Thread(target=drive, args=(script, host, port))
-                for script in scripts
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        if failures:
-            raise failures[0]
-
-        expected = _expected_after(scripts)
-        reads_match = list(store.items()) == sorted(expected.items())
-        metrics = {
-            "operations": per_client * _SERVER_CLIENTS,
-            "clients": _SERVER_CLIENTS,
-            "keys": len(expected),
-            "wal_frames": store.last_lsn,
-            "reads_match": reads_match,
-        }
-        service.close()
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-    return metrics
-
-
-def run_replica_catchup(n: int, seed: int) -> dict:
-    """Replica bootstrap, backlog catch-up and live streaming lag.
-
-    Half the seeded workload runs before the replica exists (bootstrap +
-    backlog catch-up), half streams live.  Frames shipped, applied LSN,
-    bootstrap count and final lag are exact.  ``replicas_match`` is the
-    byte-identical-state claim (same fingerprint digest on both sides)
-    and hard-fails the comparator when false.
-    """
-    import shutil
-    import tempfile
-    from pathlib import Path
-
-    from repro.store.harness import apply_to_store, make_ops, state_digest
-    from repro.store.replica import Replica
-    from repro.store.server import ServerThread
-    from repro.store.service import StoreService
-    from repro.store.store import DurableStore
-
-    ops = make_ops(n, seed)
-    backlog = ops[: n // 2]
-    live = ops[n // 2 :]
-    root = Path(tempfile.mkdtemp(prefix="repro-bench-replica-"))
-    try:
-        store = DurableStore(
-            root / "primary",
-            algorithm="classical",
-            shard_capacity=128,
-            sync_policy="never",
-        )
-        service = StoreService(store)
-        with ServerThread(service) as server:
-            for op in backlog:
-                apply_to_store(service, op)
-
-            replica = Replica(
-                root / "replica", server.address, sync_policy="never"
-            )
-            replica.start()
-            replica.wait_ready(timeout=60.0)
-            replica.wait_caught_up(store.last_lsn, timeout=60.0)
-
-            for op in live:
-                apply_to_store(service, op)
-            replica.wait_caught_up(store.last_lsn, timeout=60.0)
-
-            final_lag = store.last_lsn - replica.last_applied_lsn
-            replicas_match = state_digest(store.map) == state_digest(
-                replica.service.store.map
-            )
-            applied = replica.last_applied_lsn
-            bootstraps = replica.bootstrap_count
-            replica.stop()
-        keys = len(store)
-        frames = store.last_lsn
-        service.close()
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    return {
-        "operations": n,
-        "keys": keys,
-        "wal_frames": frames,
-        "frames_applied": applied,
-        "bootstraps": bootstraps,
-        "replica_lag_final": final_lag,
-        "replicas_match": replicas_match,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Obs suite: a live registry changes no structural decision
 # ---------------------------------------------------------------------------
 def obs_lookup_run(n: int, seed: int, registry):
@@ -923,21 +728,6 @@ LATENCY_SCENARIOS: dict[str, ScenarioSpec] = {
         ),
         ScenarioSpec(
             "drifting_zipf", quick_n=1024, full_n=4096, run=run_drifting_zipf
-        ),
-    )
-}
-
-SERVER_SCENARIOS: dict[str, ScenarioSpec] = {
-    spec.name: spec
-    for spec in (
-        ScenarioSpec(
-            "server_mixed", quick_n=256, full_n=2048, run=run_server_mixed
-        ),
-        ScenarioSpec(
-            "replica_catchup",
-            quick_n=256,
-            full_n=2048,
-            run=run_replica_catchup,
         ),
     )
 }

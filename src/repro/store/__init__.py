@@ -31,9 +31,10 @@ into an actual store.  Four layers, bottom up:
   :class:`~repro.store.client.StoreClient` mirroring the service API;
 * :mod:`repro.store.replica` — **WAL-shipping replication**:
   :class:`~repro.store.replica.Replica` bootstraps from the primary's
-  newest snapshot, streams WAL frames verbatim (byte-identical state by
-  construction), catches up after disconnects, serves read traffic, and
-  promotes to a writable primary on failover.
+  newest snapshot (installed by the snapshot writer and the store, so a
+  replica writes no store file itself), streams WAL frames verbatim
+  (byte-identical state by construction), catches up after disconnects,
+  serves read traffic, and promotes to a writable primary on failover.
 
 Because every registered shard algorithm snapshots its *complete*
 behavioural state (slot layout, RNG state, pending rebalance tasks,

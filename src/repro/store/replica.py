@@ -7,8 +7,11 @@ a primary by streaming the primary's WAL over the
 * **Bootstrap** — a fresh replica (or one whose applied LSN fell below
   the primary's durable horizon while it was away) receives the
   primary's newest *snapshot* verbatim — the manifest with its section
-  checksums and the one data file of per-shard sections — installs it,
-  and opens the store through ordinary recovery.
+  checksums and the one data file of per-shard sections — installs it
+  with :func:`~repro.store.store.install_checkpoint` (the snapshot
+  writer's publish sequence plus the store's horizon writer), and opens
+  the store through ordinary recovery.  The replica writes no store file
+  itself.
 * **Streaming** — frames past its LSN arrive as the exact bytes the
   primary's WAL holds and are applied through
   :meth:`~repro.store.store.DurableStore.apply_frame_line`: re-validated
@@ -55,8 +58,7 @@ from repro.store.protocol import (
 )
 from repro.store.server import ServerThread
 from repro.store.service import StoreService
-from repro.store.snapshot import SNAPSHOT_DIR_NAME, _PREFIX
-from repro.store.store import CONFIG_FILENAME, HORIZON_FILENAME, DurableStore
+from repro.store.store import CONFIG_FILENAME, DurableStore, install_checkpoint
 
 #: How long the puller waits in ``select()`` per poll (stop-flag latency).
 _POLL_SECONDS = 0.1
@@ -218,10 +220,18 @@ class Replica:
     # ------------------------------------------------------------------
     # Local store management
     # ------------------------------------------------------------------
-    def _open_store(self) -> None:
-        """Open (recover) the local directory and start serving reads."""
+    def _open_store(
+        self, algorithm: str | None = None, shard_capacity: int | None = None
+    ) -> None:
+        """Open (recover) the local directory and start serving reads.
+
+        ``algorithm`` and ``shard_capacity`` create the config of a
+        freshly bootstrapped directory; a restart reads them from it.
+        """
         store = DurableStore(
             self.directory,
+            algorithm=algorithm,
+            shard_capacity=shard_capacity,
             sync_policy=self._sync_policy,
             compact_every=self._compact_every,
             registry=self._obs,
@@ -246,18 +256,11 @@ class Replica:
     def _install_snapshot(self, handshake: dict, payload: dict) -> None:
         """Wipe the directory and install the primary's checkpoint.
 
-        The shipped files are the snapshot directory's contents verbatim;
-        the horizon file records the snapshot LSN (frames below it exist
-        only in this checkpoint), and the config is recreated from the
-        handshake's algorithm/shard_capacity so recovery rebuilds the
-        exact same structure the primary runs.  Opening the store
-        afterwards is ordinary recovery — the bootstrap path *is* the
-        crash-recovery path.
+        The store is then created with the handshake's algorithm and
+        shard capacity, so recovery rebuilds the exact structure the
+        primary runs.  Opening it is ordinary recovery — the bootstrap
+        path *is* the crash-recovery path.
         """
-        import json
-        import os
-
-        lsn = payload["lsn"]
         with self._state_lock:
             self._teardown_server()
             if self._service is not None:
@@ -265,36 +268,10 @@ class Replica:
                 self._service = None
             if self.directory.exists():
                 shutil.rmtree(self.directory)
-            snap_dir = (
-                self.directory / SNAPSHOT_DIR_NAME / f"{_PREFIX}{lsn:010d}"
-            )
-            snap_dir.mkdir(parents=True)
-            for name, body in payload["files"].items():
-                if "/" in name or "\\" in name or name.startswith("."):
-                    raise ProtocolError(
-                        f"refusing snapshot file with unsafe name {name!r}"
-                    )
-                (snap_dir / name).write_text(body, encoding="utf-8")
-            (self.directory / HORIZON_FILENAME).write_text(
-                json.dumps({"compacted_through": lsn})
-            )
-            config = {
-                "schema_version": 1,
-                "algorithm": handshake["algorithm"],
-                "shard_capacity": handshake["shard_capacity"],
-            }
-            (self.directory / CONFIG_FILENAME).write_text(
-                json.dumps(config, sort_keys=True, indent=2) + "\n"
-            )
-            for path in (snap_dir, self.directory):
-                fd = os.open(path, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
+            install_checkpoint(self.directory, payload["lsn"], payload["files"])
             self.bootstrap_count += 1
             self._obs_bootstraps.inc()
-            self._open_store()
+            self._open_store(handshake["algorithm"], handshake["shard_capacity"])
 
     # ------------------------------------------------------------------
     # The puller

@@ -19,12 +19,11 @@ calls queued in front of it, not by a writer's whole run.
 and :meth:`StoreService.snapshot_items` materialize their result while
 holding the lock: the returned list is an immutable point-in-time view —
 concurrent writers are serialized either entirely before or entirely
-after it, never interleaved into it.  Both also support **pagination**
-(``range_scan(..., limit=, after=)``, :meth:`StoreService.scan_pages`,
-``snapshot_items(page_size=...)``): the lock is then held per page and
-released between pages, so a long scan does not pin writers out for the
-whole store — each page is individually consistent and the cursor key
-defines the resumption point.
+after it, never interleaved into it.  Scans also **paginate**
+(``range_scan(..., limit=, after=)``, :meth:`StoreService.scan_pages`):
+the lock is then held per page and released between pages, so a long
+scan does not pin writers out for the whole store — each page is
+individually consistent and the cursor key defines the resumption point.
 
 **One latency pipeline.**  With a live :mod:`repro.obs` registry, every
 call is timed into the ``service.latency.<command>`` histogram from a
@@ -272,23 +271,11 @@ class StoreService:
             yield page
             after = page[-1][0]
 
-    def snapshot_items(self, page_size: int | None = None) -> list[tuple]:
-        """Every item of the store.
-
-        With ``page_size=None`` (the default) the whole view materializes
-        under one lock hold — a consistent point-in-time snapshot.
-        Passing a ``page_size`` materializes it chunk by chunk through
-        :meth:`scan_pages` instead: each chunk is consistent and writers
-        run between chunks, trading the single-instant guarantee for not
-        blocking the write path on huge stores.
-        """
-        if page_size is None:
-            with self._lock:
-                return list(self._store.items())
-        items: list[tuple] = []
-        for page in self.scan_pages(page_size=page_size):
-            items.extend(page)
-        return items
+    def snapshot_items(self) -> list[tuple]:
+        """Every item of the store, under one lock hold — a consistent
+        point-in-time snapshot (:meth:`scan_pages` is the paginated read)."""
+        with self._lock:
+            return list(self._store.items())
 
     def size(self) -> int:
         with self._lock:

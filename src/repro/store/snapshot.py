@@ -26,6 +26,11 @@ the next-newest snapshot when anything is missing or corrupt, so a crash
 *during* snapshotting can never poison recovery.  Pruning also removes
 the temp directories such a crash leaves behind.
 
+A checkpoint also travels: :func:`read_archive` reads one back verbatim
+(what a primary ships to a bootstrapping replica), and
+:func:`install_archive` publishes the shipped files on the receiving side
+through the same temp-directory sequence :func:`write_snapshot` uses.
+
 Schema-1 snapshots (one ``shard-NNNN.json`` file per shard, checksums
 keyed by file name) still load.
 """
@@ -34,11 +39,13 @@ from __future__ import annotations
 
 import os
 import shutil
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from repro.store import codec
+from repro.store.protocol import ProtocolError
 from repro.store.wal import _fsync_directory
 
 SNAPSHOT_SCHEMA_VERSION = 2
@@ -95,14 +102,6 @@ def write_snapshot(store_dir: str | Path, lsn: int, labeler_state: dict,
     ``values_by_shard`` carries, aligned with the shard list, the
     ``[key, value]`` pairs of each shard's keys.
     """
-    root = snapshot_root(store_dir)
-    root.mkdir(parents=True, exist_ok=True)
-    final = root / f"{_PREFIX}{lsn:010d}"
-    tmp = root / f"{_PREFIX}{lsn:010d}.tmp"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
-
     if labeler_state.get("format") == "sharded":
         skeleton = {key: value for key, value in labeler_state.items() if key != "shards"}
         shard_states = labeler_state["shards"]
@@ -110,38 +109,87 @@ def write_snapshot(store_dir: str | Path, lsn: int, labeler_state: dict,
         skeleton = {"format": "single"}
         shard_states = [labeler_state]
 
-    crcs: list[int] = []
-    with open(tmp / DATA_FILENAME, "w", encoding="utf-8") as handle:
-        for index, shard_state in enumerate(shard_states):
-            section = codec.dumps(
-                {
-                    "labeler": shard_state,
-                    "entries": values_by_shard[index] if index < len(values_by_shard) else [],
-                }
-            )
-            handle.write(section)
-            handle.write("\n")
-            crcs.append(codec.checksum(section))
-        handle.flush()
-        os.fsync(handle.fileno())
-        written = os.fstat(handle.fileno()).st_size
+    with _publishing(store_dir, lsn) as tmp:
+        crcs: list[int] = []
+        with open(tmp / DATA_FILENAME, "w", encoding="utf-8") as handle:
+            for index, shard_state in enumerate(shard_states):
+                section = codec.dumps(
+                    {
+                        "labeler": shard_state,
+                        "entries": values_by_shard[index] if index < len(values_by_shard) else [],
+                    }
+                )
+                handle.write(section)
+                handle.write("\n")
+                crcs.append(codec.checksum(section))
+            handle.flush()
+            os.fsync(handle.fileno())
+            written = os.fstat(handle.fileno()).st_size
 
-    manifest = codec.dumps(
-        {
-            "schema_version": SNAPSHOT_SCHEMA_VERSION,
-            "lsn": lsn,
-            "labeler": skeleton,
-            "section_crcs": crcs,
-        }
+        manifest = codec.dumps(
+            {
+                "schema_version": SNAPSHOT_SCHEMA_VERSION,
+                "lsn": lsn,
+                "labeler": skeleton,
+                "section_crcs": crcs,
+            }
+        )
+        _write_file(tmp / MANIFEST_FILENAME, manifest)
+    return SnapshotInfo(
+        path=_snapshot_path(store_dir, lsn), lsn=lsn, bytes_written=written + len(manifest)
     )
-    _write_file(tmp / MANIFEST_FILENAME, manifest)
-    _fsync_directory(tmp)
 
+
+def read_archive(info: SnapshotInfo) -> dict[str, str]:
+    """One checkpoint's files as ``{name: body}``, read back verbatim.
+
+    The payload a primary ships to a bootstrapping replica: the sections'
+    checksums travel inside the manifest, so the receiving store
+    re-validates them with the ordinary loader when it opens.
+    """
+    return {
+        entry.name: entry.read_text(encoding="utf-8")
+        for entry in sorted(info.path.iterdir())
+        if entry.is_file()
+    }
+
+
+def install_archive(store_dir: str | Path, lsn: int, files: dict[str, str]) -> None:
+    """Publish a :func:`read_archive` payload as this store's checkpoint of ``lsn``.
+
+    Every name is checked before anything is written: one that could
+    reach outside the snapshot directory raises :class:`ProtocolError`.
+    """
+    for name in files:
+        if "/" in name or "\\" in name or name.startswith("."):
+            raise ProtocolError(f"refusing snapshot file with unsafe name {name!r}")
+    with _publishing(store_dir, lsn) as tmp:
+        for name, body in files.items():
+            _write_file(tmp / name, body)
+
+
+def _snapshot_path(store_dir: str | Path, lsn: int) -> Path:
+    return snapshot_root(store_dir) / f"{_PREFIX}{lsn:010d}"
+
+
+@contextmanager
+def _publishing(store_dir: str | Path, lsn: int) -> Iterator[Path]:
+    """Yield an empty temp directory; the caller writes and fsyncs each
+    file in it.  On a clean exit the temp directory is fsynced, renamed
+    to the checkpoint of ``lsn`` and ``snapshots/`` fsynced.  An exception
+    leaves the temp directory for :func:`prune_snapshots`."""
+    final = _snapshot_path(store_dir, lsn)
+    final.parent.mkdir(parents=True, exist_ok=True)
+    tmp = final.with_name(final.name + ".tmp")
+    if tmp.exists():
+        shutil.rmtree(tmp)
+    tmp.mkdir()
+    yield tmp
+    _fsync_directory(tmp)
     if final.exists():
         shutil.rmtree(final)
     os.replace(tmp, final)
-    _fsync_directory(root)
-    return SnapshotInfo(path=final, lsn=lsn, bytes_written=written + len(manifest))
+    _fsync_directory(final.parent)
 
 
 class SnapshotLoadError(RuntimeError):

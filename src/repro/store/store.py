@@ -16,7 +16,14 @@ and makes its state survive crashes:
   of the WAL tail past it, after torn-tail truncation;
 * :meth:`DurableStore.compact` snapshots and then truncates the log, so
   the WAL stays proportional to the write traffic since the last
-  checkpoint rather than to the store's lifetime.
+  checkpoint rather than to the store's lifetime;
+* :func:`install_checkpoint` seeds a directory that holds no store yet
+  with a checkpoint another store shipped (a replica's bootstrap), so
+  that opening it is ordinary recovery.
+
+This module, :mod:`repro.store.snapshot` and :mod:`repro.store.wal` are
+the only code that writes a store's files (the crash-injection harness
+aside, which copies them).
 
 Determinism contract: recovery reproduces the *exact* labeler state (key
 order, labels, per-shard layout) the uninterrupted run had after the last
@@ -48,6 +55,37 @@ HORIZON_FILENAME = "horizon.json"
 
 class StoreError(RuntimeError):
     """Configuration or integrity failure of a durable store."""
+
+
+def write_horizon(directory: str | Path, lsn: int) -> None:
+    """Durably record that the WAL in ``directory`` holds no frame at or
+    below ``lsn`` (see :meth:`DurableStore._read_horizon`).
+
+    Temp file, fsync, rename, directory fsync.  Needs no open store, so a
+    replica's bootstrap writes its horizon the way compaction does.
+    """
+    directory = Path(directory)
+    path = directory / HORIZON_FILENAME
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        json.dump({"compacted_through": lsn}, handle)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+    _fsync_directory(directory)
+
+
+def install_checkpoint(directory: str | Path, lsn: int, files: dict[str, str]) -> None:
+    """Seed ``directory``, which holds no store yet, with a shipped checkpoint.
+
+    ``files`` is a :meth:`DurableStore.snapshot_archive` payload covering
+    every frame up to ``lsn``.  The checkpoint is published first, then
+    the horizon, so frames up to ``lsn`` are never promised without it.
+    Opening a :class:`DurableStore` on the directory afterwards creates
+    its config and WAL and recovers from the checkpoint.
+    """
+    snapshot_io.install_archive(directory, lsn, files)
+    write_horizon(directory, lsn)
 
 
 @dataclass
@@ -244,14 +282,7 @@ class DurableStore:
         return int(json.loads(path.read_text()).get("compacted_through", 0))
 
     def _write_horizon(self, lsn: int) -> None:
-        path = self.directory / HORIZON_FILENAME
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            json.dump({"compacted_through": lsn}, handle)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-        _fsync_directory(self.directory)
+        write_horizon(self.directory, lsn)
         self._horizon = lsn
 
     @property
@@ -484,23 +515,16 @@ class DurableStore:
     def snapshot_archive(self) -> tuple[int, dict[str, str]]:
         """The newest checkpoint as ``(lsn, {filename: body})``.
 
-        The replica-bootstrap payload: the manifest plus the data file of
-        the newest snapshot, read back verbatim (the sections' checksums
-        are inside the manifest, so the receiving side re-validates with
-        the ordinary snapshot loader).  Takes a fresh checkpoint first
-        when none exists yet.
+        The replica-bootstrap payload (see
+        :func:`~repro.store.snapshot.read_archive`) that
+        :func:`install_checkpoint` installs on the other side.  Takes a
+        fresh checkpoint first when none exists yet.
         """
         snapshots = snapshot_io.list_snapshots(self.directory)
         if not snapshots:
             self.snapshot()
             snapshots = snapshot_io.list_snapshots(self.directory)
-        info = snapshots[-1]
-        files = {
-            entry.name: entry.read_text(encoding="utf-8")
-            for entry in sorted(info.path.iterdir())
-            if entry.is_file()
-        }
-        return info.lsn, files
+        return snapshots[-1].lsn, snapshot_io.read_archive(snapshots[-1])
 
     # ------------------------------------------------------------------
     # Checkpoints and compaction

@@ -20,6 +20,9 @@ mid-write — not at all.  There is no partially-applied batch state on disk.
 fsyncs after every append (every acknowledged op survives a power cut),
 ``"batch"`` fsyncs only on explicit :meth:`sync` / :meth:`close` (group
 commit), ``"never"`` leaves flushing to the OS (tests, benchmarks).
+Under ``"always"`` and ``"batch"``, the open that creates the file also
+fsyncs its directory once, so the log's directory entry is as durable as
+its first frame.
 
 **Torn-tail detection.**  :meth:`WriteAheadLog.open` scans the file frame
 by frame; at the first unparsable / checksum-failing / out-of-sequence
@@ -116,9 +119,12 @@ class WriteAheadLog:
         """Scan the log, truncate any torn tail, and position for appends."""
         with obs.span("wal.open"):
             report = WALOpenReport()
-            if self.path.exists():
+            created = not self.path.exists()
+            if not created:
                 report = self._scan_and_truncate()
             self._file = open(self.path, "a", encoding="utf-8")
+            if created and self.sync_policy != "never":
+                _fsync_directory(self.path.parent)
             self._next_lsn = report.last_lsn + 1
         return report
 

@@ -24,8 +24,8 @@ adversary, in five flavors:
 
 All are seeded and bit-deterministic (same seed → identical operation
 stream), runnable through :func:`repro.analysis.runner.run_workload` in
-singleton and batched mode, against every registered algorithm, the
-sharding engine and the durable layer (``durable_dir=``).
+singleton and batched mode, against every registered algorithm and the
+sharding engine.
 :data:`ADVERSARIAL_WORKLOADS` maps workload names to
 ``factory(operations, seed)`` callables for sweeps.
 """

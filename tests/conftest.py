@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -126,3 +129,36 @@ def record_shell_input(embedding: Embedding) -> list[tuple[str, int]]:
 
         setattr(shell, f"{kind}_token", recorded)
     return trace
+
+
+@contextmanager
+def record_syscalls():
+    """Record every ``os.fsync`` and ``os.replace``, in order, while open.
+
+    An fsync is ``("fsync", (st_dev, st_ino))`` of the synced file or
+    directory (compare with :func:`synced`); a rename is ``("replace",
+    target)``.  Calls from every thread are recorded.
+    """
+    events: list[tuple] = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        stat = os.fstat(fd)
+        events.append(("fsync", (stat.st_dev, stat.st_ino)))
+        real_fsync(fd)
+
+    def recording_replace(source, target):
+        events.append(("replace", Path(target)))
+        real_replace(source, target)
+
+    os.fsync, os.replace = recording_fsync, recording_replace
+    try:
+        yield events
+    finally:
+        os.fsync, os.replace = real_fsync, real_replace
+
+
+def synced(path) -> tuple:
+    """The :func:`record_syscalls` event of an fsync of ``path``."""
+    stat = os.stat(path)
+    return ("fsync", (stat.st_dev, stat.st_ino))

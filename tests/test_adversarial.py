@@ -3,15 +3,15 @@
 Covers the tail layer end to end: every adversarial workload is
 seeded-deterministic and structurally valid, runs through ``run_workload``
 in singleton and batched mode against every registered algorithm plus the
-sharded and durable layers, and the cliff-chaser actually concentrates its
-insertions (the property that makes it adversarial).
+sharded layer, and the cliff-chaser actually concentrates its insertions
+(the property that makes it adversarial).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.algorithms import ClassicalPMA, DeamortizedPMA
+from repro.algorithms import ClassicalPMA
 from repro.analysis.runner import run_workload
 from repro.core.sharded import ShardedLabeler
 from repro.workloads import (
@@ -65,19 +65,6 @@ class TestAdversarialDeterminism:
         # logical-operation count; only the cost accounting differs.
         assert singleton.final_keys == batched.final_keys
         assert singleton.tracker.operations == batched.tracker.operations
-
-    def test_runs_durable_and_replays(self, name, tmp_path):
-        from repro.analysis.runner import replay_run
-
-        factory = ADVERSARIAL_WORKLOADS[name]
-        original = run_workload(
-            DeamortizedPMA(128),
-            factory(128, 5),
-            durable_dir=tmp_path,
-            durable_sync="never",
-        )
-        replayed = replay_run(tmp_path, DeamortizedPMA(128))
-        assert replayed.final_keys == original.final_keys
 
 
 class TestCliffChaserShape:

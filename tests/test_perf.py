@@ -2,7 +2,7 @@
 
 Covers four fences:
 
-* the seven committed ``BENCH_*.json`` artifacts carry the schema
+* the six committed ``BENCH_*.json`` artifacts carry the schema
   (version 3, seed, exact fields only — no timing field) and the
   acceptance numbers (move logs bit-identical, the latency suite's tail
   inversion);
@@ -433,10 +433,10 @@ class TestDeterminism:
         first = _run_in_fresh_process(script)
         second = _run_in_fresh_process(script)
         assert first == second
-        # Sanity: the output really is the seven suite documents.
+        # Sanity: the output really is the six suite documents.
         lines = first.strip().splitlines()
         assert [json.loads(line)["suite"] for line in lines] == sorted(SUITES)
-        assert len(lines) == 7
+        assert len(lines) == 6
 
     def test_randomized_and_adaptive_move_logs_identical_across_processes(self):
         # Seeded structures must yield identical move logs regardless of the

@@ -412,7 +412,6 @@ class TestServicePagination:
                 for item in page
             ]
             assert paged == expected
-            assert service.snapshot_items(page_size=9) == service.snapshot_items()
         finally:
             service.close()
 

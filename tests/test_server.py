@@ -6,7 +6,8 @@ Four walls:
   oversized and truncated messages instead of misreading them.
 * **Serving** — every command works over the wire; errors come back typed
   (``KeyError`` parity with the local API, ``ReadOnlyError`` on replica
-  writes); concurrent clients with disjoint key ranges merge exactly.
+  writes); concurrent clients with disjoint key ranges merge exactly:
+  every ``(key, value)`` of their puts, upserts and deletes.
 * **Replication convergence** — a seeded mixed workload runs on the
   primary while a replica streams; the replica is killed at parametrized
   points (mid-stream, mid-catch-up, behind a compaction horizon),
@@ -14,6 +15,8 @@ Four walls:
   same keys, same ``items()``, same composed labels, same per-shard
   physical layout — the same fingerprint the crash-injection differential
   uses.  The replica's WAL must be a verbatim suffix of the primary's.
+  A bootstrap fsyncs every file it installs before the store opens, and
+  refuses a shipped file name that leaves the snapshot directory.
 * **Failover** — a promoted replica serves the primary's exact final
   state and accepts writes.
 """
@@ -28,6 +31,7 @@ from pathlib import Path
 import pytest
 
 from repro.store import codec
+from repro.store import snapshot as snapshot_io
 from repro.store.client import ReadOnlyError, StoreClient, StoreClientError
 from repro.store.harness import apply_to_store, fingerprint, make_ops, state_digest
 from repro.store.protocol import (
@@ -41,7 +45,19 @@ from repro.store.protocol import (
 from repro.store.replica import Replica
 from repro.store.server import ServerThread
 from repro.store.service import StoreService
-from repro.store.store import WAL_FILENAME, DurableStore
+from repro.store.snapshot import (
+    DATA_FILENAME,
+    MANIFEST_FILENAME,
+    SNAPSHOT_DIR_NAME,
+    list_snapshots,
+)
+from repro.store.store import (
+    CONFIG_FILENAME,
+    HORIZON_FILENAME,
+    WAL_FILENAME,
+    DurableStore,
+)
+from tests.conftest import record_syscalls, synced
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +221,32 @@ class TestStoreServer:
     def test_concurrent_clients_merge_exactly(self, primary):
         service, server = primary
         clients = 4
-        keys_each = 60
+        steps = 60
         errors: list[BaseException] = []
+        models: list[dict] = [{} for _ in range(clients)]
 
         def worker(slot: int) -> None:
+            model = models[slot]
             try:
                 with StoreClient(*server.address) as client:
                     base = slot * 10**6
-                    for i in range(keys_each):
+                    last_put = None
+                    for i in range(steps):
                         if i % 10 == 9:
-                            client.put_many(
-                                [(base + 10**5 + i * 4 + j, j) for j in range(4)]
-                            )
+                            items = [(base + 10**5 + i * 4 + j, j) for j in range(4)]
+                            client.put_many(items)
+                            model.update(items)
+                        elif i % 5 == 4 and last_put is not None:
+                            client.delete(last_put)
+                            del model[last_put]
+                            last_put = None
                         else:
-                            client.put(base + i, f"c{slot}-{i}")
+                            # Keys wrap every 25 steps: later puts overwrite
+                            # values and bring deleted keys back.
+                            key = base + i % 25
+                            client.put(key, f"c{slot}-{i}")
+                            model[key] = f"c{slot}-{i}"
+                            last_put = key
                         if i % 7 == 6:
                             scan = client.range_scan(base, base + 10**5)
                             keys = [key for key, _ in scan]
@@ -236,13 +264,14 @@ class TestStoreServer:
             thread.join(timeout=120)
         assert not errors, errors[0]
 
-        # Disjoint key ranges: the union is exact, and every client's
-        # writes are all present.
+        # Disjoint key ranges commute: the merged state is exactly the
+        # union of the clients' models, every key with its last value.
+        expected = sorted(item for model in models for item in model.items())
         with StoreClient(*server.address) as client:
+            assert client.range_scan() == expected
             assert client.size() == service.size()
             report = client.verify()
-        per_client = keys_each - keys_each // 10 + (keys_each // 10) * 4
-        assert report["keys"] == clients * per_client
+        assert report["keys"] == len(expected)
 
     def test_failed_call_closes_the_connection(self, primary, monkeypatch):
         """A timed-out call must not leave its late answer to the next call."""
@@ -571,6 +600,88 @@ class TestReplication:
         assert not errors, errors[0]
         _converged(service, replica)
         replica.stop()
+
+    def test_bootstrap_fsyncs_every_installed_file_before_opening(
+        self, primary, tmp_path, monkeypatch
+    ):
+        """The manifest, the data file and the horizon are fsynced before
+        their rename, the renames' directories after it, and all of them
+        and the config before the replica's store opens: a power cut
+        cannot leave an installed file empty behind its directory entry."""
+        service, server = primary
+        for op in make_ops(40, seed=43):
+            apply_to_store(service, op)
+        service.compact()  # the bootstrap then only reads the primary
+        directory = tmp_path / "replica"
+        with record_syscalls() as events:
+            real_load = snapshot_io.load_newest_valid
+
+            def opening(store_dir):
+                events.append(("open", Path(store_dir)))
+                return real_load(store_dir)
+
+            monkeypatch.setattr(snapshot_io, "load_newest_valid", opening)
+            replica = Replica(directory, server.address, sync_policy="never").start()
+            try:
+                replica.wait_ready()
+            finally:
+                replica.stop()
+
+        def position(event) -> int:
+            assert event in events, f"{event} never happened"
+            return events.index(event)
+
+        snapshot = list_snapshots(directory)[-1].path
+        horizon = directory / HORIZON_FILENAME
+        opened = position(("open", directory))
+        for installed, renamed in (
+            (snapshot / MANIFEST_FILENAME, snapshot),
+            (snapshot / DATA_FILENAME, snapshot),
+            (horizon, horizon),
+        ):
+            assert position(synced(installed)) < position(("replace", renamed)) < opened
+        assert position(("replace", snapshot)) < position(
+            synced(directory / SNAPSHOT_DIR_NAME)
+        ) < position(("replace", horizon)) < position(synced(directory)) < opened
+        assert position(synced(directory / CONFIG_FILENAME)) < opened
+
+    @pytest.mark.parametrize(
+        "name", ["../escaped", "nested/file", "back\\slash", ".hidden"]
+    )
+    def test_unsafe_shipped_file_name_is_refused(self, tmp_path, name):
+        """A snapshot payload naming a file outside the snapshot directory
+        is a protocol error, and nothing of the payload is written."""
+        errors: list[BaseException] = []
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+
+            def fake_primary() -> None:
+                connection, _ = listener.accept()
+                with connection:
+                    recv_message(connection)  # the REPLICATE handshake
+                    send_message(connection, {
+                        "ok": True, "mode": "snapshot", "primary_lsn": 5,
+                        "algorithm": "classical", "shard_capacity": 32,
+                    })
+                    send_message(connection, {
+                        "kind": "snapshot", "lsn": 5,
+                        "files": {MANIFEST_FILENAME: "{}", name: "planted"},
+                    })
+                    recv_message(connection)  # None once the replica hangs up
+
+            feeder = threading.Thread(target=fake_primary)
+            feeder.start()
+            replica = Replica(
+                tmp_path / "replica", listener.getsockname(),
+                reconnect_seconds=60.0, on_error=errors.append,
+            ).start()
+            try:
+                wait_for(lambda: errors, message="the refusal")
+            finally:
+                replica.stop()
+                feeder.join(timeout=10)
+        assert isinstance(errors[0], ProtocolError)
+        assert "unsafe name" in str(errors[0])
+        assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
 
     def test_live_streaming_keeps_lag_bounded(self, primary, tmp_path):
         service, server = primary

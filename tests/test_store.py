@@ -46,7 +46,7 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from repro.applications.ordered_map import DurableMap, PackedMemoryMap
+from repro.applications.ordered_map import PackedMemoryMap
 from repro.core.sharded import ShardedLabeler
 from repro.obs import MetricsRegistry
 from repro.store import codec
@@ -69,8 +69,15 @@ from repro.store.snapshot import (
     SNAPSHOT_SCHEMA_VERSION,
     list_snapshots,
 )
-from repro.store.store import HORIZON_FILENAME, WAL_FILENAME, DurableStore, StoreError
+from repro.store.store import (
+    CONFIG_FILENAME,
+    HORIZON_FILENAME,
+    WAL_FILENAME,
+    DurableStore,
+    StoreError,
+)
 from repro.store.wal import WALError, WriteAheadLog
+from tests.conftest import record_syscalls, synced
 
 #: Exhaustive mode (CI store-recovery job): kill at *every* frame boundary
 #: of the flagship workload instead of a deterministic sample.
@@ -763,41 +770,45 @@ class TestStoreEdges:
         recovered.close()
 
     def test_durable_map_round_trip(self, tmp_path):
-        with DurableMap(
+        """The durable clustered index: the store's map, reopened exactly."""
+        with DurableStore(
             tmp_path / "m", algorithm="classical", shard_capacity=32,
             sync_policy="never",
-        ) as index:
-            index["alice"] = 1
-            index.update_many([("bob", 2), ("carol", 3)])
-            del index["alice"]
-            index.checkpoint()
-            index["dave"] = 4
-            expected = list(index.items())
-            label = index.label_of("bob")
-        reopened = DurableMap(tmp_path / "m", sync_policy="never")
+        ) as store:
+            store["alice"] = 1
+            store.put_many([("bob", 2), ("carol", 3)])
+            del store["alice"]
+            store.compact()
+            store["dave"] = 4
+            expected = list(store.items())
+            label = store.map.label_of("bob")
+        reopened = DurableStore(tmp_path / "m", sync_policy="never")
         assert list(reopened.items()) == expected
         assert reopened.recovery.frames_replayed == 1
-        assert reopened.label_of("bob") == label
-        assert reopened.predecessor("carol") == "bob"
-        reopened.check()
+        assert reopened.map.label_of("bob") == label
+        assert reopened.map.predecessor("carol") == "bob"
+        reopened.verify()
         reopened.close()
 
-    def test_durable_runner_replays_exactly(self, tmp_path):
-        from repro.algorithms import make_sharded_labeler
-        from repro.analysis import replay_run, run_workload
-        from repro.workloads.random_uniform import RandomWorkload
-
-        labeler = make_sharded_labeler(shard_capacity=64)
-        workload = RandomWorkload(300, capacity=300, delete_fraction=0.3, seed=3)
-        result = run_workload(
-            labeler, workload, batch_size=16,
-            durable_dir=tmp_path / "run", durable_sync="never",
-        )
-        assert result.wal_frames > 0
-        twin = make_sharded_labeler(shard_capacity=64)
-        replayed = replay_run(tmp_path / "run", twin)
-        assert replayed.wal_frames == result.wal_frames
-        assert tuple(twin.slots()) == tuple(labeler.slots())
+    @pytest.mark.parametrize("policy", ["always", "batch", "never"])
+    def test_new_store_fsyncs_its_directory_once(self, tmp_path, policy):
+        """Creating the log under ``always`` or ``batch`` fsyncs the store
+        directory, so the log's entry is durable before the first frame
+        is acknowledged; ``never`` adds no syscall."""
+        directory = tmp_path / "s"
+        with record_syscalls() as events:
+            store = DurableStore(directory, sync_policy=policy)
+            store.put("k", 1)
+        expected = [synced(directory / CONFIG_FILENAME)]
+        if policy != "never":
+            expected.append(synced(directory))
+        if policy == "always":
+            expected.append(synced(directory / WAL_FILENAME))
+        assert events == expected
+        store.close()
+        with record_syscalls() as events:
+            DurableStore(directory, sync_policy=policy).close()
+        assert synced(directory) not in events  # reopening creates nothing
 
 
 # ---------------------------------------------------------------------------
