@@ -26,8 +26,9 @@ into an actual store.  Four layers, bottom up:
 * :mod:`repro.store.protocol` / :mod:`repro.store.server` /
   :mod:`repro.store.client` — the **networked front-end**: a
   length-prefixed JSON wire protocol over the store codec, an asyncio
-  :class:`~repro.store.server.StoreServer` calling the service on its
-  event-loop thread, and a blocking
+  :class:`~repro.store.server.StoreServer` answering each request inline
+  on its event-loop thread, one ``asyncio.Protocol`` per connection, and
+  a blocking
   :class:`~repro.store.client.StoreClient` mirroring the service API;
 * :mod:`repro.store.replica` — **WAL-shipping replication**:
   :class:`~repro.store.replica.Replica` bootstraps from the primary's

@@ -20,10 +20,12 @@ switches the connection into a push stream of ``kind``-tagged messages
 (``frames`` / ``heartbeat`` / ``snapshot`` / ``restart``) flowing
 server→replica, with ``ACK`` messages flowing back.
 
-Both an asyncio flavour (:func:`read_message` / :func:`write_message`,
-used by the server) and a blocking-socket flavour (:func:`recv_message` /
-:func:`send_message`, used by the client and the replica puller) are
-provided over the identical framing.
+Two readers share the framing and its checks.  The server's
+``asyncio.Protocol`` appends whatever bytes arrive to one buffer and
+takes every complete message off its front with :func:`pop_message`;
+the client and the replica puller read one message at a time from a
+blocking socket with :func:`recv_message`.  Both send with
+:func:`encode_message` (:func:`send_message` on a blocking socket).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def encode_message(message: dict) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-def decode_body(body: bytes) -> dict:
+def decode_body(body: bytes | bytearray) -> dict:
     """Decode a message body (the bytes after the length prefix)."""
     try:
         message = codec.loads(body.decode("utf-8"))
@@ -83,30 +85,27 @@ def _check_length(length: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# asyncio flavour (server side)
+# buffer flavour (server side)
 # ---------------------------------------------------------------------------
-async def read_message(reader) -> dict | None:
-    """Read one message; ``None`` on a clean EOF at a frame boundary."""
-    import asyncio
+def pop_message(buffer: bytearray) -> dict | None:
+    """Take the first complete message off the front of ``buffer``.
 
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ProtocolError("connection closed inside a length prefix") from None
-    (length,) = _LENGTH.unpack(prefix)
+    ``None`` while the buffer holds no whole frame yet; the bytes stay
+    for the next call.  An oversized length prefix raises
+    :class:`OversizedFrameError` as soon as the prefix has arrived.  The
+    body's bytes and text live only inside this call, so a large request
+    holds no second copy of itself while it is served.
+    """
+    if len(buffer) < _LENGTH.size:
+        return None
+    (length,) = _LENGTH.unpack_from(buffer)
     _check_length(length)
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError:
-        raise ProtocolError("connection closed inside a message body") from None
+    end = _LENGTH.size + length
+    if len(buffer) < end:
+        return None
+    body = buffer[_LENGTH.size : end]
+    del buffer[:end]
     return decode_body(body)
-
-
-async def write_message(writer, message: dict) -> None:
-    writer.write(encode_message(message))
-    await writer.drain()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ a primary by streaming the primary's WAL over the
   with :func:`~repro.store.store.install_checkpoint` (the snapshot
   writer's publish sequence plus the store's horizon writer), and opens
   the store through ordinary recovery.  The replica writes no store file
-  itself.
+  itself.  A checkpoint that does not open is removed again and the
+  puller retries, so a bad checkpoint stops neither the puller nor a
+  later restart.
 * **Streaming** — frames past its LSN arrive as the exact bytes the
   primary's WAL holds and are applied through
   :meth:`~repro.store.store.DurableStore.apply_frame_line`: re-validated
@@ -58,7 +60,12 @@ from repro.store.protocol import (
 )
 from repro.store.server import ServerThread
 from repro.store.service import StoreService
-from repro.store.store import CONFIG_FILENAME, DurableStore, install_checkpoint
+from repro.store.store import (
+    CONFIG_FILENAME,
+    DurableStore,
+    StoreError,
+    install_checkpoint,
+)
 
 #: How long the puller waits in ``select()`` per poll (stop-flag latency).
 _POLL_SECONDS = 0.1
@@ -271,7 +278,14 @@ class Replica:
             install_checkpoint(self.directory, payload["lsn"], payload["files"])
             self.bootstrap_count += 1
             self._obs_bootstraps.inc()
-            self._open_store(handshake["algorithm"], handshake["shard_capacity"])
+            try:
+                self._open_store(handshake["algorithm"], handshake["shard_capacity"])
+            except StoreError:
+                # A checkpoint that does not open must not outlive this
+                # attempt: a restart would find its config, fail the same
+                # way and never ask the primary again.
+                shutil.rmtree(self.directory)
+                raise
 
     # ------------------------------------------------------------------
     # The puller
@@ -289,7 +303,7 @@ class Replica:
             while not self._stop.is_set():
                 try:
                     self._run_once()
-                except (OSError, ProtocolError, ConnectionError) as error:
+                except (OSError, ProtocolError, StoreError) as error:
                     self.last_error = error
                     if self._on_error is not None:
                         self._on_error(error)

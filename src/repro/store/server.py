@@ -12,8 +12,29 @@ no lock.  The lock is FIFO, so the loop waits out the calls queued ahead
 of it, not a writer thread's whole run.  The server adds networking, not
 a new concurrency model.
 
-**Replication.**  A ``REPLICATE`` request flips the connection into a
-push stream.  The server decides how the replica starts:
+**Connections.**  Each accepted connection is one ``asyncio.Protocol``
+(:class:`_Connection`).  The bytes it receives go into one buffer; every
+complete request is taken off the buffer's front
+(:func:`~repro.store.protocol.pop_message`), answered through the
+service and written to the transport before the next one is parsed:
+pipelined requests are answered in order, and no task or future is made
+per request.  When the transport's write buffer passes its high-water
+mark the connection stops reading and leaves the rest of its buffer
+unanswered until the buffer drains, so a client that sends without
+reading holds at most one high-water mark plus one answer in the server.
+A malformed frame (an oversized length prefix, a body that is not a
+UTF-8 JSON object, a hang-up inside a frame) closes the connection and
+is counted under its error family; an answer too large for one frame is
+replaced by an ``oversized_frame`` error on a connection that stays
+open.  :meth:`StoreServer.stop` drops every open connection before it
+waits for the listener to close.
+
+**Replication.**  A ``REPLICATE`` request switches its connection into
+push mode: a feeder task writes the stream through the connection, the
+same ``data_received`` parses the replica's ``ACK`` messages, a full
+write buffer holds the feeder as it holds request answers, and losing
+the connection cancels the feeder.  The server decides how the replica
+starts:
 
 * ``after >= durable_horizon`` — the log still holds everything the
   replica is missing: stream WAL frames with ``lsn > after``, verbatim;
@@ -25,13 +46,14 @@ Frames are shipped as the exact bytes the primary's WAL holds (validated
 through the same ``_check_frame`` recovery uses, so nothing a recovery
 would reject is ever shipped), which is what makes a replica's state
 byte-identical by construction.  Live tails push immediately — a WAL
-commit listener wakes every replica feeder — and idle connections get
-heartbeats carrying the primary's last LSN, which is how replicas measure
-their lag.  Replicas acknowledge applied LSNs upstream; the smallest
-acknowledged LSN across connected replicas becomes the service's
-**compaction retention floor**, so a live replica's catch-up stream never
-loses its tail to a concurrent compaction (a *disconnected* replica holds
-nothing hostage — it re-bootstraps from a snapshot).
+commit listener wakes every replica feeder, and skips the wake-up while
+no replica is connected — and idle connections get heartbeats carrying
+the primary's last LSN, which is how replicas measure their lag.
+Replicas acknowledge applied LSNs upstream; the smallest acknowledged
+LSN across connected replicas becomes the service's **compaction
+retention floor**, so a live replica's catch-up stream never loses its
+tail to a concurrent compaction (a *disconnected* replica holds nothing
+hostage — it re-bootstraps from a snapshot).
 
 :class:`ServerThread` runs the whole event loop on a daemon thread for
 synchronous callers (tests, benchmarks, the CLI smoke command).
@@ -47,8 +69,8 @@ from repro import obs
 from repro.store.protocol import (
     OversizedFrameError,
     ProtocolError,
-    read_message,
-    write_message,
+    encode_message,
+    pop_message,
 )
 from repro.store.service import StoreService
 
@@ -85,7 +107,11 @@ class StoreServer:
         self._port = port
         self.read_only = read_only
         self._server: asyncio.AbstractServer | None = None
-        #: Per-replica-connection state: {id: {"event", "acked"}}.
+        #: Transports of the open connections; :meth:`stop` aborts them.
+        self._transports: set[asyncio.Transport] = set()
+        #: Set by :meth:`stop`; a connection made after that aborts itself.
+        self._stopping = False
+        #: Per-replica-connection state: {id: {"id", "event", "acked"}}.
         self._replicas: dict[int, dict] = {}
         self._next_replica_id = 0
         self._commit_listener: Callable[[int], None] | None = None
@@ -144,14 +170,19 @@ class StoreServer:
         if self._server is not None:
             raise RuntimeError("server already started")
         loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self._host, self._port
+        self._stopping = False
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self._host, self._port
         )
 
         def on_commit(lsn: int) -> None:
             # Runs on whatever thread appended the frame; hop into the
-            # loop to wake every replica feeder.
-            loop.call_soon_threadsafe(self._wake_replicas)
+            # loop to wake every replica feeder.  With none connected the
+            # hop would only cost the loop an iteration per commit: a
+            # feeder registers before its first ship_frames, which reads
+            # every frame committed until then.
+            if self._replicas:
+                loop.call_soon_threadsafe(self._wake_replicas)
 
         self._commit_listener = on_commit
         self._service.add_commit_listener(on_commit)
@@ -160,57 +191,29 @@ class StoreServer:
     async def stop(self) -> None:
         if self._server is None:
             return
+        self._stopping = True
         if self._commit_listener is not None:
             self._service.remove_commit_listener(self._commit_listener)
             self._commit_listener = None
         self._service.set_compaction_retainer(None)
         self._server.close()
+        # From Python 3.12.1 wait_closed() also waits for every accepted
+        # connection to close, so none may be left open.  Aborting, not
+        # closing: a client that stopped reading would hold a closing
+        # transport open forever.  Losing its connection cancels a
+        # replica's feeder.
+        for transport in list(self._transports):
+            transport.abort()
         await self._server.wait_closed()
         self._server = None
-        self._wake_replicas()
 
     def _wake_replicas(self) -> None:
         for entry in self._replicas.values():
             entry["event"].set()
 
     # ------------------------------------------------------------------
-    # Connection handling
+    # Request dispatch (called by the connections, on the loop thread)
     # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        self._obs_connections.inc()
-        try:
-            while True:
-                try:
-                    request = await read_message(reader)
-                except OversizedFrameError:
-                    self._count_error("oversized_frame")
-                    break
-                except ProtocolError:
-                    self._count_error("protocol")
-                    break
-                if request is None:
-                    break
-                cmd = request.get("cmd")
-                if cmd == "REPLICATE":
-                    await self._serve_replication(request, reader, writer)
-                    break
-                try:
-                    await write_message(writer, self._dispatch(cmd, request))
-                except OversizedFrameError as error:  # nothing was sent yet
-                    self._count_error("oversized_frame")
-                    await write_message(writer, _error("oversized_frame", str(error)))
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError, asyncio.CancelledError):
-                # Loop shutdown cancels handler tasks mid-wait_closed; the
-                # connection is already closed, so ending normally keeps
-                # asyncio's stream callbacks from logging the cancellation.
-                pass
-
     def _dispatch(self, cmd, request: dict) -> dict:
         self._obs_requests.inc()
         server_handler = _SERVER_HANDLERS.get(cmd)
@@ -244,23 +247,30 @@ class StoreServer:
     # ------------------------------------------------------------------
     # Replication stream
     # ------------------------------------------------------------------
-    async def _serve_replication(self, request, reader, writer) -> None:
+    def _open_replication(
+        self, connection: "_Connection", request: dict
+    ) -> tuple[dict, int] | None:
+        """Answer a ``REPLICATE`` handshake on ``connection``.
+
+        Returns the replica's ack entry, already registered, and the LSN
+        its frame stream starts after; ``None`` when the request is
+        refused (the refusal has been sent).
+        """
         store = self._service.store
         after = int(request.get("after", -1))
         if after > store.last_lsn:
-            await write_message(
-                writer,
+            connection.send(
                 _error(
                     "bad_request",
                     f"replica is ahead of this primary "
                     f"(after={after} > last_lsn={store.last_lsn})",
-                ),
+                )
             )
-            return
+            return None
 
         replica_id = self._next_replica_id
         self._next_replica_id += 1
-        entry = {"event": asyncio.Event(), "acked": max(after, 0)}
+        entry = {"id": replica_id, "event": asyncio.Event(), "acked": max(after, 0)}
         # Registered before any horizon decision: from here on compaction
         # retains frames past the replica's cursor.
         self._replicas[replica_id] = entry
@@ -277,8 +287,7 @@ class StoreServer:
             else:
                 start = after
             entry["acked"] = max(entry["acked"], start)
-            await write_message(
-                writer,
+            connection.send(
                 {
                     "ok": True,
                     "mode": "snapshot" if bootstrap is not None else "frames",
@@ -286,91 +295,193 @@ class StoreServer:
                     "shard_capacity": store.shard_capacity,
                     "start_lsn": start,
                     "primary_lsn": store.last_lsn,
-                },
+                }
             )
             if bootstrap is not None:
-                await write_message(writer, bootstrap)
+                connection.send(bootstrap)
                 start = bootstrap["lsn"]
+        except BaseException:
+            del self._replicas[replica_id]
+            raise
+        return entry, start
 
-            # The ACK reader doubles as the disconnect detector: the
-            # moment the replica's socket EOFs, the race completes and
-            # the feeder is cancelled — so a dead replica stops pinning
-            # the compaction retention floor immediately, not at the
-            # next failed heartbeat write.
-            ack_task = asyncio.create_task(self._consume_acks(reader, entry))
-            feed_task = asyncio.create_task(
-                self._feed_frames(writer, entry, start)
-            )
-            await asyncio.wait(
-                {ack_task, feed_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            for task in (ack_task, feed_task):
-                task.cancel()
-            # Retrieve both outcomes (gather, not result(), so a failure
-            # in one never leaves the other's exception unretrieved).
-            outcomes = await asyncio.gather(
-                ack_task, feed_task, return_exceptions=True
-            )
-            for outcome in outcomes:
-                if isinstance(outcome, BaseException) and not isinstance(
-                    outcome, asyncio.CancelledError
-                ):
-                    raise outcome
-        except (ConnectionError, ProtocolError, OSError):
-            pass
-        finally:
-            self._replicas.pop(replica_id, None)
+    async def _feed_frames(
+        self, connection: "_Connection", entry: dict, start: int
+    ) -> None:
+        """Push the log past ``start`` to one replica, then its live tail.
 
-    async def _consume_acks(self, reader, entry: dict) -> None:
-        while True:
-            message = await read_message(reader)
-            if message is None:
-                return
-            if message.get("cmd") == "ACK":
-                entry["acked"] = max(entry["acked"], int(message["lsn"]))
-
-    async def _feed_frames(self, writer, entry: dict, start: int) -> None:
+        Waits for the connection's write buffer to drain before each
+        message.  Returning ends the stream: the connection then closes
+        and the replica reconnects.  Losing the connection cancels it.
+        """
         service = self._service
         cursor = start
         offset = 0
         epoch: int | None = None
-        while self._server is not None:
-            frames, offset, epoch = service.ship_frames(
-                cursor, offset=offset, epoch=epoch
-            )
-            if frames and frames[0][0] != cursor + 1:
-                # Compaction won a race and dropped the replica's tail
-                # (possible only in the window before its first ACK):
-                # tell it to reconnect — the handshake will send a
-                # snapshot covering the gap.
-                await write_message(writer, {"kind": "restart"})
-                return
-            if frames:
-                for index in range(0, len(frames), SHIP_CHUNK):
-                    chunk = frames[index : index + SHIP_CHUNK]
-                    await write_message(
-                        writer,
-                        {
-                            "kind": "frames",
-                            "frames": [line for _, line in chunk],
-                            "primary_lsn": service.store.last_lsn,
-                        },
+        try:
+            while True:
+                await connection.drained()
+                frames, offset, epoch = service.ship_frames(
+                    cursor, offset=offset, epoch=epoch
+                )
+                if frames and frames[0][0] != cursor + 1:
+                    # Compaction won a race and dropped the replica's tail
+                    # (possible only in the window before its first ACK):
+                    # tell it to reconnect — the handshake will send a
+                    # snapshot covering the gap.
+                    connection.send({"kind": "restart"})
+                    return
+                if frames:
+                    for index in range(0, len(frames), SHIP_CHUNK):
+                        chunk = frames[index : index + SHIP_CHUNK]
+                        await connection.drained()
+                        connection.send(
+                            {
+                                "kind": "frames",
+                                "frames": [line for _, line in chunk],
+                                "primary_lsn": service.store.last_lsn,
+                            }
+                        )
+                    cursor = frames[-1][0]
+                    continue
+                entry["event"].clear()
+                try:
+                    await asyncio.wait_for(
+                        entry["event"].wait(), timeout=HEARTBEAT_SECONDS
                     )
-                cursor = frames[-1][0]
-                continue
-            entry["event"].clear()
+                except asyncio.TimeoutError:
+                    connection.send(
+                        {
+                            "kind": "heartbeat",
+                            "primary_lsn": service.store.last_lsn,
+                        }
+                    )
+        except (OSError, ProtocolError):
+            # The connection is closing, the log could not be read, or a
+            # chunk overflowed a frame.
+            pass
+
+
+class _Connection(asyncio.Protocol):
+    """One accepted connection: requests answered inline, or a push stream.
+
+    See the module docstring for the lifecycle.  Every method runs on
+    the loop thread.
+    """
+
+    def __init__(self, server: StoreServer) -> None:
+        self._server = server
+        self._transport: asyncio.Transport | None = None
+        self._buffer = bytearray()
+        #: Set while the transport's write buffer is below its high-water
+        #: mark; cleared by ``pause_writing``.
+        self._drained = asyncio.Event()
+        self._drained.set()
+        #: Push mode: the replica's ack entry and the task feeding it.
+        self._replica: dict | None = None
+        self._feeder: asyncio.Task | None = None
+
+    # -- asyncio.Protocol callbacks ------------------------------------
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        if self._server._stopping:
+            # Accepted just before stop() closed the listener, and made
+            # too late for stop() to abort it.
+            transport.abort()
+            return
+        self._server._transports.add(transport)
+        self._server._obs_connections.inc()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer += data
+        self._handle_buffered()
+
+    def eof_received(self) -> None:
+        if self._buffer:
+            self._server._count_error("protocol")  # the peer hung up mid-frame
+        # Returning None closes the transport once its answers are sent.
+
+    def pause_writing(self) -> None:
+        self._drained.clear()
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._drained.set()
+        self._transport.resume_reading()
+        self._handle_buffered()
+
+    def connection_lost(self, exc) -> None:
+        server = self._server
+        server._transports.discard(self._transport)
+        if self._feeder is not None:
+            self._feeder.cancel()
+        if self._replica is not None:
+            server._replicas.pop(self._replica["id"], None)
+
+    # -- used by the server ----------------------------------------------
+    def send(self, message: dict) -> None:
+        self._transport.write(encode_message(message))
+
+    async def drained(self) -> None:
+        """Return once the write buffer is below its high-water mark.
+
+        Raises ``ConnectionResetError`` once the connection is closing,
+        so a feeder never writes into a lost connection.
+        """
+        if self._transport.is_closing():
+            raise ConnectionResetError("the replica's connection is closing")
+        await self._drained.wait()
+
+    # ------------------------------------------------------------------
+    def _handle_buffered(self) -> None:
+        """Handle every complete message in the buffer, in order, until
+        the write buffer fills or the connection closes."""
+        server = self._server
+        transport = self._transport
+        buffer = self._buffer
+        while self._drained.is_set() and not transport.is_closing():
             try:
-                await asyncio.wait_for(
-                    entry["event"].wait(), timeout=HEARTBEAT_SECONDS
-                )
-            except asyncio.TimeoutError:
-                await write_message(
-                    writer,
-                    {
-                        "kind": "heartbeat",
-                        "primary_lsn": service.store.last_lsn,
-                    },
-                )
+                request = pop_message(buffer)
+            except OversizedFrameError:
+                server._count_error("oversized_frame")
+                transport.close()
+                return
+            except ProtocolError:
+                server._count_error("protocol")
+                transport.close()
+                return
+            if request is None:
+                return
+            cmd = request.get("cmd")
+            if self._replica is not None:
+                if cmd == "ACK":
+                    entry = self._replica
+                    entry["acked"] = max(entry["acked"], int(request["lsn"]))
+            elif cmd == "REPLICATE":
+                self._start_push(request)
+            else:
+                try:
+                    frame = encode_message(server._dispatch(cmd, request))
+                except OversizedFrameError as error:  # nothing was sent yet
+                    server._count_error("oversized_frame")
+                    frame = encode_message(_error("oversized_frame", str(error)))
+                transport.write(frame)
+
+    def _start_push(self, request: dict) -> None:
+        """Switch into push mode: handshake, then a feeder task."""
+        server = self._server
+        try:
+            opened = server._open_replication(self, request)
+        except (OSError, ProtocolError):  # an unreadable or oversized checkpoint
+            opened = None
+        if opened is None:
+            self._transport.close()
+            return
+        self._replica, start = opened
+        self._feeder = asyncio.get_running_loop().create_task(
+            server._feed_frames(self, self._replica, start)
+        )
+        self._feeder.add_done_callback(lambda _: self._transport.close())
 
 
 # ---------------------------------------------------------------------------

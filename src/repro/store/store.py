@@ -61,18 +61,24 @@ def write_horizon(directory: str | Path, lsn: int) -> None:
     """Durably record that the WAL in ``directory`` holds no frame at or
     below ``lsn`` (see :meth:`DurableStore._read_horizon`).
 
-    Temp file, fsync, rename, directory fsync.  Needs no open store, so a
-    replica's bootstrap writes its horizon the way compaction does.
+    Needs no open store, so a replica's bootstrap writes its horizon the
+    way compaction does.
     """
-    directory = Path(directory)
-    path = directory / HORIZON_FILENAME
+    path = Path(directory) / HORIZON_FILENAME
+    _replace_file(path, json.dumps({"compacted_through": lsn}))
+
+
+def _replace_file(path: Path, text: str) -> None:
+    """Give ``path`` the content ``text`` atomically and durably: temp
+    file, fsync, rename, directory fsync.  A power cut leaves the old
+    file or the new one, never an empty one."""
     tmp = path.with_suffix(".tmp")
     with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump({"compacted_through": lsn}, handle)
+        handle.write(text)
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
-    _fsync_directory(directory)
+    _fsync_directory(path.parent)
 
 
 def install_checkpoint(directory: str | Path, lsn: int, files: dict[str, str]) -> None:
@@ -190,7 +196,11 @@ class DurableStore:
             self.last_truncate_report: WALTruncateReport | None = None
             self.recovery = self._recover()
         except BaseException:
-            self._release_directory_lock()
+            try:
+                if getattr(self, "_wal", None) is not None:
+                    self._wal.close()  # recovery may have opened the log
+            finally:
+                self._release_directory_lock()
             raise
 
     # ------------------------------------------------------------------
@@ -234,7 +244,14 @@ class DurableStore:
     ) -> dict:
         path = self.directory / CONFIG_FILENAME
         if path.exists():
-            config = json.loads(path.read_text())
+            try:
+                config = json.loads(path.read_text(encoding="utf-8"))
+            except ValueError as error:  # bad JSON or bad UTF-8
+                raise StoreError(
+                    f"unreadable store config {path}: {error}"
+                ) from None
+            if not isinstance(config, dict):
+                raise StoreError(f"store config {path} is not an object")
             if config.get("schema_version") != CONFIG_SCHEMA_VERSION:
                 raise StoreError(
                     f"store config schema {config.get('schema_version')!r} "
@@ -258,11 +275,7 @@ class DurableStore:
             "algorithm": algorithm or DEFAULT_ALGORITHM,
             "shard_capacity": shard_capacity or 128,
         }
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(config, handle, sort_keys=True, indent=2)
-            handle.write("\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        _replace_file(path, json.dumps(config, sort_keys=True, indent=2) + "\n")
         return config
 
     # ------------------------------------------------------------------

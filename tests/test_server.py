@@ -1,6 +1,6 @@
 """Networked store and replication fences.
 
-Four walls:
+Five walls:
 
 * **Protocol** — framing round-trips the full codec value space, rejects
   oversized and truncated messages instead of misreading them.
@@ -8,6 +8,11 @@ Four walls:
   (``KeyError`` parity with the local API, ``ReadOnlyError`` on replica
   writes); concurrent clients with disjoint key ranges merge exactly:
   every ``(key, value)`` of their puts, upserts and deletes.
+* **Transport** — requests split across reads or packed into one are
+  answered in order; an undecodable body closes its connection and is
+  counted; a client that pipelines without reading holds at most one
+  high-water mark of answers in the server; stopping the server does not
+  wait for connected clients.
 * **Replication convergence** — a seeded mixed workload runs on the
   primary while a replica streams; the replica is killed at parametrized
   points (mid-stream, mid-catch-up, behind a compaction horizon),
@@ -23,13 +28,16 @@ Four walls:
 
 from __future__ import annotations
 
+import asyncio
 import socket
+import sys
 import threading
 import time
 from pathlib import Path
 
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.store import codec
 from repro.store import snapshot as snapshot_io
 from repro.store.client import ReadOnlyError, StoreClient, StoreClientError
@@ -56,6 +64,7 @@ from repro.store.store import (
     HORIZON_FILENAME,
     WAL_FILENAME,
     DurableStore,
+    StoreError,
 )
 from tests.conftest import record_syscalls, synced
 
@@ -449,8 +458,261 @@ class TestStoreServer:
 
 
 # ---------------------------------------------------------------------------
+# Transport: frames across reads, pipelining, flow control, shutdown
+# ---------------------------------------------------------------------------
+#: Keys preloaded for the pipelining tests; one RANGE answer of them all
+#: is ~140 KB, twice the transport's write high-water mark.
+_PIPELINE_KEYS = 4096
+
+
+def _on_loop(server: ServerThread, call):
+    """``call()`` run on the server's event-loop thread; its result."""
+
+    async def run():
+        return call()
+
+    return asyncio.run_coroutine_threadsafe(run(), server._loop).result(timeout=10)
+
+
+def _transport_of(server: ServerThread, sock: socket.socket):
+    """The server's transport for the client socket ``sock``; ``None``
+    until the loop has accepted it.  Call on the loop thread."""
+    for transport in server.server._transports:
+        if transport.get_extra_info("peername") == sock.getsockname():
+            return transport
+    return None
+
+
+def _stopped_reading(server: ServerThread, sock: socket.socket) -> bool:
+    transport = _transport_of(server, sock)
+    return transport is not None and not transport.is_reading()
+
+
+def _pipeline_unread_ranges(server: ServerThread, sock: socket.socket) -> int:
+    """Send RANGE requests without reading until the server stops reading
+    from ``sock``; returns how many were sent (request ``i`` asks for
+    ``_PIPELINE_KEYS - i`` items)."""
+    count = 96  # ~13 MB of answers: more than the loopback socket buffers
+    sock.sendall(
+        b"".join(
+            encode_message({"cmd": "RANGE", "limit": _PIPELINE_KEYS - i})
+            for i in range(count)
+        )
+    )
+    wait_for(
+        lambda: _on_loop(server, lambda: _stopped_reading(server, sock)),
+        message="the server to stop reading",
+    )
+    return count
+
+
+@pytest.fixture
+def wait_closed_waits_for_connections(monkeypatch):
+    """asyncio's ``Server.wait_closed()`` as from Python 3.12.1, where it
+    also waits for every accepted connection to close.  Before, it returns
+    at once, which would hide a ``stop()`` that leaves a connection open."""
+    if sys.version_info < (3, 12, 1):
+
+        async def wait_closed(self):
+            if self._waiters is None:
+                return
+            waiter = self._loop.create_future()
+            self._waiters.append(waiter)
+            await waiter
+
+        monkeypatch.setattr(asyncio.base_events.Server, "wait_closed", wait_closed)
+
+
+class TestTransport:
+    def test_two_requests_in_one_send_get_two_answers_in_order(self, primary):
+        service, server = primary
+        service.put(7, "seven")
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.sendall(
+                encode_message({"cmd": "GET", "key": 7})
+                + encode_message({"cmd": "SIZE"})
+            )
+            assert recv_message(sock) == {"ok": True, "found": True, "value": "seven"}
+            assert recv_message(sock) == {"ok": True, "size": 1}
+
+    def test_request_sent_one_byte_per_send_is_answered(self, primary):
+        service, server = primary
+        service.put(7, "seven")
+        with socket.create_connection(server.address, timeout=5) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            for byte in encode_message({"cmd": "GET", "key": 7}):
+                sock.send(bytes([byte]))
+                time.sleep(0.001)
+            assert recv_message(sock) == {"ok": True, "found": True, "value": "seven"}
+
+    def test_undecodable_frames_close_the_connection_and_are_counted(
+        self, tmp_path
+    ):
+        store = DurableStore(
+            tmp_path / "s", sync_policy="never", registry=MetricsRegistry()
+        )
+        service = StoreService(store)
+
+        def framed(body: bytes) -> bytes:
+            return len(body).to_bytes(4, "big") + body
+
+        frames = [
+            framed(b"\xff\xfe not UTF-8"),
+            framed(codec.dumps([1, 2, 3]).encode()),
+            encode_message({"cmd": "PING"})[:-3],  # a hang-up inside the body
+        ]
+        with ServerThread(service) as server:
+            for sent, frame in enumerate(frames, start=1):
+                with socket.create_connection(server.address, timeout=5) as sock:
+                    sock.sendall(frame)
+                    sock.shutdown(socket.SHUT_WR)
+                    assert sock.recv(1) == b""
+                assert server.server.error_counts()["protocol"] == sent
+        service.close()
+
+    def test_pipelining_without_reading_bounds_the_write_buffer(self, primary):
+        """Reading pauses at the transport's high-water mark, so the
+        server holds at most one answer beyond it; every answer still
+        arrives, in order, once the client reads."""
+        service, server = primary
+        service.put_many((key, "v" * 24) for key in range(_PIPELINE_KEYS))
+        largest = len(
+            encode_message(
+                {"ok": True, "items": [[key, "v" * 24] for key in range(_PIPELINE_KEYS)]}
+            )
+        )
+        with socket.create_connection(server.address, timeout=10) as sock:
+            count = _pipeline_unread_ranges(server, sock)
+            time.sleep(0.1)  # a server still answering would grow its buffer
+            buffered, (_, high) = _on_loop(
+                server,
+                lambda: (
+                    _transport_of(server, sock).get_write_buffer_size(),
+                    _transport_of(server, sock).get_write_buffer_limits(),
+                ),
+            )
+            assert high <= buffered <= high + largest
+            for index in range(count):
+                response = recv_message(sock)
+                assert len(response["items"]) == _PIPELINE_KEYS - index
+            assert _on_loop(server, lambda: _transport_of(server, sock).is_reading())
+
+    def test_stop_returns_while_clients_are_connected(
+        self, tmp_path, wait_closed_waits_for_connections
+    ):
+        """Neither an idle client nor one the server cannot write to
+        keeps ``stop()`` waiting."""
+        store = DurableStore(tmp_path / "s", sync_policy="never")
+        service = StoreService(store)
+        service.put_many((key, "v" * 24) for key in range(_PIPELINE_KEYS))
+        server = ServerThread(service).start()
+        idle = StoreClient(*server.address)
+        stuck = socket.create_connection(server.address, timeout=10)
+        try:
+            idle.ping()
+            _pipeline_unread_ranges(server, stuck)
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=10)
+            assert not stopper.is_alive()
+        finally:
+            idle.close()
+            stuck.close()
+            service.close()
+
+    def test_stop_returns_while_clients_keep_connecting(
+        self, tmp_path, wait_closed_waits_for_connections
+    ):
+        """A connection accepted just before ``stop()`` closes the
+        listener, but made after ``stop()`` aborted the open ones, is
+        dropped too."""
+        service = StoreService(DurableStore(tmp_path / "s", sync_policy="never"))
+        sockets: list[socket.socket] = []
+        try:
+            for _ in range(10):
+                for sock in sockets:
+                    sock.close()
+                sockets.clear()
+                server = ServerThread(service).start()
+                address = server.address
+                done = threading.Event()
+
+                def connect_until_done() -> None:
+                    while not done.is_set():
+                        try:
+                            sockets.append(socket.create_connection(address, timeout=1))
+                        except OSError:
+                            pass
+
+                connector = threading.Thread(target=connect_until_done)
+                connector.start()
+                time.sleep(0.01)
+                stopper = threading.Thread(target=server.stop, daemon=True)
+                stopper.start()
+                stopper.join(timeout=10)
+                done.set()
+                connector.join(timeout=10)
+                assert not stopper.is_alive()
+                assert not connector.is_alive()
+        finally:
+            for sock in sockets:
+                sock.close()
+            service.close()
+
+
+# ---------------------------------------------------------------------------
 # Replication: bootstrap, streaming, kill-point convergence, catch-up
 # ---------------------------------------------------------------------------
+class _FakePrimary:
+    """A listener that answers every ``REPLICATE`` with a snapshot
+    handshake and ``files`` as the checkpoint of lsn 5, then waits for the
+    replica to hang up.  ``connections`` counts the handshakes."""
+
+    def __init__(self, files: dict[str, str]) -> None:
+        self.files = files
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self._done = threading.Event()
+        self._thread = threading.Thread(target=self._serve)
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return self._listener.getsockname()
+
+    def __enter__(self) -> "_FakePrimary":
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._done.set()
+        self._thread.join(timeout=10)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+    def _serve(self) -> None:
+        while not self._done.is_set():
+            try:
+                connection, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            with connection:
+                connection.settimeout(10)
+                try:
+                    recv_message(connection)  # the REPLICATE handshake
+                    self.connections += 1
+                    send_message(connection, {
+                        "ok": True, "mode": "snapshot", "primary_lsn": 5,
+                        "algorithm": "classical", "shard_capacity": 32,
+                    })
+                    send_message(connection, {
+                        "kind": "snapshot", "lsn": 5, "files": self.files,
+                    })
+                    recv_message(connection)  # None once the replica hangs up
+                except OSError:
+                    pass
+
+
 def _converged(service: StoreService, replica: Replica) -> None:
     """The byte-identical convergence assertion: same fingerprint."""
     replica.wait_caught_up(service.store.last_lsn)
@@ -652,36 +914,94 @@ class TestReplication:
         """A snapshot payload naming a file outside the snapshot directory
         is a protocol error, and nothing of the payload is written."""
         errors: list[BaseException] = []
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-
-            def fake_primary() -> None:
-                connection, _ = listener.accept()
-                with connection:
-                    recv_message(connection)  # the REPLICATE handshake
-                    send_message(connection, {
-                        "ok": True, "mode": "snapshot", "primary_lsn": 5,
-                        "algorithm": "classical", "shard_capacity": 32,
-                    })
-                    send_message(connection, {
-                        "kind": "snapshot", "lsn": 5,
-                        "files": {MANIFEST_FILENAME: "{}", name: "planted"},
-                    })
-                    recv_message(connection)  # None once the replica hangs up
-
-            feeder = threading.Thread(target=fake_primary)
-            feeder.start()
+        with _FakePrimary({MANIFEST_FILENAME: "{}", name: "planted"}) as fake:
             replica = Replica(
-                tmp_path / "replica", listener.getsockname(),
+                tmp_path / "replica", fake.address,
                 reconnect_seconds=60.0, on_error=errors.append,
             ).start()
             try:
                 wait_for(lambda: errors, message="the refusal")
             finally:
                 replica.stop()
-                feeder.join(timeout=10)
         assert isinstance(errors[0], ProtocolError)
         assert "unsafe name" in str(errors[0])
         assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+    def test_bootstrap_that_does_not_open_is_retried(self, tmp_path):
+        """A shipped checkpoint that installs but does not open (a manifest
+        of ``{}`` for lsn 5: recovery ends at lsn 0, below the horizon)
+        is an error the puller reports and retries, not its end."""
+        errors: list[BaseException] = []
+        with _FakePrimary({MANIFEST_FILENAME: "{}"}) as fake:
+            replica = Replica(
+                tmp_path / "replica", fake.address, sync_policy="never",
+                reconnect_seconds=0.01, on_error=errors.append,
+            ).start()
+            try:
+                wait_for(lambda: fake.connections >= 3, message="retries")
+                assert replica._thread.is_alive()
+            finally:
+                replica.stop()
+        assert errors and all(isinstance(error, StoreError) for error in errors)
+
+    def test_restart_after_a_bootstrap_that_did_not_open_asks_the_primary(
+        self, tmp_path
+    ):
+        """What a bootstrap that did not open leaves behind does not stop
+        a restarted replica before it contacts the primary."""
+        errors: list[BaseException] = []
+        directory = tmp_path / "replica"
+        with _FakePrimary({MANIFEST_FILENAME: "{}"}) as fake:
+            replica = Replica(
+                directory, fake.address, sync_policy="never",
+                reconnect_seconds=60.0, on_error=errors.append,
+            ).start()
+            try:
+                wait_for(lambda: errors, message="the failed bootstrap")
+            finally:
+                replica.stop()
+            restarted = Replica(
+                directory, fake.address, sync_policy="never",
+                reconnect_seconds=60.0,
+            ).start()
+            try:
+                wait_for(
+                    lambda: fake.connections == 2,
+                    message="the restarted replica to contact the primary",
+                )
+            finally:
+                restarted.stop()
+
+    def test_commits_wake_the_loop_only_while_a_replica_is_connected(
+        self, primary, tmp_path, monkeypatch
+    ):
+        """A commit hops into the server's loop to wake replica feeders;
+        with no replica connected it costs the loop nothing."""
+        service, server = primary
+        loop = server._loop
+        wakeups: list[tuple] = []
+        real_call_soon_threadsafe = loop.call_soon_threadsafe
+
+        def counting(*args, **kwargs):
+            wakeups.append(args)
+            return real_call_soon_threadsafe(*args, **kwargs)
+
+        monkeypatch.setattr(loop, "call_soon_threadsafe", counting)
+        with StoreClient(*server.address) as client:
+            for key in range(50):
+                client.put(key, key)
+            assert wakeups == []
+            replica = Replica(
+                tmp_path / "replica", server.address, sync_policy="never"
+            ).start()
+            try:
+                replica.wait_ready()
+                for key in range(50, 100):
+                    client.put(key, key)
+                assert len(wakeups) >= 1
+                _converged(service, replica)
+            finally:
+                replica.stop()
 
     def test_live_streaming_keeps_lag_bounded(self, primary, tmp_path):
         service, server = primary

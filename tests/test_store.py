@@ -72,6 +72,7 @@ from repro.store.snapshot import (
 from repro.store.store import (
     CONFIG_FILENAME,
     HORIZON_FILENAME,
+    LOCK_FILENAME,
     WAL_FILENAME,
     DurableStore,
     StoreError,
@@ -794,12 +795,17 @@ class TestStoreEdges:
     def test_new_store_fsyncs_its_directory_once(self, tmp_path, policy):
         """Creating the log under ``always`` or ``batch`` fsyncs the store
         directory, so the log's entry is durable before the first frame
-        is acknowledged; ``never`` adds no syscall."""
+        is acknowledged; ``never`` adds no syscall.  (The config before
+        it is replaced atomically under every policy.)"""
         directory = tmp_path / "s"
         with record_syscalls() as events:
             store = DurableStore(directory, sync_policy=policy)
             store.put("k", 1)
-        expected = [synced(directory / CONFIG_FILENAME)]
+        expected = [
+            synced(directory / CONFIG_FILENAME),
+            ("replace", directory / CONFIG_FILENAME),
+            synced(directory),
+        ]
         if policy != "never":
             expected.append(synced(directory))
         if policy == "always":
@@ -809,6 +815,31 @@ class TestStoreEdges:
         with record_syscalls() as events:
             DurableStore(directory, sync_policy=policy).close()
         assert synced(directory) not in events  # reopening creates nothing
+
+    def test_config_is_fsynced_before_its_rename(self, tmp_path):
+        """A power cut while a store is created leaves no config or a
+        whole one, never an empty file under the config's name."""
+        directory = tmp_path / "s"
+        with record_syscalls() as events:
+            DurableStore(directory, sync_policy="never").close()
+        config = directory / CONFIG_FILENAME
+        renamed = events.index(("replace", config))
+        assert synced(config) in events[:renamed]
+        assert synced(directory) in events[renamed + 1 :]
+        assert sorted(path.name for path in directory.iterdir()) == sorted(
+            [CONFIG_FILENAME, WAL_FILENAME, LOCK_FILENAME]
+        )
+
+    @pytest.mark.parametrize(
+        "damage", [b"", b'{"schema_version": 1', b"\xff\xfe", b"[1, 2]"],
+        ids=["emptied", "truncated", "not-utf8", "not-an-object"],
+    )
+    def test_unreadable_config_is_a_store_error(self, tmp_path, damage):
+        directory = tmp_path / "s"
+        DurableStore(directory, sync_policy="never").close()
+        (directory / CONFIG_FILENAME).write_bytes(damage)
+        with pytest.raises(StoreError, match="store config"):
+            DurableStore(directory, sync_policy="never")
 
 
 # ---------------------------------------------------------------------------
