@@ -23,6 +23,12 @@ the store's own op-framing:
   capture, encode+write and WAL truncation (wall-clock, printed only).
   Hard-asserted are the exact counts: the data file holds one section per
   shard, and the compaction makes as many fsyncs as on a one-shard store.
+* **A bulk ingest costs one pass per layer** — five staggered
+  ``put_many`` calls of 10k keys, timed per layer (WAL append, map
+  ranking, sharded rewrites, lifts and directory, shard relayouts; best
+  of 3, printed only).  Hard-asserted are the exact counts: one ranking
+  call and at most one directory rebuild per batch, and no
+  :class:`~repro.core.operations.Move` object built on the whole path.
 """
 
 from __future__ import annotations
@@ -30,9 +36,14 @@ from __future__ import annotations
 import os
 import random
 import shutil
+from collections import Counter
+from time import perf_counter_ns
 
 from benchmarks.conftest import emit, expect, scaled
 from repro import obs
+from repro.algorithms.base import DenseArrayLabeler
+from repro.core.operations import Move, MoveRecorder
+from repro.core.sharded import ShardedLabeler
 from repro.obs import SpanTracer
 from repro.store.factories import EXACT_SNAPSHOT_ALGORITHMS
 from repro.store.harness import (
@@ -44,6 +55,7 @@ from repro.store.harness import (
 )
 from repro.store.snapshot import DATA_FILENAME, list_snapshots
 from repro.store.store import DurableStore
+from repro.store.wal import WriteAheadLog
 
 #: Shard algorithms measured by the differential rows (every registered
 #: exact-snapshot algorithm; ``corollary11`` restores via the elements
@@ -281,3 +293,123 @@ def test_checkpoint_layers_and_fsyncs(run_once, tmp_path, monkeypatch):
         assert row["sections"] == row["shards"]
     assert single["shards"] == 1 < full["shards"]
     assert full["fsyncs"] == single["fsyncs"]
+
+
+#: Layer -> the calls timed for it in ``test_bulk_ingest_layers``.  None
+#: of these calls runs inside another, so the layers add up.
+INGEST_LAYERS = {
+    "wal append": [(WriteAheadLog, "append")],
+    "map ranking": [(ShardedLabeler, "count_below_sorted")],
+    "sharded rewrites": [(ShardedLabeler, "_absorb_overflowing_batch")],
+    "lifts + directory": [
+        (MoveRecorder, "append_shifted"),
+        (ShardedLabeler, "_rebuild_directory"),
+    ],
+    "shard relayouts": [(DenseArrayLabeler, "_layout_window")],
+}
+
+
+def test_bulk_ingest_layers(run_once, tmp_path, monkeypatch):
+    """Five staggered 10k-key batches, layer by layer, best of 3."""
+    keys = scaled(50_000)
+    chunk = -(-keys // 5)
+    fresh = random.Random(7).sample(range(1 << 48), keys)
+    batches = [
+        [(key, f"{key:012x}") for key in fresh[start : start + chunk]]
+        for start in range(0, keys, chunk)
+    ]
+    elapsed: Counter = Counter()
+    calls: Counter = Counter()
+
+    def timed(label, function):
+        def wrapper(*args, **kwargs):
+            start = perf_counter_ns()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                elapsed[label] += perf_counter_ns() - start
+                calls[label] += 1
+
+        return wrapper
+
+    for layer, targets in INGEST_LAYERS.items():
+        for owner, name in targets:
+            label = f"{owner.__name__}.{name}"
+            monkeypatch.setattr(owner, name, timed(label, getattr(owner, name)))
+    built = [0]
+    move_init = Move.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        move_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Move, "__init__", counting_init)
+
+    def ingest(run: int) -> dict:
+        store = DurableStore(
+            tmp_path / f"ingest-{run}", algorithm="classical",
+            shard_capacity=128, sync_policy="never",
+        )
+        elapsed.clear()
+        calls.clear()
+        built[0] = 0
+        rewriting_batches = 0
+        total = 0
+        for batch in batches:
+            rewrites = store.labeler.rewrites
+            start = perf_counter_ns()
+            store.put_many(batch)
+            total += perf_counter_ns() - start
+            rewriting_batches += store.labeler.rewrites > rewrites
+        row = {"total ms": total / 1e6}
+        for layer, targets in INGEST_LAYERS.items():
+            row[f"{layer} ms"] = sum(
+                elapsed[f"{owner.__name__}.{name}"] for owner, name in targets
+            ) / 1e6
+        row.update(
+            keys=len(store),
+            shards=store.labeler.shard_count,
+            rewrites=store.labeler.rewrites,
+            frames=store.last_lsn,
+            rankings=calls["ShardedLabeler.count_below_sorted"],
+            rebuilds=calls["ShardedLabeler._rebuild_directory"],
+            rewriting_batches=rewriting_batches,
+            rewrite_calls=calls["ShardedLabeler._absorb_overflowing_batch"],
+            moves_built=built[0],
+        )
+        store.close()
+        shutil.rmtree(tmp_path / f"ingest-{run}")
+        return row
+
+    def experiment():
+        runs = [ingest(run) for run in range(3)]
+        best = {
+            column: round(min(run[column] for run in runs), 1)
+            for column in runs[0]
+            if column.endswith(" ms")
+        }
+        counts = {
+            column: value for column, value in runs[0].items()
+            if not column.endswith(" ms")
+        }
+        for run in runs[1:]:
+            assert {column: run[column] for column in counts} == counts
+        return [{**counts, **best}]
+
+    rows = run_once(experiment)
+    emit(
+        "E-STORE: bulk ingest of 5 staggered batches, layer by layer "
+        "(classical shards of 128, best of 3)",
+        rows,
+        note="times are wall-clock and machine-dependent; only the counts are asserted",
+    )
+    (row,) = rows
+    assert row["keys"] == keys
+    assert row["frames"] == len(batches)
+    assert row["rankings"] == len(batches)
+    assert row["rewrite_calls"] == row["rewrites"] > 0
+    # One directory rebuild per batch that rewrote a region, however many
+    # regions it rewrote.
+    assert row["rebuilds"] == row["rewriting_batches"] <= len(batches)
+    expect(row["rewrites"] > len(batches), "staggered batches overflow many shards")
+    assert row["moves_built"] == 0

@@ -16,10 +16,16 @@ laid out with a single two-pass monotone rewrite (:meth:`_layout_window`).
 One rebalance serves the whole batch instead of one cascade per element,
 which is what makes bulk loads cheap; subclasses customize the window choice
 (:meth:`_batch_window`) and the slot targets (:meth:`_batch_targets`).
+A laid-out window refreshes the occupancy index once, in ``O(w + log m)``
+(:meth:`~repro.core.fenwick.FenwickTree.assign`), rather than with two
+tree walks per element moved; bulk loads and restores build it in
+``O(m)``.  A sorted key batch is ranked in one call
+(:meth:`DenseArrayLabeler.count_below_sorted`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Hashable, Iterator, Sequence
 
 from repro.core.exceptions import CapacityError, LabelerError
@@ -136,6 +142,26 @@ class DenseArrayLabeler(ListLabeler):
             else:
                 hi = mid
         return self._occupancy.prefix(lo)
+
+    #: A sorted batch with fewer keys than ``num_slots / this`` is ranked
+    #: key by key; a denser one is bisected over one list of the stored
+    #: elements.  One :meth:`count_below` costs about as much as copying
+    #: 100-230 slots into that list (classical PMAs of 192 to 12,288
+    #: slots, 2-vCPU Intel Xeon VM, Python 3.11).
+    sorted_rank_stride = 128
+
+    def count_below_sorted(self, keys: Sequence) -> list[int]:
+        """``count_below(key)`` for every key of an ascending sequence.
+
+        A dense batch copies the stored elements once and bisects that
+        list per key, so the search runs at C speed instead of one
+        Python slot bisection per key; a batch of a few keys over a large
+        array keeps the per-key :meth:`count_below`.
+        """
+        if len(keys) * self.sorted_rank_stride < self._num_slots:
+            return [self.count_below(key) for key in keys]
+        stored = [item for item in self._slots if item is not None]
+        return [bisect_left(stored, key) for key in keys]
 
     def free_slot_left(self, index: int) -> int | None:
         """Nearest free slot at or to the left of ``index`` (or ``None``)."""
@@ -282,9 +308,9 @@ class DenseArrayLabeler(ListLabeler):
         consumed = 0
         for rank, element in prepared:
             local = rank - below - 1
-            while consumed < local:
-                contents.append(window[consumed])
-                consumed += 1
+            if consumed < local:
+                contents.extend(window[consumed:local])
+                consumed = local
             fresh.append(len(contents))
             contents.append(element)
         contents.extend(window[consumed:])
@@ -337,24 +363,56 @@ class DenseArrayLabeler(ListLabeler):
         two monotone passes (left-movers left-to-right, right-movers
         right-to-left) so the array stays sorted after every individual
         move; the new elements are placed into their — by then free —
-        targets at the end.
+        targets at the end.  The moves are recorded in that order, and the
+        occupancy index is refreshed once over the span they touched.
         """
         if len(contents) != len(targets):
             raise ValueError("contents and targets must have equal length")
+        if not contents:
+            return
         fresh_set = set(fresh)
+        position = self._position
         plan = [
-            (self._position[item], target)
+            (position[item], target)
             for index, (item, target) in enumerate(zip(contents, targets))
             if index not in fresh_set
         ]
+        slots = self._slots
+        moves = self._current_moves
+        record = moves.record if moves is not None else None
         for src, dst in plan:
             if dst < src:
-                self._move(src, dst)
+                self._shift(slots, src, dst, record)
         for src, dst in reversed(plan):
             if dst > src:
-                self._move(src, dst)
+                self._shift(slots, src, dst, record)
         for index in fresh:
-            self._place(targets[index], contents[index])
+            element = contents[index]
+            target = targets[index]
+            if slots[target] is not None:
+                raise RuntimeError(
+                    f"slot {target} is occupied; cannot place {element!r}"
+                )
+            slots[target] = element
+            position[element] = target
+            if record is not None:
+                record(element, None, target)
+        lo, hi = targets[0], targets[-1] + 1
+        if plan:
+            lo, hi = min(lo, plan[0][0]), max(hi, plan[-1][0] + 1)
+        self._occupancy.assign(lo, [0 if item is None else 1 for item in slots[lo:hi]])
+
+    def _shift(self, slots: list, src: int, dst: int, record) -> None:
+        """:meth:`_move` inside a window layout, whose caller refreshes the
+        occupancy index once afterwards."""
+        element = slots[src]
+        if slots[dst] is not None:
+            raise RuntimeError(f"slot {dst} is occupied; cannot move into it")
+        slots[src] = None
+        slots[dst] = element
+        self._position[element] = dst
+        if record is not None:
+            record(element, src, dst)
 
     # ------------------------------------------------------------------
     # Serialization (snapshot / restore)
@@ -395,12 +453,16 @@ class DenseArrayLabeler(ListLabeler):
                 f"{state['num_slots']} slots) does not match this instance "
                 f"(capacity {self._capacity}, {self._num_slots} slots)"
             )
+        occupancy = [0] * self._num_slots
         for index, element in state["layout"]:
+            if not 0 <= index < self._num_slots:
+                raise ValueError(f"snapshot assigns slot {index} outside the array")
             if self._slots[index] is not None:
                 raise ValueError(f"snapshot assigns slot {index} twice")
             self._slots[index] = element
-            self._occupancy.set(index, 1)
+            occupancy[index] = 1
             self._position[element] = index
+        self._occupancy = FenwickTree.from_values(occupancy)
         self._size = len(state["layout"])
         if self._size != state["size"]:
             raise ValueError("snapshot layout does not match its recorded size")
@@ -428,10 +490,12 @@ class DenseArrayLabeler(ListLabeler):
         if len(elements) > self.capacity:
             raise CapacityError(self.capacity)
         targets = self._bulk_targets(len(elements))
+        occupancy = [0] * self._num_slots
         for element, target in zip(elements, targets):
             self._slots[target] = element
-            self._occupancy.set(target, 1)
+            occupancy[target] = 1
             self._position[element] = target
+        self._occupancy = FenwickTree.from_values(occupancy)
         self._size = len(elements)
         return len(elements)
 

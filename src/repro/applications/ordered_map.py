@@ -16,7 +16,10 @@ to the labeler's key search
 (:meth:`~repro.core.interface.ListLabeler.count_below`).  Over the sharding
 engine that is a fence-key descent: bisect the shards' first keys, add one
 directory prefix, then search the one shard the key falls in — a classical
-shard bisects its own slot array, ``O(log K + log m)`` in all.  The bounded
+shard bisects its own slot array, ``O(log K + log m)`` in all.  The new
+keys of a batch are ranked together, sorted, with one
+:meth:`~repro.core.interface.ListLabeler.count_below_sorted` call: one
+descent and one shard call per touched shard.  The bounded
 Corollary 11 map and embedding shards bisect the embedding's physical slots
 the same way; only an embedding below a quarter load keeps the interface's
 binary search over ``select`` (``O(log n · log m)``).
@@ -136,12 +139,13 @@ class PackedMemoryMap:
 
         Existing keys only have their values replaced (no layout change).
         New keys are inserted through ``insert_batch`` with pre-batch ranks
-        computed against the current key sequence, so a sorted ingest run
-        costs one merged rebalance per shard instead of one cascade per
-        key.  The batch keeps ``insert_batch``'s all-or-nothing contract:
-        a rejected batch (e.g. over a bounded map's capacity, or a NaN key)
-        leaves the map untouched, overwrites included.  Returns the number
-        of newly inserted keys.
+        computed against the current key sequence (one
+        ``count_below_sorted`` call for the sorted new keys), so a sorted
+        ingest run costs one merged rebalance per shard instead of one
+        cascade per key.  The batch keeps ``insert_batch``'s all-or-nothing
+        contract: a rejected batch (e.g. over a bounded map's capacity, or
+        a NaN key) leaves the map untouched, overwrites included.  Returns
+        the number of newly inserted keys.
         """
         overwrites: dict = {}
         fresh: dict = {}
@@ -152,8 +156,9 @@ class PackedMemoryMap:
             else:
                 fresh[key] = value
         if fresh:
-            count_below = self._labeler.count_below
-            batch = [(count_below(key) + 1, key) for key in sorted(fresh)]
+            keys = sorted(fresh)
+            below = self._labeler.count_below_sorted(keys)
+            batch = [(count + 1, key) for count, key in zip(below, keys)]
             result = self._labeler.insert_batch(batch)
             self.costs.record_batch(result.cost, result.count)
             self._values.update(fresh)

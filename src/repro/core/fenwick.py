@@ -17,6 +17,12 @@ This is what the shard directory of :class:`repro.core.sharded.ShardedLabeler`
 uses — one position per shard holding that shard's element count, so a
 global rank routes to its shard in ``O(log K)``.  The 0/1 :meth:`set` /
 :meth:`rank_of` occupancy API is unchanged and keeps its strict validation.
+
+Two bulk paths skip the per-position walk: :meth:`FenwickTree.from_values`
+builds a tree in ``O(size)`` (bulk loads, restores, the shard directory),
+and :meth:`FenwickTree.assign` overwrites a window of ``w`` positions in
+``O(w + log size)`` — how a dense labeler refreshes its occupancy once per
+laid-out window instead of walking the tree twice per element move.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ class FenwickTree:
     """Fenwick tree over a fixed-size vector of non-negative counts.
 
     The common use is as a 0/1 occupancy vector (:meth:`set`); the weighted
-    :meth:`add` API generalizes it to arbitrary non-negative counts.
+    :meth:`add` API generalizes it to arbitrary non-negative counts.  The
+    total is kept beside the tree, so :attr:`total` is ``O(1)`` and
+    :meth:`select` walks the tree once.
     """
 
     def __init__(self, size: int) -> None:
@@ -37,6 +45,7 @@ class FenwickTree:
         self._size = size
         self._tree = [0] * (size + 1)
         self._values = [0] * size
+        self._total = 0
         # Highest power of two <= size, used by the select binary lift.
         self._top_bit = 1
         while self._top_bit * 2 <= size:
@@ -46,19 +55,67 @@ class FenwickTree:
     def from_values(cls, values: "list[int]") -> "FenwickTree":
         """Build a tree over ``values`` in ``O(size)`` (vs ``O(size log size)``
         via repeated :meth:`add`) — the shard directory rebuilds through
-        this on every split/merge."""
+        this once per structural change or batch, and a dense labeler's
+        bulk load and restore build their occupancy through it."""
         tree = cls(len(values))
-        for value in values:
-            if value < 0:
-                raise ValueError("counts must be non-negative")
+        if values and min(values) < 0:
+            raise ValueError("counts must be non-negative")
         tree._values = list(values)
+        tree._total = sum(values)
         table = tree._tree
-        for i in range(1, tree._size + 1):
-            table[i] += values[i - 1]
+        table[1:] = values
+        size = tree._size
+        for i in range(1, size + 1):
             parent = i + (i & (-i))
-            if parent <= tree._size:
+            if parent <= size:
                 table[parent] += table[i]
         return tree
+
+    def assign(self, lo: int, values: "list[int]") -> None:
+        """Overwrite the counts at ``lo, lo + 1, …`` with ``values``.
+
+        ``O(w + log size)`` for a window of ``w = len(values)`` positions,
+        against ``O(w log size)`` for one :meth:`add` per position.  The
+        deltas are summed bottom-up over the tree nodes inside the window,
+        as :meth:`from_values` builds a whole tree.  A node above the
+        window overlaps it only if it covers the window's last position,
+        so every node outside that changes lies on the one update path
+        from there to the root.
+        """
+        hi = lo + len(values)
+        if not 0 <= lo <= hi <= self._size:
+            raise IndexError(
+                f"window [{lo}, {hi}) out of range (size {self._size})"
+            )
+        if not values:
+            return
+        if min(values) < 0:
+            raise ValueError("counts must be non-negative")
+        current = self._values
+        # pending[k]: the delta of node lo + 1 + k, children included once
+        # every smaller node has been visited.
+        pending = [new - old for new, old in zip(values, current[lo:hi])]
+        current[lo:hi] = values
+        self._total += sum(pending)
+        tree = self._tree
+        above: dict[int, int] = {}
+        node = lo
+        for delta in pending:
+            node += 1
+            if not delta:
+                continue
+            tree[node] += delta
+            parent = node + (node & (-node))
+            if parent <= hi:
+                pending[parent - lo - 1] += delta
+            else:
+                above[parent] = above.get(parent, 0) + delta
+        node = hi + (hi & (-hi))
+        carry = 0
+        while node <= self._size:
+            carry += above.get(node, 0)
+            tree[node] += carry
+            node += node & (-node)
 
     # ------------------------------------------------------------------
     @property
@@ -94,6 +151,7 @@ class FenwickTree:
         if not 0 <= index < self._size:
             raise IndexError(f"index {index} out of range (size {self._size})")
         self._values[index] += delta
+        self._total += delta
         tree = self._tree
         i = index + 1
         while i <= self._size:
@@ -120,7 +178,7 @@ class FenwickTree:
     @property
     def total(self) -> int:
         """Total number of units (= occupied slots under the 0/1 API)."""
-        return self.prefix(self._size)
+        return self._total
 
     # ------------------------------------------------------------------
     def select(self, k: int) -> int:
@@ -132,8 +190,8 @@ class FenwickTree:
 
         Raises :class:`IndexError` when fewer than ``k`` units are stored.
         """
-        if k < 1 or k > self.total:
-            raise IndexError(f"select({k}) out of range (total={self.total})")
+        if k < 1 or k > self._total:
+            raise IndexError(f"select({k}) out of range (total={self._total})")
         position = 0
         remaining = k
         bit = self._top_bit

@@ -36,7 +36,8 @@ cheap, so every labeler also serves rank-addressed queries:
   translating a rank interval into that window;
 * :meth:`ListLabeler.count_below` — the number of stored elements below a
   key: the key-order search an ordered map runs before every insertion
-  and range read;
+  and range read (:meth:`~ListLabeler.count_below_sorted` answers it for
+  a whole sorted batch of keys in one call);
 * :meth:`ListLabeler.cursor` — a :class:`Cursor` wrapping ``iter_from`` with
   rank bookkeeping.
 
@@ -537,6 +538,17 @@ class ListLabeler(abc.ABC):
             else:
                 hi = mid - 1
         return lo
+
+    def count_below_sorted(self, keys: Sequence) -> list[int]:
+        """:meth:`count_below` (strict) of every key of an ascending
+        sequence, in order.
+
+        The batch form of the key search, for ranking a sorted insert
+        batch.  The default asks :meth:`count_below` once per key; the
+        sharding engine visits each touched shard once and the dense
+        array algorithms bisect one copy of their elements.
+        """
+        return [self.count_below(key) for key in keys]
 
     def count_rank_range(self, lo_rank: int, hi_rank: int) -> int:
         """Number of stored elements with ranks in ``[lo_rank, hi_rank]``.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from operator import ne
 from typing import Hashable, Iterable, Iterator, Sequence
 
 #: Marker for insert operations (``σ`` in the paper's ``x_t = (r, σ)``).
@@ -191,6 +192,12 @@ class MoveRecorder:
     The :class:`Move` API is preserved for tests and analysis: iterating,
     indexing or comparing a recorder materializes `Move` objects on demand,
     so any consumer written against ``list[Move]`` keeps working.
+
+    Composite structures stay on the slabs too: the sharding engine lifts
+    a shard's log into global slot coordinates with :meth:`append_shifted`
+    (one slab extend per column, no :class:`Move` built), records its
+    split, merge and rewrite traffic column-wise with :meth:`record_all`,
+    and reads each restructure's cost off :attr:`total_cost`.
     """
 
     __slots__ = ("_elements", "_sources", "_destinations", "total_cost")
@@ -212,6 +219,26 @@ class MoveRecorder:
         if destination is not None and source != destination:
             self.total_cost += 1
 
+    def record_all(
+        self,
+        elements: Sequence[Hashable],
+        sources: Sequence[int | None],
+        destinations: Sequence[int | None],
+    ) -> None:
+        """Record moves given as three parallel columns, in order: the
+        slab form of calling :meth:`record` once per move, with the same
+        log and the same cost."""
+        sources = [-1 if source is None else source for source in sources]
+        destinations = [-1 if target is None else target for target in destinations]
+        self._elements.extend(elements)
+        self._sources.fromlist(sources)
+        self._destinations.fromlist(destinations)
+        cost = sum(map(ne, sources, destinations))
+        if -1 in destinations:  # a removal costs nothing
+            pairs = zip(sources, destinations)
+            cost -= sum(1 for source, target in pairs if target < 0 <= source)
+        self.total_cost += cost
+
     def append(self, move: Move) -> None:
         """Accept a materialized :class:`Move` (list-API compatibility)."""
         self.record(move.element, move.source, move.destination)
@@ -219,6 +246,40 @@ class MoveRecorder:
     def extend(self, moves: Iterable[Move]) -> None:
         for move in moves:
             self.record(move.element, move.source, move.destination)
+
+    def append_shifted(self, moves: MoveRecorder | Iterable[Move], offset: int) -> None:
+        """Append another log with every slot coordinate shifted by
+        ``offset`` (``None`` stays ``None``).
+
+        A recorder is copied slab to slab, and its cost carries over
+        unchanged: a non-negative shift keeps placements, removals and
+        stationary moves what they were.  Any other iterable of
+        :class:`Move` is recorded move by move.
+        """
+        if offset < 0:
+            raise ValueError("slot offsets are non-negative")
+        if not isinstance(moves, MoveRecorder):
+            for move in moves:
+                source, destination = move.source, move.destination
+                self.record(
+                    move.element,
+                    None if source is None else source + offset,
+                    None if destination is None else destination + offset,
+                )
+            return
+        sources, destinations = moves._sources, moves._destinations
+        self._elements.extend(moves._elements)
+        if offset:
+            self._sources.fromlist(
+                [source + offset if source >= 0 else -1 for source in sources]
+            )
+            self._destinations.fromlist(
+                [target + offset if target >= 0 else -1 for target in destinations]
+            )
+        else:
+            self._sources.extend(sources)
+            self._destinations.extend(destinations)
+        self.total_cost += moves.total_cost
 
     def clear(self) -> None:
         self._elements.clear()

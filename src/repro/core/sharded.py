@@ -41,13 +41,17 @@ partitioned through the directory into per-shard sub-batches (the pre-batch
 semantics make the sub-batches independent), each executed as the shard's
 own merged rebalance; a sub-batch that would overflow its shard is instead
 interleaved with the shard's contents and rewritten into evenly-loaded
-fresh shards in one pass.
+fresh shards in one pass.  A batch pays one pass per layer: the
+sub-batches run in one descending sweep, every rewrite splices its fresh
+shards in without touching the directory, and the directory is rebuilt
+once at the end when anything was rewritten.  :meth:`count_below_sorted`
+ranks a sorted key batch with one call per touched shard.
 
 **One thread.**  The engine holds no lock and starts no thread; a caller
 that shares it across threads serializes its calls (the store service
 does, under one FIFO lock).  Batches run their per-shard sub-batches
-inline: every overflowing sub-batch's rewrite first, descending, then the
-plain sub-batches — the order the move logs and layouts are pinned to.
+inline, in descending shard order — the order the move logs and layouts
+are pinned to.
 
 The cost model stays the paper's: every physical element move — including
 the rewrites performed by splits and merges — is reported through the
@@ -56,20 +60,25 @@ restructuring traffic is additionally counted per kind
 (:meth:`ShardedLabeler.restructure_counts`: events and moves, integers
 only, so nothing grows per operation);
 :func:`repro.analysis.runner.run_workload` attributes the difference over
-a run to its :class:`~repro.core.cost.CostTracker`.
+a run to its :class:`~repro.core.cost.CostTracker`.  Move logs stay in
+:class:`~repro.core.operations.MoveRecorder` slabs end to end: a shard's
+log is appended shifted by the shard's slot offset, a rewrite records
+straight from the fresh shards' ``slots()``, and a restructure's cost is
+the recorder's ``total_cost``; the engine builds no
+:class:`~repro.core.operations.Move`.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from repro import obs
 from repro.core.exceptions import BatchError, LabelerError
 from repro.core.fenwick import FenwickTree
 from repro.core.interface import ListLabeler
-from repro.core.operations import Move, Operation, OperationResult
+from repro.core.operations import MoveRecorder, Operation, OperationResult
 
 #: Factory signature of the shard building blocks: ``factory(capacity)``.
 ShardFactory = Callable[[int], ListLabeler]
@@ -77,6 +86,13 @@ ShardFactory = Callable[[int], ListLabeler]
 
 class ShardedLabeler(ListLabeler):
     """A list labeler of effectively unbounded capacity.
+
+    Every result's moves are a :class:`~repro.core.operations.MoveRecorder`
+    in global slot coordinates: a shard's own log appended shifted by the
+    shard's slot offset, plus the moves of any split, merge or rewrite,
+    recorded from the fresh shards' ``slots()``.  A batch routes, ranks,
+    rewrites and rebuilds the directory once per touched shard or once in
+    all, never once per element (see the module docstring).
 
     Parameters
     ----------
@@ -229,9 +245,10 @@ class ShardedLabeler(ListLabeler):
     def _rebuild_directory(self) -> None:
         """Rebuild the rank directory and the aggregate geometry.
 
-        Called after every structural change; ``O(K)`` via the bulk Fenwick
-        constructor, amortized to ``O(K / shard_capacity)`` per operation by
-        the ``Θ(shard_capacity)`` operations between changes.  Shard slot
+        Called after every singleton split or merge and once per batch
+        that rewrote a region; ``O(K)`` via the bulk Fenwick constructor,
+        amortized to ``O(K / shard_capacity)`` per operation by the
+        ``Θ(shard_capacity)`` operations between changes.  Shard slot
         counts only change here too, so the global slot offsets are cached
         as a prefix-sum list and every per-operation lookup stays ``O(1)``.
         """
@@ -251,10 +268,6 @@ class ShardedLabeler(ListLabeler):
         self._shard_pos = {
             id(shard): index for index, shard in enumerate(self._shards)
         }
-
-    def _slot_offset(self, index: int) -> int:
-        """First global slot of shard ``index`` in the concatenated view."""
-        return self._slot_offsets[index]
 
     def _locate(self, rank: int) -> tuple[int, int]:
         """Shard index and local rank of the stored element at ``rank``."""
@@ -282,20 +295,29 @@ class ShardedLabeler(ListLabeler):
         hi: int,
         chunks: Sequence[Sequence[Hashable]],
         fresh: frozenset | set = frozenset(),
-    ) -> list[Move]:
+    ) -> MoveRecorder:
         """Replace shards ``[lo, hi)`` by fresh shards holding ``chunks``.
 
         ``chunks`` lists the new shards' contents in global rank order and
         must cover exactly the elements of the replaced shards plus the
         (new) elements in ``fresh``.  Returns one move per element of the
-        region: a relocation for survivors, a placement for fresh ones.
+        region, read off the shards' ``slots()``: a relocation for
+        survivors, a placement for fresh ones.
+
+        The directory is left stale: the caller rebuilds it, a singleton
+        split or merge at once and a batch after its last rewrite.  Until
+        then the cached slot offsets stay right at and below ``lo``, which
+        is all a rewrite reads — a batch rewrites in descending shard
+        order for exactly that reason.
         """
         old_positions: dict[Hashable, int] = {}
         for j in range(lo, hi):
-            offset = self._slot_offset(j)
-            shard = self._shards[j]
-            for element in shard.elements():
-                old_positions[element] = offset + shard.slot_of(element)
+            slots = self._shards[j].slots()
+            old_positions.update(
+                (element, slot)
+                for slot, element in enumerate(slots, self._slot_offsets[j])
+                if element is not None
+            )
         replacements: list[ListLabeler] = []
         fences: list = []
         for chunk in chunks:
@@ -309,17 +331,24 @@ class ShardedLabeler(ListLabeler):
             # shards — every rank-routing path assumes at least one.
             replacements = [self._shard_factory(self._shard_capacity)]
             fences = [None]
+        offset = self._slot_offsets[lo]
         self._shards[lo:hi] = replacements
         self._fences[lo:hi] = fences
-        self._rebuild_directory()
-        moves: list[Move] = []
-        elem_shard = self._elem_shard
-        for position, shard in enumerate(replacements, start=lo):
-            offset = self._slot_offset(position)
-            for element in shard.elements():
-                source = None if element in fresh else old_positions[element]
-                moves.append(Move(element, source, offset + shard.slot_of(element)))
-                elem_shard[element] = shard
+        moves = MoveRecorder()
+        for shard in replacements:
+            placed = [
+                (element, slot)
+                for slot, element in enumerate(shard.slots(), offset)
+                if element is not None
+            ]
+            elements = [element for element, _ in placed]
+            sources = [
+                None if element in fresh else old_positions[element]
+                for element in elements
+            ]
+            moves.record_all(elements, sources, [slot for _, slot in placed])
+            self._elem_shard.update(dict.fromkeys(elements, shard))
+            offset += shard.num_slots
         return moves
 
     #: Restructure kind → counter attribute.  Distinct kinds because they
@@ -348,8 +377,8 @@ class ShardedLabeler(ListLabeler):
             for kind, counter in self._RESTRUCTURE_COUNTERS.items()
         }
 
-    def _record_restructure(self, kind: str, moves: Sequence[Move]) -> None:
-        moved = sum(1 for move in moves if move.cost > 0)
+    def _record_restructure(self, kind: str, moved: int) -> None:
+        """Count one restructure of ``kind`` that moved ``moved`` elements."""
         self.restructure_moves += moved
         self._kind_moves[kind] += moved
         counter = self._RESTRUCTURE_COUNTERS[kind]
@@ -390,17 +419,18 @@ class ShardedLabeler(ListLabeler):
             start += size
         return chunks
 
-    def _split_shard(self, index: int) -> list[Move]:
+    def _split_shard(self, index: int) -> MoveRecorder:
         """Split shard ``index`` into two half-full shards."""
         elements = self._shards[index].elements()
         half = len(elements) // 2
         moves = self._rewrite_region(
             index, index + 1, [elements[:half], elements[half:]]
         )
-        self._record_restructure("split", moves)
+        self._rebuild_directory()
+        self._record_restructure("split", moves.total_cost)
         return moves
 
-    def _merge_step(self, index: int) -> list[Move]:
+    def _merge_step(self, index: int) -> MoveRecorder:
         """Merge shard ``index`` with its smaller adjacent neighbour.
 
         When the union would exceed the split threshold the combined
@@ -428,56 +458,45 @@ class ShardedLabeler(ListLabeler):
             chunks = [combined] if combined else []
             kind = "merge"
         moves = self._rewrite_region(lo, hi, chunks)
-        self._record_restructure(kind, moves)
+        self._rebuild_directory()
+        self._record_restructure(kind, moves.total_cost)
         return moves
 
-    def _rebalance_underflows(self) -> list[Move]:
-        """Merge every underflowing shard, cascading until the policy holds."""
-        moves: list[Move] = []
+    def _rebalance_underflows(self, moves: MoveRecorder) -> None:
+        """Merge every underflowing shard, cascading until the policy
+        holds; the merges' moves are appended to ``moves``."""
         index = 0
         while index < len(self._shards):
             if (
                 len(self._shards) > 1
                 and len(self._shards[index]) < self._merge_floor
             ):
-                moves.extend(self._merge_step(index))
+                moves.append_shifted(self._merge_step(index), 0)
                 index = max(index - 1, 0)
             else:
                 index += 1
-        return moves
 
     # ------------------------------------------------------------------
     # Singleton operations
     # ------------------------------------------------------------------
-    def _lift_moves(self, moves: Iterable[Move], offset: int) -> list[Move]:
-        """Translate shard-local move coordinates into the global view."""
-        return [
-            Move(
-                move.element,
-                None if move.source is None else move.source + offset,
-                None if move.destination is None else move.destination + offset,
-            )
-            for move in moves
-        ]
-
     def _insert(self, rank: int, element: Hashable) -> OperationResult:
-        result = OperationResult(Operation.insert(rank))
         index, local = self._locate_insert(rank)
         shard = self._shards[index]
         if len(shard) >= self._split_threshold or shard.is_full:
-            result.extend(self._split_shard(index))
+            moves = self._split_shard(index)
             index, local = self._locate_insert(rank)
             shard = self._shards[index]
+        else:
+            moves = MoveRecorder()
         inner = shard.insert(local, element)
         self._elem_shard[element] = shard
         if local == 1:
             self._fences[index] = element
         self._directory.add(index, 1)
-        result.extend(self._lift_moves(inner.moves, self._slot_offset(index)))
-        return result
+        moves.append_shifted(inner.moves, self._slot_offsets[index])
+        return OperationResult(Operation.insert(rank), moves)
 
     def _delete(self, rank: int) -> OperationResult:
-        result = OperationResult(Operation.delete(rank))
         index, local = self._locate(rank)
         shard = self._shards[index]
         del self._elem_shard[shard.select(local)]
@@ -485,10 +504,11 @@ class ShardedLabeler(ListLabeler):
         if local == 1:
             self._fences[index] = self._first_of(shard)
         self._directory.add(index, -1)
-        result.extend(self._lift_moves(inner.moves, self._slot_offset(index)))
+        moves = MoveRecorder()
+        moves.append_shifted(inner.moves, self._slot_offsets[index])
         if len(self._shards) > 1 and len(shard) < self._merge_floor:
-            result.extend(self._rebalance_underflows())
-        return result
+            self._rebalance_underflows(moves)
+        return OperationResult(Operation.delete(rank), moves)
 
     # ------------------------------------------------------------------
     # Batched operations: per-shard sub-batches, merged rebalances
@@ -507,54 +527,74 @@ class ShardedLabeler(ListLabeler):
         prepared.sort(key=lambda item: item[0])
         return prepared
 
+    def _group_by_shard(
+        self, prepared: Sequence[tuple[int, Hashable]]
+    ) -> dict[int, list[tuple[int, Hashable]]]:
+        """Split a rank-sorted insert batch into per-shard sub-batches of
+        ``(local rank, element)``.
+
+        The directory routes the first rank of each run; every later rank
+        up to the last element of that shard goes with it, found by one
+        bisection of the ranks — so the directory is consulted once per
+        touched shard, not once per item.  A rank past a shard's last
+        element belongs to the next shard, except past the last element
+        of all, which appends to the last shard.
+        """
+        groups: dict[int, list[tuple[int, Hashable]]] = {}
+        ranks = [rank for rank, _ in prepared]
+        last = len(self._shards) - 1
+        start = 0
+        while start < len(prepared):
+            index, local = self._locate_insert(ranks[start])
+            below = ranks[start] - local
+            end_rank = below + len(self._shards[index]) + (index == last)
+            end = bisect.bisect_right(ranks, end_rank, start)
+            groups.setdefault(index, []).extend(
+                [(rank - below, element) for rank, element in prepared[start:end]]
+            )
+            start = end
+        return groups
+
     def _insert_batch(
         self, prepared: Sequence[tuple[int, Hashable]]
     ) -> list[OperationResult]:
-        groups: dict[int, list[tuple[int, Hashable]]] = {}
-        for rank, element in prepared:
-            index, local = self._locate_insert(rank)
-            groups.setdefault(index, []).append((local, element))
+        groups = self._group_by_shard(prepared)
         # Descending shard order: a rewrite replaces one shard by several,
-        # which would shift the indices of every group after it.  The
-        # one-group-at-a-time schedule runs group i before any restructure
-        # at a lower index, and a restructure at a higher index never moves
-        # shard i or its slot offset — so running every overflow
-        # restructure first (still descending) and then the non-overflowing
-        # groups sees exactly that schedule's state: pre-batch shard
-        # objects and pre-batch offsets.  Move logs and layouts are pinned
-        # to this order.
-        order = sorted(groups, reverse=True)
-        shard_at = {index: self._shards[index] for index in order}
-        offsets = self._slot_offsets  # replaced, never mutated, on rebuild
-        restructured = {
-            index: self._absorb_overflowing_batch(index, groups[index])
-            for index in order
-            if len(shard_at[index]) + len(groups[index]) > self._split_threshold
-        }
+        # which shifts the index and slot offset of every later shard but
+        # of no earlier one.  So when group i runs, shard i, its index and
+        # its offset are still the pre-batch ones, and the directory need
+        # not be current: it is rebuilt once, after the last rewrite.
+        # Move logs and layouts are pinned to this order.
+        rewritten = False
         results: list[OperationResult] = []
-        for index in order:
-            if index in restructured:
-                results.append(restructured[index])
-                continue
-            sub = groups[index]
-            shard = shard_at[index]
-            inner = shard.insert_batch(sub)
-            for _, element in sub:
-                self._elem_shard[element] = shard
-            # The restructures above may have shifted this shard's index;
-            # the directory and fence updates target its *current*
-            # position, while moves lift with the pre-batch offset.
-            position = self._shard_pos[id(shard)]
-            self._directory.add(position, len(sub))
-            if sub[0][0] == 1:
-                # Items sharing local rank 1 land in the order given, so
-                # the first of them is the shard's new first element.
-                self._fences[position] = sub[0][1]
-            offset = offsets[index]
-            for item in inner.results:
-                lifted = OperationResult(item.operation)
-                lifted.extend(self._lift_moves(item.moves, offset))
-                results.append(lifted)
+        elem_shard = self._elem_shard
+        try:
+            for index in sorted(groups, reverse=True):
+                sub = groups[index]
+                shard = self._shards[index]
+                if len(shard) + len(sub) > self._split_threshold:
+                    results.append(self._absorb_overflowing_batch(index, sub))
+                    rewritten = True
+                    continue
+                inner = shard.insert_batch(sub)
+                for _, element in sub:
+                    elem_shard[element] = shard
+                if not rewritten:
+                    self._directory.add(index, len(sub))
+                if sub[0][0] == 1:
+                    # Items sharing local rank 1 land in the order given,
+                    # so the first of them is the shard's new first element.
+                    self._fences[index] = sub[0][1]
+                offset = self._slot_offsets[index]
+                for item in inner.results:
+                    moves = MoveRecorder()
+                    moves.append_shifted(item.moves, offset)
+                    results.append(OperationResult(item.operation, moves))
+        finally:
+            # Even a failing sub-batch leaves the directory matching the
+            # shard list.
+            if rewritten:
+                self._rebuild_directory()
         self._size += len(prepared)
         return results
 
@@ -573,19 +613,17 @@ class ShardedLabeler(ListLabeler):
         fresh: set = set()
         consumed = 0
         for local, element in sub:
-            while consumed < local - 1:
-                contents.append(window[consumed])
-                consumed += 1
+            if consumed < local - 1:
+                contents.extend(window[consumed : local - 1])
+                consumed = local - 1
             fresh.add(element)
             contents.append(element)
         contents.extend(window[consumed:])
-        result = OperationResult(Operation.insert(sub[0][0]))
         moves = self._rewrite_region(
             index, index + 1, self._even_chunks(contents), fresh=fresh
         )
-        self._record_restructure("rewrite", moves)
-        result.extend(moves)
-        return result
+        self._record_restructure("rewrite", moves.total_cost)
+        return OperationResult(Operation.insert(sub[0][0]), moves)
 
     def _delete_batch(self, prepared: Sequence[int]) -> list[OperationResult]:
         groups: dict[int, list[int]] = {}
@@ -605,17 +643,16 @@ class ShardedLabeler(ListLabeler):
             self._directory.add(index, -len(locals_))
             if locals_[-1] == 1:  # locals descend: the last is smallest
                 self._fences[index] = self._first_of(shard)
-            offset = self._slot_offset(index)
+            offset = self._slot_offsets[index]
             for item in inner.results:
-                lifted = OperationResult(item.operation)
-                lifted.extend(self._lift_moves(item.moves, offset))
-                results.append(lifted)
+                moves = MoveRecorder()
+                moves.append_shifted(item.moves, offset)
+                results.append(OperationResult(item.operation, moves))
         self._size -= len(prepared)
-        rebalance = self._rebalance_underflows()
+        rebalance = MoveRecorder()
+        self._rebalance_underflows(rebalance)
         if rebalance:
-            trailer = OperationResult(Operation.delete(prepared[-1]))
-            trailer.extend(rebalance)
-            results.append(trailer)
+            results.append(OperationResult(Operation.delete(prepared[-1]), rebalance))
         return results
 
     # ------------------------------------------------------------------
@@ -827,6 +864,35 @@ class ShardedLabeler(ListLabeler):
         return self._directory.prefix(index) + self._shards[index].count_below(
             key, strict=strict
         )
+
+    def count_below_sorted(self, keys: Sequence) -> list[int]:
+        """:meth:`count_below` of every key of an ascending sequence.
+
+        The fence descent, once per touched shard instead of once per
+        key: the keys from one fence up to the next all fall in the same
+        shard, so one bisection of the key list finds them, one directory
+        prefix counts the shards below, and one
+        :meth:`~repro.core.interface.ListLabeler.count_below_sorted` call
+        ranks them inside the shard.  Keys below the first fence count 0.
+        """
+        if not self._size:
+            return [0] * len(keys)
+        fences = self._fences
+        last = len(fences) - 1
+        start = bisect.bisect_left(keys, fences[0])
+        counts = [0] * start
+        while start < len(keys):
+            index = bisect.bisect_right(fences, keys[start]) - 1
+            end = (
+                len(keys)
+                if index == last
+                else bisect.bisect_left(keys, fences[index + 1], start)
+            )
+            below = self._directory.prefix(index)
+            ranked = self._shards[index].count_below_sorted(keys[start:end])
+            counts.extend([below + count for count in ranked])
+            start = end
+        return counts
 
     def _iter_from(self, rank: int) -> Iterator[Hashable]:
         """Stream across shard boundaries without concatenating shards.

@@ -66,7 +66,7 @@ from repro.store.replica import Replica
 from repro.store.server import ServerThread, StoreServer
 from repro.store.service import FifoLock, StoreService
 from repro.store.snapshot import SnapshotInfo, list_snapshots
-from repro.store.store import DurableStore, RecoveryReport, StoreError
+from repro.store.store import DurableStore, RecoveryReport, StoreError, StoreLockedError
 from repro.store.wal import WALError, WALTruncateReport, WriteAheadLog
 
 __all__ = [
@@ -83,6 +83,7 @@ __all__ = [
     "StoreClient",
     "StoreClientError",
     "StoreError",
+    "StoreLockedError",
     "StoreServer",
     "StoreService",
     "WALError",

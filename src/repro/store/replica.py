@@ -27,7 +27,11 @@ a primary by streaming the primary's WAL over the
   its own durable ``last_lsn``.  If compaction moved the horizon past it
   in the meantime, the handshake falls back to snapshot bootstrap.  A
   replica *restart* is just recovery of its own directory followed by the
-  same reconnect.
+  same reconnect.  A directory that does not open (an emptied config, a
+  log that no longer meets its checkpoint) is wiped and bootstrapped
+  again; one that another live store holds
+  (:class:`~repro.store.store.StoreLockedError`) is reported and retried,
+  never wiped.
 * **Failover** — :meth:`Replica.promote` stops the puller and opens the
   write path: the replica's service (and its read-only front-end, if one
   is serving) becomes an ordinary writable primary holding exactly the
@@ -64,6 +68,7 @@ from repro.store.store import (
     CONFIG_FILENAME,
     DurableStore,
     StoreError,
+    StoreLockedError,
     install_checkpoint,
 )
 
@@ -292,16 +297,9 @@ class Replica:
     # ------------------------------------------------------------------
     def _pull_loop(self) -> None:
         try:
-            # A replica restart: recover whatever the directory already
-            # holds before asking the primary for the rest.
-            if (
-                self._service is None
-                and (self.directory / CONFIG_FILENAME).exists()
-            ):
-                with self._state_lock:
-                    self._open_store()
             while not self._stop.is_set():
                 try:
+                    self._recover_directory()
                     self._run_once()
                 except (OSError, ProtocolError, StoreError) as error:
                     self.last_error = error
@@ -316,6 +314,28 @@ class Replica:
             if self._on_error is not None:
                 self._on_error(error)
             raise
+
+    def _recover_directory(self) -> None:
+        """A replica restart: recover whatever the directory already holds
+        before asking the primary for the rest.
+
+        Runs inside the puller's retry loop.  A directory that does not
+        open is wiped, as :meth:`_install_snapshot` wipes a checkpoint
+        that does not open, and the error is raised to be reported; the
+        next attempt finds no config and bootstraps.  A lock held by
+        another live store is raised untouched and retried: the directory
+        is someone's open store, not damage.
+        """
+        if self._service is not None or not (self.directory / CONFIG_FILENAME).exists():
+            return
+        with self._state_lock:
+            try:
+                self._open_store()
+            except StoreLockedError:
+                raise
+            except StoreError:
+                shutil.rmtree(self.directory)
+                raise
 
     def _run_once(self) -> None:
         """One connection: handshake, optional bootstrap, stream frames."""

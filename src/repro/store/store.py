@@ -57,6 +57,15 @@ class StoreError(RuntimeError):
     """Configuration or integrity failure of a durable store."""
 
 
+class StoreLockedError(StoreError):
+    """Another live :class:`DurableStore` holds the directory.
+
+    Unlike every other :class:`StoreError` it says nothing about what the
+    directory holds, so a caller that recovers from a damaged directory
+    by wiping it (a replica's restart) retries this one instead.
+    """
+
+
 def write_horizon(directory: str | Path, lsn: int) -> None:
     """Durably record that the WAL in ``directory`` holds no frame at or
     below ``lsn`` (see :meth:`DurableStore._read_horizon`).
@@ -225,7 +234,7 @@ class DurableStore:
             fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
             handle.close()
-            raise StoreError(
+            raise StoreLockedError(
                 f"store directory {self.directory} is locked by another "
                 f"live DurableStore; close it first"
             ) from None

@@ -11,6 +11,9 @@ structure is mutated.  A frame is a tagged-codec JSON object::
   repeat marks the frame (and everything after it) as untrusted.
 * ``crc`` — CRC32 over the frame's canonical JSON with the ``crc`` field
   removed.  A mismatch means the line was half-written or bit-rotted.
+  ``crc`` sorts first, so the line is that same JSON with the field
+  spliced in after the opening brace: :meth:`WriteAheadLog.append`
+  serializes each frame once.
 
 **Batch atomicity.**  A batched mutation (``put_many`` / ``delete_many``)
 is one frame, so recovery applies it entirely or — when the crash landed
@@ -215,14 +218,26 @@ class WriteAheadLog:
         return self._next_lsn
 
     def append(self, op: str, payload: dict) -> int:
-        """Write one frame; returns its LSN.  Fsyncs per the sync policy."""
+        """Write one frame; returns its LSN.  Fsyncs per the sync policy.
+
+        The frame is serialized once.  Its canonical JSON without ``crc``
+        is the CRC body, and since ``"crc"`` sorts before every other
+        frame key, the canonical JSON *with* it is that body with
+        ``"crc":<n>,`` spliced in after the opening brace — the bytes a
+        second ``sort_keys`` dump would write.  A payload key sorting at
+        or before ``"crc"`` would break that, so it is refused.
+        """
         if self._file is None:
             raise WALError("log is not open")
         with obs.span("wal.append"):
             frame = {"v": WAL_SCHEMA_VERSION, "lsn": self._next_lsn, "op": op}
             frame.update(codec.encode(payload))
-            frame["crc"] = codec.checksum(codec.canonical(frame))
-            line = codec.canonical(frame) + "\n"
+            if min(frame) <= "crc":
+                raise WALError(
+                    f"frame key {min(frame)!r} sorts at or before 'crc'"
+                )
+            body = codec.canonical(frame)
+            line = '{"crc":%d,' % codec.checksum(body) + body[1:] + "\n"
             self._file.write(line)
             self._file.flush()
             if self.sync_policy == "always":

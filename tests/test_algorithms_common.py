@@ -22,6 +22,23 @@ from tests.conftest import ALGORITHM_FACTORIES, ReferenceDriver
 
 @pytest.mark.parametrize("name", sorted(ALGORITHM_FACTORIES))
 class TestCommonBehaviour:
+    def test_snapshot_round_trip_and_refused_layouts(self, name):
+        source = ALGORITHM_FACTORIES[name](64)
+        driver = ReferenceDriver(source, seed=5)
+        for _ in range(40):
+            driver.random_operation(delete_probability=0.3)
+        state = source.snapshot()
+        twin = ALGORITHM_FACTORIES[name](64)
+        twin.restore(state)
+        assert twin.slots() == source.slots()
+        for end in range(twin.num_slots + 1):
+            assert twin.count_range(0, end) == source.count_range(0, end)
+        # A layout read from disk naming a slot outside the array is refused.
+        for bad in (-1, twin.num_slots):
+            broken = dict(state, layout=[[bad, "x"]], size=1)
+            with pytest.raises(ValueError):
+                ALGORITHM_FACTORIES[name](64).restore(broken)
+
     def test_ascending_insertions(self, name):
         driver = ReferenceDriver(ALGORITHM_FACTORIES[name](64))
         for _ in range(64):

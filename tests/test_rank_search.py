@@ -10,7 +10,10 @@ which an embedding keeps only below a quarter load.  Each is checked here
 against ``bisect`` over the ``ReferenceDriver``'s sorted list, at every
 stored key, between every pair of neighbours and beyond both ends, while
 singleton and batch inserts and deletes drive the structures through
-splits, merges, borrows and rewrites.
+splits, merges, borrows and rewrites.  The batch form,
+``count_below_sorted`` — one call per touched shard in the sharding
+engine, one bisected copy of the elements in a dense array — is checked
+at the same keys against per-key ``count_below``.
 """
 
 from __future__ import annotations
@@ -61,6 +64,9 @@ def assert_searches(labeler, reference: list[Fraction]) -> None:
         assert labeler.count_below(key, strict=False) == bisect.bisect_right(
             reference, key
         ), key
+    keys = sorted(probes(reference))
+    per_key = [labeler.count_below(key) for key in keys]
+    assert labeler.count_below_sorted(keys) == per_key
 
 
 def insert_batch(driver: ReferenceDriver, ranks: list[int]) -> None:
@@ -160,6 +166,69 @@ def test_restore_and_bulk_load_rebuild_fences():
     loaded.bulk_load(driver.reference)
     loaded.check_consistency()
     assert_searches(loaded, driver.reference)
+
+
+class TestSortedBatchRanking:
+    """``count_below_sorted`` against per-key ``count_below``."""
+
+    @staticmethod
+    def sharded_with_keys(count: int) -> tuple[ShardedLabeler, list[int]]:
+        labeler = ShardedLabeler(classical, shard_capacity=SHARD_CAPACITY)
+        keys = list(range(10, 10 * (count + 1), 10))
+        labeler.bulk_load(keys)
+        assert labeler.shard_count > 3
+        return labeler, keys
+
+    def test_keys_below_the_first_fence_and_above_the_last(self):
+        labeler, keys = self.sharded_with_keys(60)
+        below = [-5, 0, 9]
+        above = [keys[-1] + 1, keys[-1] + 100]
+        fences = [shard.select(1) for shard in labeler.shards]
+        inside = sorted({key + delta for key in fences for delta in (-1, 0, 1)})
+        probe = below + inside + above
+        expected = [labeler.count_below(key) for key in probe]
+        assert labeler.count_below_sorted(probe) == expected
+        assert expected[: len(below)] == [0] * len(below)
+        assert expected[-len(above) :] == [len(keys)] * len(above)
+        assert labeler.count_below_sorted(below) == [0, 0, 0]
+        assert labeler.count_below_sorted(above) == [len(keys)] * 2
+
+    def test_one_shard_call_per_touched_shard(self, monkeypatch):
+        labeler, keys = self.sharded_with_keys(60)
+        calls = []
+        original = ClassicalPMA.count_below_sorted
+
+        def counted(shard, batch):
+            calls.append(len(batch))
+            return original(shard, batch)
+
+        monkeypatch.setattr(ClassicalPMA, "count_below_sorted", counted)
+        probe = [key + 1 for key in keys]
+        labeler.count_below_sorted(probe)
+        assert len(calls) == labeler.shard_count
+        assert sum(calls) == len(probe)
+
+    def test_empty_engine_and_empty_batch(self):
+        labeler = ShardedLabeler(classical, shard_capacity=SHARD_CAPACITY)
+        assert labeler.count_below_sorted([1, 2, 3]) == [0, 0, 0]
+        assert labeler.count_below_sorted([]) == []
+        labeler.bulk_load([5, 6])
+        assert labeler.count_below_sorted([]) == []
+
+    @pytest.mark.parametrize("stride", [0, 10**9])
+    @pytest.mark.parametrize("name", sorted(ALGORITHM_FACTORIES))
+    def test_both_dense_regimes_match_per_key(self, name, stride):
+        # stride 0 ranks key by key; a huge stride always bisects a copy.
+        labeler = ALGORITHM_FACTORIES[name](CAPACITY)
+        labeler.sorted_rank_stride = stride
+        driver = ReferenceDriver(labeler, seed=11)
+        for _ in range(150):
+            driver.random_operation(delete_probability=0.3)
+        keys = sorted(probes(driver.reference))
+        assert labeler.count_below_sorted(keys) == [
+            bisect.bisect_left(driver.reference, key) for key in keys
+        ]
+        assert labeler.count_below_sorted(keys[:1]) == [0]
 
 
 class TestFenceCorruption:

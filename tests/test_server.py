@@ -65,6 +65,7 @@ from repro.store.store import (
     WAL_FILENAME,
     DurableStore,
     StoreError,
+    StoreLockedError,
 )
 from tests.conftest import record_syscalls, synced
 
@@ -971,6 +972,78 @@ class TestReplication:
                 )
             finally:
                 restarted.stop()
+
+    @staticmethod
+    def _stopped_replica(service, server, directory: Path) -> None:
+        """Bootstrap a replica into ``directory``, converge it, stop it."""
+        for key in range(40):
+            service.put(key, key)
+        replica = Replica(directory, server.address, sync_policy="never").start()
+        try:
+            replica.wait_ready()
+            _converged(service, replica)
+        finally:
+            replica.stop()
+        wait_for(lambda: server.replica_count == 0, message="replica disconnect")
+
+    def test_restart_with_an_emptied_config_bootstraps_again(self, primary, tmp_path):
+        """A restarted replica whose directory does not open wipes it and
+        bootstraps from the primary; its puller lives on."""
+        service, server = primary
+        directory = tmp_path / "replica"
+        self._stopped_replica(service, server, directory)
+        (directory / CONFIG_FILENAME).write_text("")
+        service.put(100, 100)
+        errors: list[BaseException] = []
+        restarted = Replica(
+            directory, server.address, sync_policy="never",
+            reconnect_seconds=0.01, on_error=errors.append,
+        ).start()
+        try:
+            restarted.wait_ready(timeout=10)
+            _converged(service, restarted)
+            assert restarted.bootstrap_count == 1
+        finally:
+            restarted.stop()
+        assert isinstance(errors[0], StoreError)
+        assert not isinstance(errors[0], StoreLockedError)
+        assert "unreadable store config" in str(errors[0])
+
+    def test_restart_on_a_held_directory_retries_and_never_wipes(
+        self, primary, tmp_path
+    ):
+        """A directory another live store holds is reported and retried,
+        not wiped: once the holder closes, the replica recovers its own
+        directory and catches up without a bootstrap."""
+        service, server = primary
+        directory = tmp_path / "replica"
+        self._stopped_replica(service, server, directory)
+        service.put(100, 100)
+        holder = DurableStore(directory, sync_policy="never")
+        files = {
+            path.relative_to(directory): path.read_bytes()
+            for path in directory.rglob("*") if path.is_file()
+        }
+        errors: list[BaseException] = []
+        restarted = Replica(
+            directory, server.address, sync_policy="never",
+            reconnect_seconds=0.01, on_error=errors.append,
+        ).start()
+        try:
+            wait_for(lambda: len(errors) >= 3, message="retries of the held lock")
+            assert restarted._thread.is_alive()
+            assert all(isinstance(error, StoreLockedError) for error in errors)
+            assert {
+                path.relative_to(directory): path.read_bytes()
+                for path in directory.rglob("*") if path.is_file()
+            } == files
+            holder.close()
+            restarted.wait_ready(timeout=10)
+            _converged(service, restarted)
+            assert restarted.bootstrap_count == 0
+        finally:
+            holder.close()
+            restarted.stop()
 
     def test_commits_wake_the_loop_only_while_a_replica_is_connected(
         self, primary, tmp_path, monkeypatch

@@ -595,6 +595,106 @@ class TestWriteAheadLog:
         assert state_digest(replayed.map) == RECORDED_DIGEST
         replayed.close()
 
+    def test_a_frame_is_serialized_once(self, tmp_path, monkeypatch):
+        """One canonical dump per append, and the line is the ``sort_keys``
+        dump of the frame with its CRC, byte for byte."""
+        import json
+
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", sync_policy="never")
+        wal.open()
+        dumps = []
+        canonical = codec.canonical
+        monkeypatch.setattr(
+            codec, "canonical", lambda document: dumps.append(1) or canonical(document)
+        )
+        payloads = [
+            ("put", {"key": Fraction(1, 3), "value": "é\u2028\"x"}),
+            ("put_many", {"items": [[2, {"$k": (1, b"\x00")}], [3, None]]}),
+            ("del_many", {"keys": [1.5, -7, "z"]}),
+        ]
+        for op, payload in payloads:
+            wal.append(op, payload)
+        monkeypatch.undo()
+        wal.close()
+        assert len(dumps) == len(payloads)
+        for line in (tmp_path / "wal.jsonl").read_text(encoding="utf-8").splitlines():
+            frame = json.loads(line)
+            assert line == json.dumps(frame, sort_keys=True, separators=(",", ":"))
+            crc = frame.pop("crc")
+            assert crc == codec.checksum(codec.canonical(frame))
+        assert [frame["op"] for frame in self._frames(tmp_path / "wal.jsonl")] == [
+            op for op, _ in payloads
+        ]
+
+    @pytest.mark.parametrize("key", ["a", "crc", "$dollar", "cr"])
+    def test_payload_keys_sorting_before_crc_are_refused(self, tmp_path, key):
+        wal = WriteAheadLog(tmp_path / "wal.jsonl", sync_policy="never")
+        wal.open()
+        with pytest.raises(WALError):
+            wal.append("put", {key: 1})
+        assert wal.next_lsn == 1
+        wal.close()
+        assert (tmp_path / "wal.jsonl").read_bytes() == b""
+
+
+class TestBatchIngestGolden:
+    """Bulk ingest is pinned bit for bit.
+
+    Batches go through the slab move logs of the sharding engine, one
+    directory rebuild per batch, one occupancy refresh per laid-out window,
+    the per-shard batch ranking and one serialization per WAL frame.  The
+    constants were recorded from the per-element implementation (a
+    :class:`~repro.core.operations.Move` pair per lifted move, a directory
+    rebuild per rewrite, two Fenwick walks per move, one key search per
+    key, two dumps per frame), so every move log, layout and byte on disk
+    must come out as it did there.
+    """
+
+    KEYS = 10_000
+
+    #: shape -> (move-log digest, state digest, WAL sha256, sections sha256)
+    GOLDEN = {
+        "5 x 2000 staggered": (
+            "142e65a381cbc06386f6a7d6be9c9e607f6099019c4195e13e2270220ad239ef",
+            "e4cc58d6809cbaed3c6b9845c47145b93eec55640ab878957b8cf2caa9a2fda6",
+            "c236faeb02951b3570ee53ce16c3cacb8afa9d8cc6ba5a2624d4fe5b2a7159e9",
+            "6dfb4d3ae5a4174e5a3b775b83103aff9a3e1e210bc5516ce31958e1ab0cabe7",
+        ),
+        "1 x 10000 into empty": (
+            "4dd74d53df1afd4cad0fc723ed1a4d577fb1b9aa31fa0a90e9e60b1bef3e7df9",
+            "9fd01d781f8139191141be5b2fd7223b88edd404423f51720d0ccda4ef873bbc",
+            "149e3c668859ea6f1a45f6f779b88a142f39a8ba8d25090d9edc6d3a1eedd854",
+            "40505be1b9dd0399ed611f8b645fad5d9fe6baaa5de075d1c24bdedae34a62ec",
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(GOLDEN))
+    def test_batches_match_the_recorded_digests(self, tmp_path, shape):
+        import hashlib
+
+        from repro.store.harness import move_log_digest, record_move_log
+
+        keys = random.Random(2024).sample(range(1 << 48), self.KEYS)
+        items = [(key, f"{key:012x}") for key in keys]
+        size = 2_000 if shape.startswith("5") else self.KEYS
+        store = DurableStore(tmp_path / "s", shard_capacity=128, sync_policy="never")
+        log = record_move_log(store.labeler)
+        for start in range(0, self.KEYS, size):
+            store.put_many(items[start : start + size])
+        store.labeler.check_consistency()
+        wal_bytes = (tmp_path / "s" / WAL_FILENAME).read_bytes()
+        store.compact()
+        newest = list_snapshots(store.directory)[-1].path
+        sections = (newest / DATA_FILENAME).read_bytes()
+        observed = (
+            move_log_digest(log),
+            state_digest(store.map),
+            hashlib.sha256(wal_bytes).hexdigest(),
+            hashlib.sha256(sections).hexdigest(),
+        )
+        store.close()
+        assert observed == self.GOLDEN[shape]
+
 
 class TestCodec:
     def test_round_trips(self):
@@ -724,6 +824,20 @@ class TestStoreEdges:
         first.close()
         second = DurableStore(tmp_path / "s", sync_policy="never")
         second.close()
+
+    def test_a_held_lock_is_its_own_error(self, tmp_path):
+        """Only a held lock raises ``StoreLockedError``: a caller may wipe a
+        directory that does not open, but never one a live store holds."""
+        from repro.store.store import StoreLockedError
+
+        first = DurableStore(tmp_path / "s", sync_policy="never")
+        with pytest.raises(StoreLockedError):
+            DurableStore(tmp_path / "s", sync_policy="never")
+        first.close()
+        (tmp_path / "s" / CONFIG_FILENAME).write_text("")
+        with pytest.raises(StoreError) as refused:
+            DurableStore(tmp_path / "s", sync_policy="never")
+        assert not isinstance(refused.value, StoreLockedError)
 
     def test_cli_refuses_missing_store_directory(self, tmp_path, capsys):
         from repro.store.__main__ import main as store_cli
