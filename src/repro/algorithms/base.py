@@ -143,23 +143,13 @@ class DenseArrayLabeler(ListLabeler):
                 hi = mid
         return self._occupancy.prefix(lo)
 
-    #: A sorted batch with fewer keys than ``num_slots / this`` is ranked
-    #: key by key; a denser one is bisected over one list of the stored
-    #: elements.  One :meth:`count_below` costs about as much as copying
-    #: 100-230 slots into that list (classical PMAs of 192 to 12,288
-    #: slots, 2-vCPU Intel Xeon VM, Python 3.11).
-    sorted_rank_stride = 128
-
     def count_below_sorted(self, keys: Sequence) -> list[int]:
         """``count_below(key)`` for every key of an ascending sequence.
 
-        A dense batch copies the stored elements once and bisects that
-        list per key, so the search runs at C speed instead of one
-        Python slot bisection per key; a batch of a few keys over a large
-        array keeps the per-key :meth:`count_below`.
+        The stored elements are copied into one list and each key is
+        bisected there, so the search runs at C speed instead of one
+        Python slot bisection per key.
         """
-        if len(keys) * self.sorted_rank_stride < self._num_slots:
-            return [self.count_below(key) for key in keys]
         stored = [item for item in self._slots if item is not None]
         return [bisect_left(stored, key) for key in keys]
 

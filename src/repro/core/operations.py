@@ -223,21 +223,17 @@ class MoveRecorder:
         self,
         elements: Sequence[Hashable],
         sources: Sequence[int | None],
-        destinations: Sequence[int | None],
+        destinations: list[int],
     ) -> None:
         """Record moves given as three parallel columns, in order: the
         slab form of calling :meth:`record` once per move, with the same
-        log and the same cost."""
+        log and the same cost.  Every destination is a slot (``None``
+        sources are fresh placements)."""
         sources = [-1 if source is None else source for source in sources]
-        destinations = [-1 if target is None else target for target in destinations]
         self._elements.extend(elements)
         self._sources.fromlist(sources)
         self._destinations.fromlist(destinations)
-        cost = sum(map(ne, sources, destinations))
-        if -1 in destinations:  # a removal costs nothing
-            pairs = zip(sources, destinations)
-            cost -= sum(1 for source, target in pairs if target < 0 <= source)
-        self.total_cost += cost
+        self.total_cost += sum(map(ne, sources, destinations))
 
     def append(self, move: Move) -> None:
         """Accept a materialized :class:`Move` (list-API compatibility)."""
@@ -252,12 +248,11 @@ class MoveRecorder:
         ``offset`` (``None`` stays ``None``).
 
         A recorder is copied slab to slab, and its cost carries over
-        unchanged: a non-negative shift keeps placements, removals and
-        stationary moves what they were.  Any other iterable of
-        :class:`Move` is recorded move by move.
+        unchanged: a shift by a slot offset (never negative) keeps
+        placements, removals and stationary moves what they were.  Any
+        other iterable of :class:`Move` is recorded move by move.
         """
-        if offset < 0:
-            raise ValueError("slot offsets are non-negative")
+        assert offset >= 0, offset
         if not isinstance(moves, MoveRecorder):
             for move in moves:
                 source, destination = move.source, move.destination

@@ -215,21 +215,6 @@ class TestSortedBatchRanking:
         labeler.bulk_load([5, 6])
         assert labeler.count_below_sorted([]) == []
 
-    @pytest.mark.parametrize("stride", [0, 10**9])
-    @pytest.mark.parametrize("name", sorted(ALGORITHM_FACTORIES))
-    def test_both_dense_regimes_match_per_key(self, name, stride):
-        # stride 0 ranks key by key; a huge stride always bisects a copy.
-        labeler = ALGORITHM_FACTORIES[name](CAPACITY)
-        labeler.sorted_rank_stride = stride
-        driver = ReferenceDriver(labeler, seed=11)
-        for _ in range(150):
-            driver.random_operation(delete_probability=0.3)
-        keys = sorted(probes(driver.reference))
-        assert labeler.count_below_sorted(keys) == [
-            bisect.bisect_left(driver.reference, key) for key in keys
-        ]
-        assert labeler.count_below_sorted(keys[:1]) == [0]
-
 
 class TestFenceCorruption:
     @pytest.fixture
