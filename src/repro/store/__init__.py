@@ -18,11 +18,12 @@ into an actual store.  Four layers, bottom up:
 * :mod:`repro.store.store` — :class:`~repro.store.store.DurableStore`:
   log-then-apply mutations, **recovery** = newest valid snapshot +
   tail-WAL replay, and **compaction** that snapshots and truncates the
-  log;
+  log, never past the replication floor — run by hand or, with
+  ``compact_every``, by the commit that makes it due;
 * :mod:`repro.store.service` — :class:`~repro.store.service.StoreService`:
   a thread-safe front-end under one FIFO lock (every call takes it once,
-  and a release hands it to the longest waiter), snapshot-consistent
-  range scans, and an optional background compactor;
+  and a release hands it to the longest waiter) and snapshot-consistent
+  range scans;
 * :mod:`repro.store.protocol` / :mod:`repro.store.server` /
   :mod:`repro.store.client` — the **networked front-end**: a
   length-prefixed JSON wire protocol over the store codec, an asyncio

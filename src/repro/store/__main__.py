@@ -26,13 +26,14 @@
   the replica's state digest *exactly* equal to the primary's at zero
   lag; exits nonzero otherwise.
 * ``stats --host H --port P`` — connect to a live server and render its
-  ``STATS`` (durability, compactor, replication, shards) and ``METRICS``
-  (Prometheus exposition + slow-op count) responses.
+  ``STATS`` (durability, a failed compaction, replication, shards) and
+  ``METRICS`` (Prometheus exposition + slow-op count) responses.
 * ``obs-smoke [--frames N] [--seed S]`` — the observability drill the
-  ``obs-smoke`` CI job runs: serve an instrumented store, drive mixed
-  traffic (including deliberate protocol and command errors) over the
-  wire, assert every expected metric family shows up in ``METRICS``, and
-  check the ``stats`` command renders it all with exit code 0.
+  ``obs-smoke`` CI job runs: serve an instrumented store that compacts
+  every third of the traffic, drive mixed traffic (including deliberate
+  protocol and command errors) over the wire, assert every expected
+  metric family shows up in ``METRICS``, and check the ``stats`` command
+  renders it all with exit code 0.
 
 A maintenance command pointed at a directory holding no store refuses to
 run (a mistyped ``--dir`` must not conjure an empty store and call it
@@ -309,10 +310,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
               f"horizon {stats['durable_horizon']}, "
               f"{stats['wal_frames_since_snapshot']} wal frame(s) "
               f"since snapshot")
-        error = stats.get("last_compactor_error")
-        print(f"compactor  : "
-              f"{'alive' if stats.get('compactor_alive') else 'not running'}"
-              + (f" (last error: {error})" if error else ""))
+        error = stats.get("last_compaction_error")
+        if error:
+            print(f"compaction : last automatic compaction failed: {error}")
         floor = stats.get("replication_floor")
         print(f"replicas   : {stats.get('replica_count', 0)} connected, "
               f"acks {stats.get('replica_acks', [])}, "
@@ -343,12 +343,13 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
     """End-to-end observability drill (the ``obs-smoke`` CI job).
 
     Serves an instrumented store through a plain ``StoreService(store)``,
-    like every served path, and drives mixed traffic over the wire —
-    including a deliberate unknown command, a miss delete, and a raw
-    oversized frame.  It then asserts the METRICS response carries every
-    expected metric family, each ``service.latency.<command>`` histogram
-    counted exactly the mutation requests the drill sent (the failed miss
-    delete included), STATS reports compactor/replication/shard health,
+    like every served path, with ``compact_every`` a third of the
+    traffic, and drives mixed traffic over the wire — including a
+    deliberate unknown command, a miss delete, and a raw oversized frame.
+    It then asserts the METRICS response carries every expected metric
+    family (compactions included), each ``service.latency.<command>``
+    histogram counted exactly the mutation requests the drill sent (the
+    failed miss delete included), STATS reports compaction/shard health,
     and the ``stats`` CLI renders it all with exit code 0.
     """
     import contextlib
@@ -380,10 +381,10 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
             algorithm="classical",
             shard_capacity=64,
             sync_policy="never",
+            compact_every=max(1, args.frames // 3),
             registry=registry,
         )
         service = StoreService(store)
-        service.start_compactor(poll_seconds=0.05, wal_frame_threshold=10**9)
         sent: Counter = Counter()  # mutation requests, by service command
         commands = {
             "put": "put", "del": "delete",
@@ -439,6 +440,7 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
                     "server.errors.bad_command",
                     "server.errors.not_found",
                     "server.errors.oversized_frame",
+                    "store.compactions",
                 ):
                     check(
                         counters.get(name, 0) > 0,
@@ -463,10 +465,6 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
                     snapshot["gauges"].get("sharded.shard_count", 0) >= 1,
                     "shard-count gauge present",
                 )
-                check(
-                    snapshot["gauges"].get("service.compactor_alive") == 1,
-                    "compactor liveness gauge reads 1",
-                )
                 exposition = metrics.get("exposition", "")
                 check(
                     "# TYPE repro_wal_frames_appended_total counter"
@@ -474,10 +472,9 @@ def _cmd_obs_smoke(args: argparse.Namespace) -> int:
                     "exposition text carries TYPE lines",
                 )
                 stats = client.stats()
-                check(stats.get("compactor_alive") is True, "STATS: compactor alive")
                 check(
-                    stats.get("last_compactor_error") is None,
-                    "STATS: no compactor error",
+                    stats.get("last_compaction_error", "missing") is None,
+                    "STATS: no compaction error",
                 )
                 check(
                     bool(stats.get("shard_statistics")),

@@ -159,7 +159,7 @@ class StoreClient:
         return self._call("VERIFY")["report"]
 
     def stats(self) -> dict:
-        """Durability, compactor, replication and shard statistics."""
+        """Durability, compaction, replication and shard statistics."""
         return self._call("STATS")
 
     def metrics(self) -> dict:

@@ -18,10 +18,11 @@ a primary by streaming the primary's WAL over the
   primary's WAL holds and are applied through
   :meth:`~repro.store.store.DurableStore.apply_frame_line`: re-validated
   (CRC, version, LSN contiguity), appended to the replica's own WAL
-  verbatim, then applied through the same ``_apply`` recovery uses.  The
-  replica's durable state is byte-identical to the primary's *by
-  construction*, not by best effort — there is no replica-specific apply
-  code to drift.
+  verbatim, then applied through the same ``_apply`` recovery uses, and
+  counted toward the replica's own ``compact_every`` like a local
+  commit.  The replica's durable state is byte-identical to the
+  primary's *by construction*, not by best effort — there is no
+  replica-specific apply code to drift.
 * **Catch-up** — a disconnect (primary restart, network blip, replica
   crash) is not an error state: the puller reconnects and resumes from
   its own durable ``last_lsn``.  If compaction moved the horizon past it
@@ -37,9 +38,10 @@ a primary by streaming the primary's WAL over the
   is serving) becomes an ordinary writable primary holding exactly the
   state the old primary had at the replica's last applied frame.
 
-The replica acknowledges applied LSNs upstream; the primary's compaction
-keeps frames past the smallest acknowledged LSN of its *connected*
-replicas, so a live stream never loses its tail to compaction — while a
+The replica acknowledges applied LSNs upstream; every compaction on the
+primary, manual or ``compact_every``, keeps frames past the smallest
+acknowledged LSN of its *connected* replicas (the store's replication
+floor), so a live stream never loses its tail to compaction — while a
 dead replica holds nothing hostage (it re-bootstraps).
 
 The puller runs on a daemon thread and uses ``select()`` before every

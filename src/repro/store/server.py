@@ -6,11 +6,11 @@ request calls the matching ``StoreService`` method directly on the
 event-loop thread.  A worker-thread hop per request would add latency,
 not concurrency: every call takes the service's one lock and runs
 under the GIL, so requests wait for a lock holder either way.  While
-another thread (the compactor, an in-process writer) holds the lock, the
-loop waits too, and so do the requests and replication streams that need
-no lock.  The lock is FIFO, so the loop waits out the calls queued ahead
-of it, not a writer thread's whole run.  The server adds networking, not
-a new concurrency model.
+another thread (an in-process writer, whose commit may also compact)
+holds the lock, the loop waits too, and so do the requests and
+replication streams that need no lock.  The lock is FIFO, so the loop
+waits out the calls queued ahead of it, not a writer thread's whole
+run.  The server adds networking, not a new concurrency model.
 
 **Connections.**  Each accepted connection is one ``asyncio.Protocol``
 (:class:`_Connection`).  The bytes it receives go into one buffer; every
@@ -50,9 +50,10 @@ commit listener wakes every replica feeder, and skips the wake-up while
 no replica is connected — and idle connections get heartbeats carrying
 the primary's last LSN, which is how replicas measure their lag.
 Replicas acknowledge applied LSNs upstream; the smallest acknowledged
-LSN across connected replicas becomes the service's **compaction
-retention floor**, so a live replica's catch-up stream never loses its
-tail to a concurrent compaction (a *disconnected* replica holds nothing
+LSN across connected replicas is the store's **replication floor**
+(installed by :meth:`StoreServer.start`), which every compaction, manual
+or ``compact_every``, keeps the log past, so a live replica's catch-up
+stream never loses its tail (a *disconnected* replica holds nothing
 hostage — it re-bootstraps from a snapshot).
 
 :class:`ServerThread` runs the whole event loop on a daemon thread for
@@ -159,7 +160,8 @@ class StoreServer:
 
     def replication_floor(self) -> int | None:
         """Smallest LSN acknowledged by every connected replica."""
-        # A copy: the compactor thread calls this while the loop edits it.
+        # A copy: a compaction on a writer thread calls this while the
+        # loop edits the table.
         acks = [entry["acked"] for entry in list(self._replicas.values())]
         return min(acks) if acks else None
 
@@ -186,7 +188,7 @@ class StoreServer:
 
         self._commit_listener = on_commit
         self._service.add_commit_listener(on_commit)
-        self._service.set_compaction_retainer(self.replication_floor)
+        self._service.store.replication_floor = self.replication_floor
 
     async def stop(self) -> None:
         if self._server is None:
@@ -195,7 +197,7 @@ class StoreServer:
         if self._commit_listener is not None:
             self._service.remove_commit_listener(self._commit_listener)
             self._commit_listener = None
-        self._service.set_compaction_retainer(None)
+        self._service.store.replication_floor = None
         self._server.close()
         # From Python 3.12.1 wait_closed() also waits for every accepted
         # connection to close, so none may be left open.  Aborting, not
@@ -325,8 +327,8 @@ class StoreServer:
                     cursor, offset=offset, epoch=epoch
                 )
                 if frames and frames[0][0] != cursor + 1:
-                    # Compaction won a race and dropped the replica's tail
-                    # (possible only in the window before its first ACK):
+                    # Compaction dropped the replica's tail (it cuts the
+                    # whole log when a retained frame fails re-validation):
                     # tell it to reconnect — the handshake will send a
                     # snapshot covering the gap.
                     connection.send({"kind": "restart"})
@@ -586,22 +588,21 @@ def _handle_verify(service: StoreService, request: dict) -> dict:
 
 
 def _handle_stats(server: "StoreServer", request: dict) -> dict:
-    """Enriched STATS: durability, compactor health, replication, shards.
+    """Enriched STATS: durability, compaction health, replication, shards.
 
     Runs as a *server* handler (not a service handler) so it can read the
     replica ack table and error counters only the server holds.
     """
     service = server.service
     store = service.store
-    error = service.last_compactor_error
+    error = store.last_compaction_error
     acks = sorted(entry["acked"] for entry in server._replicas.values())
     return {
         "ok": True,
         "last_lsn": store.last_lsn,
         "durable_horizon": store.durable_horizon,
         "wal_frames_since_snapshot": store.wal_frames_since_snapshot,
-        "compactor_alive": service.compactor_alive,
-        "last_compactor_error": (
+        "last_compaction_error": (
             f"{type(error).__name__}: {error}" if error is not None else None
         ),
         "replica_count": server.replica_count,

@@ -33,21 +33,22 @@ mutation is observed whether it applies, applies nothing or raises, so
 no call can hide from the tail.  The moves a mutation makes are counted
 by the map (``store.map.costs``), not here.
 
-**Background compaction.**  :meth:`StoreService.start_compactor` runs
-``compact()`` on a daemon thread whenever the WAL grows past a threshold;
-the compaction itself takes the lock, so it is just another (heavyweight)
-writer as far as correctness is concerned.
+**Compaction.**  The store owns it: with ``compact_every`` set, the
+commit that makes it due compacts before it returns, so under the lock a
+compaction is just a heavyweight write.  :meth:`StoreService.compact` is
+the lock around a manual one.
 
 **Not reentrant.**  No service method calls another while holding the
 lock: the commit listeners run under it and must not call back into the
 service (the server's hops to its loop with ``call_soon_threadsafe``), and
-the compaction retainer reads a copy of the replica table.
+the replication floor a compaction reads is a copy of the server's
+replica table.
 
 The multi-threaded driver in ``tests/test_store.py`` hammers one service
-with interleaved readers, writers and a compactor and asserts that every
-scan is sorted and consistent, every read returns a value that was current
-at some point, and the final durable state equals the writers' merged
-effect.
+with interleaved readers and writers whose commits compact inline, and
+asserts that every scan is sorted and consistent, every read returns a
+value that was current at some point, and the final durable state equals
+the writers' merged effect.
 """
 
 from __future__ import annotations
@@ -117,10 +118,6 @@ class StoreService:
     def __init__(self, store: DurableStore, *, registry=None) -> None:
         self._store = store
         self._lock = FifoLock()
-        self._compactor: threading.Thread | None = None
-        self._compactor_stop = threading.Event()
-        self._compactor_error: BaseException | None = None
-        self._retainer: Callable[[], int | None] | None = None
         # The service inherits the store's registry unless given its own,
         # so one injection at the DurableStore covers the whole stack.
         if registry is None:
@@ -130,10 +127,6 @@ class StoreService:
         self._obs_commands: dict[str, object] = {}
         self._obs_lock_wait = self._registry.histogram("service.lock_wait_seconds")
         self._obs_lock_hold = self._registry.histogram("service.lock_hold_seconds")
-        self._obs_compactor_alive = self._registry.gauge("service.compactor_alive")
-        self._obs_compactor_errors = self._registry.counter(
-            "service.compactor_errors"
-        )
 
     @property
     def registry(self):
@@ -290,22 +283,17 @@ class StoreService:
 
     def compact(self) -> int:
         with self._lock:
-            retain = self._retainer() if self._retainer is not None else None
-            return self._store.compact(retain_after=retain)
+            return self._store.compact()
 
     def verify(self) -> dict:
         with self._lock:
             return self._store.verify()
 
     def shard_statistics(self) -> dict[str, float]:
-        """Point-in-time labeler shard statistics.
-
-        Empty for labelers that do not expose
-        :meth:`~repro.core.sharded.ShardedLabeler.shard_statistics`.
-        """
+        """Point-in-time :meth:`~repro.core.sharded.ShardedLabeler
+        .shard_statistics` of the store's labeler."""
         with self._lock:
-            stats = getattr(self._store.labeler, "shard_statistics", None)
-            return dict(stats()) if callable(stats) else {}
+            return self._store.labeler.shard_statistics()
 
     # ------------------------------------------------------------------
     # Replication hooks (the networked server builds on these)
@@ -342,19 +330,6 @@ class StoreService:
         with self._lock:
             return self._store.snapshot_archive()
 
-    def set_compaction_retainer(
-        self, retainer: Callable[[], int | None] | None
-    ) -> None:
-        """Install the replication server's retention floor.
-
-        ``retainer()`` returns the smallest LSN acknowledged by every
-        connected replica (or ``None`` for no constraint); ``compact``
-        keeps frames past it so a live replica's catch-up stream never
-        loses its tail to compaction.  Replicas that are *not* connected
-        do not hold the log hostage — they re-bootstrap from a snapshot.
-        """
-        self._retainer = retainer
-
     def add_commit_listener(self, listener: Callable[[int], None]) -> None:
         """Call ``listener(lsn)`` after every durable WAL append."""
         self._store.wal.add_listener(listener)
@@ -363,78 +338,8 @@ class StoreService:
         self._store.wal.remove_listener(listener)
 
     # ------------------------------------------------------------------
-    # Background compaction
+    # Lifecycle
     # ------------------------------------------------------------------
-    def start_compactor(
-        self,
-        *,
-        wal_frame_threshold: int = 1024,
-        poll_seconds: float = 0.05,
-        on_compact: Callable[[int], None] | None = None,
-        on_error: Callable[[BaseException], None] | None = None,
-    ) -> None:
-        """Run compaction on a daemon thread when the WAL grows too long.
-
-        The loop survives failing iterations: an exception from
-        ``compact()`` or the ``on_compact`` callback is caught per poll,
-        stored (:attr:`last_compactor_error`), reported through the
-        ``on_error`` hook, and the thread keeps polling — a one-off
-        failure (a full disk that recovers, a flaky callback) must not
-        silently kill the compactor and let the WAL grow without bound.
-        :attr:`compactor_alive` says whether the thread is still running.
-        """
-        if self._compactor is not None:
-            raise RuntimeError("compactor already running")
-        self._compactor_stop.clear()
-        self._compactor_error = None
-
-        def loop() -> None:
-            self._obs_compactor_alive.set(1)
-            try:
-                while not self._compactor_stop.wait(poll_seconds):
-                    try:
-                        if (
-                            self._store.wal_frames_since_snapshot
-                            >= wal_frame_threshold
-                        ):
-                            lsn = self.compact()
-                            if on_compact is not None:
-                                on_compact(lsn)
-                    except Exception as error:
-                        self._compactor_error = error
-                        self._obs_compactor_errors.inc()
-                        if on_error is not None:
-                            try:
-                                on_error(error)
-                            except Exception:
-                                # A broken error hook must not kill the loop
-                                # the hook exists to keep observable.
-                                pass
-            finally:
-                self._obs_compactor_alive.set(0)
-
-        self._compactor = threading.Thread(
-            target=loop, name="repro-store-compactor", daemon=True
-        )
-        self._compactor.start()
-
-    @property
-    def compactor_alive(self) -> bool:
-        """Whether the background compactor thread is currently running."""
-        return self._compactor is not None and self._compactor.is_alive()
-
-    @property
-    def last_compactor_error(self) -> BaseException | None:
-        """The most recent exception a compactor iteration swallowed."""
-        return self._compactor_error
-
-    def stop_compactor(self) -> None:
-        if self._compactor is not None:
-            self._compactor_stop.set()
-            self._compactor.join()
-            self._compactor = None
-
     def close(self) -> None:
-        self.stop_compactor()
         with self._lock:
             self._store.close()

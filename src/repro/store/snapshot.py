@@ -14,8 +14,7 @@ The sharded engine's snapshot document is split into a *skeleton* (the
 engine's own fields, kept in the manifest) and one *section* per shard,
 in shard order.  Each section is written as soon as it is encoded, so
 memory does not grow with the number of sections, and its CRC32 goes
-into the manifest.  An engine whose labeler is not sharded (a bounded
-map) degenerates to a single section.
+into the manifest.
 
 Writing is crash-safe, and its fsyncs do not depend on the shard count:
 the data file and the manifest land in a ``*.tmp`` directory, each
@@ -96,29 +95,18 @@ def write_snapshot(store_dir: str | Path, lsn: int, labeler_state: dict,
                    values_by_shard: list[list]) -> SnapshotInfo:
     """Persist one checkpoint covering every WAL frame up to ``lsn``.
 
-    ``labeler_state`` is the labeler's :meth:`~repro.core.interface
-    .ListLabeler.snapshot` document; when it is the sharded format each
-    of its shards becomes one section of the data file.
-    ``values_by_shard`` carries, aligned with the shard list, the
-    ``[key, value]`` pairs of each shard's keys.
+    ``labeler_state`` is the sharded engine's :meth:`~repro.core.sharded
+    .ShardedLabeler.snapshot` document; each of its shards becomes one
+    section of the data file.  ``values_by_shard`` carries, aligned with
+    the shard list, the ``[key, value]`` pairs of each shard's keys.
     """
-    if labeler_state.get("format") == "sharded":
-        skeleton = {key: value for key, value in labeler_state.items() if key != "shards"}
-        shard_states = labeler_state["shards"]
-    else:
-        skeleton = {"format": "single"}
-        shard_states = [labeler_state]
+    skeleton = {key: value for key, value in labeler_state.items() if key != "shards"}
 
     with _publishing(store_dir, lsn) as tmp:
         crcs: list[int] = []
         with open(tmp / DATA_FILENAME, "w", encoding="utf-8") as handle:
-            for index, shard_state in enumerate(shard_states):
-                section = codec.dumps(
-                    {
-                        "labeler": shard_state,
-                        "entries": values_by_shard[index] if index < len(values_by_shard) else [],
-                    }
-                )
+            for shard_state, entries in zip(labeler_state["shards"], values_by_shard, strict=True):
+                section = codec.dumps({"labeler": shard_state, "entries": entries})
                 handle.write(section)
                 handle.write("\n")
                 crcs.append(codec.checksum(section))
@@ -206,7 +194,8 @@ def load_snapshot(info: SnapshotInfo) -> tuple[dict, list[list]]:
         manifest = codec.loads((info.path / MANIFEST_FILENAME).read_text(encoding="utf-8"))
         version = manifest["schema_version"]
         skeleton = manifest["labeler"]
-        sharded = skeleton.get("format") == "sharded"
+        if skeleton.get("format") != "sharded":
+            raise SnapshotLoadError(f"snapshot {info.path} does not hold a sharded labeler")
         if version == SNAPSHOT_SCHEMA_VERSION:
             sections = _read_sections(info.path, manifest["section_crcs"])
         elif version == 1:
@@ -227,12 +216,7 @@ def load_snapshot(info: SnapshotInfo) -> tuple[dict, list[list]]:
         # like any other.
         raise SnapshotLoadError(f"malformed snapshot {info.path}: {error!r}")
 
-    if sharded:
-        labeler_state = dict(skeleton)
-        labeler_state["shards"] = shard_states
-    else:
-        labeler_state = shard_states[0] if shard_states else {"format": "elements", "size": 0, "elements": []}
-    return labeler_state, entries
+    return {**skeleton, "shards": shard_states}, entries
 
 
 def _read_sections(path: Path, crcs: list[int]) -> Iterator[dict]:

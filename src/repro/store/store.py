@@ -16,7 +16,9 @@ and makes its state survive crashes:
   of the WAL tail past it, after torn-tail truncation;
 * :meth:`DurableStore.compact` snapshots and then truncates the log, so
   the WAL stays proportional to the write traffic since the last
-  checkpoint rather than to the store's lifetime;
+  checkpoint rather than to the store's lifetime.  It never cuts past
+  the replication floor, and ``compact_every`` runs it from the commit
+  that makes it due: the store is the one owner of compaction;
 * :func:`install_checkpoint` seeds a directory that holds no store yet
   with a checkpoint another store shipped (a replica's bootstrap), so
   that opening it is ordinary recovery.
@@ -42,6 +44,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 from repro import obs
 from repro.applications.ordered_map import PackedMemoryMap
 from repro.core.interface import ListLabeler
+from repro.core.sharded import ShardedLabeler
 from repro.store import snapshot as snapshot_io
 from repro.store.factories import DEFAULT_ALGORITHM, resolve_factory
 from repro.store.wal import WALTruncateReport, WriteAheadLog, _fsync_directory
@@ -145,8 +148,14 @@ class DurableStore:
         WAL durability: ``"always"`` (fsync per frame), ``"batch"``
         (fsync on :meth:`sync`/:meth:`close`), ``"never"`` (tests).
     compact_every:
-        Auto-compaction threshold: snapshot + truncate once this many
-        frames accumulate past the latest checkpoint (``None`` = manual).
+        Auto-compaction threshold: once this many frames have been
+        applied past the latest checkpoint, the commit (or shipped frame)
+        that applied the last of them calls :meth:`compact` (``None`` =
+        manual).  That frame stays committed if the compaction fails:
+        the error is kept in :attr:`last_compaction_error` and counted in
+        ``store.compaction_errors``, and the next frame tries again (if
+        the checkpoint was written and only the log cut failed, the frame
+        that makes the count due again does).
     snapshot_keep:
         Checkpoints retained by pruning (the newest is always kept).
     """
@@ -182,6 +191,7 @@ class DurableStore:
             self.obs = obs.resolve(registry)
             self._obs_snapshots = self.obs.counter("store.snapshots")
             self._obs_compactions = self.obs.counter("store.compactions")
+            self._obs_compaction_errors = self.obs.counter("store.compaction_errors")
             self._obs_recoveries = self.obs.counter("store.recoveries")
             self._obs_replayed = self.obs.counter("store.recovery.frames_replayed")
             self._obs_snapshot_bytes = self.obs.counter("snapshot.bytes")
@@ -190,9 +200,7 @@ class DurableStore:
                 labeler_factory=shard_factory,
                 shard_capacity=self.shard_capacity,
             )
-            attach = getattr(self._map.labeler, "set_registry", None)
-            if callable(attach):
-                attach(self.obs)
+            self._map.labeler.set_registry(self.obs)
             self._wal = WriteAheadLog(
                 self.directory / WAL_FILENAME,
                 sync_policy=sync_policy,
@@ -203,6 +211,15 @@ class DurableStore:
             self._horizon = 0
             #: Report of the most recent :meth:`compact` WAL rewrite.
             self.last_truncate_report: WALTruncateReport | None = None
+            #: Why the latest automatic compaction failed; ``None`` once
+            #: a compaction succeeds.
+            self.last_compaction_error: Exception | None = None
+            #: The replication floor: a serving
+            #: :class:`~repro.store.server.StoreServer` installs a callable
+            #: giving the smallest LSN every connected replica has
+            #: acknowledged (``None`` while none is connected), and
+            #: :meth:`compact` keeps the log past it.
+            self.replication_floor: Callable[[], int | None] | None = None
             self.recovery = self._recover()
         except BaseException:
             try:
@@ -406,12 +423,22 @@ class DurableStore:
             # and the store could never be reopened.
             self._wal.rollback_last(offset, lsn)
             raise
+        self._count_frame()
+
+    def _count_frame(self) -> None:
+        """Count an applied frame and run :meth:`compact` when
+        ``compact_every`` is due.  The frame is committed, so a failing
+        compaction is recorded, not raised, and a later frame retries."""
         self._frames_since_snapshot += 1
         if (
             self.compact_every is not None
             and self._frames_since_snapshot >= self.compact_every
         ):
-            self.compact()
+            try:
+                self.compact()
+            except Exception as error:
+                self.last_compaction_error = error
+                self._obs_compaction_errors.inc()
 
     def put(self, key: Hashable, value) -> None:
         """Upsert one key (one WAL frame)."""
@@ -482,7 +509,7 @@ class DurableStore:
         return self._map
 
     @property
-    def labeler(self) -> ListLabeler:
+    def labeler(self) -> ShardedLabeler:
         return self._map.labeler
 
     @property
@@ -526,12 +553,7 @@ class DurableStore:
         except BaseException:
             self._wal.rollback_last(offset, lsn)
             raise
-        self._frames_since_snapshot += 1
-        if (
-            self.compact_every is not None
-            and self._frames_since_snapshot >= self.compact_every
-        ):
-            self.compact()
+        self._count_frame()
         return lsn
 
     def snapshot_archive(self) -> tuple[int, dict[str, str]]:
@@ -575,7 +597,7 @@ class DurableStore:
             self._obs_snapshots.inc()
         return lsn
 
-    def compact(self, *, retain_after: int | None = None) -> int:
+    def compact(self) -> int:
         """Snapshot, then drop the WAL prefix the snapshot made redundant.
 
         The durable horizon is recorded *between* the two steps: once the
@@ -583,10 +605,11 @@ class DurableStore:
         anywhere in the sequence leaves either the frames or a horizon
         that the (durable) checkpoint satisfies.
 
-        ``retain_after`` keeps frames with ``lsn > retain_after`` in the
-        log even though the new checkpoint covers them — the replication
-        server passes the slowest connected replica's acknowledged LSN so
-        compaction never steals the tail a replica is still streaming.
+        The cut is the smaller of the checkpoint LSN and the
+        :attr:`replication_floor`: frames a connected replica has not
+        acknowledged stay in the log even though the checkpoint covers
+        them, so compaction never steals the tail a replica is still
+        streaming.
 
         The rewrite re-validates every retained frame (see
         :meth:`~repro.store.wal.WriteAheadLog.truncate_through`).  If any
@@ -600,7 +623,8 @@ class DurableStore:
         """
         with obs.span("store.compact"):
             lsn = self.snapshot()
-            cut = lsn if retain_after is None else max(0, min(lsn, retain_after))
+            floor = self.replication_floor() if self.replication_floor else None
+            cut = lsn if floor is None else min(lsn, floor)
             self._write_horizon(cut)
             report = self._wal.truncate_through(cut)
             if report.suspect_reason is not None:
@@ -611,14 +635,12 @@ class DurableStore:
                 full.suspect_bytes = report.suspect_bytes
                 report = full
             self.last_truncate_report = report
+            self.last_compaction_error = None
             self._obs_compactions.inc()
         return lsn
 
     def _values_by_shard(self) -> list[list]:
-        shards = getattr(self._map.labeler, "shards", None)
-        if shards is None:
-            return [self._map.entries(self._map.keys())]
-        return [self._map.entries(shard.elements()) for shard in shards]
+        return [self._map.entries(shard.elements()) for shard in self._map.labeler.shards]
 
     # ------------------------------------------------------------------
     # Verification
@@ -631,9 +653,7 @@ class DurableStore:
         and key/value bijection.
         """
         self._map.check()
-        check = getattr(self._map.labeler, "check_consistency", None)
-        if callable(check):
-            check()
+        self._map.labeler.check_consistency()
         keys = self._map.keys()
         for left, right in zip(keys, keys[1:]):
             if not left < right:
@@ -646,7 +666,7 @@ class DurableStore:
             "last_lsn": self.last_lsn,
             "snapshot_lsn": self._last_snapshot_lsn,
             "wal_frames_since_snapshot": self._frames_since_snapshot,
-            "shards": getattr(self._map.labeler, "shard_count", 1),
+            "shards": self._map.labeler.shard_count,
         }
 
     # ------------------------------------------------------------------

@@ -1129,6 +1129,53 @@ class TestReplication:
         assert replica.bootstrap_count == 1  # only the initial bootstrap
         replica.stop()
 
+    def test_compact_every_keeps_the_tail_of_a_replica_that_has_not_acked(
+        self, tmp_path
+    ):
+        """The automatic compaction cuts at the replication floor too: a
+        connected replica that has acknowledged nothing yet still receives
+        every frame in order, and is never told to restart."""
+        store = DurableStore(
+            tmp_path / "primary", algorithm="classical", shard_capacity=32,
+            sync_policy="never", compact_every=5,
+        )
+        service = StoreService(store)
+        with ServerThread(service) as server:
+            for key in range(1, 4):
+                service.put(key, f"v{key}")
+            with socket.create_connection(server.address, timeout=10.0) as sock:
+                send_message(sock, {"cmd": "REPLICATE", "after": 0})
+                assert recv_message(sock)["mode"] == "frames"
+                for key in range(4, 13):  # compacts at lsn 5 and 10
+                    service.put(key, f"v{key}")
+                assert store.wal_frames_since_snapshot == 2
+                received: list[int] = []
+                deadline = time.monotonic() + 10.0
+                while (not received or received[-1] < 12) and time.monotonic() < deadline:
+                    message = recv_message(sock)
+                    assert message is not None, f"stream closed after {received}"
+                    assert message.get("kind") != "restart", f"restart after {received}"
+                    if message.get("kind") == "frames":
+                        received += [codec.loads(line)["lsn"] for line in message["frames"]]
+                assert received == list(range(1, 13))
+                assert store.durable_horizon == 0  # the floor: nothing acked
+                assert server.replica_count == 1
+        service.close()
+
+    def test_replica_compacts_its_own_log_as_it_applies(self, primary, tmp_path):
+        """Shipped frames count toward the replica's own ``compact_every``."""
+        service, server = primary
+        replica = Replica(
+            tmp_path / "replica", server.address, sync_policy="never",
+            compact_every=20,
+        ).start()
+        replica.wait_ready()
+        for op in make_ops(70, seed=31):
+            apply_to_store(service, op)
+        _converged(service, replica)
+        assert replica.service.store.durable_horizon > 0
+        replica.stop()
+
     def test_promote_serves_the_primary_final_state(self, primary, tmp_path):
         """Failover: the promoted replica is the primary, exactly."""
         service, server = primary

@@ -13,10 +13,10 @@ Four fences:
   boundaries by default; ``REPRO_STORE_EXHAUSTIVE=1``, as set by the CI
   ``store-recovery`` job, kills at every single boundary).
 * **Concurrent serving** — a multi-threaded driver hammers one
-  :class:`~repro.store.service.StoreService` with interleaved readers,
-  writers and a background compactor; every scan must be sorted and
-  consistent, and the final durable state must equal the writers' merged
-  effect — also after a reopen from disk.
+  :class:`~repro.store.service.StoreService` with interleaved readers and
+  writers whose commits compact inline (``compact_every``); every scan
+  must be sorted and consistent, and the final durable state must equal
+  the writers' merged effect — also after a reopen from disk.
 * **Stateful fuzzing** — a hypothesis :class:`RuleBasedStateMachine`
   interleaves puts/deletes/batches with snapshot, compaction, clean
   reopens and torn-tail crashes, checking the model after every rule.
@@ -29,6 +29,7 @@ Four fences:
 from __future__ import annotations
 
 import enum
+import errno
 import os
 import random
 import shutil
@@ -965,15 +966,10 @@ def _write_schema_one(directory: Path, lsn: int, labeler_state: dict,
     ``shard-NNNN.json`` file per shard, written as that format's writer did."""
     path = directory / SNAPSHOT_DIR_NAME / f"snapshot-{lsn:010d}"
     path.mkdir(parents=True)
-    if labeler_state.get("format") == "sharded":
-        skeleton = {key: value for key, value in labeler_state.items() if key != "shards"}
-        shard_states = labeler_state["shards"]
-    else:
-        skeleton = {"format": "single"}
-        shard_states = [labeler_state]
+    skeleton = {key: value for key, value in labeler_state.items() if key != "shards"}
     checksums: dict[str, int] = {}
     shard_files: list[str] = []
-    for index, shard_state in enumerate(shard_states):
+    for index, shard_state in enumerate(labeler_state["shards"]):
         name = f"shard-{index:04d}.json"
         body = codec.dumps({"labeler": shard_state, "entries": values_by_shard[index]})
         (path / name).write_text(body, encoding="utf-8")
@@ -1088,31 +1084,6 @@ class TestCheckpointFiles:
         assert fingerprint(reopened.map) == expected
         reopened.verify()
         reopened.close()
-
-    @pytest.mark.parametrize("schema", [1, 2])
-    def test_checkpoint_of_a_bounded_map_loads_exactly(self, tmp_path, schema):
-        """A bounded map's labeler is not sharded: its checkpoint is one
-        section (schema 2) or one ``shard-0000.json`` (schema 1)."""
-        from repro.store.factories import resolve_factory
-        from repro.store.snapshot import SnapshotInfo, load_snapshot, write_snapshot
-
-        def bounded() -> PackedMemoryMap:
-            return PackedMemoryMap(capacity=64, labeler_factory=resolve_factory("classical"))
-
-        source = bounded()
-        rng = random.Random(31)
-        for key in rng.sample(range(1000), 40):
-            source[Fraction(key, 7)] = (key, f"v{key}")
-        state = source.snapshot_state()
-        if schema == 1:
-            path = _write_schema_one(tmp_path, 9, state["labeler"], [state["entries"]])
-        else:
-            path = write_snapshot(tmp_path, 9, state["labeler"], [state["entries"]]).path
-        labeler_state, entries = load_snapshot(SnapshotInfo(path=path, lsn=9))
-        target = bounded()
-        target.restore_state({"labeler": labeler_state, "entries": entries})
-        assert fingerprint(target) == fingerprint(source)
-        assert target.labeler.slots() == source.labeler.slots()
 
     def test_stale_temp_checkpoint_is_pruned(self, tmp_path):
         """A crash mid-write leaves a ``*.tmp`` directory that no listing
@@ -1255,7 +1226,7 @@ class TestEmptyStateRoundTrips:
 
 
 # ---------------------------------------------------------------------------
-# Concurrency: interleaved readers / writers / compactor
+# Concurrency: interleaved readers / writers, compacting inline
 # ---------------------------------------------------------------------------
 class TestStoreService:
     WRITERS = 4
@@ -1265,10 +1236,9 @@ class TestStoreService:
     def test_interleaved_readers_and_writers(self, tmp_path):
         store = DurableStore(
             tmp_path / "svc", algorithm="classical", shard_capacity=64,
-            sync_policy="never",
+            sync_policy="never", compact_every=150,
         )
         service = StoreService(store)
-        service.start_compactor(wal_frame_threshold=150, poll_seconds=0.002)
         errors: list[BaseException] = []
         stop_readers = threading.Event()
         expected: dict = {}
@@ -1337,8 +1307,9 @@ class TestStoreService:
         stop_readers.set()
         for thread in reader_threads:
             thread.join(timeout=120)
-        service.stop_compactor()
         assert not errors, errors[0]
+        # Writer commits compacted while the readers scanned.
+        assert service.durable_horizon > 0
 
         # Writers own disjoint key ranges, so the merged dict is the truth.
         assert dict(service.snapshot_items()) == expected
@@ -1767,7 +1738,8 @@ class TestTruncateRevalidation:
         assert corrupted != lines[6]
         wal_path.write_bytes(b"".join(lines[:6] + [corrupted] + lines[7:]))
 
-        lsn = store.compact(retain_after=4)  # wants to retain 5..10
+        store.replication_floor = lambda: 4  # wants to retain 5..10
+        lsn = store.compact()
         report = store.last_truncate_report
         assert report is not None
         assert report.suspect_reason is not None
@@ -1787,89 +1759,44 @@ class TestTruncateRevalidation:
 
 
 # ---------------------------------------------------------------------------
-# The compactor daemon survives failing iterations (regression)
+# A failing automatic compaction does not fail the committed write (regression)
 # ---------------------------------------------------------------------------
-class TestCompactorResilience:
-    def test_poisoned_callback_does_not_kill_the_loop(self, tmp_path):
+class TestAutomaticCompaction:
+    def test_failure_is_recorded_and_the_next_frame_retries(self, tmp_path, monkeypatch):
+        """``compact_every`` compacts after the frame is applied: when the
+        checkpoint write fails, the write still returns (its frame is
+        committed), the error is kept and counted, and the next frame
+        compacts."""
+        from repro.store import snapshot as snapshot_io
+
+        registry = MetricsRegistry()
+        directory = tmp_path / "s"
         store = DurableStore(
-            tmp_path / "s", algorithm="classical", shard_capacity=32,
-            sync_policy="never",
+            directory, algorithm="classical", shard_capacity=32,
+            sync_policy="never", compact_every=3, registry=registry,
         )
-        service = StoreService(store)
-        failures = [3]          # the callback raises its first three calls
-        reported: list[BaseException] = []
-        compacted = threading.Event()
+        write_snapshot = snapshot_io.write_snapshot
+        full_disk = [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))]
 
-        def poisoned(lsn: int) -> None:
-            if failures[0] > 0:
-                failures[0] -= 1
-                raise RuntimeError("flaky compaction hook")
-            compacted.set()
+        def fails_once(*args, **kwargs):
+            if full_disk:
+                raise full_disk.pop()
+            return write_snapshot(*args, **kwargs)
 
-        service.start_compactor(
-            wal_frame_threshold=5,
-            poll_seconds=0.001,
-            on_compact=poisoned,
-            on_error=reported.append,
-        )
-        # Each poisoned iteration still compacts (resetting the frame
-        # counter), so keep the WAL growing until an iteration's hook
-        # finally succeeds.  Yield between puts so the compactor thread
-        # gets to run.
-        import time as _time
-
-        start = _time.monotonic()
-        key = 0
-        while not compacted.is_set() and _time.monotonic() - start < 30:
-            service.put(key, key)
-            key += 1
-            _time.sleep(0.001)
-        assert compacted.wait(timeout=30), (
-            f"compactor never recovered (alive={service.compactor_alive}, "
-            f"last error: {service.last_compactor_error})"
-        )
-        # The loop survived the failing iterations, surfaced them, and
-        # kept going until an iteration succeeded.
-        assert service.compactor_alive
-        assert isinstance(service.last_compactor_error, RuntimeError)
-        assert len(reported) == 3
-        service.stop_compactor()
-        assert not service.compactor_alive
-        service.verify()
-        service.close()
-
-    def test_broken_error_hook_does_not_kill_the_loop(self, tmp_path):
-        store = DurableStore(
-            tmp_path / "s", algorithm="classical", shard_capacity=32,
-            sync_policy="never",
-        )
-        service = StoreService(store)
-        calls = [0]
-
-        def exploding_on_compact(lsn: int) -> None:
-            calls[0] += 1
-            raise RuntimeError("always fails")
-
-        def exploding_on_error(error: BaseException) -> None:
-            raise ValueError("the error hook itself is broken")
-
-        service.start_compactor(
-            wal_frame_threshold=3,
-            poll_seconds=0.001,
-            on_compact=exploding_on_compact,
-            on_error=exploding_on_error,
-        )
-        deadline = 30.0
-        import time as _time
-
-        start = _time.monotonic()
-        while calls[0] < 2 and _time.monotonic() - start < deadline:
-            service.put(calls[0] * 1000 + len(str(calls[0])), "x")
-            _time.sleep(0.001)
-        assert calls[0] >= 2        # iterations kept coming
-        assert service.compactor_alive
-        service.stop_compactor()
-        service.close()
+        monkeypatch.setattr(snapshot_io, "write_snapshot", fails_once)
+        for key in (1, 2, 3):
+            store.put(key, f"v{key}")  # the third one's compaction fails
+        error = store.last_compaction_error
+        assert isinstance(error, OSError) and error.errno == errno.ENOSPC
+        assert registry.snapshot()["counters"]["store.compaction_errors"] == 1
+        assert store.durable_horizon == 0
+        store.put(4, "v4")
+        assert store.durable_horizon == 4
+        assert store.last_compaction_error is None
+        store.close()
+        reopened = DurableStore(directory, sync_policy="never")
+        assert list(reopened.items()) == [(key, f"v{key}") for key in (1, 2, 3, 4)]
+        reopened.close()
 
 
 # ---------------------------------------------------------------------------
