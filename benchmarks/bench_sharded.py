@@ -1,7 +1,7 @@
 """E-SHARD — the sharding engine: unbounded capacity at bounded local cost.
 
 Two claims, both beyond what any monolithic structure in this library can
-do:
+do, and one memory account:
 
 * **Scale** — a :class:`~repro.core.sharded.ShardedLabeler` over classical
   PMA shards absorbs ``n ≥ 8×`` a single shard's capacity (here 64×),
@@ -12,14 +12,24 @@ do:
 * **Batching** — the per-shard sub-batch execution composes with the PR 1
   batch engine: on bulk loads the batched sharded runs land far below the
   singleton sharded runs in total element moves.
+* **Memory** — bytes per key of an unbounded ``PackedMemoryMap`` over
+  classical shards, in total (``tracemalloc``) and per layer; nothing in
+  the engine is indexed per key (hard assert, size-independent).
 """
 
 from __future__ import annotations
 
+import gc
+import random
+import sys
+import tracemalloc
+
 from benchmarks.conftest import QUICK, emit, expect, scaled
 from repro.algorithms import ClassicalPMA
 from repro.analysis import run_workload
+from repro.applications.ordered_map import PackedMemoryMap
 from repro.core import ShardedLabeler
+from repro.store.factories import SHARD_FACTORIES
 from repro.workloads import RandomWorkload
 from repro.workloads.bulk import BulkLoadWorkload
 
@@ -138,3 +148,86 @@ def test_batched_bulk_load_beats_singleton_on_sharded(run_once):
             f"{row['execution']} should move fewer elements than singleton "
             "execution on bulk loads"
         )
+
+
+def _containers(*owners):
+    """The list, tuple, dict and set attributes of ``owners``."""
+    for owner in owners:
+        for value in vars(owner).values():
+            if isinstance(value, (list, tuple, dict, set, frozenset)):
+                yield value
+
+
+def _memory_by_layer(n: int, batches: int = 10) -> dict[str, object]:
+    """Load ``n`` shuffled int keys into an unbounded map over classical
+    shards of 128, in ``batches`` ``update_many`` calls, and account the
+    bytes it holds per key.
+
+    ``total`` is what ``tracemalloc`` sees the map allocate and keep (the
+    keys and the batches exist before tracing starts, and every value is
+    ``None``).  The layers are the sizes of their containers:
+    the map's value dict, the engine's own containers (its directory
+    included), the shards' element → slot dicts, their occupancy Fenwick
+    trees and their slot lists.  ``other`` is the rest of the total: the
+    shard objects and their attribute dicts, and the ints the containers
+    hold.
+    """
+    keys = list(range(n))
+    random.Random(5).shuffle(keys)
+    step = max(1, n // batches)
+    chunks = [
+        [(key, None) for key in keys[start : start + step]]
+        for start in range(0, n, step)
+    ]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mapping = PackedMemoryMap(
+            None, SHARD_FACTORIES["classical"], shard_capacity=128
+        )
+        for chunk in chunks:
+            mapping.update_many(chunk)
+        gc.collect()
+        total = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    engine = mapping.labeler
+    shards = engine.shards
+    size = sys.getsizeof
+    layers = {
+        "map values": size(mapping._values),
+        "engine": sum(map(size, _containers(engine, engine._directory))),
+        "shard elem->slot": sum(size(shard._position) for shard in shards),
+        "occupancy trees": sum(
+            size(tree) for shard in shards for tree in _containers(shard._occupancy)
+        ),
+        "slot lists": sum(size(shard._slots) for shard in shards),
+    }
+    row: dict[str, object] = {
+        "n": n,
+        "shards": engine.shard_count,
+        "total B/key": round(total / n, 1),
+    }
+    row.update({f"{name} B/key": round(held / n, 1) for name, held in layers.items()})
+    row["other B/key"] = round((total - sum(layers.values())) / n, 1)
+    row["largest engine container"] = max(
+        map(len, _containers(engine, engine._directory))
+    )
+    return row
+
+
+def test_bytes_per_key_by_layer(run_once):
+    n = scaled(100_000)
+    row = run_once(lambda: _memory_by_layer(n))
+    emit(
+        "E-SHARD-MEMORY: bytes per key, PackedMemoryMap over classical shards "
+        "of 128, %d shuffled int keys in 10 update_many batches" % n,
+        [row],
+        note="A dict of the same items takes about 52 B per key.  The shards' "
+        "element -> slot dicts and occupancy trees are the per-key indexes "
+        "left below the engine.",
+    )
+    # Size-independent: the fences and the size tree are the engine's
+    # whole directory, so no engine container grows with the key count.
+    assert row["largest engine container"] <= row["shards"] + 1, row

@@ -7,9 +7,11 @@ substrate for persistence, fully-dynamic graph algorithms and MVCC version
 ordering.  The textbook solution is exactly a list-labeling structure: each
 item's *label* is its array slot, and ``precedes`` compares labels in O(1).
 
-Any :class:`repro.core.interface.ListLabeler` works as the backend; with the
-layered structure of Corollary 11 the order-maintenance operations inherit
-its worst-case, expected and adaptive move bounds.
+Any :class:`repro.core.interface.ListLabeler` works as the backend except
+the sharding engine, which finds an element by key order and so cannot
+hold opaque items; with the layered structure of Corollary 11 the
+order-maintenance operations inherit its worst-case, expected and adaptive
+move bounds.
 """
 
 from __future__ import annotations

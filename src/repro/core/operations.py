@@ -23,7 +23,8 @@ DELETE = "delete"
 
 #: Key-addressed point read: find the label/rank of a stored element.  The
 #: rank names which element is probed; the runner resolves it to a key and
-#: routes the read through ``slot_of``/``rank_of`` (the routing-index path).
+#: routes the read through ``slot_of``/``rank_of`` (over the sharding
+#: engine, the fence-key route).
 LOOKUP = "lookup"
 
 #: Rank-addressed point read (select-kth): return the ``rank``-th element.

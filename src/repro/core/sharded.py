@@ -11,7 +11,9 @@ instances ("shards") behind a rank directory:
   ``rank - prefix(shard)``, both ``O(log K)`` for ``K`` shards.
 * **Shards** — any registered algorithm, built through a
   ``factory(capacity)`` callable (the ``ALGORITHM_FACTORIES`` signature used
-  throughout the test-suite), each with the same fixed ``shard_capacity``.
+  throughout the test-suite), each with the same fixed ``shard_capacity``
+  and so the same slot count, ``width`` (a factory that breaks this is
+  refused).  Shard ``i`` starts at global slot ``i × width``.
 * **Split** — a shard reaching the density ceiling (``split_density ×
   shard_capacity``) is rewritten into two half-full shards, growing the
   directory; total capacity therefore grows with the data and no insert is
@@ -20,14 +22,16 @@ instances ("shards") behind a rank directory:
   combined with an adjacent neighbour (re-split evenly when the union would
   itself exceed the ceiling), so sparse regions do not accumulate
   near-empty shards.
-* **Fence keys** — the first element of every shard, kept in shard order
-  and updated wherever the element→shard index is.  A key search
-  (:meth:`ShardedLabeler.count_below`) bisects them to pick one shard, the
-  B-tree descent, instead of binary-searching global ranks.
+* **Fence keys** — the first element of every shard, in shard order.
+  Every key lookup (``count_below``, ``rank_of``, ``slot_of``,
+  ``contains``) bisects them to the one shard the key can lie in, the
+  B-tree descent, and asks that shard, so the stored elements must be in
+  ``<`` order, as Definition 1 keeps them.  With the size tree they are
+  the whole directory: nothing is indexed per element.
 
 **Labels.**  Globally, an element's label is composed as
-``(shard_index << shift) | local_label`` where ``shift`` covers the widest
-shard's slot count; shard order follows rank order, so composed labels are
+``(shard_index << shift) | local_label`` where ``shift`` covers a shard's
+slot count; shard order follows rank order, so composed labels are
 monotone across shard boundaries (:meth:`ShardedLabeler.labels`).  The flat
 :meth:`slots` view is the concatenation of the shard arrays, which keeps
 :func:`repro.core.validation.check_labeler` applicable unchanged.  A
@@ -75,7 +79,7 @@ import math
 from typing import Callable, Hashable, Iterator, Sequence
 
 from repro import obs
-from repro.core.exceptions import BatchError, LabelerError
+from repro.core.exceptions import LabelerError
 from repro.core.fenwick import FenwickTree
 from repro.core.interface import ListLabeler
 from repro.core.operations import MoveRecorder, Operation, OperationResult
@@ -93,6 +97,10 @@ class ShardedLabeler(ListLabeler):
     recorded from the fresh shards' ``slots()``.  A batch routes, ranks,
     rewrites and rebuilds the directory once per touched shard or once in
     all, never once per element (see the module docstring).
+
+    The stored elements must be in ``<`` order: the key lookups route by
+    the shards' fence keys.  A lookup of an absent element, comparable or
+    not, raises :class:`KeyError`.
 
     Parameters
     ----------
@@ -143,20 +151,16 @@ class ShardedLabeler(ListLabeler):
         self._shard_factory = shard_factory
         first = shard_factory(shard_capacity)
         super().__init__(first.capacity, first.num_slots)
+        #: Every shard's capacity and slot count (its width), fixed by the
+        #: first shard: :meth:`_new_shard` refuses a shard that differs, so
+        #: shard ``i`` starts at global slot ``i × width``.
+        self._geometry = (first.capacity, first.num_slots)
+        self._width = first.num_slots
         self._shards: list[ListLabeler] = [first]
-        #: Element → owning shard (the routing reverse index).  Shard
-        #: *objects*, not indices: a split/merge shifts the indices of every
-        #: later shard, but never which object owns an untouched element, so
-        #: maintenance stays proportional to the rewritten region.  The
-        #: object → index step goes through :attr:`_shard_pos`, rebuilt with
-        #: the directory on every structural change (``O(K)``, already paid
-        #: there).
-        self._elem_shard: dict[Hashable, ListLabeler] = {}
         #: Fence keys: the first element of each shard, in shard order
         #: (``None`` for an empty shard; between operations only the empty
-        #: engine has one).
-        #: :meth:`count_below` bisects them to find the one shard a key
-        #: falls in; they change only where the reverse index does.
+        #: engine has one).  Every key lookup bisects them to find the one
+        #: shard a key falls in.
         self._fences: list = [None]
         self._rebuild_directory()
 
@@ -242,32 +246,33 @@ class ShardedLabeler(ListLabeler):
         if self._obs_enabled:
             self._obs_shards.set(len(self._shards))
 
+    def _new_shard(self) -> ListLabeler:
+        """A fresh empty shard from the factory, with the engine's geometry.
+
+        Global slot offsets are ``index × width``, which holds only while
+        every shard has the same capacity and slot count; a factory whose
+        shards differ is refused with :class:`LabelerError`.
+        """
+        shard = self._shard_factory(self._shard_capacity)
+        if (shard.capacity, shard.num_slots) != self._geometry:
+            raise LabelerError(
+                f"shard factory built a shard of capacity {shard.capacity} "
+                f"and {shard.num_slots} slots, but the engine's shards have "
+                f"capacity {self._geometry[0]} and {self._width} slots"
+            )
+        return shard
+
     def _rebuild_directory(self) -> None:
-        """Rebuild the rank directory and the aggregate geometry.
+        """Rebuild the size tree and the aggregate capacity and slot count.
 
         Called after every singleton split or merge and once per batch
-        that rewrote a region; ``O(K)`` via the bulk Fenwick constructor,
-        amortized to ``O(K / shard_capacity)`` per operation by the
-        ``Θ(shard_capacity)`` operations between changes.  Shard slot
-        counts only change here too, so the global slot offsets are cached
-        as a prefix-sum list and every per-operation lookup stays ``O(1)``.
+        that rewrote a region; ``O(K)`` via the bulk Fenwick constructor.
         """
-        sizes: list[int] = []
-        offsets: list[int] = []
-        capacity = 0
-        num_slots = 0
-        for shard in self._shards:
-            sizes.append(len(shard))
-            offsets.append(num_slots)
-            capacity += shard.capacity
-            num_slots += shard.num_slots
-        self._directory = FenwickTree.from_values(sizes)
-        self._slot_offsets = offsets
-        self._capacity = capacity
-        self._num_slots = num_slots
-        self._shard_pos = {
-            id(shard): index for index, shard in enumerate(self._shards)
-        }
+        self._directory = FenwickTree.from_values(
+            [len(shard) for shard in self._shards]
+        )
+        self._capacity = self._geometry[0] * len(self._shards)
+        self._num_slots = self._width * len(self._shards)
 
     def _locate(self, rank: int) -> tuple[int, int]:
         """Shard index and local rank of the stored element at ``rank``."""
@@ -278,6 +283,23 @@ class ShardedLabeler(ListLabeler):
     def _first_of(shard: ListLabeler) -> Hashable | None:
         """A shard's fence key: its first element (``None`` when empty)."""
         return shard.select(1) if len(shard) else None
+
+    def _route(self, element: Hashable) -> int:
+        """Index of the one shard that can hold ``element``: the last one
+        whose fence is at or below it.
+
+        Raises :class:`KeyError` when no shard can: on an empty engine,
+        below the first fence, or for a key that does not compare with the
+        stored elements.
+        """
+        if self._size:
+            try:
+                index = bisect.bisect_right(self._fences, element) - 1
+            except TypeError:
+                index = -1
+            if index >= 0:
+                return index
+        raise KeyError(f"element {element!r} is not stored")
 
     def _locate_insert(self, rank: int) -> tuple[int, int]:
         """Shard index and local insertion rank for global rank ``rank``."""
@@ -305,23 +327,22 @@ class ShardedLabeler(ListLabeler):
         survivors, a placement for fresh ones.
 
         The directory is left stale: the caller rebuilds it, a singleton
-        split or merge at once and a batch after its last rewrite.  Until
-        then the cached slot offsets stay right at and below ``lo``, which
-        is all a rewrite reads — a batch rewrites in descending shard
-        order for exactly that reason.
+        split or merge at once and a batch after its last rewrite.  Slot
+        offsets are ``index × width`` and need no upkeep.
         """
+        width = self._width
         old_positions: dict[Hashable, int] = {}
         for j in range(lo, hi):
             slots = self._shards[j].slots()
             old_positions.update(
                 (element, slot)
-                for slot, element in enumerate(slots, self._slot_offsets[j])
+                for slot, element in enumerate(slots, j * width)
                 if element is not None
             )
         replacements: list[ListLabeler] = []
         fences: list = []
         for chunk in chunks:
-            shard = self._shard_factory(self._shard_capacity)
+            shard = self._new_shard()
             shard.bulk_load(chunk)
             replacements.append(shard)
             fences.append(chunk[0])
@@ -329,9 +350,9 @@ class ShardedLabeler(ListLabeler):
             # Rewriting the whole structure away: the canonical empty
             # state is one fresh shard (the constructor's), never zero
             # shards — every rank-routing path assumes at least one.
-            replacements = [self._shard_factory(self._shard_capacity)]
+            replacements = [self._new_shard()]
             fences = [None]
-        offset = self._slot_offsets[lo]
+        offset = lo * width
         self._shards[lo:hi] = replacements
         self._fences[lo:hi] = fences
         moves = MoveRecorder()
@@ -347,8 +368,7 @@ class ShardedLabeler(ListLabeler):
                 for element in elements
             ]
             moves.record_all(elements, sources, [slot for _, slot in placed])
-            self._elem_shard.update(dict.fromkeys(elements, shard))
-            offset += shard.num_slots
+            offset += width
         return moves
 
     #: Restructure kind → counter attribute.  Distinct kinds because they
@@ -489,23 +509,21 @@ class ShardedLabeler(ListLabeler):
         else:
             moves = MoveRecorder()
         inner = shard.insert(local, element)
-        self._elem_shard[element] = shard
         if local == 1:
             self._fences[index] = element
         self._directory.add(index, 1)
-        moves.append_shifted(inner.moves, self._slot_offsets[index])
+        moves.append_shifted(inner.moves, index * self._width)
         return OperationResult(Operation.insert(rank), moves)
 
     def _delete(self, rank: int) -> OperationResult:
         index, local = self._locate(rank)
         shard = self._shards[index]
-        del self._elem_shard[shard.select(local)]
         inner = shard.delete(local)
         if local == 1:
             self._fences[index] = self._first_of(shard)
         self._directory.add(index, -1)
         moves = MoveRecorder()
-        moves.append_shifted(inner.moves, self._slot_offsets[index])
+        moves.append_shifted(inner.moves, index * self._width)
         if len(self._shards) > 1 and len(shard) < self._merge_floor:
             self._rebalance_underflows(moves)
         return OperationResult(Operation.delete(rank), moves)
@@ -516,16 +534,8 @@ class ShardedLabeler(ListLabeler):
     def _prepare_insert_batch(
         self, items: Sequence[tuple[int, Hashable]]
     ) -> list[tuple[int, Hashable]]:
-        """Validate ranks and sort stably — capacity grows on demand."""
-        prepared = [(rank, element) for rank, element in items]
-        for rank, _ in prepared:
-            if not 1 <= rank <= self._size + 1:
-                raise BatchError(
-                    f"insert_batch rank {rank} out of range for a structure "
-                    f"holding {self._size} element(s)"
-                )
-        prepared.sort(key=lambda item: item[0])
-        return prepared
+        """Sort and range-check only — capacity grows on demand."""
+        return self._sorted_insert_batch(items)
 
     def _group_by_shard(
         self, prepared: Sequence[tuple[int, Hashable]]
@@ -567,7 +577,6 @@ class ShardedLabeler(ListLabeler):
         # Move logs and layouts are pinned to this order.
         rewritten = False
         results: list[OperationResult] = []
-        elem_shard = self._elem_shard
         try:
             for index in sorted(groups, reverse=True):
                 sub = groups[index]
@@ -577,15 +586,13 @@ class ShardedLabeler(ListLabeler):
                     rewritten = True
                     continue
                 inner = shard.insert_batch(sub)
-                for _, element in sub:
-                    elem_shard[element] = shard
                 if not rewritten:
                     self._directory.add(index, len(sub))
                 if sub[0][0] == 1:
                     # Items sharing local rank 1 land in the order given,
                     # so the first of them is the shard's new first element.
                     self._fences[index] = sub[0][1]
-                offset = self._slot_offsets[index]
+                offset = index * self._width
                 for item in inner.results:
                     moves = MoveRecorder()
                     moves.append_shifted(item.moves, offset)
@@ -636,14 +643,11 @@ class ShardedLabeler(ListLabeler):
         for index in sorted(groups, reverse=True):
             locals_ = groups[index]
             shard = self._shards[index]
-            victims = [shard.select(local) for local in locals_]
             inner = shard.delete_batch(locals_)
-            for element in victims:
-                del self._elem_shard[element]
             self._directory.add(index, -len(locals_))
             if locals_[-1] == 1:  # locals descend: the last is smallest
                 self._fences[index] = self._first_of(shard)
-            offset = self._slot_offsets[index]
+            offset = index * self._width
             for item in inner.results:
                 moves = MoveRecorder()
                 moves.append_shifted(item.moves, offset)
@@ -665,14 +669,11 @@ class ShardedLabeler(ListLabeler):
             raise LabelerError("bulk_load requires an empty structure")
         replacements: list[ListLabeler] = []
         total = 0
-        self._elem_shard = {}
         # _even_chunks([]) is no chunks; the canonical empty structure is
         # still one fresh shard.
         for chunk in self._even_chunks(elements) or [[]]:
-            shard = self._shard_factory(self._shard_capacity)
+            shard = self._new_shard()
             total += shard.bulk_load(chunk)
-            for element in chunk:
-                self._elem_shard[element] = shard
             replacements.append(shard)
         self._shards = replacements
         self._fences = [self._first_of(shard) for shard in replacements]
@@ -726,17 +727,14 @@ class ShardedLabeler(ListLabeler):
                 f"match this engine's {self._shard_capacity}"
             )
         shards: list[ListLabeler] = []
-        self._elem_shard = {}
         for shard_state in state["shards"]:
-            shard = self._shard_factory(self._shard_capacity)
+            shard = self._new_shard()
             shard.restore(shard_state)
-            for element in shard.elements():
-                self._elem_shard[element] = shard
             shards.append(shard)
         if not shards:
             # A zero-shard engine would break every rank-routing path; the
             # canonical empty state is one fresh shard (the constructor's).
-            shards = [self._shard_factory(self._shard_capacity)]
+            shards = [self._new_shard()]
         self._shards = shards
         self._fences = [self._first_of(shard) for shard in shards]
         self._rebuild_directory()
@@ -770,71 +768,25 @@ class ShardedLabeler(ListLabeler):
         return out
 
     def slot_of(self, element: Hashable) -> int:
-        """Global slot in the concatenated view, routed in ``O(1)`` + one
-        indexed shard query.
-
-        The element → shard reverse index replaces the ``O(K)`` probe loop
-        that scanned every shard until one answered (still available as
-        :meth:`_slot_of_probe` for the regression benchmark): a hit costs
-        two dict lookups plus the owning shard's own indexed ``slot_of``,
-        independent of the shard count.
-        """
-        shard = self._elem_shard.get(element)
-        if shard is None:
-            raise KeyError(f"element {element!r} is not stored")
-        index = self._shard_pos[id(shard)]
-        return self._slot_offsets[index] + shard.slot_of(element)
+        """Global slot in the concatenated view: one fence bisection to the
+        one shard that can hold ``element`` (``O(log K)``), then that
+        shard's own indexed ``slot_of``.  ``KeyError`` when not stored."""
+        index = self._route(element)
+        return index * self._width + self._shards[index].slot_of(element)
 
     def rank_of(self, element: Hashable) -> int:
-        """1-based global rank: reverse-index route + one directory prefix."""
-        shard = self._elem_shard.get(element)
-        if shard is None:
-            raise KeyError(f"element {element!r} is not stored")
-        index = self._shard_pos[id(shard)]
-        return self._directory.prefix(index) + shard.rank_of(element)
+        """1-based global rank: fence route, one directory prefix, then the
+        shard's own ``rank_of``.  ``KeyError`` when not stored."""
+        index = self._route(element)
+        return self._directory.prefix(index) + self._shards[index].rank_of(element)
 
     def contains(self, element: Hashable) -> bool:
-        """Membership in ``O(1)`` through the reverse index."""
-        return element in self._elem_shard
-
-    def _slot_of_probe(self, element: Hashable) -> int:
-        """The pre-index ``O(K)`` probe loop, kept as the benchmark foil.
-
-        Probes every shard in order (via its ``contains`` when it has one)
-        until one owns the element — the behaviour :meth:`slot_of` had
-        before the routing index, preserved verbatim so the regression
-        benchmark can measure the routed path against it on identical
-        structures.
-        """
-        offset = 0
-        for shard in self._shards:
-            has = getattr(shard, "contains", None)
-            if has is not None:
-                if has(element):
-                    return offset + shard.slot_of(element)
-            else:
-                try:
-                    return offset + shard.slot_of(element)
-                except KeyError:
-                    pass
-            offset += shard.num_slots
-        raise KeyError(f"element {element!r} is not stored")
-
-    def _rank_of_probe(self, element: Hashable) -> int:
-        """The pre-index ``O(K)`` rank probe loop (benchmark foil)."""
-        below = 0
-        for shard in self._shards:
-            has = getattr(shard, "contains", None)
-            if has is not None:
-                if has(element):
-                    return below + shard.rank_of(element)
-            else:
-                try:
-                    return below + shard.rank_of(element)
-                except KeyError:
-                    pass
-            below += len(shard)
-        raise KeyError(f"element {element!r} is not stored")
+        """Membership: the fence route, then one shard lookup."""
+        try:
+            self.slot_of(element)
+        except KeyError:
+            return False
+        return True
 
     # ------------------------------------------------------------------
     # Read path: directory-routed selects and cross-shard streaming
@@ -923,32 +875,27 @@ class ShardedLabeler(ListLabeler):
         hi = min(self._num_slots, hi)
         if hi <= lo:
             return 0
-        offsets = self._slot_offsets
-        first = bisect.bisect_right(offsets, lo) - 1
-        last = bisect.bisect_right(offsets, hi - 1) - 1
+        width = self._width
+        first, last = lo // width, (hi - 1) // width
         if first == last:
             return self._shards[first].count_range(
-                lo - offsets[first], hi - offsets[first]
+                lo - first * width, hi - first * width
             )
-        first_shard = self._shards[first]
-        total = first_shard.count_range(lo - offsets[first], first_shard.num_slots)
+        total = self._shards[first].count_range(lo - first * width, width)
         total += self._directory.prefix(last) - self._directory.prefix(first + 1)
-        total += self._shards[last].count_range(0, hi - offsets[last])
+        total += self._shards[last].count_range(0, hi - last * width)
         return total
 
     def slot_of_rank(self, rank: int) -> int:
         """Global slot of the ``rank``-th element (directory + shard index)."""
         self._check_read_rank(rank, "select")
         index, local = self._locate(rank)
-        return self._slot_offsets[index] + self._shards[index].slot_of_rank(local)
+        return index * self._width + self._shards[index].slot_of_rank(local)
 
     @property
     def label_shift(self) -> int:
         """Bits reserved for the local label in a composed global label."""
-        return max(
-            (shard.num_slots for shard in self._shards),
-            default=self._shard_capacity,
-        ).bit_length()
+        return self._width.bit_length()
 
     def labels(self) -> dict[Hashable, int]:
         """Composed labels ``(shard_index << shift) | local_label``.
@@ -972,10 +919,11 @@ class ShardedLabeler(ListLabeler):
         """Check every structural invariant of the sharding engine.
 
         Verifies the directory against the true shard sizes, the fence
-        keys against the shards' first elements, the aggregate geometry,
-        the density policy (no shard above the split ceiling, none below
-        the merge floor unless it is the only shard), and recursively the
-        shards' own consistency where they expose it.
+        keys against the shards' first elements and their strict ``<``
+        order, every shard's geometry and the aggregate one, the density
+        policy (no shard above the split ceiling, none below the merge
+        floor unless it is the only shard), and recursively the shards'
+        own consistency where they expose it.
         """
         from repro.core.exceptions import InvariantViolation
 
@@ -1004,31 +952,27 @@ class ShardedLabeler(ListLabeler):
             raise InvariantViolation(
                 f"shard sizes sum to {total} but the engine reports {self._size}"
             )
-        if len(self._elem_shard) != self._size:
-            raise InvariantViolation(
-                f"routing index holds {len(self._elem_shard)} entries for "
-                f"{self._size} stored element(s)"
-            )
         if len(self._fences) != len(self._shards):
             raise InvariantViolation(
                 f"{len(self._fences)} fence key(s) for {len(self._shards)} shard(s)"
             )
         for index, shard in enumerate(self._shards):
-            if self._shard_pos.get(id(shard)) != index:
-                raise InvariantViolation(
-                    f"shard position index out of date for shard {index}"
-                )
             if self._fences[index] != self._first_of(shard):
                 raise InvariantViolation(
                     f"fence key {self._fences[index]!r} of shard {index} is not "
                     f"its first element {self._first_of(shard)!r}"
                 )
-            for element in shard.elements():
-                if self._elem_shard.get(element) is not shard:
-                    raise InvariantViolation(
-                        f"routing index misroutes element {element!r} "
-                        f"(expected shard {index})"
-                    )
+            if index and not self._fences[index - 1] < self._fences[index]:
+                raise InvariantViolation(
+                    f"fence keys {self._fences[index - 1]!r} and "
+                    f"{self._fences[index]!r} of shards {index - 1} and {index} "
+                    f"are not in strictly increasing order"
+                )
+            if (shard.capacity, shard.num_slots) != self._geometry:
+                raise InvariantViolation(
+                    f"shard {index} has capacity {shard.capacity} and "
+                    f"{shard.num_slots} slots, not the engine's {self._geometry}"
+                )
         if self._capacity != sum(shard.capacity for shard in self._shards):
             raise InvariantViolation("aggregate capacity drifted")
         if self._num_slots != sum(shard.num_slots for shard in self._shards):

@@ -396,9 +396,7 @@ class DurableStore:
         elif op == "del":
             del self._map[payload["key"]]
         elif op == "put_many":
-            self._map.update_many(
-                (key, value) for key, value in payload["items"]
-            )
+            self._map.update_many(payload["items"])
         elif op == "del_many":
             self._map.delete_many(payload["keys"])
         else:

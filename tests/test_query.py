@@ -2,8 +2,8 @@
 
 Covers every layer the read path threads through: the operation model's
 read kinds, ``CostTracker`` query accounting, the ``Cursor`` protocol on
-every registered algorithm and composite, the sharded engine's routing
-index and cross-shard streaming (with the no-full-probing regression test
+every registered algorithm and composite, the sharded engine's fence-key
+routing and cross-shard streaming (with the no-full-probing regression test
 at ≥64 shards), the ``PackedMemoryMap`` cursor-backed ordered queries and
 pagination, the store service's paged scans, and the ``repro.store scan``
 CLI.
@@ -19,7 +19,7 @@ import pytest
 from repro.algorithms import ClassicalPMA
 from repro.analysis.runner import run_workload
 from repro.applications.ordered_map import PackedMemoryMap
-from repro.core import Operation, ShardedLabeler
+from repro.core import ListLabeler, Operation, ShardedLabeler
 from repro.core.cost import CostTracker
 from repro.core.exceptions import RankError
 from repro.core.operations import COUNT_RANGE, LOOKUP, RANGE, SELECT
@@ -158,7 +158,7 @@ def test_cursor_take_and_exhaustion():
 
 
 # ----------------------------------------------------------------------
-# Sharded engine: routing index + cross-shard streaming
+# Sharded engine: fence-key routing + cross-shard streaming
 # ----------------------------------------------------------------------
 class _CountingPMA(ClassicalPMA):
     """Shard that counts membership probes and indexed lookups."""
@@ -192,8 +192,8 @@ class TestShardedRouting:
         """Regression (satellite 1): a hit must not probe shard by shard.
 
         At ≥64 shards every ``slot_of``/``rank_of`` hit goes through the
-        reverse index straight to its owning shard: exactly one indexed
-        shard query each, zero membership probes — the pre-index loop paid
+        fence keys straight to its owning shard: exactly one indexed shard
+        query each, zero membership probes — the old probe loop paid
         ``O(K)`` ``contains`` probes per lookup.
         """
         labeler = self._many_shards()
@@ -213,14 +213,45 @@ class TestShardedRouting:
         assert _CountingPMA.rank_of_calls == len(keys)
 
     def test_routed_answers_equal_probe_answers(self):
+        """The fence route agrees with the interface's ``O(m)`` scans."""
         labeler = self._many_shards(1024)
         for key in range(0, 1024, 37):
-            assert labeler.slot_of(key) == labeler._slot_of_probe(key)
-            assert labeler.rank_of(key) == labeler._rank_of_probe(key)
+            assert labeler.slot_of(key) == ListLabeler.slot_of(labeler, key)
+            assert labeler.rank_of(key) == ListLabeler.rank_of(labeler, key)
         with pytest.raises(KeyError):
             labeler.slot_of("missing")
         with pytest.raises(KeyError):
             labeler.rank_of("missing")
+
+    def test_absent_keys_raise_key_error(self):
+        """Every absent key misses: below the first fence, in the gap
+        between two shards' keys, inside a shard, above the last key, of
+        another type, and on an empty engine."""
+        labeler = ShardedLabeler(lambda cap: ClassicalPMA(cap), shard_capacity=32)
+        labeler.bulk_load(list(range(0, 2048, 2)))
+        assert labeler.shard_count >= 8
+        first, second = labeler.shards[0], labeler.shards[1]
+        between_shards = first.elements()[-1] + 1
+        assert between_shards < second.elements()[0]
+        empty = ShardedLabeler(lambda cap: ClassicalPMA(cap), shard_capacity=32)
+        cases = [
+            (labeler, -1),
+            (labeler, between_shards),
+            (labeler, 101),
+            (labeler, 2047),
+            (labeler, Fraction(1, 2)),
+            (labeler, "missing"),
+            (labeler, ("k", 1)),
+            (labeler, None),
+            (empty, 0),
+            (empty, "missing"),
+        ]
+        for engine, key in cases:
+            assert not engine.contains(key), key
+            with pytest.raises(KeyError):
+                engine.slot_of(key)
+            with pytest.raises(KeyError):
+                engine.rank_of(key)
 
     def test_contains(self):
         labeler = self._many_shards(256)
@@ -229,36 +260,30 @@ class TestShardedRouting:
         labeler.delete(18)  # rank 18 = key 17
         assert not labeler.contains(17)
 
-    def test_routing_survives_split_merge_churn(self):
+    def test_routing_survives_split_merge_churn(self, reference_driver_factory):
         labeler = ShardedLabeler(
             lambda cap: ClassicalPMA(cap), shard_capacity=16
         )
-        reference: list[int] = []
+        # Midpoint keys between the rank neighbours keep the stored
+        # elements in key order, which the fence route relies on.
+        model = reference_driver_factory(labeler)
         rng = random.Random(9)
-        counter = 0
         for phase_inserts in (400, 0):
             for _ in range(400):
-                grow = len(reference) < 4 or (
-                    phase_inserts and rng.random() < 0.8
-                )
+                size = len(model.reference)
+                grow = size < 4 or (phase_inserts and rng.random() < 0.8)
                 if grow:
-                    rank = rng.randint(1, len(reference) + 1)
-                    # Keys only need to be unique: check_consistency is
-                    # called without a key function, so physical order
-                    # against key order is not asserted here — the point
-                    # is the routing index across splits and merges.
-                    counter += 1
-                    key = ("k", counter)
-                    labeler.insert(rank, key)
-                    reference.insert(rank - 1, key)
+                    model.insert(rng.randint(1, size + 1))
                 else:
-                    rank = rng.randint(1, len(reference))
-                    labeler.delete(rank)
-                    reference.pop(rank - 1)
+                    model.delete(rng.randint(1, size))
         assert labeler.splits >= 3 and labeler.merges >= 1
         labeler.check_consistency()
-        for rank, key in enumerate(reference, start=1):
+        model.check()
+        slots = labeler.slots()
+        for rank, key in enumerate(model.reference, start=1):
             assert labeler.rank_of(key) == rank
+            assert labeler.slot_of(key) == labeler.slot_of_rank(rank)
+            assert slots[labeler.slot_of(key)] == key
 
     def test_cross_shard_streaming_is_lazy(self):
         """A short prefix read must not touch shards past the boundary."""

@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms import ClassicalPMA, NaiveLabeler, make_sharded_labeler
 from repro.core import ShardedLabeler
-from repro.core.exceptions import BatchError, RankError
+from repro.core.exceptions import BatchError, LabelerError, RankError
 from repro.core.validation import check_labeler, check_moves_consistent
 
 
@@ -46,6 +46,17 @@ class TestConstruction:
         assert labeler.shard_count == 1
         assert labeler.is_empty
         assert labeler.num_slots == labeler.shards[0].num_slots
+
+    def test_factory_with_varying_slot_counts_is_refused(self):
+        """Slot offsets are ``index × width``: a factory whose shards differ
+        in slot count is refused when it builds the first odd shard."""
+        widths = iter([20, 20, 24])
+        labeler = ShardedLabeler(
+            lambda cap: ClassicalPMA(cap, next(widths)), shard_capacity=16
+        )
+        labeler.bulk_load([0])
+        with pytest.raises(LabelerError):
+            labeler.insert_batch([(2, index) for index in range(1, 20)])
 
 
 class TestUnboundedGrowth:
@@ -179,8 +190,8 @@ class TestMoveAccounting:
 class TestBoundedRecords:
     def test_containers_stay_bounded_under_restructure_churn(self):
         """Bounded memory: at a steady key count, after more restructures
-        than shards, the routing index holds one entry per key and every
-        other container at most one entry per shard."""
+        than shards, every container of the engine and its directory holds
+        at most one entry per shard (plus one): nothing is indexed per key."""
         labeler = make(shard_capacity=16)
         labeler.bulk_load([Fraction(index) for index in range(96)])
         for step in range(1, 10_000):
@@ -200,11 +211,7 @@ class TestBoundedRecords:
         for owner in (labeler, labeler._directory):
             for name, value in vars(owner).items():
                 if isinstance(value, (list, tuple, dict, set, frozenset)):
-                    limit = (
-                        labeler.size if name == "_elem_shard"
-                        else labeler.shard_count + 1
-                    )
-                    assert len(value) <= limit, name
+                    assert len(value) <= labeler.shard_count + 1, name
 
 
 class TestBatches:

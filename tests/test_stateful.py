@@ -17,6 +17,7 @@ import bisect
 import itertools
 from fractions import Fraction
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -191,6 +192,17 @@ class ShardedMachine(RuleBasedStateMachine):
         key = self.reference[rank - 1]
         assert self.labeler.rank_of(key) == rank
         assert self.labeler.contains(key)
+
+    @rule(data=st.data())
+    def lookup_absent_key(self, data):
+        """A midpoint that is not stored: the fence route finds no owner."""
+        gap = data.draw(st.integers(0, len(self.reference)), label="absent gap")
+        key = _midpoint(self.reference, gap + 1)
+        assert not self.labeler.contains(key)
+        with pytest.raises(KeyError):
+            self.labeler.rank_of(key)
+        with pytest.raises(KeyError):
+            self.labeler.slot_of(key)
 
     @rule(data=st.data())
     def count_below(self, data):
