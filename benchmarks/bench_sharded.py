@@ -167,10 +167,9 @@ def _memory_by_layer(n: int, batches: int = 10) -> dict[str, object]:
     keys and the batches exist before tracing starts, and every value is
     ``None``).  The layers are the sizes of their containers:
     the map's value dict, the engine's own containers (its directory
-    included), the shards' element → slot dicts, their occupancy Fenwick
-    trees and their slot lists.  ``other`` is the rest of the total: the
-    shard objects and their attribute dicts, and the ints the containers
-    hold.
+    included), the shards' element → slot dicts, their occupancy bitmasks
+    and their slot lists.  ``other`` is the rest of the total: the shard
+    objects and their attribute dicts, and the ints the containers hold.
     """
     keys = list(range(n))
     random.Random(5).shuffle(keys)
@@ -199,9 +198,7 @@ def _memory_by_layer(n: int, batches: int = 10) -> dict[str, object]:
         "map values": size(mapping._values),
         "engine": sum(map(size, _containers(engine, engine._directory))),
         "shard elem->slot": sum(size(shard._position) for shard in shards),
-        "occupancy trees": sum(
-            size(tree) for shard in shards for tree in _containers(shard._occupancy)
-        ),
+        "occupancy bitmasks": sum(size(shard._occupied) for shard in shards),
         "slot lists": sum(size(shard._slots) for shard in shards),
     }
     row: dict[str, object] = {
@@ -225,8 +222,12 @@ def test_bytes_per_key_by_layer(run_once):
         "of 128, %d shuffled int keys in 10 update_many batches" % n,
         [row],
         note="A dict of the same items takes about 52 B per key.  The shards' "
-        "element -> slot dicts and occupancy trees are the per-key indexes "
-        "left below the engine.",
+        "element -> slot dicts are the per-key index left below the engine; "
+        "a shard's occupancy is one int bitmask.",
+    )
+    expect(
+        row["total B/key"] <= 150,
+        f"the map holds {row['total B/key']} B per key, above the 150 B bound",
     )
     # Size-independent: the fences and the size tree are the engine's
     # whole directory, so no engine container grows with the key count.

@@ -1,13 +1,21 @@
 """Shared machinery for array-based list-labeling algorithms.
 
 :class:`DenseArrayLabeler` owns the physical slot array, an occupancy
-Fenwick tree for ``O(log m)`` rank/select queries, and a per-operation move
-recorder.  Concrete algorithms (the naive labeler, the PMA family) only
-implement placement and rebalancing policy on top of the primitive
-:meth:`_move`, :meth:`_place` and :meth:`_remove` operations, which keep the
-occupancy index consistent and the move log accurate.  Because the slot
-list is sorted, a key search (:meth:`DenseArrayLabeler.count_below`)
-bisects the slots directly instead of selecting rank by rank.
+bitmask and a per-operation move recorder.  Concrete algorithms (the naive
+labeler, the PMA family) only implement placement and rebalancing policy on
+top of the primitive :meth:`_move`, :meth:`_place` and :meth:`_remove`
+operations, which flip the occupancy bits and keep the move log accurate.
+Because the slot list is sorted, a key search
+(:meth:`DenseArrayLabeler.count_below`) bisects the slots directly instead
+of selecting rank by rank.
+
+Definition 1 charges only element moves, so the occupancy index is
+bookkeeping, kept as one Python int whose bit ``i`` is set while slot ``i``
+holds an element.  Every occupancy question is a stdlib int operation: a
+masked ``bit_count()`` counts a slot window or a rank prefix, the highest
+or lowest clear bit of a masked complement is the nearest free slot, and a
+select halves the mask by popcount down to one byte and reads a 256-entry
+table (:func:`_select_bit`).
 
 Batch execution: the class overrides the :meth:`_insert_batch` hook of the
 interface with a *merged rebalance* — the batch is sorted, merged with the
@@ -16,22 +24,61 @@ laid out with a single two-pass monotone rewrite (:meth:`_layout_window`).
 One rebalance serves the whole batch instead of one cascade per element,
 which is what makes bulk loads cheap; subclasses customize the window choice
 (:meth:`_batch_window`) and the slot targets (:meth:`_batch_targets`).
-A laid-out window refreshes the occupancy index once, in ``O(w + log m)``
-(:meth:`~repro.core.fenwick.FenwickTree.assign`), rather than with two
-tree walks per element moved; bulk loads and restores build it in
-``O(m)``.  A sorted key batch is ranked in one call
+A sorted key batch is ranked in one call
 (:meth:`DenseArrayLabeler.count_below_sorted`).
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from typing import Hashable, Iterator, Sequence
 
 from repro.core.exceptions import CapacityError, LabelerError
-from repro.core.fenwick import FenwickTree
 from repro.core.interface import ListLabeler
 from repro.core.operations import MoveRecorder, Operation, OperationResult
+
+#: ``_BYTE_SELECT[byte][j]`` is the position of the ``(j + 1)``-th set bit
+#: of ``byte``.
+_BYTE_SELECT = tuple(
+    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
+)
+
+
+def _select_bit(mask: int, k: int) -> int:
+    """Position of the ``k``-th (1-based) set bit of ``mask``.
+
+    The mask is halved by popcount, keeping the half that holds the bit,
+    until one byte is left for the table.  Raises :class:`IndexError` when
+    ``mask`` has fewer than ``k`` set bits.  A non-integral ``k`` selects
+    the ``ceil(k)``-th bit, the first whose prefix count reaches ``k``.
+    """
+    total = mask.bit_count()
+    if not 1 <= k <= total:
+        raise IndexError(f"select({k}) out of range (total={total})")
+    k = math.ceil(k)
+    base = 0
+    width = mask.bit_length()
+    while width > 8:
+        half = width >> 1
+        low = mask & ((1 << half) - 1)
+        count = low.bit_count()
+        if k > count:
+            k -= count
+            mask >>= half
+            base += half
+            width -= half
+        else:
+            mask = low
+            width = half
+    return base + _BYTE_SELECT[mask][k - 1]
+
+
+def _bitmask_of(slots: list) -> int:
+    """The occupancy bitmask of ``slots``, parsed from its base-2 digits
+    (``48``/``49`` are ``b"0"``/``b"1"``) in ``O(m)``; ORing in one bit per
+    element would copy the mask each time."""
+    return int(bytes([48 if item is None else 49 for item in reversed(slots)]), 2)
 
 
 class DenseArrayLabeler(ListLabeler):
@@ -51,7 +98,8 @@ class DenseArrayLabeler(ListLabeler):
     def __init__(self, capacity: int, num_slots: int | None = None) -> None:
         super().__init__(capacity, num_slots)
         self._slots: list[Hashable | None] = [None] * self.num_slots
-        self._occupancy = FenwickTree(self.num_slots)
+        #: Bit ``i`` is set while slot ``i`` holds an element.
+        self._occupied = 0
         self._position: dict[Hashable, int] = {}
         self._current_moves: MoveRecorder | None = None
 
@@ -67,11 +115,13 @@ class DenseArrayLabeler(ListLabeler):
 
     def occupied_in(self, lo: int, hi: int) -> int:
         """Number of occupied slots in ``[lo, hi)``."""
-        return self._occupancy.count(lo, hi)
+        if hi <= lo:
+            return 0
+        return ((self._occupied >> lo) & ((1 << (hi - lo)) - 1)).bit_count()
 
     def slot_of_rank(self, rank: int) -> int:
         """Physical slot of the element with the given 1-based rank."""
-        return self._occupancy.select(rank)
+        return _select_bit(self._occupied, rank)
 
     def slot_of(self, element: Hashable) -> int:
         """Physical slot currently holding ``element`` (``O(1)``)."""
@@ -85,42 +135,46 @@ class DenseArrayLabeler(ListLabeler):
         return element in self._position
 
     def rank_at_slot(self, index: int) -> int:
-        """1-based rank of the element stored at ``index``."""
-        return self._occupancy.rank_of(index)
+        """1-based rank of the element stored at ``index`` (one prefix
+        popcount); raises :class:`ValueError` on an empty slot."""
+        occupied = self._occupied
+        if not (occupied >> index) & 1:
+            raise ValueError(f"slot {index} is not occupied")
+        return (occupied & ((1 << index) - 1)).bit_count() + 1
 
     def rank_of(self, element: Hashable) -> int:
-        """1-based rank of ``element`` (``O(log m)`` via the occupancy index)."""
+        """1-based rank of ``element`` (one prefix popcount)."""
         return self.rank_at_slot(self.slot_of(element))
 
     # ------------------------------------------------------------------
-    # Read path: occupancy-index selects and streaming slot walks
+    # Read path: occupancy selects and streaming slot walks
     # ------------------------------------------------------------------
     def select(self, rank: int) -> Hashable:
-        """The ``rank``-th element via one occupancy-index select (O(log m))."""
+        """The ``rank``-th element via one occupancy select."""
         self._check_read_rank(rank, "select")
-        return self._slots[self._occupancy.select(rank)]
+        return self._slots[_select_bit(self._occupied, rank)]
 
     def _iter_from(self, rank: int) -> "Iterator[Hashable]":
         """Seek the start slot once, then stream the slot slab rightward."""
         if rank > self._size:
             return
         slots = self._slots
-        for index in range(self._occupancy.select(rank), self.num_slots):
+        for index in range(_select_bit(self._occupied, rank), self.num_slots):
             item = slots[index]
             if item is not None:
                 yield item
 
     def count_range(self, lo: int, hi: int) -> int:
-        """Stored elements in the slot window ``[lo, hi)`` (Fenwick count)."""
-        return self._occupancy.count(max(0, lo), min(self.num_slots, hi))
+        """Stored elements in the slot window ``[lo, hi)`` (one popcount)."""
+        return self.occupied_in(max(0, lo), min(self.num_slots, hi))
 
     def count_below(self, key, *, strict: bool = True) -> int:
         """Stored elements ``< key`` (``<= key`` when not strict).
 
         A binary search over the slot list itself: a probe that lands on a
         gap steps right to the next element inside the search window, and
-        the boundary slot found is turned into a count with one occupancy
-        prefix.  ``O(log m)`` probes plus the gaps stepped over, against
+        the boundary slot found is turned into a count with one prefix
+        popcount.  ``O(log m)`` probes plus the gaps stepped over, against
         ``O(log n)`` occupancy selects for the rank search of the base
         class.
         """
@@ -141,7 +195,7 @@ class DenseArrayLabeler(ListLabeler):
                 lo = probe + 1
             else:
                 hi = mid
-        return self._occupancy.prefix(lo)
+        return (self._occupied & ((1 << lo) - 1)).bit_count()
 
     def count_below_sorted(self, keys: Sequence) -> list[int]:
         """``count_below(key)`` for every key of an ascending sequence.
@@ -155,32 +209,15 @@ class DenseArrayLabeler(ListLabeler):
 
     def free_slot_left(self, index: int) -> int | None:
         """Nearest free slot at or to the left of ``index`` (or ``None``)."""
-        if self._occupancy.count(0, index + 1) == index + 1:
-            return None
-        # Smallest q such that [q, index] is fully occupied; q - 1 is free.
-        lo, hi = 0, index + 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._occupancy.count(mid, index + 1) == index + 1 - mid:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo - 1
+        free = ~self._occupied & ((1 << (index + 1)) - 1)
+        return free.bit_length() - 1 if free else None
 
     def free_slot_right(self, index: int) -> int | None:
         """Nearest free slot at or to the right of ``index`` (or ``None``)."""
-        m = self.num_slots
-        if self._occupancy.count(index, m) == m - index:
-            return None
-        # Largest q such that [index, q) is fully occupied; q is free.
-        lo, hi = index, m
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._occupancy.count(index, mid) == mid - index:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+        occupied = self._occupied >> index
+        # ``~x & (x + 1)`` isolates the lowest clear bit of ``x``.
+        slot = index + (~occupied & (occupied + 1)).bit_length() - 1
+        return slot if slot < self._num_slots else None
 
     # ------------------------------------------------------------------
     # Move-recorded primitives
@@ -204,7 +241,7 @@ class DenseArrayLabeler(ListLabeler):
         if self._slots[index] is not None:
             raise RuntimeError(f"slot {index} is occupied; cannot place {element!r}")
         self._slots[index] = element
-        self._occupancy.set(index, 1)
+        self._occupied |= 1 << index
         self._position[element] = index
         self._record(element, None, index)
 
@@ -214,7 +251,7 @@ class DenseArrayLabeler(ListLabeler):
         if element is None:
             raise RuntimeError(f"slot {index} is empty; nothing to remove")
         self._slots[index] = None
-        self._occupancy.set(index, 0)
+        self._occupied ^= 1 << index
         del self._position[element]
         self._record(element, index, None)
         return element
@@ -230,8 +267,7 @@ class DenseArrayLabeler(ListLabeler):
             raise RuntimeError(f"slot {dst} is occupied; cannot move into it")
         self._slots[src] = None
         self._slots[dst] = element
-        self._occupancy.set(src, 0)
-        self._occupancy.set(dst, 1)
+        self._occupied ^= (1 << src) | (1 << dst)
         self._position[element] = dst
         self._record(element, src, dst)
 
@@ -353,13 +389,10 @@ class DenseArrayLabeler(ListLabeler):
         two monotone passes (left-movers left-to-right, right-movers
         right-to-left) so the array stays sorted after every individual
         move; the new elements are placed into their — by then free —
-        targets at the end.  The moves are recorded in that order, and the
-        occupancy index is refreshed once over the span they touched.
+        targets at the end.  The moves are recorded in that order.
         """
         if len(contents) != len(targets):
             raise ValueError("contents and targets must have equal length")
-        if not contents:
-            return
         fresh_set = set(fresh)
         position = self._position
         plan = [
@@ -367,42 +400,14 @@ class DenseArrayLabeler(ListLabeler):
             for index, (item, target) in enumerate(zip(contents, targets))
             if index not in fresh_set
         ]
-        slots = self._slots
-        moves = self._current_moves
-        record = moves.record if moves is not None else None
         for src, dst in plan:
             if dst < src:
-                self._shift(slots, src, dst, record)
+                self._move(src, dst)
         for src, dst in reversed(plan):
             if dst > src:
-                self._shift(slots, src, dst, record)
+                self._move(src, dst)
         for index in fresh:
-            element = contents[index]
-            target = targets[index]
-            if slots[target] is not None:
-                raise RuntimeError(
-                    f"slot {target} is occupied; cannot place {element!r}"
-                )
-            slots[target] = element
-            position[element] = target
-            if record is not None:
-                record(element, None, target)
-        lo, hi = targets[0], targets[-1] + 1
-        if plan:
-            lo, hi = min(lo, plan[0][0]), max(hi, plan[-1][0] + 1)
-        self._occupancy.assign(lo, [0 if item is None else 1 for item in slots[lo:hi]])
-
-    def _shift(self, slots: list, src: int, dst: int, record) -> None:
-        """:meth:`_move` inside a window layout, whose caller refreshes the
-        occupancy index once afterwards."""
-        element = slots[src]
-        if slots[dst] is not None:
-            raise RuntimeError(f"slot {dst} is occupied; cannot move into it")
-        slots[src] = None
-        slots[dst] = element
-        self._position[element] = dst
-        if record is not None:
-            record(element, src, dst)
+            self._place(targets[index], contents[index])
 
     # ------------------------------------------------------------------
     # Serialization (snapshot / restore)
@@ -443,16 +448,14 @@ class DenseArrayLabeler(ListLabeler):
                 f"{state['num_slots']} slots) does not match this instance "
                 f"(capacity {self._capacity}, {self._num_slots} slots)"
             )
-        occupancy = [0] * self._num_slots
         for index, element in state["layout"]:
             if not 0 <= index < self._num_slots:
                 raise ValueError(f"snapshot assigns slot {index} outside the array")
             if self._slots[index] is not None:
                 raise ValueError(f"snapshot assigns slot {index} twice")
             self._slots[index] = element
-            occupancy[index] = 1
             self._position[element] = index
-        self._occupancy = FenwickTree.from_values(occupancy)
+        self._occupied = _bitmask_of(self._slots)
         self._size = len(state["layout"])
         if self._size != state["size"]:
             raise ValueError("snapshot layout does not match its recorded size")
@@ -480,12 +483,10 @@ class DenseArrayLabeler(ListLabeler):
         if len(elements) > self.capacity:
             raise CapacityError(self.capacity)
         targets = self._bulk_targets(len(elements))
-        occupancy = [0] * self._num_slots
         for element, target in zip(elements, targets):
             self._slots[target] = element
-            occupancy[target] = 1
             self._position[element] = target
-        self._occupancy = FenwickTree.from_values(occupancy)
+        self._occupied = _bitmask_of(self._slots)
         self._size = len(elements)
         return len(elements)
 

@@ -133,7 +133,7 @@ class SparseNaiveLabeler(DenseArrayLabeler):
         """Rebuild the array evenly with ``element`` inserted at ``rank``."""
         contents = self.elements()
         contents.insert(rank - 1, element)
-        while self.size > 0 and self._occupancy.total > 0:
+        while self._occupied:
             self._remove(self.slot_of_rank(1))
         targets = self.even_targets(0, self.num_slots, len(contents))
         for item, target in zip(contents, targets):

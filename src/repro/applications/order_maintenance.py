@@ -96,7 +96,7 @@ class OrderMaintenance:
     def _position(self, item: Hashable) -> int:
         if item not in self._present:
             raise KeyError(f"item {item!r} is not in the order")
-        # The labeler's occupancy index answers rank queries in O(log m);
+        # The labeler's occupancy index answers rank queries;
         # the mirror list is kept only for validation in :meth:`check`.
         return self._labeler.rank_of(item) - 1
 

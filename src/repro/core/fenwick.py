@@ -1,28 +1,25 @@
-"""A Fenwick (binary indexed) tree over slot occupancy.
+"""Fenwick (binary indexed) trees: a weighted count tree and a packed
+multi-lane occupancy tree.
 
-Every array-based list-labeling algorithm in this library needs two
-primitives that are awkward on a plain Python list:
+:class:`FenwickTree` keeps a fixed-size vector of non-negative counts and
+answers, in ``O(log size)`` each:
 
-* ``count(lo, hi)`` — how many occupied slots lie in ``[lo, hi)``;
-* ``select(k)`` — the position of the ``k``-th occupied slot (1-based).
+* ``count(lo, hi)`` / ``prefix(end)`` — the units in ``[lo, hi)`` /
+  ``[0, end)``;
+* ``select(k)`` — the position holding the ``k``-th unit (1-based).
 
-Both are ``O(log m)`` with a Fenwick tree, which keeps the pure-Python
-implementations fast enough to run the paper's experiments at
-``n`` up to a few hundred thousand elements.
+It has two users.  The shard directory of
+:class:`repro.core.sharded.ShardedLabeler` keeps one position per shard
+holding that shard's element count (:meth:`FenwickTree.add`), so a global
+rank routes to its shard in ``O(log K)``, and rebuilds it in ``O(K)``
+through :meth:`FenwickTree.from_values`.  The reference physical array
+(:mod:`repro.core.physical_reference`, the differential oracle of the slab
+array) keeps four 0/1 trees through :meth:`FenwickTree.set`.  Dense
+labelers keep their occupancy as one int bitmask
+(:mod:`repro.algorithms.base`).
 
-The tree also supports general non-negative integer weights via
-:meth:`FenwickTree.add`: position ``i`` may hold any count, ``prefix`` sums
-counts, and ``select(k)`` finds the position containing the ``k``-th unit.
-This is what the shard directory of :class:`repro.core.sharded.ShardedLabeler`
-uses — one position per shard holding that shard's element count, so a
-global rank routes to its shard in ``O(log K)``.  The 0/1 :meth:`set` /
-:meth:`rank_of` occupancy API is unchanged and keeps its strict validation.
-
-Two bulk paths skip the per-position walk: :meth:`FenwickTree.from_values`
-builds a tree in ``O(size)`` (bulk loads, restores, the shard directory),
-and :meth:`FenwickTree.assign` overwrites a window of ``w`` positions in
-``O(w + log size)`` — how a dense labeler refreshes its occupancy once per
-laid-out window instead of walking the tree twice per element move.
+:class:`PackedFenwick` holds the slab physical array's four occupancy
+lanes over one per-slot bitmask, with one combined index walk per update.
 """
 
 from __future__ import annotations
@@ -55,8 +52,7 @@ class FenwickTree:
     def from_values(cls, values: "list[int]") -> "FenwickTree":
         """Build a tree over ``values`` in ``O(size)`` (vs ``O(size log size)``
         via repeated :meth:`add`) — the shard directory rebuilds through
-        this once per structural change or batch, and a dense labeler's
-        bulk load and restore build their occupancy through it."""
+        this once per structural change or batch."""
         tree = cls(len(values))
         if values and min(values) < 0:
             raise ValueError("counts must be non-negative")
@@ -70,52 +66,6 @@ class FenwickTree:
             if parent <= size:
                 table[parent] += table[i]
         return tree
-
-    def assign(self, lo: int, values: "list[int]") -> None:
-        """Overwrite the counts at ``lo, lo + 1, …`` with ``values``.
-
-        ``O(w + log size)`` for a window of ``w = len(values)`` positions,
-        against ``O(w log size)`` for one :meth:`add` per position.  The
-        deltas are summed bottom-up over the tree nodes inside the window,
-        as :meth:`from_values` builds a whole tree.  A node above the
-        window overlaps it only if it covers the window's last position,
-        so every node outside that changes lies on the one update path
-        from there to the root.
-        """
-        hi = lo + len(values)
-        if not 0 <= lo <= hi <= self._size:
-            raise IndexError(
-                f"window [{lo}, {hi}) out of range (size {self._size})"
-            )
-        if not values:
-            return
-        if min(values) < 0:
-            raise ValueError("counts must be non-negative")
-        current = self._values
-        # pending[k]: the delta of node lo + 1 + k, children included once
-        # every smaller node has been visited.
-        pending = [new - old for new, old in zip(values, current[lo:hi])]
-        current[lo:hi] = values
-        self._total += sum(pending)
-        tree = self._tree
-        above: dict[int, int] = {}
-        node = lo
-        for delta in pending:
-            node += 1
-            if not delta:
-                continue
-            tree[node] += delta
-            parent = node + (node & (-node))
-            if parent <= hi:
-                pending[parent - lo - 1] += delta
-            else:
-                above[parent] = above.get(parent, 0) + delta
-        node = hi + (hi & (-hi))
-        carry = 0
-        while node <= self._size:
-            carry += above.get(node, 0)
-            tree[node] += carry
-            node += node & (-node)
 
     # ------------------------------------------------------------------
     @property
@@ -203,15 +153,6 @@ class FenwickTree:
                 remaining -= tree[nxt]
             bit >>= 1
         return position  # 0-based index of the k-th occupied slot
-
-    def rank_of(self, index: int) -> int:
-        """1-based rank of the occupied slot at ``index``.
-
-        Raises :class:`ValueError` when the slot is not occupied.
-        """
-        if self._values[index] != 1:
-            raise ValueError(f"slot {index} is not occupied")
-        return self.prefix(index) + 1
 
 
 class PackedFenwick:

@@ -32,7 +32,7 @@ cheap, so every labeler also serves rank-addressed queries:
   ``rank`` upward: one ``O(log m)`` seek, then a streaming slot walk that
   never materializes the whole element list;
 * :meth:`ListLabeler.count_range` — stored elements in a physical slot
-  window (a Fenwick prefix count), with :meth:`~ListLabeler.count_rank_range`
+  window (one occupancy count), with :meth:`~ListLabeler.count_rank_range`
   translating a rank interval into that window;
 * :meth:`ListLabeler.count_below` — the number of stored elements below a
   key: the key-order search an ordered map runs before every insertion
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import abc
 import math
-from operator import itemgetter
+from operator import itemgetter, le
 from typing import Hashable, Iterator, Sequence
 
 from repro.core.exceptions import BatchError, CapacityError, LabelerError, RankError
@@ -267,11 +267,18 @@ class ListLabeler(abc.ABC):
     ) -> list[tuple[int, Hashable]]:
         """``items`` stably sorted by rank (ties keep their order; ``O(n)``
         on a sorted batch), with every rank checked to lie in
-        ``[1, size + 1]``: once sorted, checking the first and the last is
-        checking them all."""
+        ``[1, size + 1]``.  The sorted ranks must be pairwise
+        non-decreasing — a NaN compares false with everything, so the sort
+        can leave one anywhere — and then checking the first and the last
+        is checking them all."""
         prepared = sorted(items, key=itemgetter(0))
         if prepared:
-            for rank in (prepared[0][0], prepared[-1][0]):
+            ranks = list(map(itemgetter(0), prepared))
+            if not all(map(le, ranks, ranks[1:])):
+                raise BatchError(
+                    "insert_batch ranks do not sort into order (a NaN rank?)"
+                )
+            for rank in (ranks[0], ranks[-1]):
                 if not 1 <= rank <= self._size + 1:
                     raise BatchError(
                         f"insert_batch rank {rank} out of range for a structure "
@@ -514,8 +521,9 @@ class ListLabeler(abc.ABC):
 
         This is the label-window count (how many elements carry labels in a
         physical interval); bounds are clamped to the array.  The default
-        scans; concrete structures answer it with one Fenwick prefix
-        difference (``O(log m)``).
+        scans; concrete structures answer it from their occupancy index
+        (one popcount of a dense array's bitmask, one Fenwick prefix
+        difference on the embedding's physical array).
         """
         lo = max(0, lo)
         hi = min(self._num_slots, hi)

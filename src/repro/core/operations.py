@@ -34,7 +34,7 @@ SELECT = "select"
 RANGE = "range"
 
 #: Count of the stored elements with ranks in ``[rank, end_rank]``, served
-#: through the occupancy indexes (a Fenwick slot-window count).
+#: through the occupancy indexes (a slot-window count).
 COUNT_RANGE = "count_range"
 
 #: The query (side-effect-free) operation kinds.

@@ -209,7 +209,9 @@ class DurableStore:
             self._frames_since_snapshot = 0
             self._last_snapshot_lsn = 0
             self._horizon = 0
-            #: Report of the most recent :meth:`compact` WAL rewrite.
+            #: Report of the most recent :meth:`compact` WAL rewrite;
+            #: ``None`` before the first compaction and after one whose cut
+            #: did not pass the horizon, which rewrites nothing.
             self.last_truncate_report: WALTruncateReport | None = None
             #: Why the latest automatic compaction failed; ``None`` once
             #: a compaction succeeds.
@@ -607,7 +609,9 @@ class DurableStore:
         :attr:`replication_floor`: frames a connected replica has not
         acknowledged stay in the log even though the checkpoint covers
         them, so compaction never steals the tail a replica is still
-        streaming.
+        streaming.  A cut at or below the current horizon would drop no
+        frame, so the log is left as it is: no rewrite and no horizon
+        write, and the horizon never decreases.
 
         The rewrite re-validates every retained frame (see
         :meth:`~repro.store.wal.WriteAheadLog.truncate_through`).  If any
@@ -623,15 +627,17 @@ class DurableStore:
             lsn = self.snapshot()
             floor = self.replication_floor() if self.replication_floor else None
             cut = lsn if floor is None else min(lsn, floor)
-            self._write_horizon(cut)
-            report = self._wal.truncate_through(cut)
-            if report.suspect_reason is not None:
-                self._write_horizon(lsn)
-                full = self._wal.truncate_through(lsn)
-                full.suspect_reason = report.suspect_reason
-                full.suspect_frames = report.suspect_frames
-                full.suspect_bytes = report.suspect_bytes
-                report = full
+            report = None
+            if cut > self._horizon:
+                self._write_horizon(cut)
+                report = self._wal.truncate_through(cut)
+                if report.suspect_reason is not None:
+                    self._write_horizon(lsn)
+                    full = self._wal.truncate_through(lsn)
+                    full.suspect_reason = report.suspect_reason
+                    full.suspect_frames = report.suspect_frames
+                    full.suspect_bytes = report.suspect_bytes
+                    report = full
             self.last_truncate_report = report
             self.last_compaction_error = None
             self._obs_compactions.inc()

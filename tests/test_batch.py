@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from repro.algorithms import ClassicalPMA, NaiveLabeler
+from repro.core import ShardedLabeler
 from repro.core.exceptions import BatchError
 from repro.core.validation import check_labeler
 from repro.analysis import run_workload
@@ -86,6 +87,27 @@ class TestInsertBatchSemantics:
         assert labeler.is_full
         with pytest.raises(BatchError):
             labeler.insert_batch([(1, "c")])
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: ClassicalPMA(64),
+            lambda: ShardedLabeler(lambda cap: ClassicalPMA(cap), shard_capacity=16),
+        ],
+        ids=["classical", "sharded"],
+    )
+    def test_nan_rank_inside_a_sorted_batch_rejected(self, factory):
+        """A NaN rank compares false with everything, so the sort can leave
+        it between two in-range ranks, where the first/last range check
+        does not see it (regression: it was accepted and landed anywhere)."""
+        labeler = factory()
+        labeler.insert_batch([(1, float(key)) for key in range(20)])
+        before = (labeler.elements(), labeler.slots())
+        batch = [(1, -1.0), (float("nan"), 5.5), (3, 3.5)]
+        batch += [(21, 100.0 + index) for index in range(16)]
+        with pytest.raises(BatchError):
+            labeler.insert_batch(batch)
+        assert (labeler.elements(), labeler.slots()) == before
 
 
 class TestDeleteBatchSemantics:

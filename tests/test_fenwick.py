@@ -67,17 +67,14 @@ class TestSelect:
         with pytest.raises(IndexError):
             tree.select(0)
 
-    def test_rank_of(self):
-        tree = FenwickTree(8)
-        tree.set(2, 1)
-        tree.set(6, 1)
-        assert tree.rank_of(2) == 1
-        assert tree.rank_of(6) == 2
-
-    def test_rank_of_unoccupied_raises(self):
-        tree = FenwickTree(8)
-        with pytest.raises(ValueError):
-            tree.rank_of(3)
+    def test_select_walks_once(self):
+        # The total is stored, not summed by a prefix walk before select.
+        tree = FenwickTree.from_values([0, 1, 1, 0, 1])
+        walks = []
+        tree.prefix = lambda end: walks.append(end) or 0
+        assert tree.select(3) == 4
+        assert tree.total == 3
+        assert walks == []
 
 
 class TestAgainstReference:
@@ -103,13 +100,8 @@ class TestAgainstReference:
         occupied = [i for i, bit in enumerate(reference) if bit]
         for k, index in enumerate(occupied, start=1):
             assert tree.select(k) == index
-        for rank, index in enumerate(occupied, start=1):
-            assert tree.rank_of(index) == rank
         for index, bit in enumerate(reference):
             assert tree.value(index) == bit
-            if not bit:
-                with pytest.raises(ValueError):
-                    tree.rank_of(index)
 
 
 class TestEdges:
@@ -128,12 +120,9 @@ class TestEdges:
             tree.select(1)
         tree.set(0, 1)
         assert tree.select(1) == 0
-        assert tree.rank_of(0) == 1
         assert tree.prefix(1) == 1
         tree.set(0, 0)
         assert tree.total == 0
-        with pytest.raises(ValueError):
-            tree.rank_of(0)
 
     def test_out_of_range_updates_rejected(self):
         tree = FenwickTree(4)
@@ -207,88 +196,3 @@ class TestWeightedAgainstReference:
         with pytest.raises(ValueError):
             FenwickTree.from_values([1, -1])
 
-
-class TestWindowAssign:
-    """``assign(lo, values)`` — one refresh per laid-out window — against
-    one ``set``/``add`` per position on a twin tree."""
-
-    @staticmethod
-    def pointwise(tree: FenwickTree, lo: int, values: list[int]) -> None:
-        for offset, value in enumerate(values):
-            tree.add(lo + offset, value - tree.value(lo + offset))
-
-    @staticmethod
-    def assert_same(fast: FenwickTree, slow: FenwickTree) -> None:
-        assert fast._tree == slow._tree
-        assert fast.total == slow.total == sum(slow._values)
-        for index in range(slow.size):
-            assert fast.value(index) == slow.value(index)
-        for end in range(slow.size + 1):
-            assert fast.prefix(end) == slow.prefix(end)
-        for k in range(1, slow.total + 1):
-            assert fast.select(k) == slow.select(k)
-
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_pointwise_updates(self, data):
-        size = data.draw(st.integers(min_value=1, max_value=70))
-        top = data.draw(st.sampled_from([1, 5]))  # occupancy bits or weights
-        counts = st.integers(min_value=0, max_value=top)
-        initial = data.draw(st.lists(counts, min_size=size, max_size=size))
-        fast = FenwickTree.from_values(initial)
-        slow = FenwickTree.from_values(initial)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=4))):
-            lo = data.draw(st.integers(min_value=0, max_value=size))
-            hi = data.draw(st.integers(min_value=lo, max_value=size))
-            values = data.draw(st.lists(counts, min_size=hi - lo, max_size=hi - lo))
-            fast.assign(lo, values)
-            self.pointwise(slow, lo, values)
-            self.assert_same(fast, slow)
-
-    @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 33])
-    def test_windows_at_the_start_and_the_end(self, size):
-        for width in range(1, size + 1):
-            for lo in (0, size - width):
-                initial = [index % 2 for index in range(size)]
-                values = [1 - bit for bit in initial[lo : lo + width]]
-                fast = FenwickTree.from_values(initial)
-                slow = FenwickTree.from_values(initial)
-                fast.assign(lo, values)
-                self.pointwise(slow, lo, values)
-                self.assert_same(fast, slow)
-
-    def test_size_one_tree(self):
-        tree = FenwickTree(1)
-        tree.assign(0, [1])
-        assert tree.total == 1 and tree.select(1) == 0 and tree.rank_of(0) == 1
-        tree.assign(0, [0])
-        assert tree.total == 0 and tree.prefix(1) == 0
-        tree.assign(1, [])
-        assert tree.total == 0
-
-    def test_empty_window_changes_nothing(self):
-        tree = FenwickTree.from_values([1, 0, 1])
-        before = list(tree._tree)
-        for lo in range(4):
-            tree.assign(lo, [])
-        assert tree._tree == before and tree.total == 2
-
-    def test_bad_windows_are_refused_before_any_change(self):
-        tree = FenwickTree.from_values([1, 0, 1, 1])
-        before = list(tree._tree)
-        with pytest.raises(IndexError):
-            tree.assign(3, [1, 1])
-        with pytest.raises(IndexError):
-            tree.assign(-1, [1])
-        with pytest.raises(ValueError):
-            tree.assign(0, [1, -1])
-        assert tree._tree == before and tree.total == 3
-
-    def test_select_walks_once(self):
-        # The total is stored, not summed by a prefix walk before select.
-        tree = FenwickTree.from_values([0, 1, 1, 0, 1])
-        walks = []
-        tree.prefix = lambda end: walks.append(end) or 0
-        assert tree.select(3) == 4
-        assert tree.total == 3
-        assert walks == []

@@ -380,6 +380,44 @@ class TestCompaction:
             assert recovered.recovery.frames_replayed == j
             recovered.close()
 
+    def test_a_pinned_floor_leaves_the_log_untouched(self, tmp_path):
+        """A replication floor at the horizon makes the cut drop nothing:
+        the compaction still checkpoints, but neither rewrites the WAL nor
+        writes the horizon, and ``last_truncate_report`` is ``None``
+        (regression: every such compaction rewrote, fsynced and
+        re-validated the whole log).  Released, the next one cuts."""
+        directory = tmp_path / "pinned"
+        store = DurableStore(
+            directory, algorithm="classical", shard_capacity=32,
+            sync_policy="never",
+        )
+        wal_path = directory / WAL_FILENAME
+        store.replication_floor = lambda: 0
+        for round_keys in (range(50), range(50, 60)):
+            for key in round_keys:
+                store.put(key, f"v{key}")
+            inode, frames = wal_path.stat().st_ino, wal_path.read_bytes()
+            lsn = store.compact()
+            assert lsn == round_keys[-1] + 1
+            assert list_snapshots(directory)[-1].lsn == lsn
+            assert wal_path.stat().st_ino == inode
+            assert wal_path.read_bytes() == frames
+            assert len(frames.splitlines()) == lsn
+            assert store.durable_horizon == 0
+            assert not (directory / HORIZON_FILENAME).exists()
+            assert store.last_truncate_report is None
+
+        store.replication_floor = None
+        assert store.compact() == 60
+        assert store.durable_horizon == 60
+        assert wal_path.read_bytes() == b""
+        assert store.last_truncate_report.retained_frames == 0
+        expected = fingerprint(store.map)
+        store.close()
+        reopened = DurableStore(directory, sync_policy="never")
+        assert fingerprint(reopened.map) == expected
+        reopened.close()
+
     def test_auto_compaction_threshold(self, tmp_path):
         store = DurableStore(
             tmp_path / "auto", algorithm="classical", shard_capacity=32,
@@ -642,8 +680,8 @@ class TestBatchIngestGolden:
     """Bulk ingest is pinned bit for bit.
 
     Batches go through the slab move logs of the sharding engine, one
-    directory rebuild per batch, one occupancy refresh per laid-out window,
-    the per-shard batch ranking and one serialization per WAL frame.  The
+    directory rebuild per batch, one occupancy-bitmask flip per move, the
+    per-shard batch ranking and one serialization per WAL frame.  The
     constants were recorded from the per-element implementation (a
     :class:`~repro.core.operations.Move` pair per lifted move, a directory
     rebuild per rewrite, two Fenwick walks per move, one key search per
