@@ -9,9 +9,10 @@ replay here (best of 2), and checks:
 * move logs are bit-identical across the two (a hard assertion at every
   size), and
 * the slab rewrite wins on wall-clock — ≥ 1.5× over the reference on the
-  insert-heavy scenario at real size, and the select-walk ≥ 2× on sparse
-  chain moves (shape claims, demoted to notes in quick mode where constant
-  factors dominate).
+  insert-heavy scenario at real size, and ≥ 2× on sparse chain moves, where
+  the slab reads each span as lane windows and the reference scans it
+  (shape claims, demoted to notes in quick mode where constant factors
+  dominate).
 """
 
 from __future__ import annotations
@@ -106,13 +107,13 @@ def test_wire_speed_chain_sparse(run_once):
     trace, num_slots, chains = record_chain_sparse_trace(n, SEED)
     metrics = run_once(lambda: _race(trace, num_slots))
     emit(
-        "E-WIRE: chain moves across a sparse array (select-walk vs scan, "
+        "E-WIRE: chain moves across a sparse array (lane windows vs scan, "
         f"chains={chains})",
         _rows("chain_sparse", n, metrics),
     )
     assert metrics["moves_match"], "slab and reference move logs diverged"
     expect(
         metrics["speedup"] >= 2.0,
-        f"select-walk speedup {metrics['speedup']:.2f}x < 2x on the sparse "
+        f"lane-window speedup {metrics['speedup']:.2f}x < 2x on the sparse "
         f"chain scenario (n={n})",
     )

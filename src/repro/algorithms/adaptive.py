@@ -50,10 +50,11 @@ class AdaptivePMA(ClassicalPMA):
             self._leaf_hits[index] *= self.hit_decay
         self._leaf_hits[leaf] += 1.0
 
-    def _insert_impl(self, rank: int, element: Hashable) -> None:
-        anchor = self.slot_of_rank(rank - 1) if rank > 1 else 0
-        self._note_insertion(min(anchor, self.num_slots - 1))
-        super()._insert_impl(rank, element)
+    def _insert_between(
+        self, pred_slot: int, succ_slot: int, rank: int, element: Hashable
+    ) -> None:
+        self._note_insertion(max(pred_slot, 0))
+        super()._insert_between(pred_slot, succ_slot, rank, element)
 
     # ------------------------------------------------------------------
     # Serialization

@@ -13,9 +13,10 @@ Definition 1 charges only element moves, so the occupancy index is
 bookkeeping, kept as one Python int whose bit ``i`` is set while slot ``i``
 holds an element.  Every occupancy question is a stdlib int operation: a
 masked ``bit_count()`` counts a slot window or a rank prefix, the highest
-or lowest clear bit of a masked complement is the nearest free slot, and a
-select halves the mask by popcount down to one byte and reads a 256-entry
-table (:func:`_select_bit`).
+or lowest clear bit of a masked complement is the nearest free slot, the
+lowest set bit above a slot is the next element, and a select halves the
+mask by popcount down to one byte and reads a 256-entry table
+(:func:`repro.core.bitmask.select_bit`).
 
 Batch execution: the class overrides the :meth:`_insert_batch` hook of the
 interface with a *merged rebalance* — the batch is sorted, merged with the
@@ -30,48 +31,13 @@ A sorted key batch is ranked in one call
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from typing import Hashable, Iterator, Sequence
 
+from repro.core.bitmask import count_bits, select_bit
 from repro.core.exceptions import CapacityError, LabelerError
 from repro.core.interface import ListLabeler
 from repro.core.operations import MoveRecorder, Operation, OperationResult
-
-#: ``_BYTE_SELECT[byte][j]`` is the position of the ``(j + 1)``-th set bit
-#: of ``byte``.
-_BYTE_SELECT = tuple(
-    tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
-)
-
-
-def _select_bit(mask: int, k: int) -> int:
-    """Position of the ``k``-th (1-based) set bit of ``mask``.
-
-    The mask is halved by popcount, keeping the half that holds the bit,
-    until one byte is left for the table.  Raises :class:`IndexError` when
-    ``mask`` has fewer than ``k`` set bits.  A non-integral ``k`` selects
-    the ``ceil(k)``-th bit, the first whose prefix count reaches ``k``.
-    """
-    total = mask.bit_count()
-    if not 1 <= k <= total:
-        raise IndexError(f"select({k}) out of range (total={total})")
-    k = math.ceil(k)
-    base = 0
-    width = mask.bit_length()
-    while width > 8:
-        half = width >> 1
-        low = mask & ((1 << half) - 1)
-        count = low.bit_count()
-        if k > count:
-            k -= count
-            mask >>= half
-            base += half
-            width -= half
-        else:
-            mask = low
-            width = half
-    return base + _BYTE_SELECT[mask][k - 1]
 
 
 def _bitmask_of(slots: list) -> int:
@@ -115,13 +81,24 @@ class DenseArrayLabeler(ListLabeler):
 
     def occupied_in(self, lo: int, hi: int) -> int:
         """Number of occupied slots in ``[lo, hi)``."""
-        if hi <= lo:
-            return 0
-        return ((self._occupied >> lo) & ((1 << (hi - lo)) - 1)).bit_count()
+        return count_bits(self._occupied, lo, hi)
 
     def slot_of_rank(self, rank: int) -> int:
         """Physical slot of the element with the given 1-based rank."""
-        return _select_bit(self._occupied, rank)
+        return select_bit(self._occupied, rank)
+
+    def _neighbour_slots(self, rank: int) -> tuple[int, int]:
+        """Slots of the elements of ranks ``rank - 1`` and ``rank``, with
+        ``-1`` and ``num_slots`` standing in for a missing neighbour.
+
+        One select finds the predecessor; the successor is the lowest
+        occupied slot above it.
+        """
+        pred_slot = self.slot_of_rank(rank - 1) if rank > 1 else -1
+        above = self._occupied >> (pred_slot + 1)
+        if not above:
+            return pred_slot, self._num_slots
+        return pred_slot, pred_slot + (above & -above).bit_length()
 
     def slot_of(self, element: Hashable) -> int:
         """Physical slot currently holding ``element`` (``O(1)``)."""
@@ -152,14 +129,14 @@ class DenseArrayLabeler(ListLabeler):
     def select(self, rank: int) -> Hashable:
         """The ``rank``-th element via one occupancy select."""
         self._check_read_rank(rank, "select")
-        return self._slots[_select_bit(self._occupied, rank)]
+        return self._slots[select_bit(self._occupied, rank)]
 
     def _iter_from(self, rank: int) -> "Iterator[Hashable]":
         """Seek the start slot once, then stream the slot slab rightward."""
         if rank > self._size:
             return
         slots = self._slots
-        for index in range(_select_bit(self._occupied, rank), self.num_slots):
+        for index in range(select_bit(self._occupied, rank), self.num_slots):
             item = slots[index]
             if item is not None:
                 yield item

@@ -113,8 +113,12 @@ class ClassicalPMA(DenseArrayLabeler):
         return result
 
     def _insert_impl(self, rank: int, element: Hashable) -> None:
-        pred_slot = self.slot_of_rank(rank - 1) if rank > 1 else -1
-        succ_slot = self.slot_of_rank(rank) if rank <= self.size else self.num_slots
+        self._insert_between(*self._neighbour_slots(rank), rank, element)
+
+    def _insert_between(
+        self, pred_slot: int, succ_slot: int, rank: int, element: Hashable
+    ) -> None:
+        """Insert ``element`` at ``rank``, between its neighbours' slots."""
         anchor = pred_slot if pred_slot >= 0 else min(succ_slot, self.num_slots - 1)
         anchor = max(0, min(anchor, self.num_slots - 1))
 

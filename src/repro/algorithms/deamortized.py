@@ -120,8 +120,7 @@ class DeamortizedPMA(ClassicalPMA):
         Returns the anchor slot (the slot of the predecessor, or of the new
         element itself when it becomes the smallest).
         """
-        pred_slot = self.slot_of_rank(rank - 1) if rank > 1 else -1
-        succ_slot = self.slot_of_rank(rank) if rank <= self.size else self.num_slots
+        pred_slot, succ_slot = self._neighbour_slots(rank)
         anchor = max(0, min(pred_slot if pred_slot >= 0 else succ_slot, self.num_slots - 1))
 
         if succ_slot - pred_slot > 1:

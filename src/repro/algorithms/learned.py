@@ -83,15 +83,16 @@ class LearnedLabeler(ClassicalPMA):
             self.fallback_placements = state["fallback_placements"]
 
     # ------------------------------------------------------------------
-    def _insert_impl(self, rank: int, element: Hashable) -> None:
-        steered = self._steered_insert(rank, element)
-        if steered:
+    def _insert_between(
+        self, pred_slot: int, succ_slot: int, rank: int, element: Hashable
+    ) -> None:
+        if self._steered_insert(pred_slot, succ_slot, element):
             self.steered_placements += 1
             return
         self.fallback_placements += 1
-        super()._insert_impl(rank, element)
+        super()._insert_between(pred_slot, succ_slot, rank, element)
 
-    def _steered_insert(self, rank: int, element: Hashable) -> bool:
+    def _steered_insert(self, pred_slot: int, succ_slot: int, element: Hashable) -> bool:
         """Try to place ``element`` at (or next to) its predicted slot.
 
         The placement is accepted only when the chosen slot is free and lies
@@ -101,10 +102,6 @@ class LearnedLabeler(ClassicalPMA):
         desired = self.predicted_slot(element)
         if desired is None:
             return False
-        pred_slot = self.slot_of_rank(rank - 1) if rank > 1 else -1
-        succ_slot = (
-            self.slot_of_rank(rank) if rank <= self.size else self.num_slots
-        )
         if succ_slot - pred_slot <= 1:
             return False  # no room between the neighbours; use the PMA path
         lo, hi = pred_slot + 1, succ_slot - 1

@@ -122,8 +122,7 @@ class SparseNaiveLabeler(DenseArrayLabeler):
     # ------------------------------------------------------------------
     def _insertion_gap(self, rank: int) -> int | None:
         """A free slot between the rank's neighbours, if one exists."""
-        left = self.slot_of_rank(rank - 1) if rank > 1 else -1
-        right = self.slot_of_rank(rank) if rank <= self.size else self.num_slots
+        left, right = self._neighbour_slots(rank)
         if right - left > 1:
             # Any slot strictly between the neighbours keeps sorted order.
             return left + 1 + (right - left - 1) // 2

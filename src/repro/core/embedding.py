@@ -173,7 +173,7 @@ class Embedding(ListLabeler):
         )
 
     # ------------------------------------------------------------------
-    # Read path: served by the shared physical array's Fenwick lanes
+    # Read path: served by the shared physical array's lane bitmasks
     # ------------------------------------------------------------------
     def select(self, rank: int) -> Hashable:
         """The ``rank``-th element (one select on the element lane)."""

@@ -522,8 +522,8 @@ class ListLabeler(abc.ABC):
         This is the label-window count (how many elements carry labels in a
         physical interval); bounds are clamped to the array.  The default
         scans; concrete structures answer it from their occupancy index
-        (one popcount of a dense array's bitmask, one Fenwick prefix
-        difference on the embedding's physical array).
+        (one popcount of a dense array's bitmask or of the embedding's
+        element lane).
         """
         lo = max(0, lo)
         hi = min(self._num_slots, hi)

@@ -99,7 +99,8 @@ def record_chain_sparse_trace(n: int, seed: int) -> tuple[PhysicalTrace, int, in
     pivot element ping-ponging between far-apart F-labels (plus a few
     buffered elements that ride along as deadweight).  The seed's
     ``chain_positions`` scans the full ``O(m)`` span on every chain move;
-    the slab array walks only the tokens it finds.
+    the slab array reads the span's lanes as window masks, so its Python
+    steps follow the elements it moves and the labels it flips.
     """
     num_slots = 32 * n
     cluster = 32
@@ -128,7 +129,7 @@ def record_chain_sparse_trace(n: int, seed: int) -> tuple[PhysicalTrace, int, in
 
 
 def run_chain_sparse(n: int, seed: int) -> dict:
-    """Chain moves across a sparse array (the select-walk showcase)."""
+    """Chain moves across a sparse array (the lane-window showcase)."""
     trace, num_slots, rounds = record_chain_sparse_trace(n, seed)
     metrics = {"operations": rounds}
     metrics.update(_replays(trace, num_slots))
@@ -146,8 +147,8 @@ def run_point_lookup_core(n: int, seed: int) -> dict:
     (whose ClassicalPMA shards never touch a physical array): the reference
     and slab arrays replay the same recorded insert-heavy embedding trace to
     an identical populated state, then answer the same seeded stream of
-    ``8·n`` rank→element lookups through ``element_at_rank`` (one Fenwick
-    select per rank).  Both answer streams — and the move logs of the
+    ``8·n`` rank→element lookups through ``element_at_rank`` (one select
+    per rank).  Both answer streams — and the move logs of the
     state-building replays — must be identical: ``reads_match`` is a
     correctness flag covering both.
     """

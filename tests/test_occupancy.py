@@ -6,7 +6,9 @@ These tests churn a dense array through its move-recorded primitives
 (``_place``, ``_remove``, ``_move``, ``bulk_load``), keeping the stored
 keys sorted, and check each query against a plain scan of ``slots()``.
 The slot counts straddle the select's one-byte table (1, 7, 8, 9) and reach
-a store shard (128) and the largest Corollary 11 copy (2,254).
+a store shard (128) and the largest Corollary 11 copy (2,254).  The shared
+bitmask helpers of :mod:`repro.core.bitmask` are also checked directly,
+at widths on both sides of each power of two the select halves along.
 """
 
 from __future__ import annotations
@@ -19,6 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import NaiveLabeler
+from repro.core.bitmask import (
+    count_bits,
+    iter_bits,
+    iter_bits_reversed,
+    lowest_bits,
+    select_bit,
+)
 
 SLOT_COUNTS = [1, 7, 8, 9, 128, 2254]
 
@@ -102,6 +111,10 @@ def assert_matches_scan(labeler, windows) -> None:
     for rank in (0, len(occupied) + 1):
         with pytest.raises(IndexError):
             labeler.slot_of_rank(rank)
+    # An insert's neighbours: the slots of ranks rank - 1 and rank.
+    bounded = [-1, *occupied, m]
+    for rank in range(1, len(occupied) + 2):
+        assert labeler._neighbour_slots(rank) == (bounded[rank - 1], bounded[rank])
     for index in range(m):
         if not bits[index]:
             with pytest.raises(ValueError):
@@ -152,3 +165,27 @@ class TestOccupancyBitmask:
         for _ in range(num_slots if num_slots <= 16 else 1):
             labeler._remove(labeler.slot_of_rank(1))
             assert_matches_scan(labeler, windows)
+
+
+@pytest.mark.parametrize("width", [1, 8, 9, 64, 65, 255, 256, 257, 4096, 4097])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_bitmask_helpers_match_a_scan(width, data):
+    mask = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    if data.draw(st.booleans()):
+        mask |= 1 << (width - 1)  # the width's top bit, so bit_length == width
+    ones = [bit for bit in range(width) if mask >> bit & 1]
+    lowest = 0
+    for k, bit in enumerate(ones, start=1):
+        lowest |= 1 << bit
+        assert select_bit(mask, k) == bit
+        assert lowest_bits(mask, k) == lowest
+    assert lowest_bits(mask, 0) == 0
+    for k in (0, len(ones) + 1):
+        with pytest.raises(IndexError):
+            select_bit(mask, k)
+    assert list(iter_bits(mask)) == ones
+    assert list(iter_bits_reversed(mask)) == ones[::-1]
+    bound = st.integers(min_value=0, max_value=width)
+    for lo, hi in data.draw(st.lists(st.tuples(bound, bound), max_size=10)):
+        assert count_bits(mask, lo, hi) == sum(1 for bit in ones if lo <= bit < hi)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.exceptions import InvariantViolation
-from repro.core.operations import Move
+from repro.core.operations import Move, MoveRecorder, move_triples
 from repro.core.physical import (
     BUFFER,
     F_SLOT,
@@ -172,8 +172,8 @@ class TestChainMove:
             array.chain_move(0, 1)
 
     def test_long_sparse_chain_matches_between_implementations(self):
-        # A span far above the scan cutoff forces the slab's Fenwick-guided
-        # chain path; the reference executes the same move with its scans.
+        # A span wider than a machine word, mostly R-empty: the slab reads it
+        # as lane windows, the reference scans it slot by slot.
         spec = ["."] * 512
         for position in (0, 2, 4):
             spec[position] = "f"
@@ -186,11 +186,17 @@ class TestChainMove:
             array = build_array(spec, cls)
             array.put_element(0, "pivot")
             array.put_element(100, "rider")
-            sink: list[Move] = []
+            # The slab records into a MoveRecorder, the reference into a list.
+            sink = MoveRecorder() if cls is PhysicalArray else []
             array.move_sink = sink
             cost = array.chain_move(0, 3)  # rightmost F label: position 500
             array.move_sink = None
-            results[name] = (cost, sink, list(array.kinds()), list(array.slots()))
+            results[name] = (
+                cost,
+                move_triples(sink),
+                list(array.kinds()),
+                list(array.slots()),
+            )
         for name in IMPLEMENTATIONS:
             assert results[name] == results["reference"], name
 

@@ -6,8 +6,10 @@ recorded workload trace on the slab :class:`PhysicalArray` must produce the
 destination)`` sequence — plus identical slot kinds, contents, deadweight
 accounting, and index answers.
 Traces cover every physical primitive: embedding fast-path puts/moves,
-chain moves with deadweight (both directions, both the short-scan and the
-Fenwick-guided long path), slot relabels, and R-shell replays.
+chain moves with deadweight (both directions, over spans within one machine
+word and spans of the whole array), slot relabels, and R-shell replays.
+The index answers compared cover every lane query: element, F-slot and
+token ranks and positions, window counts, and the nearest dummy buffer.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ def assert_equivalent(reference, reference_sink, candidates, *, ordered=True):
         # Only workload traces keep elements physically sorted; the raw
         # primitive fuzz deliberately does not.
         reference.check_consistency()
-    ranks = list(range(1, reference.element_count + 1))
     for name, (array, recorder) in candidates.items():
         # Move-log equality: element, source, destination — order included.
         assert move_triples(reference_sink) == recorder.triples(), name
@@ -67,15 +68,54 @@ def assert_equivalent(reference, reference_sink, candidates, *, ordered=True):
         # Cost accounting.
         assert reference.total_deadweight_moves == array.total_deadweight_moves, name
         assert reference.deadweight_by_element == array.deadweight_by_element, name
-        # Index answers.
-        assert reference.element_count == array.element_count, name
-        assert reference.f_slot_count == array.f_slot_count, name
-        assert reference.buffer_count == array.buffer_count, name
-        assert reference.dummy_buffer_count == array.dummy_buffer_count, name
-        for rank in ranks:
-            assert reference.element_at_rank(rank) == array.element_at_rank(rank), name
+        assert_same_answers(reference, array, name)
         if ordered:
             array.check_consistency()
+
+
+def assert_same_answers(reference, array, name):
+    """Every index answer of ``array`` equals the reference's."""
+    num_slots = reference.num_slots
+    assert reference.element_count == array.element_count, name
+    assert reference.f_slot_count == array.f_slot_count, name
+    assert reference.buffer_count == array.buffer_count, name
+    assert reference.dummy_buffer_count == array.dummy_buffer_count, name
+    assert reference.buffered_element_count == array.buffered_element_count, name
+    count = reference.element_count
+    for rank in range(1, count + 1):
+        assert reference.element_at_rank(rank) == array.element_at_rank(rank), name
+        assert reference.position_of_rank(rank) == array.position_of_rank(rank), name
+    for rank in {1, count // 2 + 1, count, count + 1}:
+        assert list(reference.iter_elements_from(rank)) == list(
+            array.iter_elements_from(rank)
+        ), (name, rank)
+    for f_index in range(reference.f_slot_count):
+        position = reference.f_position(f_index)
+        assert array.f_position(f_index) == position, (name, f_index)
+        assert array.f_index_of(position) == f_index, (name, position)
+    for position in range(num_slots):
+        if reference.kind(position) != R_EMPTY:
+            assert reference.token_rank(position) == array.token_rank(position), (
+                name,
+                position,
+            )
+    rng = random.Random(num_slots)
+    sampled = sorted(
+        {0, num_slots - 1, *rng.sample(range(num_slots), min(num_slots, 24))}
+    )
+    for position in sampled:
+        assert reference.nearest_dummy_buffer(position) == array.nearest_dummy_buffer(
+            position
+        ), (name, position)
+        for end in sampled:
+            window = (position, end + 1)
+            assert reference.real_between(*window) == array.real_between(*window), (
+                name,
+                window,
+            )
+            assert reference.nonempty_between(*window) == array.nonempty_between(
+                *window
+            ), (name, window)
 
 
 @pytest.mark.parametrize("seed", [1, 7, 20260730])
@@ -115,11 +155,9 @@ def test_sparse_chain_trace_is_move_identical(seed):
     assert_equivalent(*replay_on_all(trace, num_slots))
 
 
-def test_random_primitive_soup_is_move_identical():
-    # Raw primitive fuzz (no embedding): random puts/takes/moves over a
-    # mixed-kind array, applied to both implementations in lockstep.
-    rng = random.Random(99)
-    num_slots = 512
+def primitive_soup_trace(num_slots, seed, steps):
+    """Random puts/takes/moves over a mixed-kind array (no embedding)."""
+    rng = random.Random(seed)
     spec = [
         F_SLOT if rng.random() < 0.5 else (BUFFER if rng.random() < 0.5 else R_EMPTY)
         for _ in range(num_slots)
@@ -129,7 +167,7 @@ def test_random_primitive_soup_is_move_identical():
     scratch.initialize_kinds(enumerate(spec))
     occupied: list[int] = []
     fresh = 0
-    for _ in range(3000):
+    for _ in range(steps):
         roll = rng.random()
         if roll < 0.5 or not occupied:
             candidates = [
@@ -163,12 +201,49 @@ def test_random_primitive_soup_is_move_identical():
             position = occupied.pop(index)
             scratch.take_element(position)
             trace.append(("take", (position,)))
+    return trace
+
+
+def test_random_primitive_soup_is_move_identical():
+    # Raw primitive fuzz (no embedding): random puts/takes/moves over a
+    # mixed-kind array, applied to both implementations in lockstep.
+    trace = primitive_soup_trace(512, 99, 3000)
+    assert_equivalent(*replay_on_all(trace, 512), ordered=False)
+
+
+@pytest.mark.parametrize("num_slots", [63, 64, 65, 129])
+def test_random_primitive_soup_at_word_boundaries(num_slots):
+    # Lane masks one bit short of, at, and past a 64-bit word, and past two.
+    trace = primitive_soup_trace(num_slots, num_slots, 400)
     assert_equivalent(*replay_on_all(trace, num_slots), ordered=False)
 
 
-class TestSparseChainPositions:
-    """Regression: ``chain_positions`` must not pay ``O(hi - lo)`` on
-    sparse arrays (the seed's scan dominated chain-move cost there)."""
+@pytest.mark.parametrize("rightward", [True, False])
+def test_chain_move_across_the_whole_array_is_identical(rightward):
+    # The span runs from slot 0 to slot m - 1: the pivot crosses every
+    # token, carrying two buffered riders as deadweight.
+    m = 300
+    kinds = [R_EMPTY] * m
+    for position in (0, 2, 4, 150, m - 5, m - 3, m - 1):
+        kinds[position] = F_SLOT
+    for position in (1, 3, 60, 120, 200, m - 4, m - 2):
+        kinds[position] = BUFFER
+    pivot, target = (0, 6) if rightward else (m - 1, 0)
+    trace = [("init", (tuple(enumerate(kinds)),))]
+    trace.extend(("put", (position, position, False)) for position in (pivot, 60, 200))
+    trace.append(("chain", (pivot, target)))
+    reference, reference_sink, candidates = replay_on_all(trace, m)
+    # The three elements pack against the target's end in order, so the
+    # pivot lands farthest from the target.
+    assert reference.position_of(pivot) == (m - 3 if rightward else 2)
+    assert reference.total_deadweight_moves == 2
+    assert_equivalent(reference, reference_sink, candidates)
+
+
+class TestSparseChainMove:
+    """Regression: a chain move across a sparse array must not pay
+    ``O(hi - lo)`` Python steps (the seed's span scan dominated chain-move
+    cost there)."""
 
     NUM_SLOTS = 400_000
     TOKENS = 16
@@ -181,40 +256,46 @@ class TestSparseChainPositions:
             for i in range(self.TOKENS)
         ]
         array.initialize_kinds(kinds)
+        array.put_element(0, "pivot")
+        array.put_element(step, "rider")
         return array
 
-    def test_select_walk_matches_scan(self):
+    def _last_f_index(self):
+        return self.TOKENS // 2 - 1
+
+    def test_chain_move_matches_reference(self):
         slab = self._build(PhysicalArray)
         reference = self._build(ReferencePhysicalArray)
-        full = slab.chain_positions(0, self.NUM_SLOTS - 1)
-        assert full == reference.chain_positions(0, self.NUM_SLOTS - 1)
-        assert len(full) == self.TOKENS
-        # Partial and empty spans, boundaries inclusive.
-        step = self.NUM_SLOTS // self.TOKENS
-        assert slab.chain_positions(1, step - 1) == []
-        assert slab.chain_positions(step, step) == [step]
-        assert slab.chain_positions(step + 1, 3 * step) == [2 * step, 3 * step]
+        recorder, sink = MoveRecorder(), []
+        slab.move_sink, reference.move_sink = recorder, sink
+        # Across the array and back: rightward, then leftward.
+        for target in (self._last_f_index(), 0):
+            source = reference.position_of("pivot")
+            assert slab.chain_move(source, target) == reference.chain_move(
+                source, target
+            )
+        assert recorder.triples() == move_triples(sink)
+        assert list(slab.kinds()) == list(reference.kinds())
+        assert list(slab.slots()) == list(reference.slots())
 
-    def test_select_walk_beats_scan_on_sparse_array(self):
-        slab = self._build(PhysicalArray)
-        reference = self._build(ReferencePhysicalArray)
-        lo, hi = 0, self.NUM_SLOTS - 1
-
-        def best_of(callable_, repeats=3):
+    def test_chain_move_beats_scan_on_sparse_array(self):
+        def best_of(cls, repeats=3):
             times = []
             for _ in range(repeats):
+                array = self._build(cls)
                 started = time.perf_counter()
-                callable_()
+                array.chain_move(0, self._last_f_index())
                 times.append(time.perf_counter() - started)
             return min(times)
 
-        slab_time = best_of(lambda: slab.chain_positions(lo, hi))
-        reference_time = best_of(lambda: reference.chain_positions(lo, hi))
-        # 16 tokens over 400k slots: the select-walk does a few hundred slab
-        # reads where the scan does 400k — orders of magnitude apart, so a
-        # 5x margin keeps the assertion far from timing noise.
+        slab_time = best_of(PhysicalArray)
+        reference_time = best_of(ReferencePhysicalArray)
+        # 16 tokens over 400k slots: the slab does a few dozen operations on
+        # 50 KB ints where the reference steps through 350k slots in Python
+        # — orders of magnitude apart, so a 5x margin keeps the assertion
+        # far from timing noise.
         assert slab_time * 5 < reference_time, (
-            f"select-walk {slab_time:.6f}s vs scan {reference_time:.6f}s"
+            f"lane windows {slab_time:.6f}s vs scan {reference_time:.6f}s"
         )
 
 
