@@ -200,29 +200,29 @@ class Embedding(ListLabeler):
 
         A binary search over the physical slots, as
         :meth:`repro.algorithms.base.DenseArrayLabeler.count_below` runs
-        over its slot list: a probe on an element-free slot steps right to
-        the next element inside the window, and one element-lane prefix
-        turns the boundary slot into a count.  Below a quarter load the
-        gaps outweigh the probes, so a sparse embedding keeps the
+        over its slot list: a probe on an element-free slot moves to the
+        next element inside the window
+        (:meth:`~repro.core.physical.PhysicalArray.next_element`, a short
+        walk and then one element-lane lookup), and one element-lane
+        prefix turns the boundary slot into a count.  Below a quarter load
+        the gaps outweigh the probes, so a sparse embedding keeps the
         interface's binary search over :meth:`select`.
         """
         if 4 * self._size < self._num_slots:
             return super().count_below(key, strict=strict)
-        element_at = self._physical.element
+        next_element = self._physical.next_element
         lo, hi = 0, self._num_slots
         # Invariant: every element left of ``lo`` is below the key, and
         # the first element at or after ``hi`` (if any) is not.
         while lo < hi:
             mid = (lo + hi) // 2
-            probe = mid
-            element = element_at(probe)
-            while element is None and probe + 1 < hi:
-                probe += 1
-                element = element_at(probe)
-            if element is None:
+            found = next_element(mid, hi)
+            if found is None:
                 hi = mid
-            elif element < key if strict else element <= key:
-                lo = probe + 1
+                continue
+            position, element = found
+            if element < key if strict else element <= key:
+                lo = position + 1
             else:
                 hi = mid
         return self._physical.real_between(0, lo)

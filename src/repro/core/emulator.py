@@ -26,7 +26,7 @@ from typing import Hashable, Iterable, Sequence
 
 from repro.core.exceptions import InvariantViolation
 from repro.core.interface import ListLabeler
-from repro.core.operations import Move, OperationResult
+from repro.core.operations import Move, MoveRecorder
 from repro.core.physical import PhysicalArray
 from repro.core.rebuild import CLEANUP, INCORPORATE, PLACE, RebuildPlan, build_plan
 
@@ -82,31 +82,30 @@ class FEmulator:
     # ------------------------------------------------------------------
     # Fast path
     # ------------------------------------------------------------------
-    def apply_fast(self, moves: Iterable[Move]) -> None:
+    def apply_fast(self, moves: MoveRecorder | Iterable[Move]) -> None:
         """Replay the simulated copy's moves directly onto the F-slots.
 
         Only legal when there is no pending rebuild, in which case there are
         no buffered elements (Lemma 10), so an element travelling between two
         F-slots crosses at most dummy buffer slots and incurs no deadweight.
+        The recorder's columns are read directly, and each F-index becomes
+        a position through the physical array's F-position table.
         """
         if self._plan is not None:
             raise InvariantViolation("fast path taken while a rebuild is pending")
-        for move in moves:
-            if move.is_placement:
-                f_index = move.destination
-                self._physical.put_element(self._physical.f_position(f_index), move.element)
-                self._shadow_set(f_index, move.element)
-            elif move.is_removal:
-                f_index = move.source
-                self._physical.take_element(self._physical.f_position(f_index))
-                self._shadow_clear(f_index)
-            else:
-                src, dst = move.source, move.destination
-                self._physical.move_element(
-                    self._physical.f_position(src), self._physical.f_position(dst)
-                )
+        physical = self._physical
+        f_position = physical.f_position
+        for element, src, dst in zip(*MoveRecorder.of(moves).columns()):
+            if dst < 0:
+                physical.take_element(f_position(src))
                 self._shadow_clear(src)
-                self._shadow_set(dst, move.element)
+            elif src < 0:
+                physical.put_element(f_position(dst), element)
+                self._shadow_set(dst, element)
+            else:
+                physical.move_element(f_position(src), f_position(dst))
+                self._shadow_clear(src)
+                self._shadow_set(dst, element)
 
     # ------------------------------------------------------------------
     # Bulk loading

@@ -210,6 +210,21 @@ class MoveRecorder:
         #: Element-move cost of everything recorded so far (Definition 1).
         self.total_cost = 0
 
+    @classmethod
+    def of(cls, moves: MoveRecorder | Iterable[Move]) -> MoveRecorder:
+        """``moves`` itself when it is a recorder, else a recorder of it."""
+        if isinstance(moves, MoveRecorder):
+            return moves
+        recorder = cls()
+        recorder.extend(moves)
+        return recorder
+
+    def columns(self) -> tuple[list[Hashable], array, array]:
+        """The log as its three columns — elements, sources, destinations,
+        ``-1`` standing in for ``None`` — for replays that read moves
+        without building :class:`Move` objects.  Read-only views."""
+        return self._elements, self._sources, self._destinations
+
     def record(
         self, element: Hashable, source: int | None, destination: int | None
     ) -> None:

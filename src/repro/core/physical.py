@@ -31,20 +31,36 @@ move-for-move differential oracle for this class):
 * each state bit also has a *lane*: one Python int whose bit ``p`` is that
   bit of slot ``p``, flipped by XOR on every state change.  A count, token
   rank or F-index is a masked ``bit_count()``, the dummy buffers are
-  ``nonempty & ~f & ~element``, and the position of a given rank is a
-  :func:`repro.core.bitmask.select_bit`;
+  ``nonempty & ~f & ~element``, and the position of a given element rank
+  is a :func:`repro.core.bitmask.select_bit`;
+* the F lane's set bits are also kept as an F-index → position
+  ``array('q')``, so :meth:`f_position` is one lookup.  The table changes
+  only where the F lane does: after a :meth:`chain_move` relabel, an
+  :meth:`apply_shell_moves` replay or a direct :meth:`set_kind`, only the
+  entries from the first slot whose F bit flipped to the last are
+  rewritten (a chain move keeps its span's F count, and the shell keeps
+  its tokens in order, so every F-index outside that stretch stays put),
+  and :meth:`initialize_kinds` rebuilds it;
 * contents live in an ``array('q')`` slab of interned element ids
   (``-1`` = empty) with an id → position ``array('q')`` replacing the
-  per-element position dict on the hot paths;
+  per-element position dict on the hot paths; :meth:`next_element`
+  walks a few of those ids, then finds the end of a longer empty run on
+  the element lane, which is how the embedding's key search steps past
+  gaps;
 * :meth:`chain_move` reads the span's lanes as window masks, so its work
   follows the elements it moves and the labels it flips, not the span;
 * moves are recorded into a :class:`repro.core.operations.MoveRecorder`
-  (``move_sink``): three slab appends per move, no :class:`Move` objects.
+  (``move_sink``): three slab appends per move, no :class:`Move` objects,
+  and :meth:`apply_shell_moves` reads the shell's recorder column by
+  column.  :meth:`check_consistency` re-derives the lanes and the
+  F-position table from the state slab.
 """
 
 from __future__ import annotations
 
+import re
 from array import array
+from bisect import bisect_left
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from repro import obs
@@ -83,6 +99,27 @@ _STATE_KIND = tuple(
     for state in range(8)
 )
 
+#: ``_LANE_DIGITS[bit][state]`` is ``ord("1")`` when ``state`` has ``bit``,
+#: else ``ord("0")``: the base-2 digit of a slot in its lane.  A state slab
+#: translated through it is searched for its ``1`` digits at C speed.
+_LANE_DIGITS = {
+    bit: bytes(49 if state & bit else 48 for state in range(256))
+    for bit in (_BIT_F, _BIT_NONEMPTY, _BIT_REAL)
+}
+#: One ``1`` digit of a translated state slab.
+_ONE = re.compile(b"1")
+
+
+def _lane_of(states: bytearray, bit: int) -> int:
+    """The lane of ``bit`` re-derived from the state slab, in ``O(m)``:
+    the slots' digits, highest slot first, parsed as one base-2 int."""
+    return int(states.translate(_LANE_DIGITS[bit])[::-1] or b"0", 2)
+
+
+#: Id-slab entries :meth:`PhysicalArray.next_element` reads one by one
+#: before it looks the rest of an empty run up on the element lane.
+_NEXT_ELEMENT_WALK = 4
+
 
 class PhysicalArray:
     """The embedding's array ``A`` with slot kinds, contents, and lanes."""
@@ -100,6 +137,8 @@ class PhysicalArray:
         self._f = 0
         self._nonempty = 0
         self._real = 0
+        #: F-index → position: the set bits of the F lane, lowest first.
+        self._f_positions = array("q")
         #: Interned element id per slot; -1 marks an element-free slot.
         self._eid = array("q", b"\xff" * (8 * num_slots)) if num_slots else array("q")
         #: id → element object and element → id (the interning table).
@@ -209,6 +248,38 @@ class PhysicalArray:
             if eid >= 0:
                 yield elem_of[eid]
 
+    def next_element(self, position: int, stop: int) -> tuple[int, Hashable] | None:
+        """The first stored element at a position in ``[position, stop)``,
+        as ``(position, element)``; ``None`` when that window holds none.
+
+        The first few id-slab entries are read one by one; past them, one
+        lookup of the lowest set bit of the element lane skips the rest
+        of an empty run, however long.
+        """
+        if position >= stop:
+            return None
+        eids = self._eid
+        eid = eids[position]
+        if eid < 0:
+            walk_end = position + _NEXT_ELEMENT_WALK
+            if walk_end > stop:
+                walk_end = stop
+            position += 1
+            while position < walk_end:
+                eid = eids[position]
+                if eid >= 0:
+                    break
+                position += 1
+            else:
+                above = self._real >> position
+                if not above:
+                    return None
+                position += (above & -above).bit_length() - 1
+                if position >= stop:
+                    return None
+                eid = eids[position]
+        return position, self._elem_of[eid]
+
     # ------------------------------------------------------------------
     # Counting helpers
     # ------------------------------------------------------------------
@@ -251,8 +322,16 @@ class PhysicalArray:
     # F-coordinate translation
     # ------------------------------------------------------------------
     def f_position(self, f_index: int) -> int:
-        """Physical position of the ``f_index``-th (0-based) F-slot."""
-        return select_bit(self._f, f_index + 1)
+        """Physical position of the ``f_index``-th (0-based) F-slot.
+
+        One lookup in the F-position table, with no select: the table is
+        the F lane's set bits in order, and every relabel rewrites the
+        entries it moved (:meth:`_reindex_f`).  :class:`IndexError` for an
+        index below zero or past the last F-slot.
+        """
+        if f_index < 0:
+            raise IndexError(f"F-index {f_index} is negative")
+        return self._f_positions[f_index]
 
     def f_index_of(self, position: int) -> int:
         """0-based F-index of the F-slot at ``position``."""
@@ -316,8 +395,25 @@ class PhysicalArray:
 
     def set_kind(self, position: int, kind: int) -> None:
         """Relabel a slot (free of charge — no element moves)."""
-        self._set_state(
-            position, _KIND_BITS[kind] | self._state[position] & _BIT_REAL
+        state = self._state[position]
+        self._set_state(position, _KIND_BITS[kind] | state & _BIT_REAL)
+        if (state ^ self._state[position]) & _BIT_F:
+            self._reindex_f([position])
+
+    def _reindex_f(self, flipped: list[int]) -> None:
+        """Update the F-position table after the F bit of each slot in
+        ``flipped`` (ascending positions) changed.
+
+        Only the entries from the first flipped slot to the last change:
+        they become the old ones with the flipped slots toggled, and the
+        entries after them shift to their new F-indices with the slice
+        assignment.
+        """
+        positions = self._f_positions
+        start = bisect_left(positions, flipped[0])
+        stop = bisect_left(positions, flipped[-1] + 1, start)
+        positions[start:stop] = array(
+            "q", sorted(set(positions[start:stop]).symmetric_difference(flipped))
         )
 
     def put_element(self, position: int, element: Hashable, *, deadweight: bool = False) -> None:
@@ -389,13 +485,18 @@ class PhysicalArray:
     # ------------------------------------------------------------------
     def initialize_kinds(self, positions_and_kinds: Iterable[tuple[int, int]]) -> None:
         """Bulk-set the slot kinds at construction time (no cost recorded)."""
+        state = self._state
         for position, kind in positions_and_kinds:
-            self.set_kind(position, kind)
+            self._set_state(position, _KIND_BITS[kind] | state[position] & _BIT_REAL)
+        f_digits = state.translate(_LANE_DIGITS[_BIT_F])
+        self._f_positions = array(
+            "q", [digit.start() for digit in _ONE.finditer(f_digits)]
+        )
 
     # ------------------------------------------------------------------
     # The R-shell primitive: replay shell moves
     # ------------------------------------------------------------------
-    def apply_shell_moves(self, moves: Iterable[Move]) -> int:
+    def apply_shell_moves(self, moves: MoveRecorder | Iterable[Move]) -> int:
         """Replay a move sequence of the R-shell on the physical array.
 
         The R-shell moves whole *slots*: when it relocates one of its tokens
@@ -405,49 +506,53 @@ class PhysicalArray:
         removals turn the position back into ``R_EMPTY``.  Returns the number
         of *real element* moves incurred (the embedding's cost for the
         replayed work — dummy and free slots move for free).
+
+        The recorder's three columns are read directly.  The shell keeps
+        its tokens in order, so the F-slots keep their F-order: once the
+        moves are replayed, the F-position table changes only between the
+        first and the last slot whose F bit flipped.
         """
         if self._obs_enabled:
             self._obs_shell_moves.inc()
+        tokens, sources, destinations = MoveRecorder.of(moves).columns()
         cost = 0
         lifted: dict[Hashable, tuple[int, Hashable | None]] = {}
         state = self._state
         eids = self._eid
         sink = self.move_sink
-        for move in moves:
-            if move.is_placement:
-                position = move.destination
-                if state[position] & _BIT_NONEMPTY:
+        f_before = self._f
+        for token, src, dst in zip(tokens, sources, destinations):
+            if src < 0 <= dst:
+                if state[dst] & _BIT_NONEMPTY:
                     raise InvariantViolation(
-                        f"R-shell placed a token on non-empty slot {position}"
+                        f"R-shell placed a token on non-empty slot {dst}"
                     )
-                if move.element in lifted:
+                if token in lifted:
                     # A token the shell removed earlier in this very operation
                     # (remove-and-replace rebalancing): restore its content.
-                    kind, element = lifted.pop(move.element)
-                    self.set_kind(position, kind)
+                    kind, element = lifted.pop(token)
+                    self._set_state(dst, _KIND_BITS[kind] | state[dst] & _BIT_REAL)
                     if element is not None:
-                        self.put_element(position, element)
+                        self.put_element(dst, element)
                         cost += 1
                 else:
-                    self.set_kind(position, BUFFER)
+                    self._set_state(dst, _KIND_BITS[BUFFER] | state[dst] & _BIT_REAL)
                 continue
-            if move.is_removal:
-                position = move.source
-                if not state[position] & _BIT_NONEMPTY:
+            if dst < 0:
+                if not state[src] & _BIT_NONEMPTY:
                     raise InvariantViolation(
-                        f"R-shell removed a token from empty slot {position}"
+                        f"R-shell removed a token from empty slot {src}"
                     )
-                kind = _STATE_KIND[state[position]]
-                carried = None if eids[position] < 0 else self._elem_of[eids[position]]
+                kind = _STATE_KIND[state[src]]
+                carried = None if eids[src] < 0 else self._elem_of[eids[src]]
                 if carried is not None:
                     # Token removed while carrying an element: the shell is
                     # doing a remove-and-replace rebalance; lift the content
                     # and wait for the matching placement.
-                    self.take_element(position)
-                lifted[move.element] = (kind, carried)
-                self.set_kind(position, R_EMPTY)
+                    self.take_element(src)
+                lifted[token] = (kind, carried)
+                self._set_state(src, 0)
                 continue
-            src, dst = move.source, move.destination
             if state[dst] & _BIT_NONEMPTY:
                 raise InvariantViolation(
                     f"R-shell moved a token onto non-empty slot {dst}"
@@ -463,6 +568,10 @@ class PhysicalArray:
             carried_state = state[src]
             self._set_state(src, 0)
             self._set_state(dst, carried_state)
+        flips = self._f ^ f_before
+        if flips:
+            low = (flips & -flips).bit_length() - 1
+            self._reindex_f([low + offset for offset in iter_bits(flips >> low)])
         return cost
 
     # ------------------------------------------------------------------
@@ -534,8 +643,10 @@ class PhysicalArray:
             # Every flip is between F_SLOT and BUFFER: only the F bit changes.
             self._f ^= flips << lo
             state = self._state
-            for offset in iter_bits(flips):
-                state[lo + offset] ^= _BIT_F
+            flipped = [lo + offset for offset in iter_bits(flips)]
+            for position in flipped:
+                state[position] ^= _BIT_F
+            self._reindex_f(flipped)
             if self._obs_enabled:
                 self._obs_relabel_flips.inc(flips.bit_count())
         return reals.bit_count()
@@ -544,11 +655,36 @@ class PhysicalArray:
     # Validation
     # ------------------------------------------------------------------
     def check_consistency(self, key: Callable[[Hashable], object] | None = None) -> None:
-        """Raise :class:`InvariantViolation` if any structural invariant fails."""
-        previous = None
+        """Raise :class:`InvariantViolation` if any structural invariant fails.
+
+        Besides the physical order, the id → position slab and the
+        interning table, the three lanes and the F-position table are
+        re-derived from the state slab and must equal the ones kept
+        incrementally.
+        """
         state = self._state
+        for name, bit, lane in (
+            ("F", _BIT_F, self._f),
+            ("non-empty", _BIT_NONEMPTY, self._nonempty),
+            ("element", _BIT_REAL, self._real),
+        ):
+            if _lane_of(state, bit) != lane:
+                raise InvariantViolation(
+                    f"the {name} lane differs from the slot states"
+                )
+        if self._f_positions.tolist() != [
+            position for position, bits in enumerate(state) if bits & _BIT_F
+        ]:
+            raise InvariantViolation(
+                "the F-position table differs from the slot states"
+            )
+        previous = None
         for position, eid in enumerate(self._eid):
             if eid < 0:
+                if state[position] & _BIT_REAL:
+                    raise InvariantViolation(
+                        f"element-free slot {position} is in the element index"
+                    )
                 continue
             element = self._elem_of[eid]
             if not state[position] & _BIT_NONEMPTY:

@@ -112,6 +112,18 @@ class ReferencePhysicalArray:
             if element is not None:
                 yield element
 
+    def next_element(self, position: int, stop: int) -> tuple[int, Hashable] | None:
+        """The first stored element at a position in ``[position, stop)``,
+        as ``(position, element)``, or ``None`` — the reference twin of
+        :meth:`repro.core.physical.PhysicalArray.next_element`, a plain
+        scan.  Additive read-only API, like :meth:`iter_elements_from`.
+        """
+        elems = self._elems
+        for probe in range(position, stop):
+            if elems[probe] is not None:
+                return probe, elems[probe]
+        return None
+
     # ------------------------------------------------------------------
     # Counting helpers
     # ------------------------------------------------------------------

@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from typing import Callable, Hashable
 
-from repro.core.operations import Move
+from repro.core.operations import MoveRecorder
 from repro.core.physical import PhysicalArray
 
 #: One trace entry: an opcode plus its (hashable, picklable) arguments.
@@ -82,16 +82,11 @@ class TracingPhysicalArray(PhysicalArray):
             self._trace_depth -= 1
 
     def apply_shell_moves(self, moves) -> int:
-        triples = tuple(
-            (move.element, move.source, move.destination) for move in moves
-        )
-        self._note("shell", (triples,))
+        moves = MoveRecorder.of(moves)
+        self._note("shell", (tuple(moves.triples()),))
         self._trace_depth += 1
         try:
-            return super().apply_shell_moves(
-                Move(element, source, destination)
-                for element, source, destination in triples
-            )
+            return super().apply_shell_moves(moves)
         finally:
             self._trace_depth -= 1
 
@@ -118,10 +113,10 @@ def replay_trace(trace: PhysicalTrace, array) -> None:
         elif op == "take":
             take(args[0])
         elif op == "shell":
-            shell(
-                Move(element, source, destination)
-                for element, source, destination in args[0]
-            )
+            moves = MoveRecorder()
+            for element, source, destination in args[0]:
+                moves.record(element, source, destination)
+            shell(moves)
         elif op == "kind":
             set_kind(args[0], args[1])
         elif op == "init":

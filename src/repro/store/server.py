@@ -26,8 +26,9 @@ A malformed frame (an oversized length prefix, a body that is not a
 UTF-8 JSON object, a hang-up inside a frame) closes the connection and
 is counted under its error family; an answer too large for one frame is
 replaced by an ``oversized_frame`` error on a connection that stays
-open.  :meth:`StoreServer.stop` drops every open connection before it
-waits for the listener to close.
+open.  :meth:`StoreServer.stop` stops accepting, lets the accepts
+already under way make their connections, and drops every open
+connection before it waits for the listener to close.
 
 **Replication.**  A ``REPLICATE`` request switches its connection into
 push mode: a feeder task writes the stream through the connection, the
@@ -198,6 +199,15 @@ class StoreServer:
             self._service.remove_commit_listener(self._commit_listener)
             self._commit_listener = None
         self._service.store.replication_floor = None
+        # Stop accepting, then give the accepts already under way one loop
+        # pass to make their transports while the listener is still open:
+        # asyncio's Server.close() makes a later one fail half-built and
+        # leaves its socket open.  Each such connection aborts itself in
+        # connection_made (``_stopping``).
+        loop = asyncio.get_running_loop()
+        for sock in self._server.sockets:
+            loop.remove_reader(sock.fileno())
+        await asyncio.sleep(0)
         self._server.close()
         # From Python 3.12.1 wait_closed() also waits for every accepted
         # connection to close, so none may be left open.  Aborting, not

@@ -234,3 +234,49 @@ class TestShellReplay:
         assert cost == 1
         assert array.kind(2) == F_SLOT
         assert array.position_of(7) == 2
+
+
+def _flip_lane(name, bit):
+    def corrupt(array):
+        setattr(array, name, getattr(array, name) ^ 1 << bit)
+
+    return corrupt
+
+
+def _element_bit_without_element(array):
+    array._state[2] |= 4
+    array._real |= 1 << 2
+
+
+class TestSlabConsistencyCheck:
+    """``PhysicalArray.check_consistency`` re-derives the three lanes and
+    the F-position table from the state slab, so a stale copy of any of
+    them is an invariant violation."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            _flip_lane("_f", 3),
+            _flip_lane("_nonempty", 3),
+            _flip_lane("_real", 2),
+            lambda array: array._f_positions.__setitem__(1, 4),
+            lambda array: array._f_positions.pop(),
+            _element_bit_without_element,
+        ],
+        ids=[
+            "f-lane",
+            "nonempty-lane",
+            "element-lane",
+            "f-table-entry",
+            "f-table-length",
+            "element-bit",
+        ],
+    )
+    def test_stale_index_is_an_invariant_violation(self, corrupt):
+        array = build_array("fbf.bf.f", PhysicalArray)
+        array.put_element(0, 1)
+        array.put_element(1, 2)
+        array.check_consistency()
+        corrupt(array)
+        with pytest.raises(InvariantViolation):
+            array.check_consistency()

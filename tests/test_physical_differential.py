@@ -52,6 +52,37 @@ def replay_on_all(trace, num_slots):
     return reference, reference_sink, candidates
 
 
+def replay_in_lockstep(trace, num_slots):
+    """:func:`replay_on_all`, one op at a time: after every op each
+    candidate's F coordinates must equal the reference's."""
+    reference = ReferencePhysicalArray(num_slots)
+    reference_sink: list = []
+    reference.move_sink = reference_sink
+    candidates = {
+        name: (cls(num_slots), MoveRecorder()) for name, cls in CANDIDATES.items()
+    }
+    for array, recorder in candidates.values():
+        array.move_sink = recorder
+    for index, op in enumerate(trace):
+        replay_trace([op], reference)
+        for name, (array, _recorder) in candidates.items():
+            replay_trace([op], array)
+            assert_same_f_coordinates(reference, array, (name, index, op[0]))
+    reference.move_sink = None
+    for array, _recorder in candidates.values():
+        array.move_sink = None
+    return reference, reference_sink, candidates
+
+
+def assert_same_f_coordinates(reference, array, where):
+    """``f_position`` of every F-index, and ``f_index_of`` of its slot."""
+    assert reference.f_slot_count == array.f_slot_count, where
+    for f_index in range(reference.f_slot_count):
+        position = reference.f_position(f_index)
+        assert array.f_position(f_index) == position, (where, f_index)
+        assert array.f_index_of(position) == f_index, (where, position)
+
+
 def assert_equivalent(reference, reference_sink, candidates, *, ordered=True):
     if ordered:
         # Only workload traces keep elements physically sorted; the raw
@@ -89,10 +120,7 @@ def assert_same_answers(reference, array, name):
         assert list(reference.iter_elements_from(rank)) == list(
             array.iter_elements_from(rank)
         ), (name, rank)
-    for f_index in range(reference.f_slot_count):
-        position = reference.f_position(f_index)
-        assert array.f_position(f_index) == position, (name, f_index)
-        assert array.f_index_of(position) == f_index, (name, position)
+    assert_same_f_coordinates(reference, array, name)
     for position in range(num_slots):
         if reference.kind(position) != R_EMPTY:
             assert reference.token_rank(position) == array.token_rank(position), (
@@ -114,6 +142,9 @@ def assert_same_answers(reference, array, name):
                 window,
             )
             assert reference.nonempty_between(*window) == array.nonempty_between(
+                *window
+            ), (name, window)
+            assert reference.next_element(*window) == array.next_element(
                 *window
             ), (name, window)
 
@@ -145,7 +176,7 @@ def test_shell_replay_trace_is_move_identical():
         96, 5, reliable_expected_cost=1
     )
     assert any(op == "shell" for op, _ in trace)
-    assert_equivalent(*replay_on_all(trace, num_slots))
+    assert_equivalent(*replay_in_lockstep(trace, num_slots))
 
 
 @pytest.mark.parametrize("seed", [2, 13])
@@ -208,14 +239,65 @@ def test_random_primitive_soup_is_move_identical():
     # Raw primitive fuzz (no embedding): random puts/takes/moves over a
     # mixed-kind array, applied to both implementations in lockstep.
     trace = primitive_soup_trace(512, 99, 3000)
-    assert_equivalent(*replay_on_all(trace, 512), ordered=False)
+    assert_equivalent(*replay_in_lockstep(trace, 512), ordered=False)
 
 
 @pytest.mark.parametrize("num_slots", [63, 64, 65, 129])
 def test_random_primitive_soup_at_word_boundaries(num_slots):
     # Lane masks one bit short of, at, and past a 64-bit word, and past two.
     trace = primitive_soup_trace(num_slots, num_slots, 400)
-    assert_equivalent(*replay_on_all(trace, num_slots), ordered=False)
+    assert_equivalent(*replay_in_lockstep(trace, num_slots), ordered=False)
+
+
+def chain_targets(array, source):
+    """The F-indices a chain move from ``source`` may target: no F-slot
+    between the two holds an element."""
+    f_positions = [array.f_position(f_index) for f_index in range(array.f_slot_count)]
+    blocked = [p for p in f_positions if p != source and array.element(p) is not None]
+    left = max((p for p in blocked if p < source), default=-1)
+    right = min((p for p in blocked if p > source), default=array.num_slots)
+    return [i for i, p in enumerate(f_positions) if left < p < right and p != source]
+
+
+def chain_and_relabel_trace(num_slots, seed, steps):
+    """Chain moves of a pivot past buffered riders, each followed by a
+    direct ``set_kind`` of an element-free slot to a random kind."""
+    rng = random.Random(seed)
+    kinds = [rng.choice((F_SLOT, F_SLOT, BUFFER, R_EMPTY)) for _ in range(num_slots)]
+    trace = [("init", (tuple(enumerate(kinds)),))]
+    scratch = ReferencePhysicalArray(num_slots)
+    scratch.initialize_kinds(enumerate(kinds))
+    pivot = kinds.index(F_SLOT)
+    riders = rng.sample([p for p, kind in enumerate(kinds) if kind == BUFFER], 3)
+    # Elements are their first positions, so chain moves keep them sorted.
+    for position in sorted([pivot, *riders]):
+        scratch.put_element(position, position)
+        trace.append(("put", (position, position, False)))
+    for _ in range(steps):
+        source = scratch.position_of(pivot)
+        targets = chain_targets(scratch, source)
+        if targets:
+            target = rng.choice(targets)
+            scratch.chain_move(source, target)
+            trace.append(("chain", (source, target)))
+        position = rng.choice(
+            [p for p in range(num_slots) if scratch.element(p) is None]
+        )
+        kind = rng.choice((F_SLOT, BUFFER, R_EMPTY))
+        scratch.set_kind(position, kind)
+        trace.append(("kind", (position, kind)))
+    return trace
+
+
+@pytest.mark.parametrize("seed", [4, 17])
+def test_set_kind_between_chain_moves_is_identical(seed):
+    # A direct relabel inserts or removes one F-slot, shifting every later
+    # F-index; the chain moves after it must target the shifted slots.
+    trace = chain_and_relabel_trace(96, seed, 150)
+    assert sum(1 for op, _ in trace if op == "chain") >= 100
+    reference, reference_sink, candidates = replay_in_lockstep(trace, 96)
+    assert reference.total_deadweight_moves > 0
+    assert_equivalent(reference, reference_sink, candidates)
 
 
 @pytest.mark.parametrize("rightward", [True, False])

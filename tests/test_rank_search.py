@@ -29,6 +29,7 @@ from repro.applications.ordered_map import PackedMemoryMap
 from repro.core import Embedding
 from repro.core.exceptions import InvariantViolation
 from repro.core.layered import make_corollary11_labeler
+from repro.core.physical import _NEXT_ELEMENT_WALK as WALK
 from repro.core.sharded import ShardedLabeler
 from tests.conftest import ALGORITHM_FACTORIES, COMPOSITE_FACTORIES, ReferenceDriver
 
@@ -306,6 +307,86 @@ class TestEmbeddingSearchPath:
             driver.random_operation(delete_probability=0.5)
         driver.check()
         assert_searches(labeler, driver.reference)
+
+
+def empty_runs(slots) -> list[tuple[int, int]]:
+    """The maximal runs of element-free slots, as ``(first, last)``."""
+    runs, start = [], None
+    for position, item in enumerate(slots):
+        if item is None and start is None:
+            start = position
+        elif item is not None and start is not None:
+            runs.append((start, position - 1))
+            start = None
+    if start is not None:
+        runs.append((start, len(slots) - 1))
+    return runs
+
+
+class TestSearchThroughEmptyRuns:
+    """A probe that lands in an empty run longer than ``next_element``'s
+    walk finds the run's end on the element lane, inside the run and at
+    the array's empty tail (a Corollary 11 index of capacity 1,024 with
+    768 keys leaves slots 1,638–2,253 empty, like the layout a long
+    seeded churn leaves).  The embeddings with a PMA fast side are used:
+    a naive fast side keeps its elements packed, so deleting a block of
+    ranks opens no inner run."""
+
+    @pytest.mark.parametrize(
+        "name, capacity",
+        [
+            ("corollary11", CAPACITY),
+            ("corollary11", 1024),
+            ("embedding(adaptive<|classical)", CAPACITY),
+        ],
+    )
+    def test_search_matches_bisect(self, name, capacity):
+        labeler = ALL_FACTORIES[name](capacity)
+        keys = [Fraction(index) for index in range(3 * capacity // 4)]
+        labeler.bulk_load(keys)
+        driver = ReferenceDriver(labeler, seed=5)
+        driver.reference = list(keys)
+        for _ in range(capacity // 6):  # empty a block of ranks in the middle
+            driver.delete(capacity // 4)
+        driver.check()
+        assert 4 * len(labeler) >= labeler.num_slots
+        runs = empty_runs(labeler.slots())
+        long_runs = [(first, last) for first, last in runs if last - first >= WALK]
+        assert long_runs[-1][1] == labeler.num_slots - 1  # the empty tail
+        assert len(long_runs) >= 2  # and a run between two elements
+
+        physical = labeler.physical
+        next_element = physical.next_element
+        skipped: list[tuple[int, int, object]] = []
+
+        def recording(position, stop):
+            found = next_element(position, stop)
+            if stop - position > WALK and all(
+                physical.element(probe) is None
+                for probe in range(position, position + WALK)
+            ):
+                skipped.append((position, stop, found))
+            return found
+
+        physical.next_element = recording
+        try:
+            assert_searches(labeler, driver.reference)
+        finally:
+            del physical.next_element
+        # Probes past the walk found the element ending an inner run, and
+        # found none in the tail.
+        assert any(found is not None for _, _, found in skipped)
+        assert any(found is None for _, _, found in skipped)
+        for position, stop, found in skipped:
+            expected = next(
+                (
+                    (probe, physical.element(probe))
+                    for probe in range(position, stop)
+                    if physical.element(probe) is not None
+                ),
+                None,
+            )
+            assert found == expected, (position, stop)
 
 
 class TestUnorderedKeys:

@@ -29,10 +29,12 @@ Five walls:
 from __future__ import annotations
 
 import asyncio
+import gc
 import socket
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -631,34 +633,67 @@ class TestTransport:
         sockets: list[socket.socket] = []
         try:
             for _ in range(10):
-                for sock in sockets:
-                    sock.close()
-                sockets.clear()
-                server = ServerThread(service).start()
-                address = server.address
-                done = threading.Event()
-
-                def connect_until_done() -> None:
-                    while not done.is_set():
-                        try:
-                            sockets.append(socket.create_connection(address, timeout=1))
-                        except OSError:
-                            pass
-
-                connector = threading.Thread(target=connect_until_done)
-                connector.start()
-                time.sleep(0.01)
-                stopper = threading.Thread(target=server.stop, daemon=True)
-                stopper.start()
-                stopper.join(timeout=10)
-                done.set()
-                connector.join(timeout=10)
-                assert not stopper.is_alive()
-                assert not connector.is_alive()
+                _stop_while_clients_connect(service, sockets)
         finally:
             for sock in sockets:
                 sock.close()
             service.close()
+
+    def test_stop_leaves_no_transport_open(
+        self, tmp_path, wait_closed_waits_for_connections
+    ):
+        """``stop()`` closes every connection accepted before it, those
+        whose transport asyncio had not made yet included: the garbage
+        collector finds no transport or socket left open."""
+        service = StoreService(DurableStore(tmp_path / "s", sync_policy="never"))
+        sockets: list[socket.socket] = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            try:
+                for _ in range(10):
+                    _stop_while_clients_connect(service, sockets)
+            finally:
+                for sock in sockets:
+                    sock.close()
+                service.close()
+            gc.collect()
+        unclosed = [
+            str(warning.message)
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]
+        assert unclosed == [], f"{len(unclosed)} left open, e.g. {unclosed[:2]}"
+
+
+def _stop_while_clients_connect(service: StoreService, sockets: list) -> None:
+    """Start a server, connect to it in a loop from another thread, and
+    stop it mid-stream; ``stop()`` must return within 10 s.  The client
+    sockets of the previous round are closed first and this round's are
+    left in ``sockets``."""
+    for sock in sockets:
+        sock.close()
+    sockets.clear()
+    server = ServerThread(service).start()
+    address = server.address
+    done = threading.Event()
+
+    def connect_until_done() -> None:
+        while not done.is_set():
+            try:
+                sockets.append(socket.create_connection(address, timeout=1))
+            except OSError:
+                pass
+
+    connector = threading.Thread(target=connect_until_done)
+    connector.start()
+    time.sleep(0.01)
+    stopper = threading.Thread(target=server.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=10)
+    done.set()
+    connector.join(timeout=10)
+    assert not stopper.is_alive()
+    assert not connector.is_alive()
 
 
 # ---------------------------------------------------------------------------
