@@ -22,11 +22,11 @@ bookkeeping but no physical element, so their rebuild steps cost nothing.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from repro.core.exceptions import InvariantViolation
 from repro.core.interface import ListLabeler
-from repro.core.operations import Move, MoveRecorder
+from repro.core.operations import MoveRecorder
 from repro.core.physical import PhysicalArray
 from repro.core.rebuild import CLEANUP, INCORPORATE, PLACE, RebuildPlan, build_plan
 
@@ -82,7 +82,7 @@ class FEmulator:
     # ------------------------------------------------------------------
     # Fast path
     # ------------------------------------------------------------------
-    def apply_fast(self, moves: MoveRecorder | Iterable[Move]) -> None:
+    def apply_fast(self, moves: MoveRecorder) -> None:
         """Replay the simulated copy's moves directly onto the F-slots.
 
         Only legal when there is no pending rebuild, in which case there are
@@ -95,7 +95,7 @@ class FEmulator:
             raise InvariantViolation("fast path taken while a rebuild is pending")
         physical = self._physical
         f_position = physical.f_position
-        for element, src, dst in zip(*MoveRecorder.of(moves).columns()):
+        for element, src, dst in zip(*moves.columns()):
             if dst < 0:
                 physical.take_element(f_position(src))
                 self._shadow_clear(src)

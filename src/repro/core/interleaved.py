@@ -111,13 +111,13 @@ class InterleavedComposition:
         along, exactly once per operation in the best case — the strawman has
         no mechanism to consolidate these moves.
         """
-        moved = [move.element for move in result.moves if move.cost > 0]
+        moved = set(result.moved_elements())
         if not moved:
             return 0
         moved_ranks = [
             index + 1
             for index, element in enumerate(self._merged)
-            if element in set(moved)
+            if element in moved
         ]
         if not moved_ranks:
             return 0

@@ -190,9 +190,13 @@ class MoveRecorder:
     for ``None`` — and keeps :attr:`total_cost` incrementally, so recording a
     move is three appends and an integer add.
 
-    The :class:`Move` API is preserved for tests and analysis: iterating,
-    indexing or comparing a recorder materializes `Move` objects on demand,
-    so any consumer written against ``list[Move]`` keeps working.
+    It is the one move log: every :class:`OperationResult` carries one, and
+    every replay (the F-emulator's fast path, the R-shell) reads its
+    columns.  The :class:`Move` API is preserved for tests and analysis:
+    iterating, indexing or comparing a recorder materializes `Move` objects
+    on demand, so any reader written against ``list[Move]`` keeps working.
+    Only the reference physical array (the differential oracle) still logs
+    into a plain ``list[Move]``, which :func:`move_triples` also accepts.
 
     Composite structures stay on the slabs too: the sharding engine lifts
     a shard's log into global slot coordinates with :meth:`append_shifted`
@@ -209,15 +213,6 @@ class MoveRecorder:
         self._destinations = array("q")
         #: Element-move cost of everything recorded so far (Definition 1).
         self.total_cost = 0
-
-    @classmethod
-    def of(cls, moves: MoveRecorder | Iterable[Move]) -> MoveRecorder:
-        """``moves`` itself when it is a recorder, else a recorder of it."""
-        if isinstance(moves, MoveRecorder):
-            return moves
-        recorder = cls()
-        recorder.extend(moves)
-        return recorder
 
     def columns(self) -> tuple[list[Hashable], array, array]:
         """The log as its three columns — elements, sources, destinations,
@@ -251,33 +246,15 @@ class MoveRecorder:
         self._destinations.fromlist(destinations)
         self.total_cost += sum(map(ne, sources, destinations))
 
-    def append(self, move: Move) -> None:
-        """Accept a materialized :class:`Move` (list-API compatibility)."""
-        self.record(move.element, move.source, move.destination)
-
-    def extend(self, moves: Iterable[Move]) -> None:
-        for move in moves:
-            self.record(move.element, move.source, move.destination)
-
-    def append_shifted(self, moves: MoveRecorder | Iterable[Move], offset: int) -> None:
+    def append_shifted(self, moves: MoveRecorder, offset: int) -> None:
         """Append another log with every slot coordinate shifted by
         ``offset`` (``None`` stays ``None``).
 
-        A recorder is copied slab to slab, and its cost carries over
+        The log is copied slab to slab, and its cost carries over
         unchanged: a shift by a slot offset (never negative) keeps
-        placements, removals and stationary moves what they were.  Any
-        other iterable of :class:`Move` is recorded move by move.
+        placements, removals and stationary moves what they were.
         """
         assert offset >= 0, offset
-        if not isinstance(moves, MoveRecorder):
-            for move in moves:
-                source, destination = move.source, move.destination
-                self.record(
-                    move.element,
-                    None if source is None else source + offset,
-                    None if destination is None else destination + offset,
-                )
-            return
         sources, destinations = moves._sources, moves._destinations
         self._elements.extend(moves._elements)
         if offset:
@@ -377,41 +354,25 @@ def move_triples(moves: Iterable[Move]) -> list[tuple[Hashable, int | None, int 
 class OperationResult:
     """The outcome of a single insert/delete on a list-labeling structure.
 
-    ``moves`` is either a plain ``list[Move]`` or a :class:`MoveRecorder`;
-    the recorder keeps its cost pre-aggregated, so :attr:`cost` is ``O(1)``
-    on the fast path instead of a sum over materialized moves.
+    ``moves`` is the operation's :class:`MoveRecorder`, which keeps its
+    cost pre-aggregated, so :attr:`cost` is ``O(1)`` instead of a sum over
+    materialized moves.
     """
 
     operation: Operation
-    moves: list[Move] | MoveRecorder = field(default_factory=list)
+    moves: MoveRecorder
 
     @property
     def cost(self) -> int:
         """Total element-move cost of the operation."""
-        moves = self.moves
-        total = getattr(moves, "total_cost", None)
-        if total is not None:
-            return total
-        return sum(move.cost for move in moves)
+        return self.moves.total_cost
 
     def moved_elements(self) -> list[Hashable]:
         """Elements that physically moved (or were placed), in move order."""
-        moves = self.moves
-        if isinstance(moves, MoveRecorder):
-            return moves.moved_elements()
-        return [move.element for move in moves if move.cost > 0]
-
-    def extend(self, moves: Iterable[Move]) -> None:
-        """Append additional moves (used by composite structures)."""
-        self.moves.extend(moves)
+        return self.moves.moved_elements()
 
     def __iter__(self) -> Iterator[Move]:
         return iter(self.moves)
-
-
-def total_cost(results: Sequence[OperationResult]) -> int:
-    """Sum of costs over a sequence of operation results."""
-    return sum(result.cost for result in results)
 
 
 @dataclass

@@ -72,7 +72,7 @@ from repro.core.bitmask import (
     select_bit,
 )
 from repro.core.exceptions import InvariantViolation
-from repro.core.operations import Move, MoveRecorder
+from repro.core.operations import MoveRecorder
 from repro.core.physical_kinds import BUFFER, F_SLOT, KIND_NAMES, R_EMPTY
 from repro.core.physical_reference import ReferencePhysicalArray
 
@@ -496,7 +496,7 @@ class PhysicalArray:
     # ------------------------------------------------------------------
     # The R-shell primitive: replay shell moves
     # ------------------------------------------------------------------
-    def apply_shell_moves(self, moves: MoveRecorder | Iterable[Move]) -> int:
+    def apply_shell_moves(self, moves: MoveRecorder) -> int:
         """Replay a move sequence of the R-shell on the physical array.
 
         The R-shell moves whole *slots*: when it relocates one of its tokens
@@ -514,7 +514,7 @@ class PhysicalArray:
         """
         if self._obs_enabled:
             self._obs_shell_moves.inc()
-        tokens, sources, destinations = MoveRecorder.of(moves).columns()
+        tokens, sources, destinations = moves.columns()
         cost = 0
         lifted: dict[Hashable, tuple[int, Hashable | None]] = {}
         state = self._state

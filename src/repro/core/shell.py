@@ -27,7 +27,6 @@ from typing import Callable
 
 from repro.core.exceptions import InvariantViolation
 from repro.core.interface import ListLabeler
-from repro.core.operations import Move
 from repro.core.physical import BUFFER, F_SLOT, PhysicalArray
 
 

@@ -81,8 +81,7 @@ class TracingPhysicalArray(PhysicalArray):
         finally:
             self._trace_depth -= 1
 
-    def apply_shell_moves(self, moves) -> int:
-        moves = MoveRecorder.of(moves)
+    def apply_shell_moves(self, moves: MoveRecorder) -> int:
         self._note("shell", (tuple(moves.triples()),))
         self._trace_depth += 1
         try:

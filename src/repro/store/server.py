@@ -44,12 +44,13 @@ starts:
   and all), then stream frames past its LSN.
 
 Frames are shipped as the exact bytes the primary's WAL holds (validated
-through the same ``_check_frame`` recovery uses, so nothing a recovery
-would reject is ever shipped), which is what makes a replica's state
-byte-identical by construction.  Live tails push immediately — a WAL
-commit listener wakes every replica feeder, and skips the wake-up while
-no replica is connected — and idle connections get heartbeats carrying
-the primary's last LSN, which is how replicas measure their lag.
+by the one frame scanner recovery, replica ingest and compaction also
+read through, so nothing a recovery would reject is ever shipped), which
+is what makes a replica's state byte-identical by construction.  Live
+tails push immediately — a WAL commit listener wakes every replica
+feeder, and skips the wake-up while no replica is connected — and idle
+connections get heartbeats carrying the primary's last LSN, which is
+how replicas measure their lag.
 Replicas acknowledge applied LSNs upstream; the smallest acknowledged
 LSN across connected replicas is the store's **replication floor**
 (installed by :meth:`StoreServer.start`), which every compaction, manual

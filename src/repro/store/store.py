@@ -352,6 +352,14 @@ class DurableStore:
             snapshot_lsn = info.lsn
             self._last_snapshot_lsn = info.lsn
         report = self._wal.open()
+        horizon = self._horizon = self._read_horizon()
+        if report.last_lsn < snapshot_lsn and horizon < snapshot_lsn:
+            # The log ends before the checkpoint (recovery cut a damaged
+            # frame it covers), so the checkpoint alone holds every frame
+            # up to its LSN: record that before ensure_next_lsn empties
+            # the log, so replicas behind it bootstrap from the checkpoint.
+            self._write_horizon(snapshot_lsn)
+            horizon = snapshot_lsn
         self._wal.ensure_next_lsn(snapshot_lsn + 1)
         if report.frames and report.frames[0]["lsn"] > snapshot_lsn + 1:
             raise StoreError(
@@ -369,7 +377,6 @@ class DurableStore:
         if replayed:
             self._obs_replayed.inc(replayed)
         last_lsn = max(report.last_lsn, snapshot_lsn)
-        horizon = self._horizon = self._read_horizon()
         if last_lsn < horizon:
             # Compaction dropped frames up to `horizon` on the promise of
             # a durable checkpoint covering them; recovering to less means
@@ -613,15 +620,18 @@ class DurableStore:
         frame, so the log is left as it is: no rewrite and no horizon
         write, and the horizon never decreases.
 
-        The rewrite re-validates every retained frame (see
-        :meth:`~repro.store.wal.WriteAheadLog.truncate_through`).  If any
-        retained frame fails validation, the whole retained tail is
-        untrusted; since the checkpoint just written covers every frame
-        anyway, the escalation is to truncate the log *completely* — the
-        horizon moves to the checkpoint LSN, replicas below it fall back
-        to snapshot bootstrap, and — crucially — the log never keeps a
-        frame a recovery would choke on, and never develops an LSN gap
-        between its tail and the next live append.
+        The rewrite parses and re-validates only the frames it keeps, the
+        log's last ``last_lsn - cut`` lines, and does not read the log
+        when it keeps nothing (see
+        :meth:`~repro.store.wal.WriteAheadLog.truncate_through`): the
+        dropped prefix is never replayed again, so a frame rotting there
+        costs nothing.  If any retained frame fails validation, the whole
+        retained tail is untrusted; since the checkpoint just written
+        covers every frame anyway, the escalation is to truncate the log
+        *completely* — the horizon moves to the checkpoint LSN, replicas
+        below it fall back to snapshot bootstrap, and — crucially — the
+        log never keeps a frame a recovery would choke on, and never
+        develops an LSN gap between its tail and the next live append.
         """
         with obs.span("store.compact"):
             lsn = self.snapshot()

@@ -15,6 +15,23 @@ structure is mutated.  A frame is a tagged-codec JSON object::
   spliced in after the opening brace: :meth:`WriteAheadLog.append`
   serializes each frame once.
 
+**One scanner.**  Every reader of frame lines goes through :func:`_scan`,
+which checks a run of lines for JSON, CRC, schema version and an LSN
+sequence and stops at the first line that fails: the torn-tail scan of
+:meth:`WriteAheadLog.open`, frame shipping (:meth:`~WriteAheadLog.read_frames`),
+replica ingest (:meth:`~WriteAheadLog.append_frame_line`) and compaction
+(:meth:`~WriteAheadLog.truncate_through`).  What recovery would keep is
+exactly what is shipped, ingested and kept.
+
+**Contiguity.**  The file holds consecutive frames that end at
+``next_lsn - 1`` (or none, after a full cut): appends add ``next_lsn``,
+:meth:`~WriteAheadLog.rollback_last` retracts the newest frame, compaction
+drops a prefix, and when :meth:`~WriteAheadLog.ensure_next_lsn` moves the
+next LSN past the file's last frame (a checkpoint covers more than the
+log holds), it empties the log first.  So the frames a compaction keeps
+are the file's last ``next_lsn - 1 - lsn`` lines: compaction parses and
+re-validates only those, and does not read the log when it keeps nothing.
+
 **Batch atomicity.**  A batched mutation (``put_many`` / ``delete_many``)
 is one frame, so recovery applies it entirely or — when the crash landed
 mid-write — not at all.  There is no partially-applied batch state on disk.
@@ -27,19 +44,18 @@ Under ``"always"`` and ``"batch"``, the open that creates the file also
 fsyncs its directory once, so the log's directory entry is as durable as
 its first frame.
 
-**Torn-tail detection.**  :meth:`WriteAheadLog.open` scans the file frame
-by frame; at the first unparsable / checksum-failing / out-of-sequence
-line it truncates the file back to the last good frame boundary and
-reports how many bytes were dropped.  This is the standard ARIES-style
-contract: the log prefix up to the tear is exactly the set of recoverable
-operations.
+**Torn-tail detection.**  :meth:`WriteAheadLog.open` scans the whole file;
+at the first unparsable / checksum-failing / out-of-sequence line it
+truncates the file back to the last good frame boundary and reports how
+many bytes were dropped.  This is the standard ARIES-style contract: the
+log prefix up to the tear is exactly the set of recoverable operations.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from repro import obs
@@ -51,6 +67,58 @@ WAL_SCHEMA_VERSION = 1
 
 class WALError(RuntimeError):
     """Raised for unrecoverable log conditions (e.g. an unknown version)."""
+
+
+def _scan(
+    raw: bytes, expected_lsn: int | None = None
+) -> tuple[list[tuple[dict, bytes]], int, str | None]:
+    """Validate the frame lines at the start of ``raw``.
+
+    Each line must be JSON with a matching CRC, this build's schema
+    version and the LSN ``expected_lsn`` (or any positive LSN for the
+    first line when ``expected_lsn`` is ``None``), then one more per line.
+    Returns ``(frames, end, reason)``: the valid frames as
+    ``(document, line)`` pairs — the document still codec-encoded, without
+    its ``crc``, so its ``lsn`` is a plain int and a reader that ships or
+    keeps the raw line never decodes the payload — the offset just past
+    them, and why the scan stopped before the end of ``raw`` (``None``
+    when it did not).  An unknown schema version is not a torn tail: it
+    raises :class:`WALError` instead of silently dropping a log written by
+    a newer build.
+    """
+    frames: list[tuple[dict, bytes]] = []
+    offset = 0
+    while offset < len(raw):
+        newline = raw.find(b"\n", offset)
+        if newline < 0:
+            return frames, offset, "unterminated final frame"
+        line = raw[offset : newline + 1]
+        position = f"lsn {expected_lsn}" if expected_lsn is not None else "log head"
+        try:
+            document = json.loads(line.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
+            return frames, offset, f"unparsable frame at {position}"
+        if not isinstance(document, dict) or "crc" not in document:
+            return frames, offset, f"malformed frame at {position}"
+        crc = document.pop("crc")
+        if crc != codec.checksum(codec.canonical(document)):
+            return frames, offset, f"checksum mismatch at {position}"
+        if document.get("v") != WAL_SCHEMA_VERSION:
+            raise WALError(
+                f"WAL frame at {position} has schema version "
+                f"{document.get('v')!r}; this build reads {WAL_SCHEMA_VERSION}"
+            )
+        lsn = document.get("lsn")
+        if not isinstance(lsn, int) or lsn < 1 or (
+            expected_lsn is not None and lsn != expected_lsn
+        ):
+            return frames, offset, (
+                f"sequence break: expected {position}, found lsn {lsn!r}"
+            )
+        frames.append((document, line))
+        offset = newline + 1
+        expected_lsn = lsn + 1
+    return frames, offset, None
 
 
 @dataclass
@@ -74,7 +142,7 @@ class WALTruncateReport:
 class WALOpenReport:
     """What :meth:`WriteAheadLog.open` found on disk."""
 
-    frames: list[dict] = field(default_factory=list)
+    frames: list[dict]
     #: Bytes dropped from the tail (0 when the log was clean).
     truncated_bytes: int = 0
     #: Human-readable reason for the truncation, when one happened.
@@ -121,94 +189,25 @@ class WriteAheadLog:
     def open(self) -> WALOpenReport:
         """Scan the log, truncate any torn tail, and position for appends."""
         with obs.span("wal.open"):
-            report = WALOpenReport()
             created = not self.path.exists()
-            if not created:
-                report = self._scan_and_truncate()
+            raw = b"" if created else self.path.read_bytes()
+            frames, end, reason = _scan(raw)
+            if end < len(raw):
+                self._obs_torn_bytes.inc(len(raw) - end)
+                with open(self.path, "r+b") as handle:
+                    handle.truncate(end)
+                    handle.flush()
+                    os.fsync(handle.fileno())
             self._file = open(self.path, "a", encoding="utf-8")
             if created and self.sync_policy != "never":
                 _fsync_directory(self.path.parent)
+            report = WALOpenReport(
+                [codec.decode(document) for document, _ in frames],
+                len(raw) - end,
+                reason,
+            )
             self._next_lsn = report.last_lsn + 1
         return report
-
-    def _scan_and_truncate(self) -> WALOpenReport:
-        report = WALOpenReport()
-        raw = self.path.read_bytes()
-        good_end = 0
-        # Compaction drops a prefix, so the first frame anchors the
-        # sequence; every later frame must follow it without gaps.
-        expected_lsn: int | None = None
-        offset = 0
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                report.truncation_reason = "unterminated final frame"
-                break
-            line = raw[offset : newline + 1]
-            frame = self._parse_frame(line, expected_lsn, report)
-            if frame is None:
-                break
-            report.frames.append(frame)
-            good_end = newline + 1
-            offset = newline + 1
-            expected_lsn = frame["lsn"] + 1
-        else:
-            good_end = len(raw)
-        if good_end < len(raw):
-            report.truncated_bytes = len(raw) - good_end
-            self._obs_torn_bytes.inc(report.truncated_bytes)
-            with open(self.path, "r+b") as handle:
-                handle.truncate(good_end)
-                handle.flush()
-                os.fsync(handle.fileno())
-        return report
-
-    def _parse_frame(
-        self, line: bytes, expected_lsn: int | None, report: WALOpenReport
-    ) -> dict | None:
-        """The decoded frame of a line that passes :meth:`_check_frame`."""
-        document = self._check_frame(line, expected_lsn, report)
-        return None if document is None else codec.decode(document)
-
-    def _check_frame(
-        self, line: bytes, expected_lsn: int | None, report: WALOpenReport
-    ) -> dict | None:
-        """Validate one line: JSON, CRC, schema version, LSN sequence.
-
-        Returns the frame still codec-encoded (its ``lsn`` is a plain
-        int), or ``None`` with the reason in ``report``.  Readers that
-        only need the LSN (compaction, frame shipping) skip decoding the
-        payload.
-        """
-        position = f"lsn {expected_lsn}" if expected_lsn is not None else "log head"
-        try:
-            document = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            report.truncation_reason = f"unparsable frame at {position}"
-            return None
-        if not isinstance(document, dict) or "crc" not in document:
-            report.truncation_reason = f"malformed frame at {position}"
-            return None
-        crc = document.pop("crc")
-        if crc != codec.checksum(codec.canonical(document)):
-            report.truncation_reason = f"checksum mismatch at {position}"
-            return None
-        if document.get("v") != WAL_SCHEMA_VERSION:
-            # An unknown version is not a torn tail: refuse loudly instead
-            # of silently dropping a log written by a newer build.
-            raise WALError(
-                f"WAL frame at {position} has schema version "
-                f"{document.get('v')!r}; this build reads {WAL_SCHEMA_VERSION}"
-            )
-        lsn = document.get("lsn")
-        if not isinstance(lsn, int) or lsn < 1 or (
-            expected_lsn is not None and lsn != expected_lsn
-        ):
-            report.truncation_reason = (
-                f"sequence break: expected {position}, found lsn {lsn!r}"
-            )
-            return None
-        return document
 
     # ------------------------------------------------------------------
     # Appending
@@ -227,8 +226,6 @@ class WriteAheadLog:
         second ``sort_keys`` dump would write.  A payload key sorting at
         or before ``"crc"`` would break that, so it is refused.
         """
-        if self._file is None:
-            raise WALError("log is not open")
         with obs.span("wal.append"):
             frame = {"v": WAL_SCHEMA_VERSION, "lsn": self._next_lsn, "op": op}
             frame.update(codec.encode(payload))
@@ -237,43 +234,35 @@ class WriteAheadLog:
                     f"frame key {min(frame)!r} sorts at or before 'crc'"
                 )
             body = codec.canonical(frame)
-            line = '{"crc":%d,' % codec.checksum(body) + body[1:] + "\n"
-            self._file.write(line)
-            self._file.flush()
-            if self.sync_policy == "always":
-                os.fsync(self._file.fileno())
-                self._obs_fsyncs.inc()
-            self._obs_frames.inc()
-            self._obs_bytes.inc(len(line))
-            lsn = self._next_lsn
-            self._next_lsn += 1
-            self._notify(lsn)
-        return lsn
+            return self._write('{"crc":%d,' % codec.checksum(body) + body[1:] + "\n")
 
     def append_frame_line(self, line: str) -> dict:
         """Append one *already-framed* line verbatim (replica apply path).
 
-        The line is what a primary's :meth:`append` wrote — CRC, version
-        and LSN included — shipped over the replication stream.  It is
-        re-validated exactly like recovery would validate it (checksum,
-        schema version, ``lsn == next_lsn``) before a single byte lands in
-        the file, so a corrupt or out-of-sequence shipped frame raises
-        instead of poisoning the replica's own log; because the accepted
-        bytes are written untouched, the replica's WAL stays byte-identical
-        to the primary's frame stream by construction.
+        The line is what a primary's :meth:`append` wrote — CRC, version,
+        LSN and newline included — shipped over the replication stream.
+        It goes through the scanner recovery uses, anchored at
+        ``next_lsn``, before a single byte lands in the file, so a corrupt,
+        torn or out-of-sequence shipped frame raises instead of poisoning
+        the replica's own log; because the accepted bytes are written
+        untouched, the replica's WAL stays byte-identical to the primary's
+        frame stream by construction.
 
         Returns the decoded frame.
         """
+        frames, _, reason = _scan(line.encode("utf-8"), self._next_lsn)
+        if reason is not None or len(frames) != 1:
+            raise WALError(
+                f"rejected shipped frame: {reason or 'not one frame line'}"
+            )
+        frame = codec.decode(frames[0][0])
+        self._write(line)
+        return frame
+
+    def _write(self, line: str) -> int:
+        """Write one validated frame line as LSN ``next_lsn``; returns it."""
         if self._file is None:
             raise WALError("log is not open")
-        if not line.endswith("\n"):
-            line = line + "\n"
-        probe = WALOpenReport()
-        frame = self._parse_frame(line.encode("utf-8"), self._next_lsn, probe)
-        if frame is None:
-            raise WALError(
-                f"rejected shipped frame: {probe.truncation_reason}"
-            )
         self._file.write(line)
         self._file.flush()
         if self.sync_policy == "always":
@@ -284,7 +273,7 @@ class WriteAheadLog:
         lsn = self._next_lsn
         self._next_lsn += 1
         self._notify(lsn)
-        return frame
+        return lsn
 
     # ------------------------------------------------------------------
     # Live frame stream (replication shipping)
@@ -326,10 +315,10 @@ class WriteAheadLog:
         A stale ``epoch`` resets the scan to the start of the (rewritten)
         file.  Only the bytes past the offset are read, so a feeder that
         resumes from its cached offset pays for the new tail, not the
-        whole log.  Every line goes through :meth:`_check_frame` — only
-        frames a recovery would accept are ever shipped; the scan stops at
-        the first invalid line.  Lines are validated, not decoded: they
-        are shipped as the raw bytes.
+        whole log.  The bytes go through the scanner :meth:`open` uses,
+        so only frames a recovery would accept are ever shipped and the
+        stream stops at the first line recovery would cut.  Lines are
+        validated, not decoded: they are shipped as the raw bytes.
         """
         if epoch is not None and epoch != self._truncate_epoch:
             offset = 0
@@ -340,23 +329,13 @@ class WriteAheadLog:
                 raw = handle.read()
         except FileNotFoundError:
             start, raw = 0, b""
-        frames: list[tuple[int, str]] = []
-        expected_lsn: int | None = None
-        position = 0
-        probe = WALOpenReport()
-        while position < len(raw):
-            newline = raw.find(b"\n", position)
-            if newline < 0:
-                break
-            line = raw[position : newline + 1]
-            frame = self._check_frame(line, expected_lsn, probe)
-            if frame is None:
-                break
-            if frame["lsn"] > after_lsn:
-                frames.append((frame["lsn"], line.decode("utf-8")))
-            position = newline + 1
-            expected_lsn = frame["lsn"] + 1
-        return frames, start + position, self._truncate_epoch
+        frames, end, _ = _scan(raw)
+        shipped = [
+            (document["lsn"], line.decode("utf-8"))
+            for document, line in frames
+            if document["lsn"] > after_lsn
+        ]
+        return shipped, start + end, self._truncate_epoch
 
     def tell(self) -> int:
         """Current end-of-log byte offset (a frame boundary)."""
@@ -392,9 +371,19 @@ class WriteAheadLog:
         self._truncate_epoch += 1
 
     def ensure_next_lsn(self, minimum: int) -> None:
-        """Advance the append position (after a compacted log reopens empty,
-        the snapshot — not the log — carries the durable horizon)."""
+        """Advance the append position to at least ``minimum``.
+
+        After a compacted log reopens empty, the checkpoint — not the log
+        — carries the durable horizon.  A log that still holds frames
+        when the position jumps ends before the checkpoint asking for
+        ``minimum`` (recovery cut a damaged frame it covers), so that
+        checkpoint covers every frame in the file: the log is emptied
+        first, since an append after the gap would be cut off by the next
+        recovery.
+        """
         if self._next_lsn < minimum:
+            if self.tell():
+                self.truncate_through(self._next_lsn - 1)
             self._next_lsn = minimum
 
     def sync(self) -> None:
@@ -415,62 +404,54 @@ class WriteAheadLog:
         + directory fsync, so a crash mid-compaction leaves either the
         old or the new log, never a mix.
 
-        Every line of the file is **re-validated** through
-        :meth:`_check_frame` (CRC, schema version, LSN contiguity), not
-        just re-parsed as JSON: a frame that bit-rotted *after* the log
-        was opened must not be rewritten into the retained tail, where it
-        would survive compaction and poison every later recovery (and
-        every replica catch-up reading the shipped stream).  The retained
-        tail is cut at the first bad frame; the returned
-        :class:`WALTruncateReport` says what was kept and what was
-        discarded as suspect.  Only the LSN of each frame is read, so the
-        payloads are validated but never decoded.
+        The log's frames are consecutive and end at ``next_lsn - 1``
+        (see the module docstring), so the frames the cut keeps are the
+        file's last ``next_lsn - 1 - lsn`` lines.  Only those are parsed, and each
+        is **re-validated** by the scanner with its LSN anchored at
+        ``lsn + 1`` (CRC, schema version, LSN contiguity), not just
+        re-parsed: a frame that bit-rotted *after* the log was opened must
+        not be rewritten into the retained tail, where it would survive
+        compaction and poison every later recovery (and every replica
+        catch-up reading the shipped stream).  The retained tail is cut at
+        the first bad frame; the returned :class:`WALTruncateReport` says
+        what was kept and what was discarded as suspect.  The dropped
+        prefix is neither read nor validated — no recovery reads it again
+        — and a cut that keeps nothing does not read the log at all.
         """
         with obs.span("wal.truncate"):
-            return self._truncate_through(lsn)
-
-    def _truncate_through(self, lsn: int) -> WALTruncateReport:
-        self.close()
-        report = WALTruncateReport()
-        retained: list[bytes] = []
-        raw = self.path.read_bytes() if self.path.exists() else b""
-        expected_lsn: int | None = None
-        offset = 0
-        scan = WALOpenReport()  # collects _check_frame's failure reason
-        while offset < len(raw):
-            newline = raw.find(b"\n", offset)
-            if newline < 0:
-                scan.truncation_reason = "unterminated final frame"
-                break
-            line = raw[offset : newline + 1]
-            frame = self._check_frame(line, expected_lsn, scan)
-            if frame is None:
-                break
-            if frame["lsn"] > lsn:
-                retained.append(line)
-            offset = newline + 1
-            expected_lsn = frame["lsn"] + 1
-        if offset < len(raw):
-            # Everything from the first bad frame on is untrusted — the
-            # sequence anchor is gone, so later "good-looking" frames
-            # cannot be re-validated either.
-            suspect = raw[offset:]
-            report.suspect_reason = scan.truncation_reason
-            report.suspect_bytes = len(suspect)
-            report.suspect_frames = suspect.count(b"\n") + (
-                0 if suspect.endswith(b"\n") else 1
-            )
-        tmp = self.path.with_suffix(".tmp")
-        with open(tmp, "wb") as handle:
-            handle.writelines(retained)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.path)
-        _fsync_directory(self.path.parent)
-        self._file = open(self.path, "a", encoding="utf-8")
-        self._truncate_epoch += 1
-        self._obs_truncations.inc()
-        report.retained_frames = len(retained)
+            self.close()
+            kept = self._next_lsn - 1 - lsn
+            tail = b""
+            if kept > 0:
+                raw = self.path.read_bytes()
+                start = len(raw)
+                for _ in range(kept):
+                    if not start:
+                        break
+                    start = raw.rfind(b"\n", 0, start - 1) + 1
+                tail = raw[start:]
+            frames, end, reason = _scan(tail, lsn + 1)
+            report = WALTruncateReport(retained_frames=len(frames))
+            if end < len(tail):
+                # Everything from the first bad frame on is untrusted — the
+                # sequence anchor is gone, so later "good-looking" frames
+                # cannot be re-validated either.
+                suspect = tail[end:]
+                report.suspect_reason = reason
+                report.suspect_bytes = len(suspect)
+                report.suspect_frames = suspect.count(b"\n") + (
+                    0 if suspect.endswith(b"\n") else 1
+                )
+            tmp = self.path.with_suffix(".tmp")
+            with open(tmp, "wb") as handle:
+                handle.write(tail[:end])
+                handle.flush()
+                os.fsync(handle.fileno())
+            os.replace(tmp, self.path)
+            _fsync_directory(self.path.parent)
+            self._file = open(self.path, "a", encoding="utf-8")
+            self._truncate_epoch += 1
+            self._obs_truncations.inc()
         return report
 
     def close(self) -> None:

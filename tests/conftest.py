@@ -13,6 +13,7 @@ import pytest
 from repro.algorithms import AdaptivePMA, ClassicalPMA, NaiveLabeler
 from repro.core import Embedding, ShardedLabeler
 from repro.core.layered import make_corollary11_labeler
+from repro.core.operations import MoveRecorder
 from repro.core.validation import check_labeler
 from repro.store.factories import EXACT_SNAPSHOT_ALGORITHMS, SHARD_FACTORIES
 
@@ -108,6 +109,14 @@ class ReferenceDriver:
 @pytest.fixture
 def reference_driver_factory():
     return ReferenceDriver
+
+
+def recorder(*triples) -> MoveRecorder:
+    """A move log of ``(element, source, destination)`` triples."""
+    moves = MoveRecorder()
+    for element, source, destination in triples:
+        moves.record(element, source, destination)
+    return moves
 
 
 def record_shell_input(embedding: Embedding) -> list[tuple[str, int]]:

@@ -10,8 +10,8 @@ from repro.core.operations import (
     Move,
     Operation,
     OperationResult,
-    total_cost,
 )
+from tests.conftest import recorder
 
 
 class TestOperation:
@@ -61,16 +61,12 @@ class TestMove:
 
 class TestOperationResult:
     def test_cost_sums_moves(self):
-        result = OperationResult(Operation.insert(1))
-        result.extend([Move("a", None, 0), Move("b", 3, 4), Move("c", 7, None)])
+        result = OperationResult(
+            Operation.insert(1), recorder(("a", None, 0), ("b", 3, 4), ("c", 7, None))
+        )
         assert result.cost == 2
         assert result.moved_elements() == ["a", "b"]
 
     def test_iteration_yields_moves(self):
-        result = OperationResult(Operation.delete(1), [Move("a", 1, None)])
-        assert [move.element for move in result] == ["a"]
-
-    def test_total_cost_helper(self):
-        first = OperationResult(Operation.insert(1), [Move("a", None, 0)])
-        second = OperationResult(Operation.insert(2), [Move("b", None, 1), Move("a", 0, 2)])
-        assert total_cost([first, second]) == 3
+        result = OperationResult(Operation.delete(1), recorder(("a", 1, None)))
+        assert list(result) == [Move("a", 1, None)]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.exceptions import InvariantViolation
-from repro.core.operations import Move, MoveRecorder, move_triples
+from repro.core.operations import MoveRecorder, move_triples
 from repro.core.physical import (
     BUFFER,
     F_SLOT,
@@ -19,6 +19,7 @@ from repro.core.physical import (
     PhysicalArray,
     ReferencePhysicalArray,
 )
+from tests.conftest import recorder
 
 IMPLEMENTATIONS = {
     "slab": PhysicalArray,
@@ -204,17 +205,17 @@ class TestChainMove:
 class TestShellReplay:
     def test_placement_and_removal(self, impl):
         array = build_array("f..", impl)
-        cost = array.apply_shell_moves([Move("token-1", None, 1)])
+        cost = array.apply_shell_moves(recorder(("token-1", None, 1)))
         assert cost == 0
         assert array.kind(1) == BUFFER
-        cost = array.apply_shell_moves([Move("token-1", 1, None)])
+        cost = array.apply_shell_moves(recorder(("token-1", 1, None)))
         assert cost == 0
         assert array.kind(1) == R_EMPTY
 
     def test_token_move_carries_content(self, impl):
         array = build_array("f.b", impl)
         array.put_element(0, 10)
-        cost = array.apply_shell_moves([Move("token-f", 0, 1)])
+        cost = array.apply_shell_moves(recorder(("token-f", 0, 1)))
         assert cost == 1
         assert array.kind(0) == R_EMPTY
         assert array.kind(1) == F_SLOT
@@ -223,13 +224,13 @@ class TestShellReplay:
     def test_move_onto_nonempty_rejected(self, impl):
         array = build_array("fb", impl)
         with pytest.raises(InvariantViolation):
-            array.apply_shell_moves([Move("t", 0, 1)])
+            array.apply_shell_moves(recorder(("t", 0, 1)))
 
     def test_remove_and_replace_token_restores_content(self, impl):
         array = build_array("f..", impl)
         array.put_element(0, 7)
         cost = array.apply_shell_moves(
-            [Move("token", 0, None), Move("token", None, 2)]
+            recorder(("token", 0, None), ("token", None, 2))
         )
         assert cost == 1
         assert array.kind(2) == F_SLOT

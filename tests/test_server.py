@@ -752,13 +752,15 @@ class _FakePrimary:
 def _converged(service: StoreService, replica: Replica) -> None:
     """The byte-identical convergence assertion: same fingerprint."""
     replica.wait_caught_up(service.store.last_lsn)
+    # The last frame's LSN shows before its apply finishes; verify() takes
+    # the service lock the apply holds, so the map is read only after it.
+    replica.service.verify()
     assert fingerprint(replica.service.store.map) == fingerprint(
         service.store.map
     )
     assert state_digest(replica.service.store.map) == state_digest(
         service.store.map
     )
-    replica.service.verify()
 
 
 class TestReplication:
@@ -854,6 +856,48 @@ class TestReplication:
         final.wait_ready()
         _converged(service, final)
         final.stop()
+
+    def test_replica_behind_a_damaged_covered_frame_bootstraps(self, tmp_path):
+        """Regression: a primary that recovers past a damaged frame its
+        newest checkpoint covers moves its horizon to that checkpoint, so
+        a replica behind it bootstraps; it used to reconnect for ever,
+        sent a ``restart`` each time the stream skipped its next LSN."""
+        directory = tmp_path / "primary"
+        store = DurableStore(
+            directory, algorithm="classical", shard_capacity=32,
+            sync_policy="never",
+        )
+        service = StoreService(store)
+        with ServerThread(service) as server:
+            for key in range(6):
+                service.put(key, f"v{key}")
+            replica = Replica(
+                tmp_path / "replica", server.address, sync_policy="never"
+            ).start()
+            replica.wait_caught_up(6)
+            replica.stop()
+        for key in range(6, 10):
+            service.put(key, f"v{key}")
+        store.snapshot()                    # covers lsn 1..10
+        service.close()
+        wal_path = directory / WAL_FILENAME
+        lines = wal_path.read_bytes().splitlines(keepends=True)
+        damaged = lines[6].replace(b'"key":6', b'"key":0')  # frame 7
+        assert damaged != lines[6]
+        wal_path.write_bytes(b"".join(lines[:6] + [damaged] + lines[7:]))
+
+        service = StoreService(DurableStore(directory, sync_policy="never"))
+        assert service.store.durable_horizon == 10
+        with ServerThread(service) as server:
+            service.put(100, "a")
+            restarted = Replica(
+                tmp_path / "replica", server.address, sync_policy="never"
+            ).start()
+            restarted.wait_ready()
+            _converged(service, restarted)
+            assert restarted.bootstrap_count == 1
+            restarted.stop()
+        service.close()
 
     def test_replica_attached_during_client_writes_converges(
         self, primary, tmp_path

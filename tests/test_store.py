@@ -44,7 +44,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.applications.ordered_map import PackedMemoryMap
@@ -78,7 +78,7 @@ from repro.store.store import (
     DurableStore,
     StoreError,
 )
-from repro.store.wal import WALError, WriteAheadLog
+from repro.store.wal import WALError, WALTruncateReport, WriteAheadLog
 from tests.conftest import record_syscalls, synced
 
 #: Exhaustive mode (CI store-recovery job): kill at *every* frame boundary
@@ -852,6 +852,49 @@ class TestStoreEdges:
         (newest.path / DATA_FILENAME).write_text("garbage")
         with pytest.raises(StoreError, match="compacted through lsn 20"):
             DurableStore(tmp_path / "s", sync_policy="never")
+
+    def test_a_damaged_frame_the_checkpoint_covers_loses_no_later_write(
+        self, tmp_path
+    ):
+        """Regression: recovery cut the log at a damaged frame the newest
+        checkpoint covers and moved the next LSN past the gap, so the
+        next writes landed after it and the next reopen cut them off
+        ("sequence break: expected lsn 7, found lsn 11"), silently."""
+        directory = tmp_path / "s"
+        store = DurableStore(
+            directory, algorithm="classical", shard_capacity=32,
+            sync_policy="always",
+        )
+        for key in range(10):
+            store.put(key, f"v{key}")
+        store.snapshot()                    # covers lsn 1..10
+        store.close()
+        wal_path = directory / WAL_FILENAME
+        lines = wal_path.read_bytes().splitlines(keepends=True)
+        damaged = bytearray(lines[6])       # frame 7
+        damaged[len(damaged) // 2] ^= 0x01
+        wal_path.write_bytes(b"".join(lines[:6] + [bytes(damaged)] + lines[7:]))
+
+        store = DurableStore(directory, sync_policy="always")
+        assert store.recovery.truncation_reason is not None
+        assert store.last_lsn == 10
+        # Only the checkpoint holds lsn 1..10 now: the log is empty, and
+        # the horizon says so (a replica behind it must bootstrap).
+        assert wal_path.read_bytes() == b""
+        assert store.durable_horizon == 10
+        store.put(100, "a")
+        store.put(101, "b")
+        assert store.last_lsn == 12
+        expected = list(store.items())
+        store.close()
+
+        reopened = DurableStore(directory, sync_policy="always")
+        assert reopened.recovery.truncation_reason is None
+        assert reopened.recovery.frames_replayed == 2
+        assert list(reopened.items()) == expected
+        assert reopened.get(100) == "a" and reopened.get(101) == "b"
+        reopened.verify()
+        reopened.close()
 
     def test_second_live_open_is_refused(self, tmp_path):
         """Two writers on one directory would interleave LSNs and let the
@@ -1794,6 +1837,169 @@ class TestTruncateRevalidation:
         assert fingerprint(reopened.map) == expected
         reopened.verify()
         reopened.close()
+
+
+# ---------------------------------------------------------------------------
+# One scanner: open, frame shipping, replica ingest and compaction agree
+# ---------------------------------------------------------------------------
+def _write_log(path: Path, payloads) -> list[bytes]:
+    """Append one ``put`` frame per ``(key, value)``; returns the lines."""
+    wal = WriteAheadLog(path, sync_policy="never")
+    wal.open()
+    for key, value in payloads:
+        wal.append("put", {"key": key, "value": value})
+    wal.close()
+    return path.read_bytes().splitlines(keepends=True)
+
+
+def _unknown_version_frame(lsn: int) -> bytes:
+    body = codec.canonical({"v": 999, "lsn": lsn, "op": "put", "key": 3, "value": 3})
+    return ('{"crc":%d,' % codec.checksum(body) + body[1:] + "\n").encode()
+
+
+#: Damage to frame 4 of a six-frame log: the lines it leaves, and the
+#: reason every reader stops there (``None``: an unknown schema version,
+#: which raises instead).
+DAMAGED_LOGS = {
+    "bad json": (lambda lines: lines[:3] + [b"{not json\n"] + lines[4:],
+                 "unparsable frame at lsn 4"),
+    "not an object": (lambda lines: lines[:3] + [b"[4]\n"] + lines[4:],
+                      "malformed frame at lsn 4"),
+    "crc mismatch": (
+        lambda lines: lines[:3] + [lines[3].replace(b'"key":3', b'"key":9')] + lines[4:],
+        "checksum mismatch at lsn 4",
+    ),
+    "lsn gap": (lambda lines: lines[:3] + lines[4:],
+                "sequence break: expected lsn 4, found lsn 5"),
+    "unterminated last line": (lambda lines: lines[:3] + [lines[3][:-9]],
+                               "unterminated final frame"),
+    "unknown version": (
+        lambda lines: lines[:3] + [_unknown_version_frame(4)] + lines[4:], None
+    ),
+}
+
+
+class TestOneScanner:
+    @pytest.mark.parametrize("damage", sorted(DAMAGED_LOGS))
+    def test_open_shipping_and_ingest_stop_at_the_same_frame(self, tmp_path, damage):
+        damage_lines, reason = DAMAGED_LOGS[damage]
+        clean = _write_log(tmp_path / "clean.jsonl", [(i, i) for i in range(6)])
+        lines = damage_lines(clean)
+        path = tmp_path / "wal.jsonl"
+        path.write_bytes(b"".join(lines))
+        replica = WriteAheadLog(tmp_path / "replica.jsonl", sync_policy="never")
+        replica.open()
+        for line in lines[:3]:
+            replica.append_frame_line(line.decode("utf-8"))
+        if reason is None:
+            with pytest.raises(WALError) as shipped:
+                WriteAheadLog(path).read_frames(0)
+            with pytest.raises(WALError) as ingested:
+                replica.append_frame_line(lines[3].decode("utf-8"))
+            with pytest.raises(WALError) as opened:
+                WriteAheadLog(path, sync_policy="never").open()
+            assert str(shipped.value) == str(ingested.value) == str(opened.value)
+        else:
+            frames, end, _ = WriteAheadLog(path).read_frames(0)
+            assert [line.encode("utf-8") for _, line in frames] == clean[:3]
+            assert end == len(b"".join(clean[:3]))
+            with pytest.raises(WALError, match=f"^rejected shipped frame: {reason}$"):
+                replica.append_frame_line(lines[3].decode("utf-8"))
+            wal = WriteAheadLog(path, sync_policy="never")
+            report = wal.open()
+            wal.close()
+            assert [frame["lsn"] for frame in report.frames] == [1, 2, 3]
+            assert report.truncation_reason == reason
+            assert path.read_bytes() == b"".join(clean[:3])
+        assert replica.next_lsn == 4
+        replica.close()
+        assert (tmp_path / "replica.jsonl").read_bytes() == b"".join(clean[:3])
+
+    def test_a_rotten_frame_in_the_dropped_prefix_costs_no_kept_frame(self, tmp_path):
+        """Compaction re-validates only the frames it keeps: a frame that
+        rots after open, below the cut, no longer escalates to a full cut."""
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync_policy="never")
+        wal.open()
+        for i in range(8):
+            wal.append("put", {"key": i, "value": i})
+        lines = path.read_bytes().splitlines(keepends=True)
+        rotten = lines[1].replace(b'"key":1', b'"key":9')
+        path.write_bytes(b"".join([lines[0], rotten] + lines[2:]))
+        report = wal.truncate_through(4)
+        wal.close()
+        assert report == WALTruncateReport(retained_frames=4)
+        assert path.read_bytes() == b"".join(lines[4:])
+
+    def test_a_cut_that_keeps_nothing_reads_nothing(self, tmp_path, monkeypatch):
+        from repro.store import wal as wal_module
+
+        path = tmp_path / "wal.jsonl"
+        wal = WriteAheadLog(path, sync_policy="never")
+        wal.open()
+        for i in range(5):
+            wal.append("put", {"key": i, "value": i})
+        reads: list = []
+        read_bytes = Path.read_bytes
+
+        def counting_read_bytes(self):
+            reads.append(self)
+            return read_bytes(self)
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if "r" in mode:
+                reads.append(file)
+            return open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+        monkeypatch.setattr(wal_module, "open", counting_open, raising=False)
+        report = wal.truncate_through(5)
+        monkeypatch.undo()
+        wal.close()
+        assert reads == []
+        assert report == WALTruncateReport()
+        assert path.read_bytes() == b""
+
+    @settings(max_examples=2000 if EXHAUSTIVE else 50, deadline=None)
+    @given(
+        payloads=st.lists(
+            st.tuples(
+                st.integers(-1000, 1000),
+                st.integers(-1000, 1000) | st.text("abcxyz", max_size=6),
+            ),
+            min_size=1,
+            max_size=10,
+        ),
+        data=st.data(),
+    )
+    def test_one_flipped_byte_stops_open_and_shipping_at_its_line(self, payloads, data):
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "wal.jsonl"
+            lines = _write_log(path, payloads)
+            raw = path.read_bytes()
+            for cut in range(len(lines) + 1):
+                path.write_bytes(raw)
+                wal = WriteAheadLog(path, sync_policy="never")
+                wal.open()
+                report = wal.truncate_through(cut)
+                wal.close()
+                assert report == WALTruncateReport(retained_frames=len(lines) - cut)
+                assert path.read_bytes() == b"".join(lines[cut:])
+
+            index = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            mask = data.draw(st.integers(1, 255), label="mask")
+            damaged = bytearray(raw)
+            damaged[index] ^= mask
+            path.write_bytes(bytes(damaged))
+            kept = raw.count(b"\n", 0, index)  # the lines before the damaged one
+            frames, _, _ = WriteAheadLog(path).read_frames(0)
+            assert [line.encode("utf-8") for _, line in frames] == lines[:kept]
+            wal = WriteAheadLog(path, sync_policy="never")
+            report = wal.open()
+            wal.close()
+            assert [frame["lsn"] for frame in report.frames] == list(range(1, kept + 1))
+            assert report.truncation_reason is not None
+            assert path.read_bytes() == b"".join(lines[:kept])
 
 
 # ---------------------------------------------------------------------------
