@@ -268,6 +268,7 @@ class Embedding(ListLabeler):
             else:
                 self.slow_operations += 1
                 self._buffer_insert(rank, element)
+                self._emulator.admit(element)
                 self._perform_rebuild_work()
             self._emulator.note_operation()
         finally:
@@ -279,9 +280,11 @@ class Embedding(ListLabeler):
 
     def _delete(self, rank: int) -> OperationResult:
         result = OperationResult(Operation.delete(rank), MoveRecorder())
-        self._physical.move_sink = result.moves
+        physical = self._physical
+        physical.move_sink = result.moves
         try:
-            element = self._physical.element_at_rank(rank)
+            position = physical.position_of_rank(rank)
+            element = physical.element(position)
             simulated_result = self._emulator.simulated.delete(rank)
             fast = (
                 not self._emulator.has_pending_rebuild
@@ -292,18 +295,15 @@ class Embedding(ListLabeler):
                 self._emulator.apply_fast(simulated_result.moves)
             else:
                 self.slow_operations += 1
-                position = self._physical.position_of(element)
-                was_f_slot = self._physical.kind(position) == F_SLOT
-                self._physical.take_element(position)
-                if was_f_slot:
-                    self._emulator.mark_deleted(element)
+                physical.take_element(position)
+                self._emulator.retire(element, position)
                 self._perform_rebuild_work()
             self._emulator.note_operation()
         finally:
-            self._physical.move_sink = None
+            physical.move_sink = None
         # Deadweight counts are kept for live elements only, so the map stays
         # sized by the key count under steady churn.
-        self._physical.deadweight_by_element.pop(element, None)
+        physical.deadweight_by_element.pop(element, None)
         return result
 
     # ------------------------------------------------------------------

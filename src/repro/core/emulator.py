@@ -14,10 +14,28 @@ Section 3 of the paper splits the embedding's fast side in two:
   and is brought forward by checkpointed rebuilds executed in
   ``Θ(E_R)``-cost chunks.
 
-Deleted elements whose removal the emulator has not caught up with are kept
-in ``Ẽ_F`` as *ghosts* (the paper: "the F-emulator will treat that slot as
-containing the deleted element"); ghosts occupy an F-slot in the
+**Names.**  The paper treats elements as distinct, but a key can be
+deleted and put back.  So the emulator gives each insertion a *name*, a
+small int, when it enters the embedding, and ``Ẽ_F``, the ghost table and
+the rebuild plans (:mod:`repro.core.rebuild`) hold names, never keys.  Two
+tables translate: name → key for every name in use, and key → name for the
+live elements.  The simulated copy of F keeps keys, because Corollary 12's
+learned F predicts ranks from them, and because F never holds a deleted
+key: among F's elements, a key stands for one insertion.
+
+**Ghosts.**  Deleted elements whose removal the emulator has not caught up
+with stay in ``Ẽ_F`` as *ghosts* (the paper: "the F-emulator will treat that
+slot as containing the deleted element"); ghosts occupy an F-slot in the
 bookkeeping but no physical element, so their rebuild steps cost nothing.
+The ghost table maps each ghost's name to its F-index.  A buffered element
+deleted before the pending plan incorporates it keeps its name, and the
+plan's step makes it a ghost.
+
+**Releasing a name.**  A name goes back to the free list only when its
+element is off the array, it is not a ghost and the pending plan does not
+name it.  So a ghost keeps its name, an equal key put back beside it gets
+another, and the name table holds no more than the live elements, the
+ghosts and the pending plan's names.
 """
 
 from __future__ import annotations
@@ -27,8 +45,8 @@ from typing import Hashable, Sequence
 from repro.core.exceptions import InvariantViolation
 from repro.core.interface import ListLabeler
 from repro.core.operations import MoveRecorder
-from repro.core.physical import PhysicalArray
-from repro.core.rebuild import CLEANUP, INCORPORATE, PLACE, RebuildPlan, build_plan
+from repro.core.physical import F_SLOT, PhysicalArray
+from repro.core.rebuild import CLEANUP, PLACE, RebuildPlan, build_plan
 
 
 class FEmulator:
@@ -37,9 +55,14 @@ class FEmulator:
     def __init__(self, simulated: ListLabeler, physical: PhysicalArray) -> None:
         self._simulated = simulated
         self._physical = physical
-        self._shadow: list[Hashable | None] = [None] * simulated.num_slots
-        self._shadow_index: dict[Hashable, int] = {}
-        self._ghosts: set[Hashable] = set()
+        #: ``Ẽ_F``: the name in each F-slot (``None`` for an empty one).
+        self._shadow: list[int | None] = [None] * simulated.num_slots
+        #: name → key for every name in use, key → name for the live keys.
+        self._key_of: dict[int, Hashable] = {}
+        self._name_of: dict[Hashable, int] = {}
+        self._free_names: list[int] = []
+        #: Ghost name → its F-index in ``Ẽ_F``.
+        self._ghosts: dict[int, int] = {}
         self._plan: RebuildPlan | None = None
         # --- statistics for the Lemma 5/6 experiments -------------------
         self.rebuilds_started = 0
@@ -58,12 +81,19 @@ class FEmulator:
 
     @property
     def shadow(self) -> Sequence[Hashable | None]:
-        """The emulator's view of the F-array (``Ẽ_F``), ghosts included."""
-        return tuple(self._shadow)
+        """The emulator's view of the F-array (``Ẽ_F``) as keys, ghosts included."""
+        return tuple(map(self._key_of.get, self._shadow))
 
     @property
-    def ghosts(self) -> frozenset:
-        return frozenset(self._ghosts)
+    def ghosts(self) -> dict[int, int]:
+        """The ghost table: ghost name → F-index (a copy)."""
+        return dict(self._ghosts)
+
+    @property
+    def names_in_use(self) -> int:
+        """Names not on the free list: live elements, ghosts and names
+        the pending plan still holds."""
+        return len(self._key_of)
 
     @property
     def has_pending_rebuild(self) -> bool:
@@ -73,11 +103,39 @@ class FEmulator:
     def plan(self) -> RebuildPlan | None:
         return self._plan
 
-    def is_ghost(self, element: Hashable) -> bool:
-        return element in self._ghosts
+    # ------------------------------------------------------------------
+    # Names
+    # ------------------------------------------------------------------
+    def admit(self, element: Hashable) -> int:
+        """Name ``element``, which has just entered the embedding."""
+        free = self._free_names
+        name = free.pop() if free else len(self._key_of)
+        self._key_of[name] = element
+        self._name_of[element] = name
+        return name
 
-    def in_shadow(self, element: Hashable) -> bool:
-        return element in self._shadow_index
+    def retire(self, element: Hashable, position: int) -> None:
+        """Record that a slow-path delete has just taken ``element`` off
+        ``position``.
+
+        An element of ``Ẽ_F`` leaves its name there as a ghost.  A buffered
+        element's name is held while the pending plan names it (the plan's
+        step then records the ghost); any other name is released.
+        """
+        name = self._name_of.pop(element)
+        if self._physical.kind(position) == F_SLOT:
+            self._ghosts[name] = self._physical.f_index_of(position)
+        elif self._plan is None or name not in self._plan.targets:
+            self._release(name)
+
+    def _release(self, name: int) -> None:
+        del self._key_of[name]
+        self._free_names.append(name)
+
+    def _is_live(self, name: int) -> bool:
+        """Whether ``name``'s element is still stored: a deleted element's
+        key no longer maps back to its name."""
+        return self._name_of.get(self._key_of[name]) == name
 
     # ------------------------------------------------------------------
     # Fast path
@@ -95,17 +153,19 @@ class FEmulator:
             raise InvariantViolation("fast path taken while a rebuild is pending")
         physical = self._physical
         f_position = physical.f_position
+        shadow = self._shadow
         for element, src, dst in zip(*moves.columns()):
             if dst < 0:
                 physical.take_element(f_position(src))
-                self._shadow_clear(src)
+                self._release(self._name_of.pop(element))
+                shadow[src] = None
             elif src < 0:
                 physical.put_element(f_position(dst), element)
-                self._shadow_set(dst, element)
+                shadow[dst] = self.admit(element)
             else:
                 physical.move_element(f_position(src), f_position(dst))
-                self._shadow_clear(src)
-                self._shadow_set(dst, element)
+                shadow[dst] = shadow[src]
+                shadow[src] = None
 
     # ------------------------------------------------------------------
     # Bulk loading
@@ -117,25 +177,20 @@ class FEmulator:
         element is placed straight into the physical F-slot of its F-index,
         so ``Ẽ_F`` equals the simulated state: the state a finished rebuild
         leaves, reached at one placement per element.  Needs an emulator
-        with nothing in ``Ẽ_F`` and no pending rebuild.
+        with no name in use and no pending rebuild.
         """
-        if self._plan is not None or self._shadow_index:
+        if self._plan is not None or self._key_of:
             raise InvariantViolation("bulk_load needs an empty, settled emulator")
         self._simulated.bulk_load(elements)
         physical = self._physical
         for f_index, element in enumerate(self._simulated.slots()):
             if element is not None:
                 physical.put_element(physical.f_position(f_index), element)
-                self._shadow_set(f_index, element)
+                self._shadow[f_index] = self.admit(element)
 
     # ------------------------------------------------------------------
     # Slow-path bookkeeping
     # ------------------------------------------------------------------
-    def mark_deleted(self, element: Hashable) -> None:
-        """Record that a shadow element was physically removed (slow-path delete)."""
-        if element in self._shadow_index:
-            self._ghosts.add(element)
-
     def note_operation(self) -> None:
         """Count one operation toward the span of the current rebuild (Lemma 6)."""
         if self._plan is not None:
@@ -148,16 +203,18 @@ class FEmulator:
         """Whether ``Ẽ_F`` differs from the simulated copy's current state."""
         if self._ghosts:
             return True
-        simulated = self._simulated.slots()
-        if len(simulated) != len(self._shadow):
-            raise InvariantViolation("simulated copy changed its array size")
-        return list(simulated) != self._shadow
+        return tuple(map(self._key_of.get, self._shadow)) != tuple(
+            self._simulated.slots()
+        )
 
     def start_rebuild(self) -> RebuildPlan:
         """Freeze the current simulated state as the checkpoint and plan for it."""
         if self._plan is not None:
             raise InvariantViolation("a rebuild is already pending")
-        checkpoint = tuple(self._simulated.slots())
+        name_of = self._name_of
+        checkpoint = [
+            None if key is None else name_of[key] for key in self._simulated.slots()
+        ]
         self._plan = build_plan(self._shadow, checkpoint)
         self.rebuilds_started += 1
         self._ops_in_current_rebuild = 0
@@ -175,13 +232,11 @@ class FEmulator:
         """Lower bound on the cost of finishing the pending rebuild."""
         if self._plan is None:
             return 0
-        live = 0
-        for step in self._plan.pending_steps():
-            if step.kind == CLEANUP:
-                continue
-            if self._physical.contains(step.element):
-                live += 1
-        return live
+        return sum(
+            1
+            for step in self._plan.pending_steps()
+            if step.kind != CLEANUP and self._is_live(step.name)
+        )
 
     # ------------------------------------------------------------------
     # Rebuild execution
@@ -206,82 +261,50 @@ class FEmulator:
         return spent
 
     def _execute_step(self, step) -> int:
+        name = step.name
+        shadow = self._shadow
         if step.kind == CLEANUP:
-            index = self._shadow_index.get(step.element)
-            if index is not None:
-                self._shadow_clear(index)
-            self._ghosts.discard(step.element)
+            shadow[self._ghosts.pop(name)] = None
+            self._release(name)
             return 0
-
         target = step.target_f_index
-        assert target is not None
         if step.kind == PLACE:
-            old_index = self._shadow_index.get(step.element)
-            if not self._physical.contains(step.element):
-                # The element became a ghost after the plan was frozen: the
-                # move is pure bookkeeping.
-                if old_index is not None:
-                    self._shadow_clear(old_index)
-                self._shadow_set(target, step.element)
-                return 0
-            cost = self._physical.chain_move(
-                self._physical.position_of(step.element), target
-            )
-            if old_index is not None:
-                self._shadow_clear(old_index)
-            self._shadow_set(target, step.element)
-            return cost
-
-        if step.kind == INCORPORATE:
-            if not self._physical.contains(step.element):
-                # Buffered then deleted before incorporation: record a ghost.
-                self._shadow_set(target, step.element)
-                self._ghosts.add(step.element)
-                return 0
-            cost = self._physical.chain_move(
-                self._physical.position_of(step.element), target
-            )
-            self._shadow_set(target, step.element)
-            return cost
-
-        raise InvariantViolation(f"unknown rebuild step kind {step.kind!r}")
-
-    # ------------------------------------------------------------------
-    # Shadow maintenance
-    # ------------------------------------------------------------------
-    def _shadow_set(self, index: int, element: Hashable) -> None:
-        current = self._shadow[index]
-        if current is not None and current != element:
-            raise InvariantViolation(
-                f"shadow slot {index} already holds {current!r}; cannot store {element!r}"
-            )
-        self._shadow[index] = element
-        self._shadow_index[element] = index
-
-    def _shadow_clear(self, index: int) -> None:
-        element = self._shadow[index]
-        if element is None:
-            return
-        self._shadow[index] = None
-        if self._shadow_index.get(element) == index:
-            del self._shadow_index[element]
+            shadow[step.source_f_index] = None
+        shadow[target] = name
+        if not self._is_live(name):
+            # Deleted after the plan was frozen: the step places its ghost,
+            # pure bookkeeping.
+            self._ghosts[name] = target
+            return 0
+        physical = self._physical
+        return physical.chain_move(physical.position_of(self._key_of[name]), target)
 
     # ------------------------------------------------------------------
     # Validation
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Check that the F-slots of the array match ``Ẽ_F`` (ghosts excepted)."""
+        """Check ``Ẽ_F`` against the F-slots of the array and the name tables.
+
+        Each live key and its name name each other; each ghost is dead and
+        sits at its F-index; every other name in ``Ẽ_F`` is live, and its
+        F-slot holds its key.  A ghost's F-slot, like an empty entry's,
+        holds no element.
+        """
+        key_of, ghosts, shadow = self._key_of, self._ghosts, self._shadow
+        for key, name in self._name_of.items():
+            if key_of.get(name) != key:
+                raise InvariantViolation(f"key {key!r} and its name {name} disagree")
+        for name, index in ghosts.items():
+            if shadow[index] != name or self._is_live(name):
+                raise InvariantViolation(f"ghost {name} is not a dead name at F-index {index}")
         contents = self._physical.f_contents()
-        if len(contents) != len(self._shadow):
-            raise InvariantViolation("the number of F-slots changed")
-        for index, (physical_item, shadow_item) in enumerate(zip(contents, self._shadow)):
-            if shadow_item is None or shadow_item in self._ghosts:
-                if physical_item is not None and physical_item != shadow_item:
-                    raise InvariantViolation(
-                        f"F-slot {index} holds {physical_item!r} but Ẽ_F expects it empty"
-                    )
-                continue
-            if physical_item != shadow_item:
+        for index, (physical_item, name) in enumerate(zip(contents, shadow)):
+            expected = None
+            if name is not None and name not in ghosts:
+                if not self._is_live(name):
+                    raise InvariantViolation(f"F-index {index} holds dead name {name}, no ghost")
+                expected = key_of[name]
+            if physical_item != expected:
                 raise InvariantViolation(
-                    f"F-slot {index} holds {physical_item!r} but Ẽ_F expects {shadow_item!r}"
+                    f"F-slot {index} holds {physical_item!r} but Ẽ_F expects {expected!r}"
                 )

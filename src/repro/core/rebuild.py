@@ -1,21 +1,29 @@
 """Checkpointed rebuilds of the F-emulator (Figures 3 and 4).
 
 A *rebuild* transforms the F-emulator's actual array ``Ẽ_F`` into the frozen
-checkpoint state ``C = F(t₀)`` of the simulated copy of ``F``.  Following the
-paper, the plan is computed once when the rebuild starts:
+checkpoint state ``C = F(t₀)`` of the simulated copy of ``F``.  Plans are
+built over the emulator's *names* (:mod:`repro.core.emulator`), one small
+int per insertion, not over keys: a ghost and a live element with an equal
+key are two different items here.  Following the paper, the plan is
+computed once when the rebuild starts:
 
-1. ``Q`` is the set of elements whose slot differs between ``Ẽ_F`` and ``C``
-   (including elements present in only one of the two states);
+1. ``Q`` is the set of names whose slot differs between ``Ẽ_F`` and ``C``
+   (including names present in only one of the two states);
 2. the F-emulator's array is split into maximal *dirty intervals* — runs of
-   F-slots containing only elements of ``Q``, delimited by clean occupied
+   F-slots containing only names of ``Q``, delimited by clean occupied
    slots (Figure 3);
-3. each interval is rewritten by a sequence of per-element steps (Figure 4):
+3. each interval is rewritten by a sequence of per-name steps (Figure 4):
    ghost clean-ups, then elements moving to a lower-or-equal F-index in
    increasing rank order, then elements moving to a higher F-index together
    with buffered-element incorporations in decreasing rank order.  This
    ordering guarantees that every step's target F-slot (and every F-slot on
    the way) is element-free when the step runs, so each step is realized by
    a single :meth:`repro.core.physical.PhysicalArray.chain_move`.
+
+A step carries its name, its target F-index and, for a move inside
+``Ẽ_F``, its source F-index, and the plan keeps the checkpoint's name →
+F-index map: the emulator executes a step without searching ``Ẽ_F`` and
+asks the map which names the plan holds.
 
 The plan is *incremental*: the embedding executes it in ``Θ(E_R)``-cost
 chunks across the slow-path operations (Section 3, slow path, part (b)).
@@ -24,35 +32,33 @@ chunks across the slow-path operations (Section 3, slow path, part (b)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 #: Step kinds.
-CLEANUP = "cleanup"          # remove a ghost / stale entry from Ẽ_F (cost 0)
-PLACE = "place"              # move an element already in Ẽ_F to a new F-index
+CLEANUP = "cleanup"          # remove a ghost from Ẽ_F (cost 0)
+PLACE = "place"              # move a name already in Ẽ_F to a new F-index
 INCORPORATE = "incorporate"  # move a buffered element into its F-slot
 
 
 @dataclass(frozen=True)
 class RebuildStep:
-    """One per-element action of a rebuild plan."""
+    """One per-name action of a rebuild plan."""
 
     kind: str
-    element: Hashable
+    name: Hashable
     target_f_index: int | None = None
-
-    def __repr__(self) -> str:  # pragma: no cover - debug helper
-        return f"RebuildStep({self.kind}, {self.element!r}, target={self.target_f_index})"
+    #: Where a ``PLACE`` step's name sits in ``Ẽ_F`` when the step runs.
+    source_f_index: int | None = None
 
 
 class RebuildPlan:
     """An ordered list of :class:`RebuildStep` realizing one checkpoint."""
 
-    def __init__(self, steps: Sequence[RebuildStep], checkpoint: Sequence[Hashable | None]):
+    def __init__(self, steps: Sequence[RebuildStep], targets: dict[Hashable, int]):
         self._steps: list[RebuildStep] = list(steps)
         self._cursor = 0
-        #: The checkpoint state this plan converges to (kept for debugging
-        #: and for the Figure 3/4 rendering examples).
-        self.checkpoint: tuple[Hashable | None, ...] = tuple(checkpoint)
+        #: Every name of the checkpoint → its F-index there.
+        self.targets = targets
 
     # ------------------------------------------------------------------
     @property
@@ -132,38 +138,27 @@ def build_plan(
 
     steps: list[RebuildStep] = []
     for lo, hi in _interval_boundaries(shadow, checkpoint):
-        cleanup: list[RebuildStep] = []
-        lowering: list[tuple[int, RebuildStep]] = []
-        raising_or_new: list[tuple[int, RebuildStep]] = []
-
-        # Elements leaving Ẽ_F entirely (ghost clean-ups).
+        # Names leaving Ẽ_F entirely (ghost clean-ups) go first.
         for index in range(lo, hi + 1):
             item = shadow[index]
             if item is not None and item not in checkpoint_pos:
-                cleanup.append(RebuildStep(CLEANUP, item))
+                steps.append(RebuildStep(CLEANUP, item))
 
-        # Elements of the checkpoint interval, by target position.
+        # Names of the checkpoint interval, by increasing target position.
+        lowering: list[RebuildStep] = []
+        raising_or_new: list[RebuildStep] = []
         for target in range(lo, hi + 1):
             item = checkpoint[target]
             if item is None:
                 continue
             source = shadow_pos.get(item)
             if source is None:
-                raising_or_new.append(
-                    (target, RebuildStep(INCORPORATE, item, target))
-                )
-            elif source == target:
-                continue
-            elif target <= source:
-                lowering.append((target, RebuildStep(PLACE, item, target)))
-            else:
-                raising_or_new.append((target, RebuildStep(PLACE, item, target)))
+                raising_or_new.append(RebuildStep(INCORPORATE, item, target))
+            elif target < source:
+                lowering.append(RebuildStep(PLACE, item, target, source))
+            elif target > source:
+                raising_or_new.append(RebuildStep(PLACE, item, target, source))
+        steps.extend(lowering)
+        steps.extend(reversed(raising_or_new))
 
-        steps.extend(cleanup)
-        steps.extend(step for _, step in sorted(lowering, key=lambda pair: pair[0]))
-        steps.extend(
-            step
-            for _, step in sorted(raising_or_new, key=lambda pair: pair[0], reverse=True)
-        )
-
-    return RebuildPlan(steps, checkpoint)
+    return RebuildPlan(steps, checkpoint_pos)

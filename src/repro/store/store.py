@@ -207,6 +207,9 @@ class DurableStore:
                 registry=self.obs,
             )
             self._frames_since_snapshot = 0
+            #: LSN of the last frame whose apply has returned (see
+            #: :attr:`last_lsn`).
+            self._last_lsn = 0
             self._last_snapshot_lsn = 0
             self._horizon = 0
             #: Report of the most recent :meth:`compact` WAL rewrite;
@@ -389,6 +392,7 @@ class DurableStore:
                 f"cannot reproduce the acknowledged writes in between"
             )
         self._wal.ensure_next_lsn(horizon + 1)
+        self._last_lsn = self._wal.next_lsn - 1
         return RecoveryReport(
             snapshot_lsn=snapshot_lsn,
             wal_frames_seen=len(report.frames),
@@ -430,6 +434,7 @@ class DurableStore:
             # and the store could never be reopened.
             self._wal.rollback_last(offset, lsn)
             raise
+        self._last_lsn = lsn
         self._count_frame()
 
     def _count_frame(self) -> None:
@@ -526,7 +531,13 @@ class DurableStore:
 
     @property
     def last_lsn(self) -> int:
-        return self._wal.next_lsn - 1
+        """LSN of the last frame applied to the map.
+
+        A frame counts only once its apply has returned, so a reader that
+        sees LSN ``n`` here (a replica's ``wait_caught_up(n)``, without the
+        service lock) also sees frame ``n`` in the map.
+        """
+        return self._last_lsn
 
     @property
     def wal_frames_since_snapshot(self) -> int:
@@ -560,6 +571,7 @@ class DurableStore:
         except BaseException:
             self._wal.rollback_last(offset, lsn)
             raise
+        self._last_lsn = lsn
         self._count_frame()
         return lsn
 

@@ -61,14 +61,17 @@ class ReferenceDriver:
 
     Keys are exact rationals chosen between the rank neighbours, so the
     reference model is a ground truth for both contents and order regardless
-    of how adversarial the rank sequence is.
+    of how adversarial the rank sequence is.  In *reuse* mode every delete
+    puts the key it deleted straight back at the rank it left, so equal
+    keys enter the structure again and again.
     """
 
-    def __init__(self, labeler, seed: int = 0):
+    def __init__(self, labeler, seed: int = 0, *, reuse: bool = False):
         self.labeler = labeler
         self.reference: list[Fraction] = []
         self.rng = random.Random(seed)
         self.costs: list[int] = []
+        self.reuse = reuse
 
     def key_for(self, rank: int) -> Fraction:
         lower = self.reference[rank - 2] if rank >= 2 else None
@@ -81,17 +84,22 @@ class ReferenceDriver:
             return lower + 1
         return (lower + upper) / 2
 
-    def insert(self, rank: int) -> int:
-        key = self.key_for(rank)
+    def insert(self, rank: int, key: Fraction | None = None) -> int:
+        if key is None:
+            key = self.key_for(rank)
         result = self.labeler.insert(rank, key)
         self.reference.insert(rank - 1, key)
         self.costs.append(result.cost)
         return result.cost
 
     def delete(self, rank: int) -> int:
+        """Delete the element of ``rank`` (and, in reuse mode, put its key
+        back); returns the delete's cost."""
         result = self.labeler.delete(rank)
-        self.reference.pop(rank - 1)
+        key = self.reference.pop(rank - 1)
         self.costs.append(result.cost)
+        if self.reuse:
+            self.insert(rank, key)
         return result.cost
 
     def random_operation(self, delete_probability: float = 0.3) -> int:

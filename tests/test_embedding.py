@@ -152,6 +152,18 @@ class TestInvariants:
         driver.check()
         driver.labeler.check_consistency()
 
+    @pytest.mark.parametrize("name", sorted(COMPOSITE_FACTORIES))
+    def test_mixed_workload_consistency_with_key_reuse(self, name):
+        """Every delete puts its key straight back at the rank it left."""
+        driver = ReferenceDriver(COMPOSITE_FACTORIES[name](96), seed=7, reuse=True)
+        for step in range(400):
+            driver.random_operation(delete_probability=0.5)
+            if step % 100 == 0:
+                driver.check()
+                driver.labeler.check_consistency()
+        driver.check()
+        driver.labeler.check_consistency()
+
     def test_lemma5_deadweight_bounded_per_element(self):
         """Lemma 5: every element suffers O(1) deadweight moves."""
         embedding = naive_classical(384, reliable_expected_cost=12)
@@ -191,6 +203,24 @@ class TestInvariants:
             driver.delete(driver.rng.randint(1, len(driver.reference)))
         driver.check()
         embedding.check_consistency()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_reused_keys_are_not_their_ghosts(self, seed):
+        """A key deleted on the slow path leaves a ghost; putting the same
+        key straight back makes a new element, not the ghost again."""
+        embedding = naive_classical(48, reliable_expected_cost=4)
+        driver = ReferenceDriver(embedding, seed=seed, reuse=True)
+        for _ in range(36):
+            driver.insert(driver.rng.randint(1, len(driver.reference) + 1))
+        ghosts_seen = 0
+        for step in range(300):
+            driver.delete(driver.rng.randint(1, len(driver.reference)))
+            ghosts_seen += bool(embedding.emulator.ghosts)
+            if step % 50 == 0:
+                embedding.check_consistency()
+        assert ghosts_seen
+        embedding.check_consistency()
+        driver.check()
 
     def test_render_views_shapes(self):
         embedding = adaptive_classical(32)

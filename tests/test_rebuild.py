@@ -46,12 +46,12 @@ class TestPlanConstruction:
         while not plan.is_complete:
             step = plan.advance()
             if step.kind == CLEANUP:
-                state[position.pop(step.element)] = None
+                state[position.pop(step.name)] = None
             else:
-                if step.element in position:
-                    state[position[step.element]] = None
-                state[step.target_f_index] = step.element
-                position[step.element] = step.target_f_index
+                if step.name in position:
+                    state[position[step.name]] = None
+                state[step.target_f_index] = step.name
+                position[step.name] = step.target_f_index
         assert state == checkpoint
 
     def test_deleted_elements_get_cleanup_steps(self):
@@ -79,15 +79,25 @@ class TestPlanConstruction:
         position = {item: idx for idx, item in enumerate(state) if item is not None}
         for step in plan.pending_steps():
             if step.kind == CLEANUP:
-                state[position.pop(step.element)] = None
+                state[position.pop(step.name)] = None
                 continue
             target = step.target_f_index
-            assert state[target] is None or state[target] == step.element
-            if step.element in position:
-                state[position[step.element]] = None
-            state[target] = step.element
-            position[step.element] = target
+            assert state[target] is None or state[target] == step.name
+            if step.kind == PLACE:
+                assert position[step.name] == step.source_f_index
+            if step.name in position:
+                state[position[step.name]] = None
+            state[target] = step.name
+            position[step.name] = target
         assert state == checkpoint
+
+    def test_targets_map_every_checkpoint_name(self):
+        """The plan's name → F-index map covers the checkpoint, clean
+        names included, and nothing else."""
+        shadow = ["a", "gone", None, "d"]
+        checkpoint = ["a", None, "b", "d"]
+        plan = build_plan(shadow, checkpoint)
+        assert plan.targets == {"a": 0, "b": 2, "d": 3}
 
     def test_identical_states_produce_empty_plan(self):
         state = ["a", None, "b"]
@@ -99,10 +109,11 @@ class TestPlanConstruction:
 class TestPlanObject:
     def test_cursor_and_peek(self):
         plan = RebuildPlan(
-            [RebuildStep(PLACE, "a", 1), RebuildStep(PLACE, "b", 2)], ["x"]
+            [RebuildStep(PLACE, "a", 1, 0), RebuildStep(PLACE, "b", 2, 1)],
+            {"a": 1, "b": 2},
         )
         assert plan.remaining_steps == 2
-        assert plan.peek().element == "a"
+        assert plan.peek().name == "a"
         plan.advance()
         assert plan.remaining_steps == 1
         plan.advance()

@@ -752,9 +752,6 @@ class _FakePrimary:
 def _converged(service: StoreService, replica: Replica) -> None:
     """The byte-identical convergence assertion: same fingerprint."""
     replica.wait_caught_up(service.store.last_lsn)
-    # The last frame's LSN shows before its apply finishes; verify() takes
-    # the service lock the apply holds, so the map is read only after it.
-    replica.service.verify()
     assert fingerprint(replica.service.store.map) == fingerprint(
         service.store.map
     )
@@ -816,6 +813,31 @@ class TestReplication:
             replica_wal = (Path(tmp_path) / "replica" / WAL_FILENAME).read_bytes()
             assert replica_wal and primary_wal.endswith(replica_wal)
         restarted.stop()
+
+    def test_caught_up_frame_is_in_the_map(self, primary, tmp_path):
+        """``wait_caught_up(n)`` returns only after frame ``n``'s apply has
+        returned: with every apply slowed down, a direct read of the
+        replica's map (no service lock) still sees frame ``n``'s key."""
+        service, server = primary
+        service.put(0, "zero")
+        replica = Replica(
+            tmp_path / "replica", server.address, sync_policy="never"
+        ).start()
+        replica.wait_ready()
+        replica.wait_caught_up(service.store.last_lsn)
+        store = replica.service.store
+        apply = store._apply
+
+        def slow_apply(op, payload):
+            time.sleep(0.05)
+            apply(op, payload)
+
+        store._apply = slow_apply
+        for key in range(1, 4):
+            service.put(key, str(key))
+            replica.wait_caught_up(service.store.last_lsn)
+            assert key in store.map
+        replica.stop()
 
     def test_kill_mid_catch_up_then_restart_converges(self, primary, tmp_path):
         """The CI smoke scenario: kill the puller *during* catch-up."""

@@ -381,6 +381,22 @@ class ReferenceTwinMachine(RuleBasedStateMachine):
         self._compare(self.slab.delete(rank), self.oracle.delete(rank))
         self.reference.pop(rank - 1)
 
+    @precondition(lambda self: self.reference)
+    @rule(data=st.data())
+    def reuse_burst(self, data):
+        """Delete a rank and at once put the equal key back, a few times
+        near one rank: the twins meet keys whose ghosts may still live."""
+        rank = data.draw(st.integers(1, len(self.reference)), label="reuse rank")
+        for offset in data.draw(
+            st.lists(st.integers(-2, 2), min_size=1, max_size=12),
+            label="reuse offsets",
+        ):
+            at = min(max(1, rank + offset), len(self.reference))
+            key = self.reference.pop(at - 1)
+            self._compare(self.slab.delete(at), self.oracle.delete(at))
+            self._compare(self.slab.insert(at, key), self.oracle.insert(at, key))
+            self.reference.insert(at - 1, key)
+
     @rule(data=st.data())
     def insert_batch(self, data):
         size = len(self.reference)
