@@ -34,11 +34,11 @@ def test_render_paper_figures(run_once):
         views = embedding.render_views()
         shadow = list(embedding.emulator.shadow)
         checkpoint = list(embedding.emulator.simulated.slots())
-        plan = build_plan(shadow, checkpoint)
+        steps, _ = build_plan(shadow, checkpoint)
         deadweight = dict(embedding.physical.deadweight_by_element)
-        return views, plan, deadweight, embedding
+        return views, steps, deadweight, embedding
 
-    views, plan, deadweight, embedding = run_once(experiment)
+    views, steps, deadweight, embedding = run_once(experiment)
 
     print("\nFIG-1: the three views of the array (F/f = F-slot, B/b = buffer, . = R-empty;")
     print("       upper case = occupied by a real element)")
@@ -49,7 +49,7 @@ def test_render_paper_figures(run_once):
     rows = [
         {"figure": "FIG-2", "quantity": "total deadweight moves", "value": embedding.deadweight_moves},
         {"figure": "FIG-2", "quantity": "max deadweight per element", "value": max(deadweight.values(), default=0)},
-        {"figure": "FIG-3", "quantity": "pending rebuild steps", "value": plan.total_steps},
+        {"figure": "FIG-3", "quantity": "pending rebuild steps", "value": len(steps)},
         {"figure": "FIG-4", "quantity": "buffered elements awaiting incorporation", "value": embedding.buffered_elements},
     ]
     emit("FIG-2/3/4: deadweight counters and the pending rebuild plan", rows,

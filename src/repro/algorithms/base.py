@@ -270,14 +270,6 @@ class DenseArrayLabeler(ListLabeler):
             self._move(neighbour, position)
             position = neighbour
 
-    def _redistribute(self, lo: int, hi: int, contents: list[Hashable], targets: list[int]) -> None:
-        """Rewrite ``[lo, hi)`` so ``contents[i]`` ends up at ``targets[i]``.
-
-        ``contents`` must be the occupied elements of the window in order and
-        ``targets`` an increasing list of slots inside the window.
-        """
-        self._layout_window(contents, targets, ())
-
     # ------------------------------------------------------------------
     # Batched insertion: one merged rebalance for the whole batch
     # ------------------------------------------------------------------

@@ -204,12 +204,8 @@ class Embedding(ListLabeler):
         next element inside the window
         (:meth:`~repro.core.physical.PhysicalArray.next_element`, a short
         walk and then one element-lane lookup), and one element-lane
-        prefix turns the boundary slot into a count.  Below a quarter load
-        the gaps outweigh the probes, so a sparse embedding keeps the
-        interface's binary search over :meth:`select`.
+        prefix turns the boundary slot into a count.
         """
-        if 4 * self._size < self._num_slots:
-            return super().count_below(key, strict=strict)
         next_element = self._physical.next_element
         lo, hi = 0, self._num_slots
         # Invariant: every element left of ``lo`` is below the key, and
@@ -341,10 +337,18 @@ class Embedding(ListLabeler):
     # Slow path, part (b): rebuild work on the F-emulator
     # ------------------------------------------------------------------
     def _perform_rebuild_work(self) -> None:
+        """Steps (i)–(iv) of the slow path's rebuild work.
+
+        Invariant: after every operation either a rebuild is pending or
+        ``Ẽ_F`` equals the simulated copy of F (:meth:`check_consistency`
+        checks it).  A slow operation always breaks that equality — a
+        buffered insertion is in F but not in ``Ẽ_F``, and a slow delete
+        with no rebuild pending leaves a ghost — so a rebuild starts here
+        without a divergence test, and :meth:`FEmulator.diverged` runs only
+        after a rebuild completes.
+        """
         emulator = self._emulator
         if not emulator.has_pending_rebuild:
-            if not emulator.diverged():
-                return
             emulator.start_rebuild()
 
         # (i) perform Θ(E_R) rebuild work.
@@ -366,9 +370,16 @@ class Embedding(ListLabeler):
     # Validation and rendering
     # ------------------------------------------------------------------
     def check_consistency(self, key=None) -> None:
-        """Run every structural invariant of the embedding (used by tests)."""
+        """Run every structural invariant of the embedding (used by tests),
+        R's own included (:meth:`RShell.check_consistency`), and the
+        invariant of :meth:`_perform_rebuild_work`: with no rebuild
+        pending, ``Ẽ_F`` equals the simulated copy of F."""
         self._physical.check_consistency(key=key)
         self._emulator.check_consistency()
+        if not self._emulator.has_pending_rebuild and self._emulator.diverged():
+            raise InvariantViolation(
+                "no rebuild is pending but Ẽ_F differs from the simulated copy of F"
+            )
         self._shell.check_consistency()
         counts = {R_EMPTY: 0, F_SLOT: 0, BUFFER: 0}
         for kind in self._physical.kinds():

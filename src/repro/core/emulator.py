@@ -31,6 +31,11 @@ The ghost table maps each ghost's name to its F-index.  A buffered element
 deleted before the pending plan incorporates it keeps its name, and the
 plan's step makes it a ghost.
 
+**The pending plan.**  A rebuild's steps wait in a ``deque`` that
+:meth:`FEmulator.rebuild_work` pops from the left, and the plan's name →
+target F-index map holds the names its steps move or incorporate (a
+buffered element's name is among them while the plan names it).
+
 **Releasing a name.**  A name goes back to the free list only when its
 element is off the array, it is not a ghost and the pending plan does not
 name it.  So a ghost keeps its name, an equal key put back beside it gets
@@ -40,13 +45,14 @@ ghosts and the pending plan's names.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Hashable, Sequence
 
 from repro.core.exceptions import InvariantViolation
 from repro.core.interface import ListLabeler
 from repro.core.operations import MoveRecorder
 from repro.core.physical import F_SLOT, PhysicalArray
-from repro.core.rebuild import CLEANUP, PLACE, RebuildPlan, build_plan
+from repro.core.rebuild import CLEANUP, PLACE, RebuildStep, build_plan
 
 
 class FEmulator:
@@ -63,7 +69,10 @@ class FEmulator:
         self._free_names: list[int] = []
         #: Ghost name → its F-index in ``Ẽ_F``.
         self._ghosts: dict[int, int] = {}
-        self._plan: RebuildPlan | None = None
+        #: The pending rebuild's remaining steps (``None`` when none is
+        #: pending) and the plan's name → target F-index map.
+        self._steps: deque[RebuildStep] | None = None
+        self._targets: dict[int, int] = {}
         # --- statistics for the Lemma 5/6 experiments -------------------
         self.rebuilds_started = 0
         self.rebuilds_completed = 0
@@ -97,11 +106,13 @@ class FEmulator:
 
     @property
     def has_pending_rebuild(self) -> bool:
-        return self._plan is not None
+        return self._steps is not None
 
     @property
-    def plan(self) -> RebuildPlan | None:
-        return self._plan
+    def plan_targets(self) -> dict[int, int]:
+        """The pending plan's name → target F-index map (empty when no
+        rebuild is pending; read-only use)."""
+        return self._targets
 
     # ------------------------------------------------------------------
     # Names
@@ -125,7 +136,7 @@ class FEmulator:
         name = self._name_of.pop(element)
         if self._physical.kind(position) == F_SLOT:
             self._ghosts[name] = self._physical.f_index_of(position)
-        elif self._plan is None or name not in self._plan.targets:
+        elif name not in self._targets:
             self._release(name)
 
     def _release(self, name: int) -> None:
@@ -149,7 +160,7 @@ class FEmulator:
         The recorder's columns are read directly, and each F-index becomes
         a position through the physical array's F-position table.
         """
-        if self._plan is not None:
+        if self._steps is not None:
             raise InvariantViolation("fast path taken while a rebuild is pending")
         physical = self._physical
         f_position = physical.f_position
@@ -179,7 +190,7 @@ class FEmulator:
         leaves, reached at one placement per element.  Needs an emulator
         with no name in use and no pending rebuild.
         """
-        if self._plan is not None or self._key_of:
+        if self._steps is not None or self._key_of:
             raise InvariantViolation("bulk_load needs an empty, settled emulator")
         self._simulated.bulk_load(elements)
         physical = self._physical
@@ -193,7 +204,7 @@ class FEmulator:
     # ------------------------------------------------------------------
     def note_operation(self) -> None:
         """Count one operation toward the span of the current rebuild (Lemma 6)."""
-        if self._plan is not None:
+        if self._steps is not None:
             self._ops_in_current_rebuild += 1
 
     # ------------------------------------------------------------------
@@ -207,18 +218,18 @@ class FEmulator:
             self._simulated.slots()
         )
 
-    def start_rebuild(self) -> RebuildPlan:
+    def start_rebuild(self) -> None:
         """Freeze the current simulated state as the checkpoint and plan for it."""
-        if self._plan is not None:
+        if self._steps is not None:
             raise InvariantViolation("a rebuild is already pending")
         name_of = self._name_of
         checkpoint = [
             None if key is None else name_of[key] for key in self._simulated.slots()
         ]
-        self._plan = build_plan(self._shadow, checkpoint)
+        steps, self._targets = build_plan(self._shadow, checkpoint)
+        self._steps = deque(steps)
         self.rebuilds_started += 1
         self._ops_in_current_rebuild = 0
-        return self._plan
 
     def _finish_rebuild(self) -> None:
         self.rebuilds_completed += 1
@@ -226,16 +237,16 @@ class FEmulator:
             self.max_rebuild_span, self._ops_in_current_rebuild
         )
         self._ops_in_current_rebuild = 0
-        self._plan = None
+        self._steps = None
+        self._targets = {}
 
     def estimated_remaining_cost(self) -> int:
         """Lower bound on the cost of finishing the pending rebuild."""
-        if self._plan is None:
-            return 0
+        is_live = self._is_live
         return sum(
             1
-            for step in self._plan.pending_steps()
-            if step.kind != CLEANUP and self._is_live(step.name)
+            for kind, name, _, _ in self._steps or ()
+            if kind != CLEANUP and is_live(name)
         )
 
     # ------------------------------------------------------------------
@@ -249,27 +260,27 @@ class FEmulator:
         embedding only invokes when the estimated remaining cost is below
         ``E_R``).  Returns the cost incurred (deadweight included).
         """
-        plan = self._plan
-        if plan is None:
+        steps = self._steps
+        if steps is None:
             return 0
         spent = 0
-        while not plan.is_complete and (finish or spent < budget):
-            spent += self._execute_step(plan.advance())
+        while steps and (finish or spent < budget):
+            spent += self._execute_step(*steps.popleft())
         self.rebuild_cost += spent
-        if plan.is_complete:
+        if not steps:
             self._finish_rebuild()
         return spent
 
-    def _execute_step(self, step) -> int:
-        name = step.name
+    def _execute_step(
+        self, kind: str, name: int, target: int | None, source: int | None
+    ) -> int:
         shadow = self._shadow
-        if step.kind == CLEANUP:
+        if kind == CLEANUP:
             shadow[self._ghosts.pop(name)] = None
             self._release(name)
             return 0
-        target = step.target_f_index
-        if step.kind == PLACE:
-            shadow[step.source_f_index] = None
+        if kind == PLACE:
+            shadow[source] = None
         shadow[target] = name
         if not self._is_live(name):
             # Deleted after the plan was frozen: the step places its ghost,

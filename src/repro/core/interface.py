@@ -43,9 +43,13 @@ cheap, so every labeler also serves rank-addressed queries:
 
 Reads are side-effect-free: they must not move elements, relabel slots, or
 change any observable state (the differential suite fuzzes a layout digest
-across interleaved reads to enforce this).  The defaults here are ``O(m)``
-scans and exist as a last resort only; every concrete structure overrides
-them with indexed implementations.
+across interleaved reads to enforce this).  The indexed reads — ``select``,
+the stream behind ``iter_from``, ``count_range``, ``slot_of_rank`` and
+``count_below`` — are abstract, like :meth:`~ListLabeler.bulk_load`: each
+of the three concrete bases (the dense arrays, the embedding and the
+sharding engine) answers them from its own index.  Only ``slot_of`` and
+``rank_of`` keep ``O(m)`` scans, which ``tests/test_query.py`` uses as its
+oracle.
 """
 
 from __future__ import annotations
@@ -112,8 +116,9 @@ class Cursor:
 class ListLabeler(abc.ABC):
     """Abstract base class for list-labeling data structures.
 
-    Subclasses must implement :meth:`_insert`, :meth:`_delete` and
-    :meth:`slots`; the public :meth:`insert` / :meth:`delete` wrappers
+    Subclasses must implement :meth:`_insert`, :meth:`_delete`,
+    :meth:`slots`, :meth:`bulk_load` and the indexed reads (see the module
+    docstring); the public :meth:`insert` / :meth:`delete` wrappers
     perform rank and capacity validation and keep the element count.
 
     Parameters
@@ -339,24 +344,18 @@ class ListLabeler(abc.ABC):
             return self.insert(operation.rank, element)
         return self.delete(operation.rank)
 
+    @abc.abstractmethod
     def bulk_load(self, elements: Sequence[Hashable]) -> int:
         """Load ``elements`` (already in rank order) into an empty structure.
 
-        Returns the total move cost.  The default implementation simply
-        appends one element at a time.  Every structure in this library
-        overrides it at one placement per element: the dense array
-        algorithms with an even layout, the sharding engine with evenly
-        filled fresh shards, and :class:`repro.core.embedding.Embedding`
-        with F's layout placed straight on its F-slots.  The embedding's
-        R-shell uses it for its Θ(n) initialization tokens, so even an
-        embedding nested as R is built in linear time.
+        Returns the total move cost, one placement per element: the dense
+        array algorithms lay them out evenly, the sharding engine fills
+        fresh shards evenly, and :class:`repro.core.embedding.Embedding`
+        places F's layout straight on its F-slots.  The embedding's R-shell
+        uses it for its Θ(n) initialization tokens, so even an embedding
+        nested as R is built in linear time.  Raises :class:`LabelerError`
+        on a non-empty structure.
         """
-        if self._size:
-            raise LabelerError("bulk_load requires an empty structure")
-        total = 0
-        for index, element in enumerate(elements):
-            total += self.insert(index + 1, element).cost
-        return total
 
     # ------------------------------------------------------------------
     # Serialization (snapshot / restore)
@@ -472,22 +471,11 @@ class ListLabeler(abc.ABC):
         if not 1 <= rank <= self._size + slack:
             raise RankError(rank, self._size, kind)
 
+    @abc.abstractmethod
     def select(self, rank: int) -> Hashable:
-        """The element of the given 1-based rank (select-kth).
-
-        The default is an ``O(m)`` scan of :meth:`slots` — a last-resort
-        fallback only; every concrete structure overrides it with an
-        occupancy-index select (``O(log m)``).
-        """
-        self._check_read_rank(rank, SELECT)
-        remaining = rank
-        for item in self.slots():
-            if item is None:
-                continue
-            remaining -= 1
-            if remaining == 0:
-                return item
-        raise RankError(rank, self._size, SELECT)  # pragma: no cover
+        """The element of the given 1-based rank (select-kth), through an
+        occupancy index (``O(log m)``); raises :class:`RankError` outside
+        ``[1, size]``."""
 
     def iter_from(self, rank: int) -> Iterator[Hashable]:
         """Lazily yield the stored elements of ranks ``rank, rank+1, …``.
@@ -495,68 +483,44 @@ class ListLabeler(abc.ABC):
         ``rank == size + 1`` is allowed and yields nothing (the natural
         "cursor at the end" state).  The stream is lazy: elements are read
         off the physical array as the consumer advances, never materialized
-        up front.  Overrides seek the start slot through an occupancy index
-        (``O(log m)``) and then walk slots; the default scans from slot 0.
-        Mutating the labeler invalidates the stream.
+        up front.  Structures seek the start slot through an occupancy index
+        (``O(log m)``) and then walk slots.  Mutating the labeler
+        invalidates the stream.
         """
         self._check_read_rank(rank, RANGE, slack=1)
         return self._iter_from(rank)
 
+    @abc.abstractmethod
     def _iter_from(self, rank: int) -> Iterator[Hashable]:
         """The stream behind :meth:`iter_from`; the rank is already valid."""
-        remaining = rank
-        for item in self.slots():
-            if item is None:
-                continue
-            remaining -= 1
-            if remaining <= 0:
-                yield item
 
     def cursor(self, rank: int = 1) -> Cursor:
         """A :class:`Cursor` positioned so its next element has ``rank``."""
         return Cursor(self, rank)
 
+    @abc.abstractmethod
     def count_range(self, lo: int, hi: int) -> int:
         """Number of stored elements occupying slots in ``[lo, hi)``.
 
         This is the label-window count (how many elements carry labels in a
-        physical interval); bounds are clamped to the array.  The default
-        scans; concrete structures answer it from their occupancy index
-        (one popcount of a dense array's bitmask or of the embedding's
-        element lane).
+        physical interval); bounds are clamped to the array.  Structures
+        answer it from their occupancy index (one popcount of a dense
+        array's bitmask or of the embedding's element lane).
         """
-        lo = max(0, lo)
-        hi = min(self._num_slots, hi)
-        if hi <= lo:
-            return 0
-        slots = self.slots()
-        return sum(1 for index in range(lo, hi) if slots[index] is not None)
 
+    @abc.abstractmethod
     def slot_of_rank(self, rank: int) -> int:
         """Physical slot (label) of the element with the given rank."""
-        self._check_read_rank(rank, SELECT)
-        return self.slot_of(self.select(rank))
 
+    @abc.abstractmethod
     def count_below(self, key, *, strict: bool = True) -> int:
         """Number of stored elements ``< key`` (``<= key`` when not strict).
 
         The key-order search behind every ordered-map lookup; the stored
-        elements must be totally ordered by ``<``.  The default
-        binary-searches ranks through :meth:`select`: ``O(log n)`` probes
-        of one select each.  The sharding engine overrides it with a
-        fence-key descent, and the dense array algorithms and
-        :class:`repro.core.embedding.Embedding` with a bisection of their
-        slots (an embedding below a quarter load falls back to this one).
+        elements must be totally ordered by ``<``.  The sharding engine
+        runs a fence-key descent, and the dense array algorithms and
+        :class:`repro.core.embedding.Embedding` a bisection of their slots.
         """
-        lo, hi = 0, self._size
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            probe = self.select(mid)
-            if probe < key if strict else probe <= key:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
     def count_below_sorted(self, keys: Sequence) -> list[int]:
         """:meth:`count_below` (strict) of every key of an ascending

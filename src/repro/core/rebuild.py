@@ -20,10 +20,13 @@ computed once when the rebuild starts:
    the way) is element-free when the step runs, so each step is realized by
    a single :meth:`repro.core.physical.PhysicalArray.chain_move`.
 
-A step carries its name, its target F-index and, for a move inside
-``Ẽ_F``, its source F-index, and the plan keeps the checkpoint's name →
-F-index map: the emulator executes a step without searching ``Ẽ_F`` and
-asks the map which names the plan holds.
+A plan is its ordered list of :class:`RebuildStep` tuples plus the name →
+target F-index map of the names those steps move or incorporate.  A step
+carries its name, its target F-index and, for a move inside ``Ẽ_F``, its
+source F-index, so the emulator executes it without searching ``Ẽ_F``.
+Both maps are built per dirty interval, never over the whole array: the
+live names keep key order in both states, so no name crosses a clean
+delimiter, and a name's two positions lie in the same interval.
 
 The plan is *incremental*: the embedding executes it in ``Θ(E_R)``-cost
 chunks across the slow-path operations (Section 3, slow path, part (b)).
@@ -31,8 +34,7 @@ chunks across the slow-path operations (Section 3, slow path, part (b)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 #: Step kinds.
 CLEANUP = "cleanup"          # remove a ghost from Ẽ_F (cost 0)
@@ -40,8 +42,7 @@ PLACE = "place"              # move a name already in Ẽ_F to a new F-index
 INCORPORATE = "incorporate"  # move a buffered element into its F-slot
 
 
-@dataclass(frozen=True)
-class RebuildStep:
+class RebuildStep(NamedTuple):
     """One per-name action of a rebuild plan."""
 
     kind: str
@@ -49,43 +50,6 @@ class RebuildStep:
     target_f_index: int | None = None
     #: Where a ``PLACE`` step's name sits in ``Ẽ_F`` when the step runs.
     source_f_index: int | None = None
-
-
-class RebuildPlan:
-    """An ordered list of :class:`RebuildStep` realizing one checkpoint."""
-
-    def __init__(self, steps: Sequence[RebuildStep], targets: dict[Hashable, int]):
-        self._steps: list[RebuildStep] = list(steps)
-        self._cursor = 0
-        #: Every name of the checkpoint → its F-index there.
-        self.targets = targets
-
-    # ------------------------------------------------------------------
-    @property
-    def total_steps(self) -> int:
-        return len(self._steps)
-
-    @property
-    def remaining_steps(self) -> int:
-        return len(self._steps) - self._cursor
-
-    @property
-    def is_complete(self) -> bool:
-        return self._cursor >= len(self._steps)
-
-    def peek(self) -> RebuildStep | None:
-        if self.is_complete:
-            return None
-        return self._steps[self._cursor]
-
-    def advance(self) -> RebuildStep:
-        step = self._steps[self._cursor]
-        self._cursor += 1
-        return step
-
-    def pending_steps(self) -> list[RebuildStep]:
-        """Remaining steps, in execution order (read-only copy)."""
-        return list(self._steps[self._cursor:])
 
 
 def _interval_boundaries(
@@ -122,43 +86,47 @@ def _interval_boundaries(
 def build_plan(
     shadow: Sequence[Hashable | None],
     checkpoint: Sequence[Hashable | None],
-) -> RebuildPlan:
-    """Construct the rebuild plan that turns ``shadow`` (``Ẽ_F``) into ``checkpoint``.
+) -> tuple[list[RebuildStep], dict[Hashable, int]]:
+    """The steps that turn ``shadow`` (``Ẽ_F``) into ``checkpoint``, in
+    execution order, and the target F-index of each name they move or
+    incorporate.
 
     Steps are grouped per dirty interval and ordered so that every step's
     target F-slot is element-free by the time the step executes (see the
-    module docstring); elements never cross interval boundaries because the
-    delimiting slots are clean in both states.
+    module docstring).  A name present in both states must keep its order
+    among the others, as live names keep key order, so that its two
+    positions lie in one interval; inside an interval no position holds
+    the same name in both states, so every checkpoint name there gets a
+    step.
     """
     if len(shadow) != len(checkpoint):
         raise ValueError("shadow and checkpoint must have the same length")
 
-    shadow_pos = {item: idx for idx, item in enumerate(shadow) if item is not None}
-    checkpoint_pos = {item: idx for idx, item in enumerate(checkpoint) if item is not None}
-
     steps: list[RebuildStep] = []
+    targets: dict[Hashable, int] = {}
     for lo, hi in _interval_boundaries(shadow, checkpoint):
+        # Both maps keep position order.
+        sources = {
+            name: i for i, name in enumerate(shadow[lo : hi + 1], lo) if name is not None
+        }
+        interval_targets = {
+            name: i for i, name in enumerate(checkpoint[lo : hi + 1], lo) if name is not None
+        }
         # Names leaving Ẽ_F entirely (ghost clean-ups) go first.
-        for index in range(lo, hi + 1):
-            item = shadow[index]
-            if item is not None and item not in checkpoint_pos:
-                steps.append(RebuildStep(CLEANUP, item))
-
-        # Names of the checkpoint interval, by increasing target position.
+        steps.extend(
+            RebuildStep(CLEANUP, name) for name in sources if name not in interval_targets
+        )
         lowering: list[RebuildStep] = []
         raising_or_new: list[RebuildStep] = []
-        for target in range(lo, hi + 1):
-            item = checkpoint[target]
-            if item is None:
-                continue
-            source = shadow_pos.get(item)
+        for name, target in interval_targets.items():
+            source = sources.get(name)
             if source is None:
-                raising_or_new.append(RebuildStep(INCORPORATE, item, target))
+                raising_or_new.append(RebuildStep(INCORPORATE, name, target))
             elif target < source:
-                lowering.append(RebuildStep(PLACE, item, target, source))
-            elif target > source:
-                raising_or_new.append(RebuildStep(PLACE, item, target, source))
+                lowering.append(RebuildStep(PLACE, name, target, source))
+            else:
+                raising_or_new.append(RebuildStep(PLACE, name, target, source))
         steps.extend(lowering)
         steps.extend(reversed(raising_or_new))
-
-    return RebuildPlan(steps, checkpoint_pos)
+        targets.update(interval_targets)
+    return steps, targets

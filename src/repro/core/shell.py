@@ -106,7 +106,18 @@ class RShell:
 
     # ------------------------------------------------------------------
     def check_consistency(self) -> None:
-        """Check that R's occupied slots coincide with the non-empty slots."""
+        """Check that R's occupied slots coincide with the non-empty slots,
+        and R's own invariants when R checks them.
+
+        R's tokens are numbered in insertion order, not in slot order, so R
+        is asked to order them by slot: a nested embedding then checks its
+        array, emulator and shell, and a layered structure covers every
+        layer.
+        """
+        reliable = self._reliable
+        check = getattr(reliable, "check_consistency", None)
+        if callable(check):
+            check(key=reliable.slot_of)
         shell_occupied = [
             position
             for position, item in enumerate(self._reliable.slots())

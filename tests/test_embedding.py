@@ -18,7 +18,7 @@ from repro.algorithms import (
 )
 from repro.algorithms.predictions import ExactPredictor
 from repro.core import Embedding, make_corollary12_labeler
-from repro.core.exceptions import CapacityError, LabelerError
+from repro.core.exceptions import CapacityError, InvariantViolation, LabelerError
 from repro.core.layered import LayeredLabeler
 from repro.core.physical import BUFFER, F_SLOT, R_EMPTY
 
@@ -203,6 +203,23 @@ class TestInvariants:
             driver.delete(driver.rng.randint(1, len(driver.reference)))
         driver.check()
         embedding.check_consistency()
+
+    def test_settled_emulator_must_equal_f(self):
+        """With no rebuild pending, ``Ẽ_F`` equals the simulated copy of F,
+        which lets a slow operation start a rebuild without a divergence
+        test: an F that moved one element on its own is refused."""
+        embedding = naive_classical(32)
+        embedding.bulk_load([Fraction(index) for index in range(8)])
+        embedding.check_consistency()
+        simulated = embedding.emulator.simulated
+        slots = simulated.slots()
+        index = next(
+            i for i in range(len(slots) - 1) if slots[i] is not None and slots[i + 1] is None
+        )
+        simulated._move(index, index + 1)
+        assert not embedding.emulator.has_pending_rebuild
+        with pytest.raises(InvariantViolation, match="no rebuild is pending"):
+            embedding.check_consistency()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_reused_keys_are_not_their_ghosts(self, seed):

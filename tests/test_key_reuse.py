@@ -158,7 +158,7 @@ def test_name_tables_stay_bounded_under_reuse():
     def bounded():
         for layer in layers:
             emulator = layer.emulator
-            held = len(emulator.plan.targets) if emulator.has_pending_rebuild else 0
+            held = len(emulator.plan_targets)
             assert emulator.names_in_use <= len(layer) + len(emulator.ghosts) + held
 
     reuse_churn(

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.analysis import run_workload
 from repro.algorithms import AdaptivePMA, ClassicalPMA, NaiveLabeler
 from repro.core import Embedding, make_corollary11_labeler, make_corollary12_labeler
+from repro.core.exceptions import InvariantViolation
 from repro.core.layered import (
     LayeredLabeler,
     corollary11_worst_case_bound,
@@ -42,6 +45,29 @@ class TestCorollary11:
                 driver.check()
         driver.check()
         driver.labeler.check_consistency()
+
+    def test_check_covers_the_inner_embedding_on_every_op(self):
+        """The layered check runs the inner embedding's own check, which
+        orders its R-shell tokens by slot: a buffered token is numbered
+        after every token but sits among them.  The run reaches outer and
+        inner slow operations, and the check holds after every op."""
+        labeler = make_corollary11_labeler(96, seed=2)
+        driver = ReferenceDriver(labeler, seed=3)
+        for _ in range(1_000):
+            driver.random_operation()
+            labeler.check_consistency()
+        assert labeler.inner_embedding.slow_operations > 0
+        driver.check()
+
+    def test_check_rejects_a_broken_inner_emulator(self):
+        """A live token whose key no longer maps to its name, in the inner
+        embedding's emulator, fails the layered check."""
+        labeler = make_corollary11_labeler(96, seed=2)
+        labeler.check_consistency()
+        emulator = labeler.inner_embedding.emulator
+        del emulator._name_of[emulator._key_of[0]]
+        with pytest.raises(InvariantViolation, match="dead name 0"):
+            labeler.check_consistency()
 
     def test_all_three_guarantees_hold_simultaneously(self):
         """Corollary 11: adaptive on hammer, bounded expected cost on random,

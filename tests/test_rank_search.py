@@ -2,11 +2,10 @@
 
 Every labeler answers ``count_below(key, strict=s)`` — the number of stored
 elements below ``key`` — and the ordered map turns every rank search into
-one such call.  Four implementations sit behind it: the dense array
+one such call.  Three implementations sit behind it: the dense array
 algorithms' bisection of their own slot list, the embeddings' bisection of
-their physical slots (Corollary 11 included), the sharding engine's
-fence-key descent, and the interface's binary search over ``select``,
-which an embedding keeps only below a quarter load.  Each is checked here
+their physical slots (Corollary 11 included), and the sharding engine's
+fence-key descent.  Each is checked here
 against ``bisect`` over the ``ReferenceDriver``'s sorted list, at every
 stored key, between every pair of neighbours and beyond both ends, while
 singleton and batch inserts and deletes drive the structures through
@@ -269,7 +268,7 @@ class TestSearchPath:
 
 
 class TestEmbeddingSearchPath:
-    """A loaded embedding bisects its physical slots instead of selecting."""
+    """An embedding bisects its physical slots instead of selecting."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
